@@ -24,6 +24,7 @@ from .chain import (
 from .dirac import (
     CanonicalPairing,
     ConstraintMatrix,
+    OracleLevelCapError,
     OracleResult,
     SpanVerdict,
     classify,
@@ -33,6 +34,7 @@ from .dirac import (
     poisson_bracket,
 )
 from .expressions import (
+    EchelonBasis,
     Expression,
     ParseError,
     UnknownVariableError,
@@ -79,6 +81,7 @@ __all__ = [
     "ChainReport",
     "Constraint",
     "ConstraintMatrix",
+    "EchelonBasis",
     "Expression",
     "ExtendedSymplecticMatrix",
     "FieldSet",
@@ -86,6 +89,7 @@ __all__ = [
     "LatticeSpec",
     "ModelFormatError",
     "NullBasis",
+    "OracleLevelCapError",
     "OracleResult",
     "ParseError",
     "PhaseSpace",

@@ -28,13 +28,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .expressions import Expression, VarTable, linear_expression, reduce_modulo_linear
+from .expressions import EchelonBasis, Expression, VarTable
 from .linalg import (
     PolyMatrix,
     RationalMatrix,
     determinant,
     left_null_space,
-    rref,
+    row_times_matrix,
 )
 from .model import FirstOrderModel
 
@@ -183,25 +183,25 @@ def span_fingerprint(exprs: Sequence[Expression]) -> str:
     return "; ".join(str(e) for e in reduced)
 
 
-def _span_rref(exprs: Sequence[Expression]) -> list[Expression]:
-    """Canonical reduced basis of the affine-linear span of ``exprs``.
-
-    Rows are the linear coefficient vectors (variables then the constant
-    term); the reduced row-echelon rows convert back to expressions.
-    """
+def _span_basis(exprs: Sequence[Expression]) -> EchelonBasis | None:
+    """The echelon basis of the affine-linear span of ``exprs`` (None if empty)."""
+    if not exprs:
+        return None
     vars = exprs[0].vars
-    rows = []
+    basis = EchelonBasis(vars)
     for e in exprs:
         if e.vars != vars:
             raise ValueError("expressions use different VarTables")
-        coeffs, const = e.linear_coefficients()
-        rows.append(list(coeffs) + [const])
-    reduced, pivots = rref(RationalMatrix(rows))
-    out = []
-    for i in range(len(pivots)):
-        row = reduced.row(i)
-        out.append(linear_expression(vars, row[: len(vars)], row[len(vars)]))
-    return out
+        if not e.is_linear():
+            raise ValueError("expression is not linear")
+        basis.add(e)
+    return basis
+
+
+def _span_rref(exprs: Sequence[Expression]) -> list[Expression]:
+    """Canonical reduced basis of the affine-linear span of ``exprs``."""
+    basis = _span_basis(exprs)
+    return basis.rref() if basis is not None else []
 
 
 def build_base_tensor(m: FirstOrderModel) -> PolyMatrix:
@@ -217,17 +217,24 @@ def build_base_tensor(m: FirstOrderModel) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
-def _gradient_row(e: Expression, zeta: VarTable) -> list[Fraction]:
-    grads = []
-    for name in zeta.names:
-        d = e.differentiate(name)
-        if not d.is_constant():
-            raise ChainError(
-                "constraint gradient is not constant; the exact chain "
-                "supports linear constraints only"
-            )
-        grads.append(d.constant_value())
-    return grads
+def _rational_base_tensor(m: FirstOrderModel) -> RationalMatrix:
+    base_poly = build_base_tensor(m)
+    if not base_poly.is_constant():
+        raise ChainError(
+            "the symplectic tensor has non-constant entries (c is nonlinear); "
+            "use generic-rank sampling for such models"
+        )
+    return base_poly.to_rational()
+
+
+def _gradient_row(e: Expression) -> list[Fraction]:
+    # every partial derivative is constant exactly when the degree is <= 1
+    if not e.is_linear():
+        raise ChainError(
+            "constraint gradient is not constant; the exact chain "
+            "supports linear constraints only"
+        )
+    return list(e.linear_coefficients()[0])
 
 
 def assemble_extended_matrix(
@@ -243,69 +250,67 @@ def assemble_extended_matrix(
     the auxiliary columns of levels above ``keep_levels`` are dropped,
     all rows retained.
     """
-    base_poly = build_base_tensor(m)
-    if not base_poly.is_constant():
-        raise ChainError(
-            "the symplectic tensor has non-constant entries (c is nonlinear); "
-            "use generic-rank sampling for such models"
-        )
-    base = base_poly.to_rational()
-    n = base.rows
-
+    base = _rational_base_tensor(m)
     levels = sorted({c.level for c in constraints})
     if levels != list(range(1, len(levels) + 1)):
         raise ValueError("constraint levels must be consecutive starting at 1")
-    k = len(levels)
-    by_level = [[c for c in constraints if c.level == lvl] for lvl in range(1, k + 1)]
-
     grad_blocks = [
-        [_gradient_row(c.raw, m.zeta) for c in group] for group in by_level
+        [_gradient_row(c.raw) for c in constraints if c.level == lvl] for lvl in levels
     ]
+    return _assemble(m, base, grad_blocks, truncated, keep_levels)
 
+
+def _assemble(
+    m: FirstOrderModel,
+    base: RationalMatrix,
+    grad_blocks: Sequence[Sequence[list[Fraction]]],
+    truncated: bool,
+    keep_levels: int,
+) -> ExtendedSymplecticMatrix:
+    """Border ``base`` by the gradient rows of each level, in level order."""
+    n = base.rows
+    k = len(grad_blocks)
+    count = sum(len(g) for g in grad_blocks)
     zeta_names = list(m.zeta.names)
-    xi_labels: list[str] = []
-    counter = 0
-    for group in by_level:
-        for _ in group:
-            counter += 1
-            xi_labels.append(m.phase.xi_name(counter))
+    xi_labels = [m.phase.xi_name(i) for i in range(1, count + 1)]
 
     kept_cols = k if not truncated else min(keep_levels, k)
+    kept = [grad for block in grad_blocks[:kept_cols] for grad in block]
     rows: list[list[Fraction]] = []
     # coordinate rows: base tensor then +A^T blocks for the kept columns
-    for i in range(n):
-        row = list(base.row(i))
-        for lvl in range(kept_cols):
-            for grad in grad_blocks[lvl]:
-                row.append(grad[i])
-        rows.append(row)
+    for i, base_row in enumerate(base.to_rows()):
+        rows.append(list(base_row) + [grad[i] for grad in kept])
     # auxiliary rows: -A blocks then zeros
-    width = len(rows[0])
-    for lvl in range(k):
-        for grad in grad_blocks[lvl]:
-            row = [-g for g in grad]
-            row.extend([Fraction(0)] * (width - n))
-            rows.append(row)
+    padding = [Fraction(0)] * len(kept)
+    for block in grad_blocks:
+        for grad in block:
+            rows.append([-g for g in grad] + padding)
 
     matrix = RationalMatrix(rows)
     if not truncated:
         _assert_antisymmetric(matrix)
-    kept_xi = xi_labels[: sum(len(g) for g in by_level[:kept_cols])]
     return ExtendedSymplecticMatrix(
         level=k,
         base=base,
         truncated=truncated,
         matrix=matrix,
         row_labels=tuple(zeta_names + xi_labels),
-        col_labels=tuple(zeta_names + kept_xi),
+        col_labels=tuple(zeta_names + xi_labels[: len(kept)]),
     )
 
 
 def _assert_antisymmetric(m: RationalMatrix) -> None:
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if m.entry(i, j) != -m.entry(j, i):
+    rows = m.to_rows()
+    for i, row in enumerate(rows):
+        for j in range(i, m.cols):
+            x, y = row[j], rows[j][i]
+            if (x or y) and x != -y:
                 raise ChainError("assembled matrix is not antisymmetric")
+
+
+def _hamiltonian_gradient(m: FirstOrderModel) -> tuple[Expression, ...]:
+    total = m.total_hamiltonian()
+    return tuple(total.differentiate(name) for name in m.zeta.names)
 
 
 def assemble_rhs(m: FirstOrderModel, constraints: Sequence[Constraint]) -> tuple[Expression, ...]:
@@ -313,11 +318,8 @@ def assemble_rhs(m: FirstOrderModel, constraints: Sequence[Constraint]) -> tuple
 
     Entries live over the working table (zeta plus symbolic multipliers).
     """
-    table = m.phase.working_table()
-    total = m.total_hamiltonian()
-    entries = [total.differentiate(name) for name in m.zeta.names]
-    entries.extend(Expression.zero(table) for _ in constraints)
-    return tuple(entries)
+    zero = Expression.zero(m.phase.working_table())
+    return _hamiltonian_gradient(m) + (zero,) * len(constraints)
 
 
 def find_new_constraints(
@@ -334,15 +336,25 @@ def find_new_constraints(
     """
     if len(rhs) != f.matrix.rows:
         raise ValueError("rhs length must match the matrix row count")
-    basis = left_null_space(f.matrix)
     # the working table is zeta followed by the multiplier symbols
+    zeta = VarTable(rhs[0].vars.names[: f.base.rows])
+    known = EchelonBasis(zeta)
+    for c in existing:
+        known.add(c.expr)
+    return _classify(f, rhs, zeta, known)
+
+
+def _classify(
+    f: ExtendedSymplecticMatrix,
+    rhs: Sequence[Expression],
+    zeta: VarTable,
+    known: EchelonBasis,
+) -> list[Candidate]:
+    """``find_new_constraints`` against ``known``, which grows by each NEW form."""
     working = rhs[0].vars
-    n = f.base.rows
-    zeta = VarTable(working.names[:n])
-    multiplier_names = working.names[n:]
-    known = [c.expr for c in existing]
+    multiplier_names = working.names[len(zeta) :]
     out: list[Candidate] = []
-    for v in basis:
+    for v in left_null_space(f.matrix):
         value = Expression.zero(working)
         for coeff, entry in zip(v, rhs):
             if coeff:
@@ -359,7 +371,7 @@ def find_new_constraints(
                 "nonlinear constraint candidate: reduction against the "
                 "existing set is supported for linear constraints only"
             )
-        remainder = reduce_modulo_linear(candidate, known) if known else candidate
+        remainder = known.remainder(candidate)
         if remainder.is_zero():
             out.append(Candidate(vector=v, value=value, classification=REDUNDANT))
             continue
@@ -372,12 +384,17 @@ def find_new_constraints(
         out.append(
             Candidate(vector=v, value=value, classification=NEW, normalized=normalized)
         )
-        known.append(normalized)
+        known.add(normalized)
     return out
 
 
 def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainReport:
-    """Run the level loop until a termination certificate is reached."""
+    """Run the level loop until a termination certificate is reached.
+
+    What does not change between levels is computed once per run: the
+    base tensor, the Hamiltonian gradient, each constraint's gradient
+    row and the echelon basis of the constraint span.
+    """
     opts = opts or ChainOptions()
     constraints: list[Constraint] = [
         Constraint.from_raw(1, p, ORIGIN_PRIMARY) for p in m.primaries
@@ -387,34 +404,52 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     warnings: list[str] = []
     termination: Termination | None = None
 
+    base = _rational_base_tensor(m)
+    grad_h = _hamiltonian_gradient(m)
+    zero = Expression.zero(m.phase.working_table())
+    grad_blocks: list[list[list[Fraction]]] = []
+    known = EchelonBasis(m.zeta)
+
+    def accept(new: Sequence[Constraint]) -> None:
+        # NEW candidates already joined ``known`` during classification
+        constraints.extend(new)
+        grad_blocks.append([_gradient_row(c.raw) for c in new])
+
+    if constraints:
+        grad_blocks.append([_gradient_row(c.raw) for c in constraints])
+        for c in constraints:
+            known.add(c.expr)
+
     while True:
-        k = max((c.level for c in constraints), default=0)
+        k = len(grad_blocks)
         if k > opts.max_level:
             termination = Termination(kind=TERMINATED_MAX_LEVEL, level=k)
             break
-        f = assemble_extended_matrix(m, constraints)
-        rhs = assemble_rhs(m, constraints)
-        candidates = find_new_constraints(f, rhs, constraints)
+        f = _assemble(m, base, grad_blocks, truncated=False, keep_levels=k)
+        rhs = grad_h + (zero,) * len(constraints)
+        candidates = _classify(f, rhs, m.zeta, known)
         records.append(
             LevelRecord(level=k, truncated=False, shape=f.shape, candidates=tuple(candidates))
         )
         new = [c for c in candidates if c.classification == NEW]
         if new:
-            constraints.extend(
+            accept([
                 Constraint.from_raw(
                     k + 1, c.value.restrict(m.zeta), ORIGIN_NULL_VECTOR, c.vector
                 )
                 for c in new
-            )
+            ])
             continue
 
-        det = determinant(f.matrix)
-        if det != 0:
-            # certificate consistency: one candidate exists per null vector
-            if candidates:
-                raise ChainError("certificate mismatch: nonzero determinant with null vectors")
+        if not candidates:
+            det = determinant(f.matrix)
+            if det == 0:
+                raise ChainError("certificate mismatch: zero determinant without null vectors")
             termination = Termination(kind=TERMINATED_NONSINGULAR, level=k, determinant=det)
             break
+        # certificate consistency: a null vector proves det(F) = 0
+        if any(row_times_matrix(candidates[0].vector, f.matrix)):
+            raise ChainError("certificate mismatch: a null vector does not annihilate F")
 
         if opts.allow_truncation and k >= 1:
             keep_plan = [1] if opts.truncation_mode == "paper" else list(range(k - 1, 0, -1))
@@ -422,20 +457,20 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
             for keep in keep_plan:
                 if keep >= k:
                     continue
-                ft = assemble_extended_matrix(m, constraints, truncated=True, keep_levels=keep)
-                tcands = find_new_constraints(ft, rhs, constraints)
+                ft = _assemble(m, base, grad_blocks, truncated=True, keep_levels=keep)
+                tcands = _classify(ft, rhs, m.zeta, known)
                 records.append(
                     LevelRecord(level=k, truncated=True, shape=ft.shape, candidates=tuple(tcands))
                 )
                 tnew = [c for c in tcands if c.classification == NEW]
                 if tnew:
                     truncations.append(k)
-                    constraints.extend(
+                    accept([
                         Constraint.from_raw(
                             k + 1, c.value.restrict(m.zeta), ORIGIN_TRUNCATED, c.vector
                         )
                         for c in tnew
-                    )
+                    ])
                     found = True
                     break
             if found:

@@ -20,7 +20,7 @@ from .chain import (
     ChainOptions,
     run_chain,
 )
-from .dirac import compare_spans, consistency_algorithm
+from .dirac import OracleLevelCapError, compare_spans, consistency_algorithm
 from .lattice import LatticeSpec, build_schwinger
 from .model import FirstOrderModel, ModelFormatError, load_model, save_model
 from .reports import render_text, render_tree
@@ -71,13 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact constraint-chain analysis for first-order Lagrangians.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for randomized sampling diagnostics; the analyze, compare "
-        "and lattice commands are fully deterministic and ignore it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze", help="run the constraint chain on a model file")
@@ -174,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "analyze":
             return cmd_analyze(model, args)
         return cmd_compare(model, args)
-    except (ModelFormatError, ChainError, ValueError, OSError) as exc:
+    except (ModelFormatError, ChainError, OracleLevelCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chain import ChainReport, Constraint, span_fingerprint, _span_rref
-from .expressions import Expression, VarTable, reduce_modulo_linear
+from .chain import ChainReport, Constraint, span_fingerprint, _span_basis
+from .expressions import EchelonBasis, Expression, VarTable
 from .linalg import PolyMatrix, RationalMatrix, generic_rank, left_null_space, rank
 from .model import FirstOrderModel
 
@@ -75,6 +75,10 @@ class OracleResult:
         return span_fingerprint([c.expr for c in self.constraints])
 
 
+class OracleLevelCapError(RuntimeError):
+    """The consistency iteration did not close within its pass cap."""
+
+
 def consistency_algorithm(m: FirstOrderModel, max_level: int = 64) -> OracleResult:
     """Iterate the consistency conditions until the constraint set closes.
 
@@ -87,6 +91,9 @@ def consistency_algorithm(m: FirstOrderModel, max_level: int = 64) -> OracleResu
 
     Level bookkeeping matches the chain module: primaries are level 1
     and a condition drawn from levels up to k lands at level k+1.
+
+    Each constraint's brackets with H and with the primaries are taken
+    once, when it joins the set, and reused by every later pass.
     """
     pairing = derive_pairing(m)
     h = m.hamiltonian
@@ -96,16 +103,22 @@ def consistency_algorithm(m: FirstOrderModel, max_level: int = 64) -> OracleResu
     if not constraints:
         return OracleResult((), ())
     working = m.phase.working_table()
+    brackets_h: list[Expression] = []
+    mixed: list[list[Expression]] = []
+    known = EchelonBasis(m.zeta)
+    spanned = 0  # constraints[:spanned] are in ``known``
+
+    def add_brackets(c: Constraint) -> None:
+        brackets_h.append(poisson_bracket(c.expr, h, pairing))
+        mixed.append([poisson_bracket(c.expr, prim, pairing) for prim in m.primaries])
+
+    for c in constraints:
+        add_brackets(c)
     passes = 0
     while True:
         passes += 1
         if passes > max_level:
-            raise RuntimeError("consistency iteration exceeded the level cap")
-        brackets_h = [poisson_bracket(c.expr, h, pairing) for c in constraints]
-        mixed = [
-            [poisson_bracket(c.expr, prim, pairing) for prim in m.primaries]
-            for c in constraints
-        ]
+            raise OracleLevelCapError("consistency iteration exceeded the level cap")
         for row in mixed:
             for e in row:
                 if not e.is_constant():
@@ -113,6 +126,7 @@ def consistency_algorithm(m: FirstOrderModel, max_level: int = 64) -> OracleResu
                         "non-constant bracket with a primary: the consistency "
                         "iteration supports linear constraints only"
                     )
+        old = len(constraints)
         coefficient = RationalMatrix(
             [[e.constant_value() for e in row] for row in mixed]
         )
@@ -129,7 +143,10 @@ def consistency_algorithm(m: FirstOrderModel, max_level: int = 64) -> OracleResu
                     "nonlinear consistency candidate: reduction is supported "
                     "for linear constraints only"
                 )
-            remainder = reduce_modulo_linear(candidate, [c.expr for c in constraints])
+            for c in constraints[spanned:]:
+                known.add(c.expr)
+            spanned = len(constraints)
+            remainder = known.remainder(candidate)
             if remainder.is_zero():
                 continue
             if remainder.is_constant():
@@ -146,14 +163,14 @@ def consistency_algorithm(m: FirstOrderModel, max_level: int = 64) -> OracleResu
             found = True
         if not found:
             break
+        for c in constraints[old:]:
+            add_brackets(c)
     conditions: list[MultiplierCondition] = []
-    for phi in constraints:
-        bracket_h = poisson_bracket(phi.expr, h, pairing)
+    for phi, bracket_h, row in zip(constraints, brackets_h, mixed):
         lam_part = Expression.zero(working)
-        for lam_name, prim in zip(m.phase.multiplier_names, m.primaries):
-            coef = poisson_bracket(phi.expr, prim, pairing)
+        for lam_name, coef in zip(m.phase.multiplier_names, row):
             if not coef.is_zero():
-                lam_part = lam_part + Expression.variable(working, lam_name) * coef.embed(working)
+                lam_part = lam_part + Expression.variable(working, lam_name) * coef.constant_value()
         if not lam_part.is_zero():
             conditions.append(
                 MultiplierCondition(phi, bracket_h.embed(working) + lam_part)
@@ -209,14 +226,10 @@ def classify(
 
 def _check_independent(constraints: Sequence[Constraint]) -> None:
     exprs = [c.expr for c in constraints]
-    for e in exprs:
-        if not e.is_linear():
-            return  # independence is only checked for linear sets
-    rows = []
-    for e in exprs:
-        coeffs, const = e.linear_coefficients()
-        rows.append(list(coeffs) + [const])
-    if rank(RationalMatrix(rows)) != len(exprs):
+    if not all(e.is_linear() for e in exprs):
+        return  # independence is only checked for linear sets
+    basis = EchelonBasis(exprs[0].vars)
+    if not all(basis.add(e) for e in exprs):
         raise ValueError("constraint set is not linearly independent")
 
 
@@ -247,21 +260,21 @@ def compare_spans(
     stay nonzero after reduction against the other side's span.
     """
     first = list(chain.constraints) if isinstance(chain, ChainReport) else list(chain)
-    first_exprs = [c.expr for c in first]
-    second_exprs = [c.expr for c in oracle]
-    basis_first = _span_rref(first_exprs) if first_exprs else []
-    basis_second = _span_rref(second_exprs) if second_exprs else []
+    span_first = _span_basis([c.expr for c in first])
+    span_second = _span_basis([c.expr for c in oracle])
+    basis_first = span_first.rref() if span_first is not None else []
+    basis_second = span_second.rref() if span_second is not None else []
     if basis_first == basis_second:
         return SpanVerdict(True, (), ())
-    only_first = _mismatch(basis_first, basis_second)
-    only_second = _mismatch(basis_second, basis_first)
+    only_first = _mismatch(basis_first, span_second)
+    only_second = _mismatch(basis_second, span_first)
     return SpanVerdict(False, tuple(only_first), tuple(only_second))
 
 
-def _mismatch(candidates: Sequence[Expression], other: Sequence[Expression]) -> list[Expression]:
+def _mismatch(candidates: Sequence[Expression], other: EchelonBasis | None) -> list[Expression]:
     out = []
     for e in candidates:
-        r = reduce_modulo_linear(e, other) if other else e
+        r = other.remainder(e) if other is not None else e
         if not r.is_zero():
             out.append(r.monic())
     return out

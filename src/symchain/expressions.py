@@ -554,11 +554,6 @@ def parse_expression(text: str, vars: VarTable) -> Expression:
 
 # -- linear reduction ------------------------------------------------
 
-def _linear_vector(e: Expression) -> list[Fraction]:
-    coeffs, const = e.linear_coefficients()
-    return list(coeffs) + [const]
-
-
 def linear_expression(vars: VarTable, coeffs: Sequence[Fraction], const=0) -> Expression:
     """Build sum_i coeffs[i] * vars[i] + const."""
     if len(coeffs) != len(vars):
@@ -574,8 +569,85 @@ def linear_expression(vars: VarTable, coeffs: Sequence[Fraction], const=0) -> Ex
     return Expression(vars, terms)
 
 
-def _vector_to_expression(vec: Sequence[Fraction], vars: VarTable) -> Expression:
-    return linear_expression(vars, vec[: len(vars)], vec[len(vars)])
+class EchelonBasis:
+    """Incremental exact basis of an affine-linear span over one VarTable.
+
+    A linear form is a sparse vector over the columns (variables in
+    table order, then the constant term).  The rows are kept in reduced
+    row-echelon form: each has a unit pivot at its first nonzero column
+    and is zero at every other row's pivot.  The remainder of a form is
+    the unique member of its coset modulo the span that vanishes at
+    every pivot column, so it depends only on the span, not on the
+    order or the scale in which members were added.
+    """
+
+    __slots__ = ("_vars", "_units", "_rows")
+
+    def __init__(self, vars: VarTable):
+        n = len(vars)
+        self._vars = vars
+        # monomial of each column; the last one is the constant term
+        self._units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        self._units.append((0,) * n)
+        self._rows: dict[int, dict[int, Fraction]] = {}  # pivot column -> row
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add(self, e: Expression) -> bool:
+        """Extend the span by ``e``; False when ``e`` already lies in it."""
+        if e.vars != self._vars:
+            raise ValueError("basis expression uses a different VarTable")
+        if not e.is_linear():
+            raise ValueError("nonlinear basis expression: only linear reduction is supported")
+        vec = self._reduce(e)
+        if not vec:
+            return False
+        pivot = min(vec)
+        inv = 1 / vec[pivot]
+        new = {col: x * inv for col, x in vec.items()}
+        for row in self._rows.values():
+            factor = row.get(pivot)
+            if factor:
+                _axpy(row, -factor, new)
+        self._rows[pivot] = new
+        return True
+
+    def remainder(self, e: Expression) -> Expression:
+        """The member of ``e`` + span that is zero at every pivot column."""
+        if e.vars != self._vars:
+            raise ValueError("basis expression uses a different VarTable")
+        if not e.is_linear():
+            raise ValueError("nonlinear expression: only linear reduction is supported")
+        return self._expression(self._reduce(e))
+
+    def rref(self) -> list[Expression]:
+        """The reduced row-echelon rows, in pivot order."""
+        return [self._expression(self._rows[col]) for col in sorted(self._rows)]
+
+    def _reduce(self, e: Expression) -> dict[int, Fraction]:
+        constant = len(self._vars)
+        vec = {
+            (mono.index(1) if any(mono) else constant): coeff
+            for mono, coeff in e._terms.items()
+        }
+        for col in [c for c in vec if c in self._rows]:
+            _axpy(vec, -vec[col], self._rows[col])
+        return vec
+
+    def _expression(self, vec: dict[int, Fraction]) -> Expression:
+        units = self._units
+        return Expression(self._vars, {units[col]: x for col, x in vec.items()})
+
+
+def _axpy(target: dict[int, Fraction], factor: Fraction, row: dict[int, Fraction]) -> None:
+    """target += factor * row, dropping entries that cancel."""
+    for col, x in row.items():
+        value = target.get(col, 0) + factor * x
+        if value:
+            target[col] = value
+        else:
+            del target[col]
 
 
 def reduce_modulo_linear(e: Expression, basis: Sequence[Expression]) -> Expression:
@@ -587,33 +659,9 @@ def reduce_modulo_linear(e: Expression, basis: Sequence[Expression]) -> Expressi
     """
     if not e.is_linear():
         raise ValueError("nonlinear expression: only linear reduction is supported")
-    rows = []
+    span = EchelonBasis(e.vars)
     for b in basis:
-        if b.vars != e.vars:
-            raise ValueError("basis expression uses a different VarTable")
-        if b.is_zero():
+        if b.vars == e.vars and b.is_zero():
             raise ValueError("basis contains the zero expression")
-        if not b.is_linear():
-            raise ValueError("nonlinear basis expression: only linear reduction is supported")
-        rows.append(_linear_vector(b))
-    # row-reduce the basis (reduced echelon form, first-nonzero pivots)
-    ncols = len(e.vars) + 1
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for row in rows:
-        for col, prow in pivots:
-            if row[col]:
-                factor = row[col]
-                row = [a - factor * b for a, b in zip(row, prow)]
-        for col in range(ncols):
-            if row[col]:
-                inv = Fraction(1) / row[col]
-                row = [a * inv for a in row]
-                pivots.append((col, row))
-                pivots.sort(key=lambda p: p[0])
-                break
-    vec = _linear_vector(e)
-    for col, prow in pivots:
-        if vec[col]:
-            factor = vec[col]
-            vec = [a - factor * b for a, b in zip(vec, prow)]
-    return _vector_to_expression(vec, e.vars)
+        span.add(b)
+    return span.remainder(e)

@@ -22,7 +22,10 @@ class RationalMatrix:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable[Fraction]]):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        # Fractions are immutable, so entries that already are one are shared
+        data = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
+        )
         if not data or not data[0]:
             raise ValueError("matrix dimensions must be positive")
         width = len(data[0])
@@ -80,10 +83,13 @@ class RationalMatrix:
 def row_times_matrix(v: Sequence[Fraction], m: RationalMatrix) -> tuple[Fraction, ...]:
     if len(v) != m.rows:
         raise ValueError("vector length does not match the row count")
-    return tuple(
-        sum((v[i] * m.entry(i, j) for i in range(m.rows)), Fraction(0))
-        for j in range(m.cols)
-    )
+    out = [Fraction(0)] * m.cols
+    for coeff, row in zip(v, m.to_rows()):
+        if coeff:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] += coeff * x
+    return tuple(out)
 
 
 def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -98,11 +104,13 @@ def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivot = rows[r] = [x * inv if x else x for x in rows[r]]
+        support = [j for j, x in enumerate(pivot) if x]  # zeros change nothing
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                factor = row[c]
+                for j in support:
+                    row[j] -= factor * pivot[j]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -164,7 +172,9 @@ class NullBasis:
     __slots__ = ("_vectors",)
 
     def __init__(self, vectors: Iterable[Sequence[Fraction]]):
-        self._vectors = tuple(tuple(Fraction(x) for x in v) for v in vectors)
+        self._vectors = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in v) for v in vectors
+        )
 
     @property
     def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -194,7 +204,7 @@ def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     lead = next((x for x in ints if x), 1)
     if lead < 0:
         g = -g
-    return tuple(Fraction(x, g) for x in ints)
+    return tuple(Fraction(x // g) for x in ints)  # g divides every entry
 
 
 def left_null_space(m: RationalMatrix) -> NullBasis:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .expressions import Expression, ParseError, VarTable, parse_expression
+from .expressions import EchelonBasis, Expression, ParseError, VarTable, parse_expression
 
 _RESERVED = re.compile(r"^(xi|lam)[0-9]+$")
 
@@ -124,16 +124,10 @@ class FirstOrderModel:
 
 
 def _check_independent_primaries(primaries: Sequence[Expression], zeta: VarTable) -> None:
-    linear = [p for p in primaries if p.is_linear()]
-    if len(linear) != len(primaries) or len(primaries) < 2:
+    if len(primaries) < 2 or not all(p.is_linear() for p in primaries):
         return
-    rows = []
-    for p in linear:
-        coeffs, const = p.linear_coefficients()
-        rows.append(list(coeffs) + [const])
-    from .linalg import RationalMatrix, rank  # local import avoids a cycle at module load
-
-    if rank(RationalMatrix(rows)) != len(primaries):
+    basis = EchelonBasis(zeta)
+    if not all(basis.add(p) for p in primaries):
         raise ValueError("primary constraints are linearly dependent")
 
 

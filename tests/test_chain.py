@@ -9,15 +9,18 @@ from symchain import (
     Constraint,
     Expression,
     FirstOrderModel,
+    LatticeSpec,
     RationalMatrix,
     VarTable,
     assemble_extended_matrix,
     assemble_rhs,
     build_base_tensor,
+    build_schwinger,
     determinant,
     find_new_constraints,
     left_null_space,
     parse_expression,
+    rank,
     run_chain,
 )
 from golden import (
@@ -196,13 +199,34 @@ def test_run_chain_mechanical_fixture(example2):
     assert origins == ["primary", "null-vector", "null-vector", "truncated-null-vector"]
 
 
-def test_run_chain_eigenvectors_annihilate(example2):
-    report = run_chain(example2)
-    matrices = {}
+def shift_chain(k):
+    """H = sum_i p_i q_{i+1} + q_1^2 with primary p_k: a chain of 2k constraints."""
+    zeta = VarTable([f"q_{i}" for i in range(1, k + 1)] + [f"p_{i}" for i in range(1, k + 1)])
+    q = [Expression.variable(zeta, f"q_{i}") for i in range(1, k + 1)]
+    p = [Expression.variable(zeta, f"p_{i}") for i in range(1, k + 1)]
+    h = q[0] * q[0]
+    for i in range(k - 1):
+        h = h + p[i] * q[i + 1]
+    return FirstOrderModel(f"shift_chain_{k}", zeta, p + [Expression.zero(zeta)] * k, h, [p[-1]])
+
+
+@pytest.mark.parametrize("name", ["example2", "shift_chain_4", "lattice_3"])
+def test_run_chain_eigenvectors_annihilate(name, example2):
+    # run_chain takes a determinant only where the null space is empty,
+    # so this is what pins the singular levels down
+    model = {
+        "example2": lambda: example2,
+        "shift_chain_4": lambda: shift_chain(4),
+        "lattice_3": lambda: build_schwinger(LatticeSpec(sites=3)),
+    }[name]()
+    report = run_chain(model)
+    singular = [rec for rec in report.levels if not rec.truncated and rec.candidates]
+    assert singular
     for rec in report.levels:
-        key = (rec.level, rec.truncated)
         cs = [c for c in report.constraints if c.level <= rec.level]
-        f = assemble_extended_matrix(example2, cs, truncated=rec.truncated)
+        f = assemble_extended_matrix(model, cs, truncated=rec.truncated)
+        assert f.shape == rec.shape
+        assert len(rec.candidates) == f.matrix.rows - rank(f.matrix)
         for cand in rec.candidates:
             assert len(cand.vector) == f.matrix.rows
             for j in range(f.matrix.cols):

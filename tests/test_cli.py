@@ -154,3 +154,21 @@ def test_lattice_default_output_name(tmp_path):
     result = run_cli("lattice", "schwinger", "--sites", "3", cwd=tmp_path)
     assert result.returncode == 0
     assert (tmp_path / "schwinger_n3.model").exists()
+
+
+def test_compare_oracle_level_cap_is_an_input_error(tmp_path):
+    # shift chain p_33 -> p_32 -> ... -> p_1 -> q_1 -> ... -> q_33: the
+    # oracle needs 66 passes, more than its cap of 64
+    k = 33
+    qs = [f"q_{i}" for i in range(1, k + 1)]
+    ps = [f"p_{i}" for i in range(1, k + 1)]
+    h = " + ".join(f"p_{i}*q_{i + 1}" for i in range(1, k)) + " + q_1^2"
+    model = tmp_path / "shift33.model"
+    model.write_text(
+        f"model shift33\nzeta {' '.join(qs + ps)}\nc {' '.join(ps + ['0'] * k)}\n"
+        f"H {h}\nprimary p_{k}\n"
+    )
+    result = run_cli("compare", str(model))
+    assert result.returncode == 1
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stderr

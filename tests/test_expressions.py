@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symchain import (
+    EchelonBasis,
     Expression,
     ParseError,
     UnknownVariableError,
     VarTable,
+    linear_expression,
     parse_expression,
     reduce_modulo_linear,
 )
@@ -214,3 +219,104 @@ def _random_poly(rng, vt):
             mono = mono * Expression.variable(vt, rng.choice(vt.names))
         e = e + mono
     return e
+
+
+# -- the echelon basis against sympy -----------------------------------
+
+SMALL = VarTable(["a", "b", "c", "d"])
+_rationals = st.builds(
+    Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 1, 2, 3])
+)
+_vectors = st.lists(_rationals, min_size=5, max_size=5)  # 4 variables + constant
+_form_sets = st.lists(_vectors, max_size=5)
+
+
+def _form(vec):
+    return linear_expression(SMALL, vec[:4], vec[4])
+
+
+def _vector(e):
+    coeffs, const = e.linear_coefficients()
+    return list(coeffs) + [const]
+
+
+def _sympy_rank(vectors):
+    if not vectors:
+        return 0
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in v] for v in vectors]
+    ).rank()
+
+
+def _basis(vectors):
+    basis = EchelonBasis(SMALL)
+    for v in vectors:
+        basis.add(_form(v))
+    return basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(_form_sets, _vectors)
+def test_basis_remainder_is_zero_iff_sympy_rank_does_not_grow(forms, vec):
+    basis = EchelonBasis(SMALL)
+    for i, v in enumerate(forms):
+        grows = _sympy_rank(forms[: i + 1]) > _sympy_rank(forms[:i])
+        assert basis.add(_form(v)) == grows
+    assert len(basis) == _sympy_rank(forms)
+    in_span = _sympy_rank(forms + [vec]) == _sympy_rank(forms)
+    assert basis.remainder(_form(vec)).is_zero() == in_span
+
+
+@settings(max_examples=150, deadline=None)
+@given(_form_sets, _vectors)
+def test_basis_remainder_differs_by_a_span_member(forms, vec):
+    e = _form(vec)
+    r = _basis(forms).remainder(e)
+    assert _sympy_rank(forms + [_vector(e - r)]) == _sympy_rank(forms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_form_sets, _vectors, st.randoms(use_true_random=False))
+def test_basis_remainder_ignores_order_and_scale_and_is_idempotent(forms, vec, rng):
+    e = _form(vec)
+    basis = _basis(forms)
+    r = basis.remainder(e)
+    scales = [rng.choice([1, -2, Fraction(1, 3)]) for _ in forms]
+    shuffled = [[x * k for x in v] for v, k in zip(forms, scales)]
+    rng.shuffle(shuffled)
+    assert _basis(shuffled).remainder(e) == r
+    assert basis.remainder(r) == r
+
+
+@settings(max_examples=150, deadline=None)
+@given(_form_sets)
+def test_basis_rref_matches_sympy(forms):
+    rows = [_vector(e) for e in _basis(forms).rref()]
+    if not forms:
+        assert rows == []
+        return
+    reduced, pivots = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in v] for v in forms]
+    ).rref()
+    expected = [
+        [Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(pivots))
+    ]
+    assert rows == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_form_sets, _vectors)
+def test_reduce_modulo_linear_agrees_with_basis(forms, vec):
+    members = [_form(v) for v in forms if any(v)]
+    e = _form(vec)
+    assert reduce_modulo_linear(e, members) == _basis(forms).remainder(e)
+
+
+def test_basis_rejects_nonlinear_and_foreign_forms():
+    basis = EchelonBasis(SMALL)
+    with pytest.raises(ValueError):
+        basis.add(parse_expression("a*b", SMALL))
+    with pytest.raises(ValueError):
+        basis.remainder(parse_expression("a^2", SMALL))
+    with pytest.raises(ValueError):
+        basis.add(parse_expression("x", VT))
