@@ -52,7 +52,6 @@ from .lattice import (
     map_constraint_to_sites,
 )
 from .linalg import (
-    NullBasis,
     PolyMatrix,
     RationalMatrix,
     determinant,
@@ -88,7 +87,6 @@ __all__ = [
     "FirstOrderModel",
     "LatticeSpec",
     "ModelFormatError",
-    "NullBasis",
     "OracleLevelCapError",
     "OracleResult",
     "ParseError",

@@ -165,9 +165,6 @@ class ChainReport:
     termination: Termination
     warnings: tuple[str, ...] = field(default=())
 
-    def constraints_at(self, level: int) -> tuple[Constraint, ...]:
-        return tuple(c for c in self.constraints if c.level == level)
-
     def num_levels(self) -> int:
         return max((c.level for c in self.constraints), default=0)
 

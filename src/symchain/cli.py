@@ -105,10 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> FirstOrderModel:
-    return load_model(path)
-
-
 def cmd_analyze(model: FirstOrderModel, args) -> int:
     report = run_chain(model, _chain_options(args))
     comparison = None
@@ -141,9 +137,16 @@ def cmd_compare(model: FirstOrderModel, args) -> int:
     return EXIT_OK if comparison.equal else EXIT_SPANS_DIFFER
 
 
+def _spacing(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--spacing must be an exact rational such as 1/2, not {text!r}") from None
+
+
 def cmd_lattice(args) -> int:
     spec = LatticeSpec(
-        sites=args.sites, spacing=Fraction(args.spacing), scheme=args.scheme
+        sites=args.sites, spacing=_spacing(args.spacing), scheme=args.scheme
     )
     model = build_schwinger(spec)
     out = args.out
@@ -163,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "lattice":
             return cmd_lattice(args)
-        model = _load(args.model)
+        model = load_model(args.model)
         if args.command == "analyze":
             return cmd_analyze(model, args)
         return cmd_compare(model, args)

@@ -22,6 +22,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+from .linalg import SparseEchelon
+
 Monomial = tuple[int, ...]
 
 _NAME_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
@@ -250,8 +252,9 @@ class Expression:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -311,18 +314,26 @@ class Expression:
                 if img.vars != target:
                     raise ValueError(f"substitution for '{name}' uses the wrong VarTable")
                 images[i] = img
-        result = Expression.zero(target)
+        names = self._vars.names
+        zero = (0,) * len(target)
+        out: dict[Monomial, Fraction] = {}
         for mono, coeff in self._terms.items():
-            term = Expression.constant(target, coeff)
+            placed = list(zero)  # exponents of the variables kept by name
+            product: Expression | None = None  # of the mapped variables' images
             for i, e in enumerate(mono):
-                if e == 0:
+                if not e:
                     continue
-                base = images.get(i)
-                if base is None:
-                    base = Expression.variable(target, self._vars.names[i])
-                term = term * base**e
-            result = result + term
-        return result
+                image = images.get(i)
+                if image is None:
+                    placed[target.index_of(names[i])] += e
+                else:
+                    power = image**e
+                    product = power if product is None else product * power
+            parts = product._terms.items() if product is not None else ((zero, 1),)
+            for part, c in parts:
+                key = tuple(x + y for x, y in zip(placed, part))
+                out[key] = out.get(key, 0) + coeff * c
+        return Expression(target, out)
 
     def embed(self, target: VarTable) -> "Expression":
         """Re-express over a table that contains all of this table's names."""
@@ -572,16 +583,15 @@ def linear_expression(vars: VarTable, coeffs: Sequence[Fraction], const=0) -> Ex
 class EchelonBasis:
     """Incremental exact basis of an affine-linear span over one VarTable.
 
-    A linear form is a sparse vector over the columns (variables in
-    table order, then the constant term).  The rows are kept in reduced
-    row-echelon form: each has a unit pivot at its first nonzero column
-    and is zero at every other row's pivot.  The remainder of a form is
-    the unique member of its coset modulo the span that vanishes at
-    every pivot column, so it depends only on the span, not on the
-    order or the scale in which members were added.
+    The Expression view of ``linalg.SparseEchelon``: a linear form is a
+    sparse vector over the columns (variables in table order, then the
+    constant term), kept in reduced row-echelon form.  The remainder of
+    a form is the unique member of its coset modulo the span that
+    vanishes at every pivot column, so it depends only on the span, not
+    on the order or the scale in which members were added.
     """
 
-    __slots__ = ("_vars", "_units", "_rows")
+    __slots__ = ("_vars", "_units", "_kernel")
 
     def __init__(self, vars: VarTable):
         n = len(vars)
@@ -589,65 +599,37 @@ class EchelonBasis:
         # monomial of each column; the last one is the constant term
         self._units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         self._units.append((0,) * n)
-        self._rows: dict[int, dict[int, Fraction]] = {}  # pivot column -> row
+        self._kernel = SparseEchelon()
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._kernel)
 
     def add(self, e: Expression) -> bool:
         """Extend the span by ``e``; False when ``e`` already lies in it."""
-        if e.vars != self._vars:
-            raise ValueError("basis expression uses a different VarTable")
-        if not e.is_linear():
-            raise ValueError("nonlinear basis expression: only linear reduction is supported")
-        vec = self._reduce(e)
-        if not vec:
-            return False
-        pivot = min(vec)
-        inv = 1 / vec[pivot]
-        new = {col: x * inv for col, x in vec.items()}
-        for row in self._rows.values():
-            factor = row.get(pivot)
-            if factor:
-                _axpy(row, -factor, new)
-        self._rows[pivot] = new
-        return True
+        return self._kernel.add(self._vector(e, "basis expression"))
 
     def remainder(self, e: Expression) -> Expression:
         """The member of ``e`` + span that is zero at every pivot column."""
-        if e.vars != self._vars:
-            raise ValueError("basis expression uses a different VarTable")
-        if not e.is_linear():
-            raise ValueError("nonlinear expression: only linear reduction is supported")
-        return self._expression(self._reduce(e))
+        return self._expression(self._kernel.reduce(self._vector(e, "expression")))
 
     def rref(self) -> list[Expression]:
         """The reduced row-echelon rows, in pivot order."""
-        return [self._expression(self._rows[col]) for col in sorted(self._rows)]
+        return [self._expression(row) for row in self._kernel.sorted_rows()]
 
-    def _reduce(self, e: Expression) -> dict[int, Fraction]:
+    def _vector(self, e: Expression, kind: str) -> dict[int, Fraction]:
+        if e.vars != self._vars:
+            raise ValueError("basis expression uses a different VarTable")
+        if not e.is_linear():
+            raise ValueError(f"nonlinear {kind}: only linear reduction is supported")
         constant = len(self._vars)
-        vec = {
+        return {
             (mono.index(1) if any(mono) else constant): coeff
             for mono, coeff in e._terms.items()
         }
-        for col in [c for c in vec if c in self._rows]:
-            _axpy(vec, -vec[col], self._rows[col])
-        return vec
 
     def _expression(self, vec: dict[int, Fraction]) -> Expression:
         units = self._units
         return Expression(self._vars, {units[col]: x for col, x in vec.items()})
-
-
-def _axpy(target: dict[int, Fraction], factor: Fraction, row: dict[int, Fraction]) -> None:
-    """target += factor * row, dropping entries that cancel."""
-    for col, x in row.items():
-        value = target.get(col, 0) + factor * x
-        if value:
-            target[col] = value
-        else:
-            del target[col]
 
 
 def reduce_modulo_linear(e: Expression, basis: Sequence[Expression]) -> Expression:

@@ -1,19 +1,22 @@
 """Exact dense matrices over the rationals, plus polynomial-entried matrices.
 
 Everything here is exact: entries are fractions.Fraction (or Expression
-for PolyMatrix), eliminations are fraction-free where it matters, and
-null-space bases come out in a canonical form so identical inputs give
-bit-identical outputs.
+for PolyMatrix), every row reduction runs on one sparse Gauss-Jordan
+kernel, the determinant is fraction-free, and null-space bases come out
+in a canonical form so identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .expressions import Expression, VarTable
+if TYPE_CHECKING:
+    from .expressions import Expression, VarTable
+
+_ZERO = Fraction(0)
 
 
 class RationalMatrix:
@@ -92,40 +95,92 @@ def row_times_matrix(v: Sequence[Fraction], m: RationalMatrix) -> tuple[Fraction
     return tuple(out)
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row-echelon form; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        pivot = rows[r] = [x * inv if x else x for x in rows[r]]
-        support = [j for j, x in enumerate(pivot) if x]  # zeros change nothing
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                factor = row[c]
-                for j in support:
-                    row[j] -= factor * pivot[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+class SparseEchelon:
+    """Incremental exact Gauss-Jordan elimination on sparse rational rows.
+
+    A vector is a dict from column index to a nonzero Fraction.
+    ``rows`` maps each pivot column to its row, kept in reduced
+    row-echelon form: a row has a unit entry at its pivot, its first
+    nonzero column, and is zero at every other row's pivot.  RREF is
+    unique, so the rows depend only on the span added, not on the order
+    or the scale of the additions.  This is the library's one
+    elimination kernel: ``rref``, ``rank``, ``left_null_space`` and
+    ``expressions.EchelonBasis`` all run on it.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, vectors: Iterable[dict[int, Fraction]] = ()):
+        self.rows: dict[int, dict[int, Fraction]] = {}
+        for vec in vectors:
+            self.add(vec)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Reduce ``vec`` in place and return it.
+
+        The result is the member of ``vec`` + span that is zero at every
+        pivot column; it is empty iff ``vec`` lies in the span.
+        """
+        rows = self.rows
+        # each row is zero at the other pivots, so one pass suffices
+        for col in [c for c in vec if c in rows]:
+            _axpy(vec, -vec[col], rows[col])
+        return vec
+
+    def add(self, vec: dict[int, Fraction]) -> bool:
+        """Extend the span by ``vec`` (consumed); False when it already lies in it."""
+        vec = self.reduce(vec)
+        if not vec:
+            return False
+        pivot = min(vec)
+        inv = 1 / vec[pivot]
+        new = {col: x * inv for col, x in vec.items()}
+        for row in self.rows.values():
+            factor = row.get(pivot)
+            if factor:
+                _axpy(row, -factor, new)
+        self.rows[pivot] = new
+        return True
+
+    def sorted_rows(self) -> list[dict[int, Fraction]]:
+        """The reduced rows in pivot order."""
+        return [self.rows[col] for col in sorted(self.rows)]
+
+
+def _axpy(target: dict[int, Fraction], factor: Fraction, row: dict[int, Fraction]) -> None:
+    """target += factor * row, dropping entries that cancel."""
+    for col, x in row.items():
+        value = target.get(col, 0) + factor * x
+        if value:
+            target[col] = value
+        else:
+            del target[col]
+
+
+def _sparse(entries: Iterable[Fraction]) -> dict[int, Fraction]:
+    return {j: x for j, x in enumerate(entries) if x}
+
+
+def _dense(row: dict[int, Fraction], n: int) -> list[Fraction]:
+    out = [_ZERO] * n
+    for col, x in row.items():
+        out[col] = x
+    return out
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot-column indices."""
-    rows, pivots = _rref_rows([list(row) for row in m.to_rows()])
-    return RationalMatrix(rows), tuple(pivots)
+    kernel = SparseEchelon(_sparse(row) for row in m.to_rows())
+    rows = [_dense(row, m.cols) for row in kernel.sorted_rows()]
+    rows += [[_ZERO] * m.cols for _ in range(m.rows - len(rows))]
+    return RationalMatrix(rows), tuple(sorted(kernel.rows))
 
 
 def rank(m: RationalMatrix) -> int:
-    return len(rref(m)[1])
+    return len(SparseEchelon(_sparse(row) for row in m.to_rows()))
 
 
 def determinant(m: RationalMatrix) -> Fraction:
@@ -161,72 +216,35 @@ def determinant(m: RationalMatrix) -> Fraction:
     return Fraction(sign * a[n - 1][n - 1]) / scale
 
 
-class NullBasis:
-    """Canonical basis of a left null space.
+def _primitive(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
+    """Dense ``row`` times the lcm of its denominators.
 
-    Vectors are the reduced row-echelon basis of {v : v.M = 0}, each
-    scaled to a primitive integer vector with positive leading entry,
-    so the basis is deterministic: same matrix, identical basis.
+    A unit pivot makes that primitive with a positive lead: for each prime
+    of the lcm, the entry whose denominator holds its full power loses it.
     """
-
-    __slots__ = ("_vectors",)
-
-    def __init__(self, vectors: Iterable[Sequence[Fraction]]):
-        self._vectors = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in v) for v in vectors
-        )
-
-    @property
-    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._vectors
-
-    def __len__(self) -> int:
-        return len(self._vectors)
-
-    def __iter__(self):
-        return iter(self._vectors)
-
-    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
-        return self._vectors[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NullBasis) and self._vectors == other._vectors
-
-    def __repr__(self) -> str:
-        return f"NullBasis({len(self._vectors)} vectors)"
+    mult = lcm(*(x.denominator for x in row.values()))
+    ints = {col: Fraction(x.numerator * (mult // x.denominator)) for col, x in row.items()}
+    return tuple(_dense(ints, n))
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    mult = lcm(*(x.denominator for x in vec))
-    ints = [int(x * mult) for x in vec]
-    g = gcd(*ints) if any(ints) else 1
-    g = g or 1
-    lead = next((x for x in ints if x), 1)
-    if lead < 0:
-        g = -g
-    return tuple(Fraction(x // g) for x in ints)  # g divides every entry
-
-
-def left_null_space(m: RationalMatrix) -> NullBasis:
+def left_null_space(m: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """Canonical basis of {v : v.M = 0}; empty iff the rows are independent.
 
+    The vectors are the reduced row-echelon basis of the null space in
+    pivot order, each scaled to a primitive integer vector with positive
+    leading entry, so the same matrix always gives the identical basis.
     Rectangular input is fine; vectors have length m.rows.
     """
     n = m.rows
-    kernel_rows, pivots = _rref_rows([list(row) for row in m.transpose().to_rows()])
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
-    if not free_cols:
-        return NullBasis([])
-    basis: list[list[Fraction]] = []
-    for free in free_cols:
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -kernel_rows[r][free]
-        basis.append(v)
-    reduced, _ = _rref_rows(basis)
-    return NullBasis([_primitive(v) for v in reduced if any(v)])
+    # the columns of M as rows: their reduced form is the RREF of M^T
+    pivots = SparseEchelon(_sparse(col) for col in zip(*m.to_rows())).rows
+    null = SparseEchelon()
+    for free in range(n):
+        if free not in pivots:
+            vec = {col: -row[free] for col, row in pivots.items() if free in row}
+            vec[free] = Fraction(1)
+            null.add(vec)
+    return tuple(_primitive(row, n) for row in null.sorted_rows())
 
 
 class PolyMatrix:

@@ -172,3 +172,11 @@ def test_compare_oracle_level_cap_is_an_input_error(tmp_path):
     assert result.returncode == 1
     assert "error:" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_lattice_zero_denominator_spacing_is_an_input_error(tmp_path):
+    result = run_cli("lattice", "schwinger", "--spacing", "1/0", cwd=tmp_path)
+    assert result.returncode == 1
+    assert "error:" in result.stderr
+    assert "--spacing" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -320,3 +320,31 @@ def test_basis_rejects_nonlinear_and_foreign_forms():
         basis.remainder(parse_expression("a^2", SMALL))
     with pytest.raises(ValueError):
         basis.add(parse_expression("x", VT))
+
+
+# -- substitution against evaluation -----------------------------------
+
+SOURCE = VarTable(["x", "y", "z"])
+TARGET = VarTable(["u", "z", "x", "v", "y"])  # a superset in another order
+
+
+def _polys(vt, max_exponent):
+    monomials = st.tuples(*[st.integers(0, max_exponent)] * len(vt))
+    return st.dictionaries(monomials, _rationals, max_size=4).map(
+        lambda terms: Expression(vt, terms)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _polys(SOURCE, 3),
+    st.dictionaries(st.sampled_from(SOURCE.names), _polys(TARGET, 2)),
+    st.fixed_dictionaries({name: _rationals for name in TARGET.names}),
+)
+def test_substitute_commutes_with_evaluation(e, mapping, point):
+    mapped = {
+        name: mapping[name].evaluate(point) if name in mapping else point[name]
+        for name in SOURCE.names
+    }
+    assert e.substitute(TARGET, mapping).evaluate(point) == e.evaluate(mapped)
+    assert e.embed(TARGET).restrict(SOURCE) == e

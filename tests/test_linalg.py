@@ -1,7 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symchain import (
     Expression,
@@ -190,3 +194,72 @@ def test_poly_matrix_validation_and_conversion():
     other = VarTable(["y"])
     with pytest.raises(ValueError):
         PolyMatrix([[one, Expression.variable(other, "y")]])
+
+
+# -- the elimination kernel against sympy --------------------------------
+
+_entries = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def _matrices(draw, square=False):
+    """Rational matrices up to 7x7, with zero and duplicated rows mixed in."""
+    nrows = draw(st.integers(1, 7))
+    ncols = nrows if square else draw(st.integers(1, 7))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["random", "random", "zero", "copy"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "copy" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(draw(st.lists(_entries, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+def _sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+def _fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def _primitive_with_positive_lead(row):
+    row = [_fraction(x) for x in row]
+    mult = math.lcm(*(x.denominator for x in row))
+    ints = [int(x * mult) for x in row]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [Fraction(x // g) for x in ints]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
+def test_rref_and_rank_match_sympy(rows):
+    reduced, pivots = rref(RationalMatrix(rows))
+    expected, expected_pivots = _sympy(rows).rref()
+    assert pivots == expected_pivots
+    assert [list(r) for r in reduced.to_rows()] == [
+        [_fraction(x) for x in expected.row(i)] for i in range(len(rows))
+    ]
+    assert rank(RationalMatrix(rows)) == _sympy(rows).rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
+def test_left_null_space_matches_sympy(rows):
+    null = _sympy(rows).T.nullspace()
+    expected = []
+    if null:
+        reduced, pivots = sympy.Matrix.hstack(*null).T.rref()
+        expected = [_primitive_with_positive_lead(reduced.row(i)) for i in range(len(pivots))]
+    assert [list(v) for v in left_null_space(RationalMatrix(rows))] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(square=True))
+def test_determinant_matches_sympy(rows):
+    assert determinant(RationalMatrix(rows)) == _fraction(_sympy(rows).det())
