@@ -37,7 +37,7 @@ level1 = [c for c in report.constraints if c.level == 1]
 f1 = assemble_extended_matrix(model, level1)
 rhs1 = assemble_rhs(model, level1)
 print("extended matrix at level 1 (coordinates + one auxiliary column):")
-print(f1.matrix)
+print(f1)
 print("rhs:", tuple(str(e) for e in rhs1))
 print()
 

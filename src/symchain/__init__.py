@@ -12,7 +12,6 @@ from .chain import (
     ChainOptions,
     ChainReport,
     Constraint,
-    ExtendedSymplecticMatrix,
     Termination,
     assemble_extended_matrix,
     assemble_rhs,
@@ -63,7 +62,6 @@ from .linalg import (
 from .model import (
     FirstOrderModel,
     ModelFormatError,
-    PhaseSpace,
     SecondOrderLagrangian,
     legendre_transform,
     load_model,
@@ -82,7 +80,6 @@ __all__ = [
     "ConstraintMatrix",
     "EchelonBasis",
     "Expression",
-    "ExtendedSymplecticMatrix",
     "FieldSet",
     "FirstOrderModel",
     "LatticeSpec",
@@ -90,7 +87,6 @@ __all__ = [
     "OracleLevelCapError",
     "OracleResult",
     "ParseError",
-    "PhaseSpace",
     "PolyMatrix",
     "RationalMatrix",
     "SecondOrderLagrangian",

@@ -83,37 +83,12 @@ class Constraint:
 
 
 @dataclass(frozen=True)
-class ExtendedSymplecticMatrix:
-    """Base tensor bordered by constraint-gradient blocks, possibly truncated.
-
-    Untruncated layout (square, antisymmetric): row/column blocks are
-    the coordinates followed by one auxiliary block per constraint
-    level; block(zeta, xi_g) = +A_g^T and block(xi_g, zeta) = -A_g with
-    A_g the gradient rows of the level-g constraints.  The truncated
-    variant keeps every row but only the coordinate and level-1
-    auxiliary columns.
-    """
-
-    level: int
-    base: RationalMatrix
-    truncated: bool
-    matrix: RationalMatrix
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.matrix.rows, self.matrix.cols)
-
-
-@dataclass(frozen=True)
 class Candidate:
     """One canonical null vector with its extracted value and verdict."""
 
     vector: tuple[Fraction, ...]
     value: Expression  # v . rhs over the working table
     classification: str
-    normalized: Expression | None = None  # monic form over zeta, for NEW only
 
 
 @dataclass(frozen=True)
@@ -145,13 +120,10 @@ class Termination:
 class ChainOptions:
     max_level: int = 12
     allow_truncation: bool = True
-    truncation_mode: str = "paper"  # or "iterative"
 
     def __post_init__(self):
         if self.max_level < 1:
             raise ValueError("max_level must be >= 1")
-        if self.truncation_mode not in ("paper", "iterative"):
-            raise ValueError("truncation_mode must be 'paper' or 'iterative'")
 
 
 @dataclass(frozen=True)
@@ -238,13 +210,16 @@ def assemble_extended_matrix(
     m: FirstOrderModel,
     constraints: Sequence[Constraint],
     truncated: bool = False,
-    keep_levels: int = 1,
-) -> ExtendedSymplecticMatrix:
+) -> RationalMatrix:
     """Assemble the bordered matrix for every constraint level present.
 
     ``constraints`` must hold consecutive levels starting at 1 (or be
-    empty, which returns the base tensor itself).  With ``truncated``
-    the auxiliary columns of levels above ``keep_levels`` are dropped,
+    empty, which returns the base tensor itself).  Untruncated, the
+    result is square and antisymmetric: row/column blocks are the
+    coordinates followed by one auxiliary block per constraint level,
+    with block(zeta, xi_g) = +A_g^T and block(xi_g, zeta) = -A_g for
+    A_g the gradient rows of the level-g constraints.  With
+    ``truncated`` the auxiliary columns of levels above 1 are dropped,
     all rows retained.
     """
     base = _rational_base_tensor(m)
@@ -254,25 +229,18 @@ def assemble_extended_matrix(
     grad_blocks = [
         [_gradient_row(c.raw) for c in constraints if c.level == lvl] for lvl in levels
     ]
-    return _assemble(m, base, grad_blocks, truncated, keep_levels)
+    return _assemble(base, grad_blocks, truncated)
 
 
 def _assemble(
-    m: FirstOrderModel,
     base: RationalMatrix,
     grad_blocks: Sequence[Sequence[list[Fraction]]],
     truncated: bool,
-    keep_levels: int,
-) -> ExtendedSymplecticMatrix:
+) -> RationalMatrix:
     """Border ``base`` by the gradient rows of each level, in level order."""
-    n = base.rows
-    k = len(grad_blocks)
-    count = sum(len(g) for g in grad_blocks)
-    zeta_names = list(m.zeta.names)
-    xi_labels = [m.phase.xi_name(i) for i in range(1, count + 1)]
-
-    kept_cols = k if not truncated else min(keep_levels, k)
-    kept = [grad for block in grad_blocks[:kept_cols] for grad in block]
+    # the truncated matrix keeps only the level-1 auxiliary columns
+    kept_blocks = grad_blocks[:1] if truncated else grad_blocks
+    kept = [grad for block in kept_blocks for grad in block]
     rows: list[list[Fraction]] = []
     # coordinate rows: base tensor then +A^T blocks for the kept columns
     for i, base_row in enumerate(base.to_rows()):
@@ -286,14 +254,7 @@ def _assemble(
     matrix = RationalMatrix(rows)
     if not truncated:
         _assert_antisymmetric(matrix)
-    return ExtendedSymplecticMatrix(
-        level=k,
-        base=base,
-        truncated=truncated,
-        matrix=matrix,
-        row_labels=tuple(zeta_names + xi_labels),
-        col_labels=tuple(zeta_names + xi_labels[: len(kept)]),
-    )
+    return matrix
 
 
 def _assert_antisymmetric(m: RationalMatrix) -> None:
@@ -315,26 +276,30 @@ def assemble_rhs(m: FirstOrderModel, constraints: Sequence[Constraint]) -> tuple
 
     Entries live over the working table (zeta plus symbolic multipliers).
     """
-    zero = Expression.zero(m.phase.working_table())
+    zero = Expression.zero(m.working)
     return _hamiltonian_gradient(m) + (zero,) * len(constraints)
 
 
 def find_new_constraints(
-    f: ExtendedSymplecticMatrix,
+    f: RationalMatrix,
     rhs: Sequence[Expression],
     existing: Sequence[Constraint],
 ) -> list[Candidate]:
     """Classify v . rhs for every canonical left null vector v of ``f``.
+
+    ``f`` has one row per coordinate and one per constraint in
+    ``existing``, so the coordinates are the first ``f.rows -
+    len(existing)`` names of the working table (zeta followed by the
+    multiplier symbols) that ``rhs`` lives over.
 
     Candidates are processed in canonical basis order; a candidate
     counts as NEW only if it stays nonzero after reduction against the
     existing constraints *and* the new ones accepted earlier in this
     same call, so the returned NEW set is linearly independent.
     """
-    if len(rhs) != f.matrix.rows:
+    if len(rhs) != f.rows:
         raise ValueError("rhs length must match the matrix row count")
-    # the working table is zeta followed by the multiplier symbols
-    zeta = VarTable(rhs[0].vars.names[: f.base.rows])
+    zeta = VarTable(rhs[0].vars.names[: f.rows - len(existing)])
     known = EchelonBasis(zeta)
     for c in existing:
         known.add(c.expr)
@@ -342,16 +307,16 @@ def find_new_constraints(
 
 
 def _classify(
-    f: ExtendedSymplecticMatrix,
+    f: RationalMatrix,
     rhs: Sequence[Expression],
     zeta: VarTable,
     known: EchelonBasis,
 ) -> list[Candidate]:
-    """``find_new_constraints`` against ``known``, which grows by each NEW form."""
+    """``find_new_constraints`` against ``known``, which grows by each NEW candidate."""
     working = rhs[0].vars
     multiplier_names = working.names[len(zeta) :]
     out: list[Candidate] = []
-    for v in left_null_space(f.matrix):
+    for v in left_null_space(f):
         value = Expression.zero(working)
         for coeff, entry in zip(v, rhs):
             if coeff:
@@ -377,11 +342,8 @@ def _classify(
                 "inconsistent dynamics: a consistency condition reduces to "
                 f"the nonzero constant {remainder.constant_value()}"
             )
-        normalized = candidate.monic()
-        out.append(
-            Candidate(vector=v, value=value, classification=NEW, normalized=normalized)
-        )
-        known.add(normalized)
+        out.append(Candidate(vector=v, value=value, classification=NEW))
+        known.add(candidate)
     return out
 
 
@@ -399,92 +361,68 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     records: list[LevelRecord] = []
     truncations: list[int] = []
     warnings: list[str] = []
-    termination: Termination | None = None
 
     base = _rational_base_tensor(m)
     grad_h = _hamiltonian_gradient(m)
-    zero = Expression.zero(m.phase.working_table())
+    zero = Expression.zero(m.working)
     grad_blocks: list[list[list[Fraction]]] = []
     known = EchelonBasis(m.zeta)
-
-    def accept(new: Sequence[Constraint]) -> None:
-        # NEW candidates already joined ``known`` during classification
-        constraints.extend(new)
-        grad_blocks.append([_gradient_row(c.raw) for c in new])
-
     if constraints:
         grad_blocks.append([_gradient_row(c.raw) for c in constraints])
         for c in constraints:
             known.add(c.expr)
+
+    def attempt(k: int, rhs: tuple[Expression, ...], truncated: bool):
+        """Classify the null vectors of one bordered matrix and record the level."""
+        f = _assemble(base, grad_blocks, truncated)
+        candidates = _classify(f, rhs, m.zeta, known)
+        records.append(LevelRecord(
+            level=k, truncated=truncated, shape=(f.rows, f.cols), candidates=tuple(candidates)
+        ))
+        return f, candidates, [c for c in candidates if c.classification == NEW]
 
     while True:
         k = len(grad_blocks)
         if k > opts.max_level:
             termination = Termination(kind=TERMINATED_MAX_LEVEL, level=k)
             break
-        f = _assemble(m, base, grad_blocks, truncated=False, keep_levels=k)
         rhs = grad_h + (zero,) * len(constraints)
-        candidates = _classify(f, rhs, m.zeta, known)
-        records.append(
-            LevelRecord(level=k, truncated=False, shape=f.shape, candidates=tuple(candidates))
-        )
-        new = [c for c in candidates if c.classification == NEW]
-        if new:
-            accept([
-                Constraint.from_raw(
-                    k + 1, c.value.restrict(m.zeta), ORIGIN_NULL_VECTOR, c.vector
-                )
-                for c in new
-            ])
-            continue
-
+        f, candidates, new = attempt(k, rhs, truncated=False)
         if not candidates:
-            det = determinant(f.matrix)
+            det = determinant(f)
             if det == 0:
                 raise ChainError("certificate mismatch: zero determinant without null vectors")
             termination = Termination(kind=TERMINATED_NONSINGULAR, level=k, determinant=det)
             break
-        # certificate consistency: a null vector proves det(F) = 0
-        if any(row_times_matrix(candidates[0].vector, f.matrix)):
-            raise ChainError("certificate mismatch: a null vector does not annihilate F")
-
-        if opts.allow_truncation and k >= 1:
-            keep_plan = [1] if opts.truncation_mode == "paper" else list(range(k - 1, 0, -1))
-            found = False
-            for keep in keep_plan:
-                if keep >= k:
-                    continue
-                ft = _assemble(m, base, grad_blocks, truncated=True, keep_levels=keep)
-                tcands = _classify(ft, rhs, m.zeta, known)
-                records.append(
-                    LevelRecord(level=k, truncated=True, shape=ft.shape, candidates=tuple(tcands))
-                )
-                tnew = [c for c in tcands if c.classification == NEW]
-                if tnew:
-                    truncations.append(k)
-                    accept([
-                        Constraint.from_raw(
-                            k + 1, c.value.restrict(m.zeta), ORIGIN_TRUNCATED, c.vector
-                        )
-                        for c in tnew
-                    ])
-                    found = True
-                    break
-            if found:
-                continue
-
-        termination = Termination(kind=TERMINATED_EXHAUSTED, level=k)
-        warnings.append(
-            "chain exhausted: the extended matrix is singular but neither it "
-            "nor its truncation yields a new constraint; compare against the "
-            "consistency-algorithm oracle"
-        )
-        break
+        truncated = not new
+        if truncated:
+            # certificate consistency: a null vector proves det(F) = 0
+            if any(row_times_matrix(candidates[0].vector, f)):
+                raise ChainError("certificate mismatch: a null vector does not annihilate F")
+            if opts.allow_truncation and k > 1:
+                _, _, new = attempt(k, rhs, truncated=True)
+        if not new:
+            termination = Termination(kind=TERMINATED_EXHAUSTED, level=k)
+            warnings.append(
+                "chain exhausted: the extended matrix is singular but neither it "
+                "nor its truncation yields a new constraint; compare against the "
+                "consistency-algorithm oracle"
+            )
+            break
+        if truncated:
+            truncations.append(k)
+        origin = ORIGIN_TRUNCATED if truncated else ORIGIN_NULL_VECTOR
+        # NEW candidates already joined ``known`` during classification
+        accepted = [
+            Constraint.from_raw(k + 1, c.value.restrict(m.zeta), origin, c.vector) for c in new
+        ]
+        constraints.extend(accepted)
+        grad_blocks.append([_gradient_row(c.raw) for c in accepted])
 
     return ChainReport(
         model_name=m.name,
         zeta_names=m.zeta.names,
-        multiplier_names=m.phase.multiplier_names,
+        multiplier_names=m.multiplier_names,
         constraints=tuple(constraints),
         levels=tuple(records),
         truncations=tuple(truncations),

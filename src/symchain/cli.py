@@ -42,7 +42,6 @@ def _chain_options(args) -> ChainOptions:
     return ChainOptions(
         max_level=args.max_level,
         allow_truncation=not args.no_truncation,
-        truncation_mode=args.truncate,
     )
 
 
@@ -52,13 +51,6 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
         "--no-truncation",
         action="store_true",
         help="never retry on the column-truncated matrix",
-    )
-    p.add_argument(
-        "--truncate",
-        choices=["paper", "iterative"],
-        default="paper",
-        help="truncation extent: drop all auxiliary columns past level 1, or "
-        "drop trailing blocks one at a time (default: paper)",
     )
     p.add_argument(
         "--format", choices=["text", "tree"], default="text", help="report format"

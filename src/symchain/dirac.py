@@ -102,7 +102,7 @@ def consistency_algorithm(m: FirstOrderModel, max_level: int = 64) -> OracleResu
     ]
     if not constraints:
         return OracleResult((), ())
-    working = m.phase.working_table()
+    working = m.working
     brackets_h: list[Expression] = []
     mixed: list[list[Expression]] = []
     known = EchelonBasis(m.zeta)
@@ -168,7 +168,7 @@ def consistency_algorithm(m: FirstOrderModel, max_level: int = 64) -> OracleResu
     conditions: list[MultiplierCondition] = []
     for phi, bracket_h, row in zip(constraints, brackets_h, mixed):
         lam_part = Expression.zero(working)
-        for lam_name, coef in zip(m.phase.multiplier_names, row):
+        for lam_name, coef in zip(m.multiplier_names, row):
             if not coef.is_zero():
                 lam_part = lam_part + Expression.variable(working, lam_name) * coef.constant_value()
         if not lam_part.is_zero():

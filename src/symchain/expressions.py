@@ -464,7 +464,8 @@ class _Parser:
 
     def take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
-        self.pos += 1
+        if tok[0] != _TOK_END:
+            self.pos += 1
         return tok
 
     def expect_op(self, op: str) -> None:
@@ -502,14 +503,16 @@ class _Parser:
                 return expr
 
     def signed(self) -> Expression:
-        kind, value, _ = self.peek()
-        if kind == _TOK_OP and value == "-":
+        # a run of unary signs binds looser than '^': -x^2 is -(x^2)
+        negate = False
+        while True:
+            kind, value, _ = self.peek()
+            if kind != _TOK_OP or value not in "+-":
+                break
             self.take()
-            return -self.signed()
-        if kind == _TOK_OP and value == "+":
-            self.take()
-            return self.signed()
-        return self.power()
+            negate ^= value == "-"
+        expr = self.power()
+        return -expr if negate else expr
 
     def power(self) -> Expression:
         base = self.atom()
@@ -557,10 +560,16 @@ class _Parser:
 def parse_expression(text: str, vars: VarTable) -> Expression:
     """Parse ``text`` into a canonical Expression over ``vars``.
 
-    Raises ParseError (with a character offset) on malformed input and
-    UnknownVariableError for names missing from the table.
+    Raises ParseError (with a character offset) on malformed input,
+    including parentheses nested deeper than the interpreter's recursion
+    limit allows, and UnknownVariableError for names missing from the
+    table.
     """
-    return _Parser(text, vars).parse()
+    parser = _Parser(text, vars)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply", parser.peek()[2]) from None
 
 
 # -- linear reduction ------------------------------------------------

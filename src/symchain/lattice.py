@@ -202,24 +202,19 @@ def map_constraint_to_sites(constraint, fields: FieldSet):
 
 
 def _solve_stencil(target: list[Fraction], site: int, d: RationalMatrix):
-    """Solve target = alpha*e_site + beta*D[site, :] exactly, if possible."""
-    n = len(target)
+    """Solve target = alpha*e_site + beta*D[site, :] exactly, if possible.
+
+    With at least 3 sites every row of D has a nonzero entry off the
+    site, which fixes beta; alpha is then read off the site entry, and
+    the unique candidate is verified against every entry.
+    """
     drow = d.row(site)
-    # two unknowns; eliminate with any two independent positions, then verify
-    for j in range(n):
-        for k in range(n):
-            det = (1 if j == site else 0) * drow[k] - (1 if k == site else 0) * drow[j]
-            if det == 0:
-                continue
-            alpha = (target[j] * drow[k] - target[k] * drow[j]) / det
-            beta = ((1 if j == site else 0) * target[k] - (1 if k == site else 0) * target[j]) / det
-            if all(
-                target[i] == alpha * (1 if i == site else 0) + beta * drow[i]
-                for i in range(n)
-            ):
-                return alpha, beta
-            return None, None
-    # degenerate: D row might be zero; fall back to pure identity
-    if all(target[i] == 0 for i in range(n) if i != site):
-        return target[site], Fraction(0)
+    j = next(j for j, x in enumerate(drow) if j != site and x)
+    beta = target[j] / drow[j]
+    alpha = target[site] - beta * drow[site]
+    if all(
+        target[i] == alpha * (1 if i == site else 0) + beta * drow[i]
+        for i in range(len(target))
+    ):
+        return alpha, beta
     return None, None

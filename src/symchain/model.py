@@ -1,4 +1,4 @@
-"""Phase spaces and first-order Lagrangian data, with a Legendre front-end.
+"""First-order Lagrangian data, with a Legendre front-end.
 
 A first-order model is L = sum_a c_a(zeta) * zetadot_a - H(zeta) together
 with its primary constraints.  Velocity-quadratic second-order Lagrangians
@@ -16,6 +16,8 @@ from typing import Sequence
 
 from .expressions import EchelonBasis, Expression, ParseError, VarTable, parse_expression
 
+# multiplier symbols (lam<k>) and auxiliary directions (xi<k>) are
+# never zeta names
 _RESERVED = re.compile(r"^(xi|lam)[0-9]+$")
 
 
@@ -27,37 +29,13 @@ class ModelFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class PhaseSpace:
-    """Base coordinates, multiplier symbols, and the auxiliary-name scheme.
-
-    The three name families never overlap: multiplier names are lam1,
-    lam2, ... and auxiliary column labels are xi1, xi2, ..., and those
-    patterns are rejected as zeta names at model construction.
-    """
-
-    zeta: VarTable
-    multipliers: VarTable | None
-
-    @property
-    def multiplier_names(self) -> tuple[str, ...]:
-        return self.multipliers.names if self.multipliers is not None else ()
-
-    def xi_name(self, i: int) -> str:
-        """Deterministic label of the i-th auxiliary direction (1-based)."""
-        return f"xi{i}"
-
-    def working_table(self) -> VarTable:
-        """zeta followed by the multiplier symbols."""
-        return self.zeta.extended(self.multiplier_names)
-
-
 class FirstOrderModel:
     """Validated first-order Lagrangian data.
 
     Immutable after construction; c and the Hamiltonian live over the
     zeta table only, and multipliers lam1..lamM (one per primary) are
-    generated automatically.
+    generated automatically.  ``working`` is zeta followed by the
+    multiplier symbols.
     """
 
     def __init__(
@@ -88,24 +66,19 @@ class FirstOrderModel:
             if p.is_zero():
                 raise ValueError("primary constraint is identically zero")
         _check_independent_primaries(primaries, zeta)
-        multipliers = (
-            VarTable([f"lam{i + 1}" for i in range(len(primaries))]) if primaries else None
-        )
         self.name = name
-        self.phase = PhaseSpace(zeta=zeta, multipliers=multipliers)
+        self.zeta = zeta
+        self.multiplier_names = tuple(f"lam{i + 1}" for i in range(len(primaries)))
+        self.working = zeta.extended(self.multiplier_names)
         self.c = c
         self.hamiltonian = hamiltonian
         self.primaries = primaries
 
-    @property
-    def zeta(self) -> VarTable:
-        return self.phase.zeta
-
     def total_hamiltonian(self) -> Expression:
         """H_C + sum_mu lam_mu * phi_mu over the working table (formed on demand)."""
-        table = self.phase.working_table()
+        table = self.working
         total = self.hamiltonian.embed(table)
-        for lam_name, prim in zip(self.phase.multiplier_names, self.primaries):
+        for lam_name, prim in zip(self.multiplier_names, self.primaries):
             total = total + Expression.variable(table, lam_name) * prim.embed(table)
         return total
 
@@ -259,15 +232,13 @@ def legendre_transform(l: SecondOrderLagrangian, name: str = "model") -> FirstOr
 # one must be written without internal spaces.
 
 
+_SINGLE_KEYWORDS = ("model", "vars", "zeta", "L", "c", "H")  # at most one line each
+
+
 def load_model(path: str | Path) -> FirstOrderModel:
     """Load and validate a model file; second-order form is transformed on load."""
     text = Path(path).read_text(encoding="utf-8")
-    name: str | None = None
-    vars_line: tuple[int, list[str]] | None = None
-    zeta_line: tuple[int, list[str]] | None = None
-    l_line: tuple[int, str] | None = None
-    c_line: tuple[int, str] | None = None
-    h_line: tuple[int, str] | None = None
+    found: dict[str, tuple[int, str]] = {}  # keyword -> (line number, rest)
     primary_lines: list[tuple[int, str]] = []
 
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -276,39 +247,25 @@ def load_model(path: str | Path) -> FirstOrderModel:
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
-        if key == "model":
-            if name is not None:
-                raise ModelFormatError("duplicate 'model' line", lineno)
-            if not rest:
-                raise ModelFormatError("missing model name", lineno)
-            name = rest
-        elif key == "vars":
-            if vars_line is not None:
-                raise ModelFormatError("duplicate 'vars' line", lineno)
-            vars_line = (lineno, rest.split())
-        elif key == "zeta":
-            if zeta_line is not None:
-                raise ModelFormatError("duplicate 'zeta' line", lineno)
-            zeta_line = (lineno, rest.split())
-        elif key == "L":
-            if l_line is not None:
-                raise ModelFormatError("duplicate 'L' line", lineno)
-            l_line = (lineno, rest)
-        elif key == "c":
-            if c_line is not None:
-                raise ModelFormatError("duplicate 'c' line", lineno)
-            c_line = (lineno, rest)
-        elif key == "H":
-            if h_line is not None:
-                raise ModelFormatError("duplicate 'H' line", lineno)
-            h_line = (lineno, rest)
-        elif key == "primary":
+        if key == "primary":
             primary_lines.append((lineno, rest))
+        elif key in _SINGLE_KEYWORDS:
+            if key in found:
+                raise ModelFormatError(f"duplicate '{key}' line", lineno)
+            if key == "model" and not rest:
+                raise ModelFormatError("missing model name", lineno)
+            found[key] = (lineno, rest)
         else:
             raise ModelFormatError(f"unknown keyword '{key}'", lineno)
 
-    if name is None:
+    if "model" not in found:
         raise ModelFormatError("missing 'model' line", 1)
+    name = found["model"][1]
+    vars_line = found.get("vars")
+    zeta_line = found.get("zeta")
+    l_line = found.get("L")
+    c_line = found.get("c")
+    h_line = found.get("H")
 
     second_order = l_line is not None
     first_order = c_line is not None or h_line is not None
@@ -328,8 +285,7 @@ def load_model(path: str | Path) -> FirstOrderModel:
                 "(primaries are computed)",
                 primary_lines[0][0],
             )
-        lineno, names = vars_line
-        coords = _table(names, lineno)
+        coords = _table(*vars_line)
         table = SecondOrderLagrangian.full_table(coords)
         lag = _parse(l_line[1], table, l_line[0])
         try:
@@ -343,8 +299,7 @@ def load_model(path: str | Path) -> FirstOrderModel:
         raise ModelFormatError("'vars' belongs to the second-order form", vars_line[0])
     if c_line is None or h_line is None:
         raise ModelFormatError("first-order form needs both 'c' and 'H'", zeta_line[0])
-    lineno, names = zeta_line
-    zeta = _table(names, lineno)
+    zeta = _table(*zeta_line)
     entries = c_line[1].split()
     if len(entries) != len(zeta):
         raise ModelFormatError(
@@ -370,7 +325,8 @@ def save_model(m: FirstOrderModel, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _table(names: list[str], lineno: int) -> VarTable:
+def _table(lineno: int, rest: str) -> VarTable:
+    names = rest.split()
     if not names:
         raise ModelFormatError("empty variable list", lineno)
     try:

@@ -107,10 +107,10 @@ def test_criterion_2_matrix_fidelity(example2):
         Constraint.from_raw(i + 1, parse_expression(t, zeta), "primary" if i == 0 else "null-vector")
         for i, t in enumerate(PUBLISHED_CONSTRAINTS[:3])
     ]
-    f1 = assemble_extended_matrix(example2, published[:1]).matrix
-    f2 = assemble_extended_matrix(example2, published[:2]).matrix
-    f3 = assemble_extended_matrix(example2, published[:3]).matrix
-    f3t = assemble_extended_matrix(example2, published[:3], truncated=True).matrix
+    f1 = assemble_extended_matrix(example2, published[:1])
+    f2 = assemble_extended_matrix(example2, published[:2])
+    f3 = assemble_extended_matrix(example2, published[:3])
+    f3t = assemble_extended_matrix(example2, published[:3], truncated=True)
     assert f1 == RationalMatrix(F1_GOLDEN)
     assert f2 == RationalMatrix(F2_GOLDEN)
     assert f3 == RationalMatrix(F3_GOLDEN)

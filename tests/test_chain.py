@@ -78,17 +78,16 @@ def test_assembled_matrices_match_published_forms(example2):
     f2 = assemble_extended_matrix(example2, published(example2, 2))
     f3 = assemble_extended_matrix(example2, published(example2, 3))
     f3t = assemble_extended_matrix(example2, published(example2, 3), truncated=True)
-    assert f1.matrix == RationalMatrix(F1_GOLDEN)
-    assert f2.matrix == RationalMatrix(F2_GOLDEN)
-    assert f3.matrix == RationalMatrix(F3_GOLDEN)
-    assert f3t.matrix == RationalMatrix(F3_TRUNCATED_GOLDEN)
-    assert f3t.shape == (9, 7)
-    assert f3t.truncated
+    assert f1 == RationalMatrix(F1_GOLDEN)
+    assert f2 == RationalMatrix(F2_GOLDEN)
+    assert f3 == RationalMatrix(F3_GOLDEN)
+    assert f3t == RationalMatrix(F3_TRUNCATED_GOLDEN)
+    assert (f3t.rows, f3t.cols) == (9, 7)
 
 
 def test_assemble_level_zero_is_base_tensor(example2):
     f0 = assemble_extended_matrix(example2, [])
-    assert f0.matrix == build_base_tensor(example2).to_rational()
+    assert f0 == build_base_tensor(example2).to_rational()
 
 
 def test_assemble_requires_consecutive_levels(example2):
@@ -99,7 +98,7 @@ def test_assemble_requires_consecutive_levels(example2):
 
 def test_assembled_untruncated_is_antisymmetric(example2):
     for upto in (1, 2, 3):
-        m = assemble_extended_matrix(example2, published(example2, upto)).matrix
+        m = assemble_extended_matrix(example2, published(example2, upto))
         assert m.transpose() == RationalMatrix(
             [[-x for x in row] for row in m.to_rows()]
         )
@@ -140,7 +139,7 @@ def test_find_new_constraints_classification(example2):
         cands[0].value.restrict(example2.zeta).linear_coefficients()[0],
         parse_expression("-x-y", example2.zeta).linear_coefficients()[0],
     )
-    assert str(cands[0].normalized) == "x + y"
+    assert str(cands[0].value.restrict(example2.zeta).monic()) == "x + y"
 
     # untruncated level 3: a null vector exists (rows 3 and 7 coincide)
     # but its candidate lies in the level-2 span
@@ -225,13 +224,13 @@ def test_run_chain_eigenvectors_annihilate(name, example2):
     for rec in report.levels:
         cs = [c for c in report.constraints if c.level <= rec.level]
         f = assemble_extended_matrix(model, cs, truncated=rec.truncated)
-        assert f.shape == rec.shape
-        assert len(rec.candidates) == f.matrix.rows - rank(f.matrix)
+        assert (f.rows, f.cols) == rec.shape
+        assert len(rec.candidates) == f.rows - rank(f)
         for cand in rec.candidates:
-            assert len(cand.vector) == f.matrix.rows
-            for j in range(f.matrix.cols):
+            assert len(cand.vector) == f.rows
+            for j in range(f.cols):
                 assert (
-                    sum(cand.vector[i] * f.matrix.entry(i, j) for i in range(f.matrix.rows))
+                    sum(cand.vector[i] * f.entry(i, j) for i in range(f.rows))
                     == 0
                 )
 
@@ -254,14 +253,6 @@ def test_run_chain_without_truncation(example2):
     assert report.termination.kind == "exhausted"
     assert report.warnings
     assert report.num_levels() == 3
-
-
-def test_run_chain_iterative_truncation_matches_paper_mode(example2):
-    a = run_chain(example2, ChainOptions(truncation_mode="paper"))
-    b = run_chain(example2, ChainOptions(truncation_mode="iterative"))
-    assert [str(c.expr) for c in a.constraints] == [str(c.expr) for c in b.constraints]
-    assert a.truncations == b.truncations
-    assert a.termination == b.termination
 
 
 def test_run_chain_extracts_zero_modes_of_the_base_tensor():

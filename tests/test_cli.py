@@ -66,6 +66,19 @@ def test_analyze_rejects_bad_model(tmp_path):
     assert "line 2" in result.stderr
 
 
+def test_analyze_deeply_nested_expressions(tmp_path):
+    deep = tmp_path / "deep.model"
+    deep.write_text("model deep\nzeta q p\nc p 0\nH " + "(" * 400 + "1/2*p^2" + ")" * 400 + "\n")
+    result = run_cli("analyze", str(deep))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: line 4: parentheses nested too deeply")
+    assert "Traceback" not in result.stderr
+    deep.write_text("model deep\nzeta q p\nc p 0\nH " + "-" * 3000 + "1/2*p^2\n")
+    result = run_cli("analyze", str(deep))
+    assert result.returncode == 0
+    assert result.stderr == ""
+
+
 def test_reports_are_byte_deterministic():
     for fmt in ("text", "tree"):
         a = run_cli("analyze", "--format", fmt, str(MODELS / "example2.model"))

@@ -78,7 +78,7 @@ def test_bracket_of_primary_with_hamiltonian(example2):
 
 def test_bracket_rejects_foreign_symbols(example2):
     pairing = derive_pairing(example2)
-    working = example2.phase.working_table()
+    working = example2.working
     with_lam = parse_expression("p_z + lam1", working)
     with pytest.raises(ValueError):
         poisson_bracket(with_lam, with_lam, pairing)

@@ -63,6 +63,31 @@ def test_parse_errors_report_position():
         parse_expression("x $ y", VT)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("-x^2", "-x^2"),
+        ("--x", "x"),
+        ("+-+x", "-x"),
+        ("2*-x", "-2*x"),
+        ("- - x * - p_x", "-x*p_x"),
+    ],
+)
+def test_parse_unary_signs(text, expected):
+    assert str(parse_expression(text, VT)) == expected
+
+
+def test_parse_deep_input():
+    # a run of unary signs is a loop, not nesting
+    assert str(parse_expression("-" * 3000 + "x", VT)) == "x"
+    assert str(parse_expression("-" * 3001 + "x", VT)) == "-x"
+    assert str(parse_expression("(" * 150 + "x" + ")" * 150, VT)) == "x"
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_expression("(" * 400 + "x" + ")" * 400, VT)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_expression("(-" * 400 + "x" + ")" * 400, VT)
+
+
 def test_differentiate_examples():
     h = parse_expression("p_x*p_y + z*(x+y)", VT)
     assert str(h.differentiate("x")) == "z"

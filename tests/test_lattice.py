@@ -57,7 +57,7 @@ def test_build_counts_and_structure():
     assert m.name == "schwinger_n3"
     assert len(m.zeta) == 18
     assert len(m.primaries) == 3
-    assert len(m.phase.multiplier_names) == 3
+    assert len(m.multiplier_names) == 3
     assert [str(p) for p in m.primaries] == ["pi0_1", "pi0_2", "pi0_3"]
     # field positions carry the momenta; momentum positions carry zero
     assert [str(e) for e in m.c[:9]] == [

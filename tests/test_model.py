@@ -25,7 +25,7 @@ def test_legendre_mechanical_fixture():
     assert str(m.hamiltonian) == "x*z + y*z + p_x*p_y"
     assert [str(e) for e in m.c] == ["p_x", "p_y", "p_z", "0", "0", "0"]
     assert [str(p) for p in m.primaries] == ["p_z"]
-    assert m.phase.multiplier_names == ("lam1",)
+    assert m.multiplier_names == ("lam1",)
 
 
 def test_legendre_free_particle():
@@ -159,3 +159,55 @@ def test_model_invariants():
         FirstOrderModel(
             "m", zeta4, [p1, zero4, zero4, zero4], zero4, [p1, 2 * p1]
         )
+
+
+FIRST = "zeta x p\nc p 0\nH 1/2*p^2\n"
+SECOND = "vars x\nL 1/2*xdot^2\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("model a\nmodel b\n" + FIRST, 2, "duplicate 'model' line"),
+        ("model a\nvars x\nvars y\nL 1/2*xdot^2\n", 3, "duplicate 'vars' line"),
+        ("model a\nzeta x p\nzeta y q\nc p 0\nH 0\n", 3, "duplicate 'zeta' line"),
+        ("model a\n" + SECOND + "L 1/2*xdot^2\n", 4, "duplicate 'L' line"),
+        ("model a\n" + FIRST + "c p 0\n", 5, "duplicate 'c' line"),
+        ("model a\n" + FIRST + "H 0\n", 5, "duplicate 'H' line"),
+        ("model a\n# note\nfoo x\n" + FIRST, 3, "unknown keyword 'foo'"),
+        ("# note\nmodel\n" + FIRST, 2, "missing model name"),
+        ("model\nmodel a\n" + FIRST, 1, "missing model name"),
+        ("model\nfoo x\n", 1, "missing model name"),
+        ("zeta x p\nc p 0\nH 0\nfoo x\n", 4, "unknown keyword 'foo'"),
+        (FIRST, 1, "missing 'model' line"),
+        ("model a\n" + SECOND + "H x\n", 3, "give either 'L' or the pair 'c'/'H', not both"),
+        ("model a\nzeta x p\n", 1, "model needs 'L' or the pair 'c'/'H'"),
+        ("model a\nL 1/2*xdot^2\n", 2, "second-order form needs a 'vars' line"),
+        ("model a\n" + SECOND + "zeta x p\n", 4, "'zeta' belongs to the first-order form"),
+        ("model a\nvars x\n" + FIRST, 2, "'vars' belongs to the second-order form"),
+        ("model a\nc p 0\nH 0\n", 1, "first-order form needs a 'zeta' line"),
+        ("model a\nzeta x p\nH 0\n", 2, "first-order form needs both 'c' and 'H'"),
+        ("model a\n" + SECOND + "primary x\n", 4,
+         "'primary' lines are not allowed in second-order form (primaries are computed)"),
+        ("model a\nzeta\nc\nH 0\n", 2, "empty variable list"),
+        ("model a\nzeta x p\nc p 0\nH\n", 4, "missing expression"),
+    ],
+)
+def test_load_model_error_messages_and_lines(tmp_path, text, line, message):
+    p = tmp_path / "bad.model"
+    p.write_text(text)
+    with pytest.raises(ModelFormatError) as err:
+        load_model(p)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_load_model_deep_nesting(tmp_path):
+    p = tmp_path / "deep.model"
+    p.write_text("model deep\nzeta q p\nc p 0\nH " + "(" * 400 + "1/2*p^2" + ")" * 400 + "\n")
+    with pytest.raises(ModelFormatError, match="^line 4: parentheses nested too deeply") as err:
+        load_model(p)
+    assert err.value.line == 4
+    # a long run of unary signs is not nesting
+    p.write_text("model deep\nzeta q p\nc p 0\nH " + "-" * 3000 + "1/2*p^2\n")
+    assert str(load_model(p).hamiltonian) == "1/2*p^2"
