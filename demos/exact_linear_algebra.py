@@ -19,7 +19,7 @@ from symchain import (
     rank,
 )
 
-# -- fraction-free determinants ----------------------------------------
+# -- exact determinants -----------------------------------------------
 
 m = RationalMatrix([
     [Fraction(1, 2), 2, 0],

@@ -317,10 +317,7 @@ def _classify(
     multiplier_names = working.names[len(zeta) :]
     out: list[Candidate] = []
     for v in left_null_space(f):
-        value = Expression.zero(working)
-        for coeff, entry in zip(v, rhs):
-            if coeff:
-                value = value + coeff * entry
+        value = Expression.linear_combination(working, zip(v, rhs))
         if value.mentions_any(multiplier_names):
             out.append(Candidate(vector=v, value=value, classification=MULTIPLIER_FIXING))
             continue

@@ -10,10 +10,11 @@ cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .chain import ChainReport, Constraint, span_fingerprint, _span_basis
-from .expressions import EchelonBasis, Expression, VarTable
+from .expressions import EchelonBasis, Expression, VarTable, linear_expression
 from .linalg import PolyMatrix, RationalMatrix, generic_rank, left_null_space, rank
 from .model import FirstOrderModel
 
@@ -58,6 +59,18 @@ def poisson_bracket(a: Expression, b: Expression, pairing: CanonicalPairing) -> 
     return total
 
 
+def _flow(a: Expression, pairing: CanonicalPairing) -> dict[int, Fraction]:
+    """u = J grad(a) for a linear ``a`` and the canonical J: {a, b} = sum_j u_j d_j b."""
+    grad = a.linear_coefficients()[0]
+    u: dict[int, Fraction] = {}
+    for q, p in pairing.pairs:
+        if grad[q]:
+            u[p] = grad[q]
+        if grad[p]:
+            u[q] = -grad[p]
+    return u
+
+
 @dataclass(frozen=True)
 class MultiplierCondition:
     """A consistency condition that fixes multipliers instead of adding a constraint."""
@@ -93,24 +106,31 @@ def consistency_algorithm(m: FirstOrderModel, max_level: int = 64) -> OracleResu
     and a condition drawn from levels up to k lands at level k+1.
 
     Each constraint's brackets with H and with the primaries are taken
-    once, when it joins the set, and reused by every later pass.
+    once, when it joins the set, and reused by every later pass: with
+    u = J grad(phi), {phi, H} = sum_j u_j d_j H and {phi, mu} = u . grad(mu).
     """
     pairing = derive_pairing(m)
-    h = m.hamiltonian
     constraints: list[Constraint] = [
         Constraint.from_raw(1, p, "primary") for p in m.primaries
     ]
     if not constraints:
         return OracleResult((), ())
-    working = m.working
+    if not all(p.is_linear() for p in m.primaries):
+        raise ValueError("nonlinear primary: the oracle supports linear constraints only")
+    zeta = m.zeta
+    grad_h = [m.hamiltonian.differentiate(name) for name in zeta.names]
+    primary_grads = [p.linear_coefficients()[0] for p in m.primaries]
     brackets_h: list[Expression] = []
-    mixed: list[list[Expression]] = []
-    known = EchelonBasis(m.zeta)
+    mixed: list[list[Fraction]] = []
+    known = EchelonBasis(zeta)
     spanned = 0  # constraints[:spanned] are in ``known``
 
     def add_brackets(c: Constraint) -> None:
-        brackets_h.append(poisson_bracket(c.expr, h, pairing))
-        mixed.append([poisson_bracket(c.expr, prim, pairing) for prim in m.primaries])
+        u = _flow(c.expr, pairing)
+        brackets_h.append(
+            Expression.linear_combination(zeta, ((x, grad_h[j]) for j, x in u.items()))
+        )
+        mixed.append([sum(x * beta[j] for j, x in u.items()) for beta in primary_grads])
 
     for c in constraints:
         add_brackets(c)
@@ -119,23 +139,10 @@ def consistency_algorithm(m: FirstOrderModel, max_level: int = 64) -> OracleResu
         passes += 1
         if passes > max_level:
             raise OracleLevelCapError("consistency iteration exceeded the level cap")
-        for row in mixed:
-            for e in row:
-                if not e.is_constant():
-                    raise ValueError(
-                        "non-constant bracket with a primary: the consistency "
-                        "iteration supports linear constraints only"
-                    )
         old = len(constraints)
-        coefficient = RationalMatrix(
-            [[e.constant_value() for e in row] for row in mixed]
-        )
         found = False
-        for w in left_null_space(coefficient):
-            candidate = Expression.zero(m.zeta)
-            for coeff, bh in zip(w, brackets_h):
-                if coeff:
-                    candidate = candidate + coeff * bh
+        for w in left_null_space(RationalMatrix(mixed)):
+            candidate = Expression.linear_combination(zeta, zip(w, brackets_h))
             if candidate.is_zero():
                 continue
             if not candidate.is_linear():
@@ -167,13 +174,10 @@ def consistency_algorithm(m: FirstOrderModel, max_level: int = 64) -> OracleResu
             add_brackets(c)
     conditions: list[MultiplierCondition] = []
     for phi, bracket_h, row in zip(constraints, brackets_h, mixed):
-        lam_part = Expression.zero(working)
-        for lam_name, coef in zip(m.multiplier_names, row):
-            if not coef.is_zero():
-                lam_part = lam_part + Expression.variable(working, lam_name) * coef.constant_value()
+        lam_part = linear_expression(m.working, [0] * len(zeta) + row)
         if not lam_part.is_zero():
             conditions.append(
-                MultiplierCondition(phi, bracket_h.embed(working) + lam_part)
+                MultiplierCondition(phi, bracket_h.embed(m.working) + lam_part)
             )
     return OracleResult(tuple(constraints), tuple(conditions))
 

@@ -90,7 +90,7 @@ class VarTable:
         return iter(self._names)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, VarTable) and self._names == other._names
+        return self is other or (isinstance(other, VarTable) and self._names == other._names)
 
     def __hash__(self) -> int:
         return hash(self._names)
@@ -133,6 +133,14 @@ class Expression:
         self._vars = vars
         self._terms = clean
 
+    @classmethod
+    def _trusted(cls, vars: VarTable, terms: dict[Monomial, Fraction]) -> "Expression":
+        """The unchecked constructor for valid monomials and Fraction coefficients."""
+        e = object.__new__(cls)
+        e._vars = vars
+        e._terms = {mono: coeff for mono, coeff in terms.items() if coeff}
+        return e
+
     # -- constructors ------------------------------------------------
 
     @staticmethod
@@ -148,6 +156,18 @@ class Expression:
         exps = [0] * len(vars)
         exps[vars.index_of(name)] = 1
         return Expression(vars, {tuple(exps): Fraction(1)})
+
+    @staticmethod
+    def linear_combination(vars: VarTable, pairs: Iterable[tuple[Fraction, "Expression"]]) -> "Expression":
+        """The sum of ``k * e`` over (Fraction or int ``k``, ``e``) pairs, in one pass."""
+        out: dict[Monomial, Fraction] = {}
+        for k, e in pairs:
+            if e._vars != vars:
+                raise ValueError("expressions use different VarTables")
+            if k:
+                for mono, c in e._terms.items():
+                    out[mono] = out.get(mono, 0) + k * c
+        return Expression._trusted(vars, out)
 
     # -- inspection --------------------------------------------------
 
@@ -212,7 +232,7 @@ class Expression:
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
             out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Expression(self._vars, out)
+        return Expression._trusted(self._vars, out)
 
     __radd__ = __add__
 
@@ -226,12 +246,12 @@ class Expression:
         return (-self) + other
 
     def __neg__(self) -> "Expression":
-        return Expression(self._vars, {m: -c for m, c in self._terms.items()})
+        return Expression._trusted(self._vars, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other) -> "Expression":
         if isinstance(other, (int, Fraction)):
             k = Fraction(other)
-            return Expression(self._vars, {m: c * k for m, c in self._terms.items()})
+            return Expression._trusted(self._vars, {m: c * k for m, c in self._terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -240,7 +260,7 @@ class Expression:
             for mb, cb in other._terms.items():
                 mono = tuple(x + y for x, y in zip(ma, mb))
                 out[mono] = out.get(mono, Fraction(0)) + ca * cb
-        return Expression(self._vars, out)
+        return Expression._trusted(self._vars, out)
 
     __rmul__ = __mul__
 
@@ -279,7 +299,7 @@ class Expression:
                 continue
             lowered = mono[:i] + (e - 1,) + mono[i + 1 :]
             out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
-        return Expression(self._vars, out)
+        return Expression._trusted(self._vars, out)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact value at ``point``; every used variable needs an entry."""
@@ -333,7 +353,7 @@ class Expression:
             for part, c in parts:
                 key = tuple(x + y for x, y in zip(placed, part))
                 out[key] = out.get(key, 0) + coeff * c
-        return Expression(target, out)
+        return Expression._trusted(target, out)
 
     def embed(self, target: VarTable) -> "Expression":
         """Re-express over a table that contains all of this table's names."""
@@ -638,7 +658,7 @@ class EchelonBasis:
 
     def _expression(self, vec: dict[int, Fraction]) -> Expression:
         units = self._units
-        return Expression(self._vars, {units[col]: x for col, x in vec.items()})
+        return Expression._trusted(self._vars, {units[col]: x for col, x in vec.items()})
 
 
 def reduce_modulo_linear(e: Expression, basis: Sequence[Expression]) -> Expression:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .expressions import Expression, VarTable
 from .linalg import RationalMatrix
@@ -97,17 +96,6 @@ def _block_vars(zeta: VarTable, fields: FieldSet, block: str) -> list[Expression
     return [Expression.variable(zeta, name) for name in fields.site_names(block)]
 
 
-def _apply(d: RationalMatrix, vec: Sequence[Expression], zeta: VarTable) -> list[Expression]:
-    out = []
-    for i in range(d.rows):
-        acc = Expression.zero(zeta)
-        for j in range(d.cols):
-            if d.entry(i, j):
-                acc = acc + d.entry(i, j) * vec[j]
-        out.append(acc)
-    return out
-
-
 def build_schwinger(spec: LatticeSpec) -> FirstOrderModel:
     """Finite-dimensional model of the gauge-boson/scalar system.
 
@@ -127,8 +115,8 @@ def build_schwinger(spec: LatticeSpec) -> FirstOrderModel:
     pi1 = _block_vars(zeta, fields, "pi1")
     piphi = _block_vars(zeta, fields, "piphi")
 
-    dphi = _apply(d, phi, zeta)
-    da0 = _apply(d, a0, zeta)
+    dphi = [Expression.linear_combination(zeta, zip(row, phi)) for row in d.to_rows()]
+    da0 = [Expression.linear_combination(zeta, zip(row, a0)) for row in d.to_rows()]
 
     half = Fraction(1, 2)
     h = Expression.zero(zeta)

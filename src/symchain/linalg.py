@@ -1,9 +1,9 @@
 """Exact dense matrices over the rationals, plus polynomial-entried matrices.
 
 Everything here is exact: entries are fractions.Fraction (or Expression
-for PolyMatrix), every row reduction runs on one sparse Gauss-Jordan
-kernel, the determinant is fraction-free, and null-space bases come out
-in a canonical form so identical inputs give bit-identical outputs.
+for PolyMatrix), every row reduction and the determinant run on one
+sparse Gauss-Jordan kernel, and null-space bases come out in a
+canonical form so identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ class SparseEchelon:
     nonzero column, and is zero at every other row's pivot.  RREF is
     unique, so the rows depend only on the span added, not on the order
     or the scale of the additions.  This is the library's one
-    elimination kernel: ``rref``, ``rank``, ``left_null_space`` and
-    ``expressions.EchelonBasis`` all run on it.
+    elimination kernel: ``rref``, ``rank``, ``determinant``,
+    ``left_null_space`` and ``expressions.EchelonBasis`` all run on it.
     """
 
     __slots__ = ("rows",)
@@ -184,36 +184,27 @@ def rank(m: RationalMatrix) -> int:
 
 
 def determinant(m: RationalMatrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant on the sparse elimination kernel.
 
-    Denominators are cleared row by row, the integer Bareiss recurrence
-    runs division-free except for the exact interior division, and the
-    accumulated row scales are divided back out at the end.
+    Reduced against the rows before it, a row keeps the determinant and
+    pivots at a new column, so the reduced rows are triangular in pivot
+    order: the determinant is the product of the pivot entries, negated
+    for each earlier pivot column to the right of a new one.
     """
     if not m.is_square:
         raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    scale = Fraction(1)
-    a: list[list[int]] = []
+    kernel = SparseEchelon()
+    det = Fraction(1)
     for row in m.to_rows():
-        mult = lcm(*(x.denominator for x in row)) if n else 1
-        scale *= mult
-        a.append([int(x * mult) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1]) / scale
+        vec = kernel.reduce(_sparse(row))
+        if not vec:
+            return _ZERO
+        pivot = min(vec)
+        if sum(col > pivot for col in kernel.rows) % 2:
+            det = -det
+        det *= vec[pivot]
+        kernel.add(vec)
+    return det
 
 
 def _primitive(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:

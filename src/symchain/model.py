@@ -245,8 +245,8 @@ def load_model(path: str | Path) -> FirstOrderModel:
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
+        key, *tail = line.split(None, 1)
+        rest = tail[0] if tail else ""
         if key == "primary":
             primary_lines.append((lineno, rest))
         elif key in _SINGLE_KEYWORDS:

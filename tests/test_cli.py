@@ -193,3 +193,34 @@ def test_lattice_zero_denominator_spacing_is_an_input_error(tmp_path):
     assert "error:" in result.stderr
     assert "--spacing" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+CUBIC_H = "model cubic\nzeta x y p_x p_y\nc p_x p_y 0 0\nH p_x^2 + x^3 + y*p_y\n"
+
+
+def test_compare_cubic_hamiltonian(tmp_path):
+    model = tmp_path / "cubic.model"
+    model.write_text(CUBIC_H + "primary p_y\n")
+    result = run_cli("compare", str(model), "--format", "tree")
+    assert result.returncode == 0
+    tree = json.loads(result.stdout)
+    assert tree["termination"]["kind"] == "exhausted"
+    assert tree["comparison"]["equal"] is True
+
+
+def test_compare_nonlinear_primary_is_an_input_error(tmp_path):
+    model = tmp_path / "nonlinear.model"
+    model.write_text(CUBIC_H + "primary p_y^2\n")
+    result = run_cli("compare", str(model))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: constraint gradient is not constant; ")
+    assert "Traceback" not in result.stderr
+
+
+def test_analyze_accepts_a_tab_after_a_keyword(tmp_path):
+    model = tmp_path / "tab.model"
+    model.write_text("model tab\nzeta\tx p\nc p 0\nH 1/2*p^2\n")
+    result = run_cli("analyze", str(model))
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert "phase space: x p" in result.stdout

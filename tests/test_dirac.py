@@ -2,21 +2,29 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symchain import (
     ChainOptions,
     Constraint,
     Expression,
+    FirstOrderModel,
+    LatticeSpec,
     VarTable,
+    build_schwinger,
     classify,
     compare_spans,
     consistency_algorithm,
     derive_pairing,
     determinant,
+    linear_expression,
     parse_expression,
     poisson_bracket,
     run_chain,
 )
+from symchain import dirac
+from symchain.dirac import _flow
 from golden import C_GOLDEN, PUBLISHED_CONSTRAINTS, is_scalar_multiple
 from randmodels import random_model
 
@@ -248,3 +256,71 @@ def test_oracle_agreement_on_random_models():
         elif report.termination.kind == "exhausted":
             assert report.warnings
     assert agreements >= 40
+
+
+def _cubic_model(primary):
+    zeta = VarTable(["x", "y", "p_x", "p_y"])
+    c = [parse_expression(t, zeta) for t in ("p_x", "p_y", "0", "0")]
+    h = parse_expression("p_x^2 + x^3 + y*p_y", zeta)
+    return FirstOrderModel("cubic", zeta, c, h, [parse_expression(primary, zeta)])
+
+
+def test_consistency_algorithm_cubic_hamiltonian():
+    m = _cubic_model("p_y")
+    res = consistency_algorithm(m)
+    assert [str(c.expr) for c in res.constraints] == ["p_y"]
+    assert res.multiplier_conditions == ()
+    report = run_chain(m)
+    assert report.termination.kind == "exhausted"
+    assert compare_spans(report, res.constraints).equal
+
+
+def test_consistency_algorithm_rejects_nonlinear_primary():
+    with pytest.raises(ValueError, match="nonlinear"):
+        consistency_algorithm(_cubic_model("p_y^2"))
+
+
+# -- the oracle's linear-form brackets -------------------------------------
+
+_rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def _bracket_inputs(draw):
+    """A randmodels table, an affine-linear form and a polynomial of degree <= 3."""
+    zeta = random_model(random.Random(draw(st.integers(0, 10**6)))).zeta
+    n = len(zeta)
+    coeffs = draw(st.lists(_rationals, min_size=n + 1, max_size=n + 1))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        mono = [0] * n
+        for _ in range(draw(st.integers(0, 3))):
+            mono[draw(st.integers(0, n - 1))] += 1
+        terms[tuple(mono)] = draw(_rationals)
+    return zeta, linear_expression(zeta, coeffs[:n], coeffs[n]), Expression(zeta, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bracket_inputs())
+def test_linear_form_bracket_matches_poisson_bracket(inputs):
+    zeta, a, b = inputs
+    m = FirstOrderModel("table", zeta, [Expression.zero(zeta)] * len(zeta), b)
+    pairing = derive_pairing(m)
+    gradient = [b.differentiate(name) for name in zeta.names]
+    flow = _flow(a, pairing)
+    bracket = Expression.linear_combination(zeta, ((x, gradient[j]) for j, x in flow.items()))
+    assert bracket == poisson_bracket(a, b, pairing)
+
+
+@pytest.mark.parametrize("name", ["example2", "lattice_3"])
+def test_consistency_algorithm_takes_no_poisson_bracket(name, example2, monkeypatch):
+    m = example2 if name == "example2" else build_schwinger(LatticeSpec(sites=3))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return poisson_bracket(*args)
+
+    monkeypatch.setattr(dirac, "poisson_bracket", counting)
+    assert consistency_algorithm(m).constraints
+    assert calls == []

@@ -373,3 +373,27 @@ def test_substitute_commutes_with_evaluation(e, mapping, point):
     }
     assert e.substitute(TARGET, mapping).evaluate(point) == e.evaluate(mapped)
     assert e.embed(TARGET).restrict(SOURCE) == e
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_rationals, _polys(SOURCE, 3)), max_size=5),
+    st.fixed_dictionaries({name: _rationals for name in SOURCE.names}),
+)
+def test_linear_combination_and_arithmetic_results_are_canonical(pairs, point):
+    combined = Expression.linear_combination(SOURCE, pairs)
+    assert combined.evaluate(point) == sum(k * e.evaluate(point) for k, e in pairs)
+    running = Expression.zero(SOURCE)
+    for k, e in pairs:
+        running = running + k * e
+    assert combined == running
+    # results built without the constructor's checks hold what it would build
+    for result in (combined, -combined, combined * combined, combined - combined,
+                   combined.differentiate("x"), combined.embed(TARGET)):
+        assert all(result.terms.values())
+        assert result == Expression(result.vars, dict(result.terms))
+
+
+def test_linear_combination_rejects_a_foreign_table():
+    with pytest.raises(ValueError, match="different VarTables"):
+        Expression.linear_combination(TARGET, [(0, Expression.variable(SOURCE, "x"))])

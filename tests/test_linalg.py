@@ -36,6 +36,37 @@ def cofactor_determinant(rows):
     return total
 
 
+def bareiss_determinant(rows):
+    """Independent oracle: dense fraction-free (Bareiss) elimination.
+
+    Denominators are cleared row by row, the integer Bareiss recurrence
+    runs division-free except for the exact interior division, and the
+    accumulated row scales are divided back out at the end.
+    """
+    n = len(rows)
+    scale = Fraction(1)
+    a = []
+    for row in rows:
+        mult = math.lcm(*(Fraction(x).denominator for x in row))
+        scale *= mult
+        a.append([int(Fraction(x) * mult) for x in row])
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return Fraction(sign * a[n - 1][n - 1]) / scale
+
+
 def gauss_rank(rows):
     """Independent oracle: plain fraction Gaussian elimination."""
     rows = [list(r) for r in rows]
@@ -263,3 +294,36 @@ def test_left_null_space_matches_sympy(rows):
 @given(_matrices(square=True))
 def test_determinant_matches_sympy(rows):
     assert determinant(RationalMatrix(rows)) == _fraction(_sympy(rows).det())
+
+
+@st.composite
+def _permuted_sparse(draw):
+    """Square matrices whose rows pivot in a random column order.
+
+    Row i has its leading entry at column perm[i] and random entries
+    only after it, so the determinant is the product of the leading
+    entries times the sign of perm, and exercises every permutation sign.
+    """
+    n = draw(st.integers(1, 8))
+    perm = draw(st.permutations(range(n)))
+    rows = []
+    for i in range(n):
+        row = [Fraction(0)] * n
+        row[perm[i]] = draw(_entries.filter(bool))
+        for j in range(perm[i] + 1, n):
+            if draw(st.booleans()):
+                row[j] = draw(_entries)
+        rows.append(row)
+    mixing = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _entries)))
+    for target, source, factor in mixing:
+        if target != source:
+            rows[target] = [a + factor * b for a, b in zip(rows[target], rows[source])]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_permuted_sparse(), _matrices(square=True)))
+def test_determinant_matches_bareiss_reference(rows):
+    expected = bareiss_determinant(rows)
+    assert determinant(RationalMatrix(rows)) == expected
+    assert expected == _fraction(_sympy(rows).det())

@@ -211,3 +211,15 @@ def test_load_model_deep_nesting(tmp_path):
     # a long run of unary signs is not nesting
     p.write_text("model deep\nzeta q p\nc p 0\nH " + "-" * 3000 + "1/2*p^2\n")
     assert str(load_model(p).hamiltonian) == "1/2*p^2"
+
+
+def test_load_model_accepts_tabs_after_keywords(tmp_path, example2):
+    p = tmp_path / "tabs.model"
+    p.write_text(
+        "model\texample2\n"
+        "zeta\tx y z \t p_x p_y p_z\n"
+        "c \tp_x\tp_y p_z 0 0 0\n"
+        "H\tp_x*p_y + z*(x+y)\n"
+        "primary\t\tp_z\n"
+    )
+    assert load_model(p) == example2
