@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Exact rational matrices: determinants, canonical null bases, generic rank.
+"""Exact rational matrices: determinants, canonical null bases, rank.
 
 Everything is a fractions.Fraction; there is no floating point, so a
 determinant of 16 means exactly 16 and a null vector annihilates its
@@ -8,16 +8,7 @@ matrix entry for entry.
 
 from fractions import Fraction
 
-from symchain import (
-    Expression,
-    PolyMatrix,
-    RationalMatrix,
-    VarTable,
-    determinant,
-    generic_rank,
-    left_null_space,
-    rank,
-)
+from symchain import RationalMatrix, determinant, left_null_space, rank
 
 # -- exact determinants -----------------------------------------------
 
@@ -49,16 +40,3 @@ for v in basis:
     check = [sum(v[i] * singular.entry(i, j) for i in range(4)) for j in range(2)]
     print("  v.M =", check)
 print("rank + nullity =", rank(singular), "+", len(basis), "=", singular.rows)
-print()
-
-# -- generic rank of polynomial-entried matrices ------------------------
-
-vt = VarTable(["t"])
-t = Expression.variable(vt, "t")
-one = Expression.constant(vt, 1)
-pm = PolyMatrix([
-    [one, t],
-    [t, t * t],
-])
-# rows are proportional for every t: generic rank 1
-print("generic rank of [[1, t], [t, t^2]] =", generic_rank(pm, trials=5))

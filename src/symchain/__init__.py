@@ -40,7 +40,6 @@ from .expressions import (
     VarTable,
     linear_expression,
     parse_expression,
-    reduce_modulo_linear,
 )
 from .lattice import (
     FieldSet,
@@ -51,10 +50,8 @@ from .lattice import (
     map_constraint_to_sites,
 )
 from .linalg import (
-    PolyMatrix,
     RationalMatrix,
     determinant,
-    generic_rank,
     left_null_space,
     rank,
     rref,
@@ -87,7 +84,6 @@ __all__ = [
     "OracleLevelCapError",
     "OracleResult",
     "ParseError",
-    "PolyMatrix",
     "RationalMatrix",
     "SecondOrderLagrangian",
     "SiteStencil",
@@ -106,7 +102,6 @@ __all__ = [
     "determinant",
     "difference_matrix",
     "find_new_constraints",
-    "generic_rank",
     "left_null_space",
     "legendre_transform",
     "linear_expression",
@@ -115,7 +110,6 @@ __all__ = [
     "parse_expression",
     "poisson_bracket",
     "rank",
-    "reduce_modulo_linear",
     "rref",
     "run_chain",
     "save_model",

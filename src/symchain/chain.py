@@ -29,13 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .expressions import EchelonBasis, Expression, VarTable
-from .linalg import (
-    PolyMatrix,
-    RationalMatrix,
-    determinant,
-    left_null_space,
-    row_times_matrix,
-)
+from .linalg import RationalMatrix, determinant, left_null_space, row_times_matrix
 from .model import FirstOrderModel
 
 NEW = "new"
@@ -173,27 +167,17 @@ def _span_rref(exprs: Sequence[Expression]) -> list[Expression]:
     return basis.rref() if basis is not None else []
 
 
-def build_base_tensor(m: FirstOrderModel) -> PolyMatrix:
-    """The antisymmetric tensor d_a c_b - d_b c_a over the zeta table."""
-    names = m.zeta.names
-    n = len(names)
-    rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            row.append(m.c[b].differentiate(names[a]) - m.c[a].differentiate(names[b]))
-        rows.append(row)
-    return PolyMatrix(rows)
+def build_base_tensor(m: FirstOrderModel) -> RationalMatrix:
+    """The antisymmetric tensor f_ab = d_a c_b - d_b c_a over the zeta table.
 
-
-def _rational_base_tensor(m: FirstOrderModel) -> RationalMatrix:
-    base_poly = build_base_tensor(m)
-    if not base_poly.is_constant():
-        raise ChainError(
-            "the symplectic tensor has non-constant entries (c is nonlinear); "
-            "use generic-rank sampling for such models"
-        )
-    return base_poly.to_rational()
+    c is affine-linear, so d_a c_b is the coefficient C_b[a] of zeta_a in c_b.
+    """
+    if not all(e.is_linear() for e in m.c):
+        raise ChainError("the symplectic tensor has non-constant entries (c is nonlinear)")
+    coeffs = [e.linear_coefficients()[0] for e in m.c]
+    return RationalMatrix(
+        [[cb[a] - ca[b] for b, cb in enumerate(coeffs)] for a, ca in enumerate(coeffs)]
+    )
 
 
 def _gradient_row(e: Expression) -> list[Fraction]:
@@ -222,7 +206,7 @@ def assemble_extended_matrix(
     ``truncated`` the auxiliary columns of levels above 1 are dropped,
     all rows retained.
     """
-    base = _rational_base_tensor(m)
+    base = build_base_tensor(m)
     levels = sorted({c.level for c in constraints})
     if levels != list(range(1, len(levels) + 1)):
         raise ValueError("constraint levels must be consecutive starting at 1")
@@ -359,7 +343,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     truncations: list[int] = []
     warnings: list[str] = []
 
-    base = _rational_base_tensor(m)
+    base = build_base_tensor(m)
     grad_h = _hamiltonian_gradient(m)
     zero = Expression.zero(m.working)
     grad_blocks: list[list[list[Fraction]]] = []

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .chain import ChainReport, Constraint, span_fingerprint, _span_basis
 from .expressions import EchelonBasis, Expression, VarTable, linear_expression
-from .linalg import PolyMatrix, RationalMatrix, generic_rank, left_null_space, rank
+from .linalg import RationalMatrix, left_null_space, rank
 from .model import FirstOrderModel
 
 ORIGIN_CONSISTENCY = "consistency"
@@ -187,10 +187,8 @@ class ConstraintMatrix:
     """Mutual-bracket matrix C_ab = {phi_a, phi_b} with its classification."""
 
     matrix: RationalMatrix | None
-    poly_matrix: PolyMatrix | None
     rank: int
     classes: tuple[str, ...]  # "first-class" / "second-class" per constraint
-    generic: bool  # rank obtained by generic sampling (non-constant brackets)
 
     @property
     def second_class_count(self) -> int:
@@ -200,38 +198,31 @@ class ConstraintMatrix:
 def classify(
     constraints: Sequence[Constraint], pairing: CanonicalPairing
 ) -> ConstraintMatrix:
-    """Bracket matrix, rank, and per-constraint class for a closed set.
+    """Bracket matrix, rank, and per-constraint class for a closed linear set.
 
     Brackets are taken between the ``raw`` constraint forms, so the
     matrix (and its determinant) reflects the constraints exactly as
-    generated; rank and classes are scale-invariant either way.
+    generated; rank and classes are scale-invariant either way.  With
+    u_a = J grad(phi_a), C_ab = u_a . grad(phi_b).
     """
     if not constraints:
-        return ConstraintMatrix(None, None, 0, (), False)
+        return ConstraintMatrix(None, 0, ())
+    if any(c.raw.vars != pairing.zeta for c in constraints):
+        raise ValueError("constraints must live over the phase-space table only")
     _check_independent(constraints)
-    exprs = [c.raw for c in constraints]
-    brackets = [[poisson_bracket(a, b, pairing) for b in exprs] for a in exprs]
-    if all(e.is_constant() for row in brackets for e in row):
-        matrix = RationalMatrix([[e.constant_value() for e in row] for row in brackets])
-        r = rank(matrix)
-        classes = tuple(
-            "first-class" if all(x == 0 for x in matrix.row(i)) else "second-class"
-            for i in range(matrix.rows)
-        )
-        return ConstraintMatrix(matrix, None, r, classes, False)
-    poly = PolyMatrix(brackets)
-    r = generic_rank(poly, trials=8)
-    classes = tuple(
-        "first-class" if all(e.is_zero() for e in poly.to_rows()[i]) else "second-class"
-        for i in range(poly.rows)
+    flows = [_flow(c.raw, pairing) for c in constraints]
+    grads = [c.raw.linear_coefficients()[0] for c in constraints]
+    matrix = RationalMatrix(
+        [[sum(x * grad[j] for j, x in u.items()) for grad in grads] for u in flows]
     )
-    return ConstraintMatrix(None, poly, r, classes, True)
+    classes = tuple(
+        "first-class" if not any(row) else "second-class" for row in matrix.to_rows()
+    )
+    return ConstraintMatrix(matrix, rank(matrix), classes)
 
 
 def _check_independent(constraints: Sequence[Constraint]) -> None:
     exprs = [c.expr for c in constraints]
-    if not all(e.is_linear() for e in exprs):
-        return  # independence is only checked for linear sets
     basis = EchelonBasis(exprs[0].vars)
     if not all(basis.add(e) for e in exprs):
         raise ValueError("constraint set is not linearly independent")

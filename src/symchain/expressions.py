@@ -659,20 +659,3 @@ class EchelonBasis:
     def _expression(self, vec: dict[int, Fraction]) -> Expression:
         units = self._units
         return Expression._trusted(self._vars, {units[col]: x for col, x in vec.items()})
-
-
-def reduce_modulo_linear(e: Expression, basis: Sequence[Expression]) -> Expression:
-    """Canonical remainder of a linear ``e`` under elimination by ``basis``.
-
-    The basis members must be linear and nonzero; the remainder is 0
-    exactly when ``e`` lies in the affine-linear span of the basis.
-    Reduction is idempotent.
-    """
-    if not e.is_linear():
-        raise ValueError("nonlinear expression: only linear reduction is supported")
-    span = EchelonBasis(e.vars)
-    for b in basis:
-        if b.vars == e.vars and b.is_zero():
-            raise ValueError("basis contains the zero expression")
-        span.add(b)
-    return span.remainder(e)

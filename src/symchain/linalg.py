@@ -1,20 +1,16 @@
-"""Exact dense matrices over the rationals, plus polynomial-entried matrices.
+"""Exact dense matrices over the rationals.
 
-Everything here is exact: entries are fractions.Fraction (or Expression
-for PolyMatrix), every row reduction and the determinant run on one
-sparse Gauss-Jordan kernel, and null-space bases come out in a
-canonical form so identical inputs give bit-identical outputs.
+Everything here is exact: entries are fractions.Fraction, every row
+reduction and the determinant run on one sparse Gauss-Jordan kernel,
+and null-space bases come out in a canonical form so identical inputs
+give bit-identical outputs.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import lcm
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
-
-if TYPE_CHECKING:
-    from .expressions import Expression, VarTable
+from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
 
@@ -236,87 +232,3 @@ def left_null_space(m: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
             vec[free] = Fraction(1)
             null.add(vec)
     return tuple(_primitive(row, n) for row in null.sorted_rows())
-
-
-class PolyMatrix:
-    """Dense matrix of Expressions sharing one VarTable."""
-
-    __slots__ = ("_rows", "_vars")
-
-    def __init__(self, rows: Iterable[Iterable[Expression]]):
-        data = tuple(tuple(row) for row in rows)
-        if not data or not data[0]:
-            raise ValueError("matrix dimensions must be positive")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("ragged rows")
-        vars = data[0][0].vars
-        for row in data:
-            for e in row:
-                if e.vars != vars:
-                    raise ValueError("entries use different VarTables")
-        self._rows = data
-        self._vars = vars
-
-    @property
-    def rows(self) -> int:
-        return len(self._rows)
-
-    @property
-    def cols(self) -> int:
-        return len(self._rows[0])
-
-    @property
-    def vars(self) -> VarTable:
-        return self._vars
-
-    def entry(self, i: int, j: int) -> Expression:
-        return self._rows[i][j]
-
-    def to_rows(self) -> tuple[tuple[Expression, ...], ...]:
-        return self._rows
-
-    def is_constant(self) -> bool:
-        return all(e.is_constant() for row in self._rows for e in row)
-
-    def to_rational(self) -> RationalMatrix:
-        if not self.is_constant():
-            raise ValueError("matrix has non-constant entries")
-        return RationalMatrix(
-            [[e.constant_value() for e in row] for row in self._rows]
-        )
-
-    def evaluate(self, point: Mapping[str, Fraction]) -> RationalMatrix:
-        return RationalMatrix(
-            [[e.evaluate(point) for e in row] for row in self._rows]
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyMatrix) and self._rows == other._rows
-
-    def __repr__(self) -> str:
-        return f"PolyMatrix({self.rows}x{self.cols})"
-
-
-def generic_rank(m: PolyMatrix, trials: int, seed: int = 0) -> int:
-    """Maximum rank over random rational sample points.
-
-    Points are drawn from a range that widens with each trial, so the
-    result equals the true generic rank with probability approaching 1.
-    Constant matrices give the exact rank on the first trial.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if m.is_constant():
-        return rank(m.to_rational())
-    rng = random.Random(seed)
-    names = sorted({n for row in m.to_rows() for e in row for n in e.variables_used()})
-    best = 0
-    for t in range(1, trials + 1):
-        bound = 10 * t
-        point = {
-            name: Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
-            for name in names
-        }
-        best = max(best, rank(m.evaluate(point)))
-    return best

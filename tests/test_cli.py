@@ -217,6 +217,15 @@ def test_compare_nonlinear_primary_is_an_input_error(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_compare_nonlinear_c_is_an_input_error(tmp_path):
+    model = tmp_path / "nonlinear_c.model"
+    model.write_text("model nonlinear_c\nzeta q p\nc q*p 0\nH p^2\nprimary q\n")
+    result = run_cli("compare", str(model))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: the symplectic tensor has non-constant entries")
+    assert "Traceback" not in result.stderr
+
+
 def test_analyze_accepts_a_tab_after_a_keyword(tmp_path):
     model = tmp_path / "tab.model"
     model.write_text("model tab\nzeta\tx p\nc p 0\nH 1/2*p^2\n")

@@ -178,7 +178,6 @@ def test_classify_published_set(example2):
     assert cm.rank == 4
     assert cm.classes == ("second-class",) * 4
     assert determinant(cm.matrix) == 16
-    assert not cm.generic
 
     # independent verification of every entry by the brute-force bracket
     for i, a in enumerate(constraints):
@@ -206,15 +205,35 @@ def test_classify_empty_and_duplicates(example2):
 
 def test_classify_rank_is_even(example2):
     rng = random.Random(47)
-    pairing = derive_pairing(example2)
     for _ in range(25):
         m = random_model(rng)
         res = consistency_algorithm(m)
         if not res.constraints:
             continue
-        cm = classify(res.constraints, derive_pairing(m))
+        pairing = derive_pairing(m)
+        cm = classify(res.constraints, pairing)
         assert cm.rank % 2 == 0
         assert cm.second_class_count == cm.rank
+        # each linear-form entry is the constant general-polynomial bracket
+        for a, row in zip(res.constraints, cm.matrix.to_rows()):
+            for b, entry in zip(res.constraints, row):
+                bracket = poisson_bracket(a.raw, b.raw, pairing)
+                assert bracket.is_constant() and bracket.constant_value() == entry
+
+
+def test_classify_rejects_nonlinear_and_foreign_constraints(example2):
+    pairing = derive_pairing(example2)
+    zeta = example2.zeta
+    constraints = [
+        Constraint.from_raw(1, parse_expression("p_z", zeta), "primary"),
+        Constraint.from_raw(2, parse_expression("x^2 + p_x", zeta), "consistency"),
+    ]
+    with pytest.raises(ValueError, match="nonlinear"):
+        classify(constraints, pairing)
+    working = example2.working
+    foreign = [Constraint.from_raw(1, parse_expression("p_z + lam1", working), "primary")]
+    with pytest.raises(ValueError, match="phase-space table"):
+        classify(foreign, pairing)
 
 
 def test_compare_spans_fixture(example2):

@@ -14,7 +14,6 @@ from symchain import (
     VarTable,
     linear_expression,
     parse_expression,
-    reduce_modulo_linear,
 )
 
 VT = VarTable(["x", "y", "z", "p_x", "p_y", "p_z"])
@@ -182,13 +181,20 @@ def test_differentiator_against_rule_based_oracle():
                 assert d.evaluate(pt) == oracle_du(pt)
 
 
+def _span(basis):
+    span = EchelonBasis(VT)
+    for b in basis:
+        span.add(b)
+    return span
+
+
 def test_reduce_modulo_linear_examples():
-    assert reduce_modulo_linear(
-        parse_expression("-p_x - p_y", VT), [parse_expression("p_x + p_y", VT)]
+    assert _span([parse_expression("p_x + p_y", VT)]).remainder(
+        parse_expression("-p_x - p_y", VT)
     ).is_zero()
 
     basis = [parse_expression(s, VT) for s in ("p_z", "-x-y", "p_x+p_y")]
-    r = reduce_modulo_linear(parse_expression("-2*z", VT), basis)
+    r = _span(basis).remainder(parse_expression("-2*z", VT))
     assert not r.is_zero()
     assert r.monic() == parse_expression("z", VT)
 
@@ -196,7 +202,7 @@ def test_reduce_modulo_linear_examples():
     e = parse_expression("x + y + p_z", VT)
     combo = parse_expression("p_z", VT) - parse_expression("-x-y", VT)
     assert combo == e
-    assert reduce_modulo_linear(e, [parse_expression("p_z", VT), parse_expression("-x-y", VT)]).is_zero()
+    assert _span([parse_expression("p_z", VT), parse_expression("-x-y", VT)]).remainder(e).is_zero()
 
 
 def test_reduce_modulo_linear_idempotent_and_affine():
@@ -206,27 +212,26 @@ def test_reduce_modulo_linear_idempotent_and_affine():
         parse_expression("x - y", VT),
         parse_expression("2*p_x - 3", VT),
     ]
+    span = _span(basis)
     for _ in range(50):
         vec = [Fraction(rng.randint(-4, 4)) for _ in range(7)]
         e = Expression.constant(VT, vec[6])
         for name, coeff in zip(VT.names, vec):
             e = e + coeff * Expression.variable(VT, name)
-        r = reduce_modulo_linear(e, basis)
-        assert reduce_modulo_linear(r, basis) == r
+        r = span.remainder(e)
+        assert span.remainder(r) == r
         # members of the affine span reduce to zero
         a, b, c = (Fraction(rng.randint(-3, 3)) for _ in range(3))
         member = a * basis[0] + b * basis[1] + c * basis[2]
         if not member.is_zero():
-            assert reduce_modulo_linear(member, basis).is_zero()
+            assert span.remainder(member).is_zero()
 
 
 def test_reduce_modulo_linear_rejects_nonlinear():
     with pytest.raises(ValueError):
-        reduce_modulo_linear(parse_expression("x^2", VT), [parse_expression("x", VT)])
+        _span([parse_expression("x", VT)]).remainder(parse_expression("x^2", VT))
     with pytest.raises(ValueError):
-        reduce_modulo_linear(parse_expression("x", VT), [parse_expression("x*y", VT)])
-    with pytest.raises(ValueError):
-        reduce_modulo_linear(parse_expression("x", VT), [Expression.zero(VT)])
+        _span([parse_expression("x*y", VT)])
 
 
 def test_monic_uses_graded_lex_leading_term():
@@ -334,7 +339,10 @@ def test_basis_rref_matches_sympy(forms):
 def test_reduce_modulo_linear_agrees_with_basis(forms, vec):
     members = [_form(v) for v in forms if any(v)]
     e = _form(vec)
-    assert reduce_modulo_linear(e, members) == _basis(forms).remainder(e)
+    span = EchelonBasis(SMALL)
+    for member in members:
+        span.add(member)
+    assert span.remainder(e) == _basis(forms).remainder(e)
 
 
 def test_basis_rejects_nonlinear_and_foreign_forms():

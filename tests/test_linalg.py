@@ -8,12 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symchain import (
-    Expression,
-    PolyMatrix,
     RationalMatrix,
-    VarTable,
     determinant,
-    generic_rank,
     left_null_space,
     rank,
     rref,
@@ -197,34 +193,10 @@ def test_rref_pivots():
     assert reduced.row(1) == (0, 1, 2)
 
 
-def test_generic_rank_on_constant_and_symbolic():
-    vt = VarTable(["x"])
-    f1_exprs = [[Expression.constant(vt, v) for v in row] for row in F1_GOLDEN]
-    pm = PolyMatrix(f1_exprs)
+def test_rank_of_f1_golden():
     # rank of the printed matrix by independent row reduction
     assert gauss_rank([[Fraction(v) for v in row] for row in F1_GOLDEN]) == 6
-    assert generic_rank(pm, trials=1) == 6
-
-    zero = Expression.zero(vt)
-    assert generic_rank(PolyMatrix([[zero, zero], [zero, zero]]), trials=2) == 0
-    x = Expression.variable(vt, "x")
-    assert generic_rank(PolyMatrix([[x]]), trials=3) == 1
-    with pytest.raises(ValueError):
-        generic_rank(PolyMatrix([[x]]), trials=0)
-
-
-def test_poly_matrix_validation_and_conversion():
-    vt = VarTable(["x"])
-    x = Expression.variable(vt, "x")
-    one = Expression.constant(vt, 1)
-    pm = PolyMatrix([[one, x]])
-    assert not pm.is_constant()
-    with pytest.raises(ValueError):
-        pm.to_rational()
-    assert pm.evaluate({"x": Fraction(3)}) == RationalMatrix([[1, 3]])
-    other = VarTable(["y"])
-    with pytest.raises(ValueError):
-        PolyMatrix([[one, Expression.variable(other, "y")]])
+    assert rank(RationalMatrix(F1_GOLDEN)) == 6
 
 
 # -- the elimination kernel against sympy --------------------------------
