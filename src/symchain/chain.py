@@ -4,7 +4,8 @@ The driver works on the matrix form of the equations of motion.  With
 f_ab = d_a c_b - d_b c_a and one auxiliary column/row pair per known
 constraint (gradient rows A, border blocks +A^T / -A), each step
 
-  1. assembles the extended matrix F holding borders for every
+  1. builds the sparse columns of the extended matrix F in O(nnz): the
+     base tensor's columns, made once per run, bordered for every
      constraint level found so far,
   2. contracts each canonical left null vector v with the right-hand
      side (the gradient of the total Hamiltonian, multipliers symbolic):
@@ -13,7 +14,8 @@ constraint (gradient rows A, border blocks +A^T / -A), each step
   3. when the full matrix yields nothing new but is still singular,
      retries on a column-truncated matrix that keeps only the
      coordinate columns and the level-1 auxiliary columns,
-  4. stops with a certificate: a nonsingular F (and its determinant),
+  4. stops with a certificate: a nonsingular F (and its determinant,
+     read off the same elimination that finds its null space empty),
      an exhausted null space, or the level cap.
 
 Border blocks are built from the *raw* constraint expressions (v . rhs
@@ -29,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .expressions import EchelonBasis, Expression, VarTable
-from .linalg import RationalMatrix, determinant, left_null_space, row_times_matrix
+from .linalg import RationalMatrix, left_null_space, null_space_and_determinant
 from .model import FirstOrderModel
 
 NEW = "new"
@@ -172,22 +174,39 @@ def build_base_tensor(m: FirstOrderModel) -> RationalMatrix:
 
     c is affine-linear, so d_a c_b is the coefficient C_b[a] of zeta_a in c_b.
     """
+    base = _base_columns(m)
+    return _dense_view(base, len(base))
+
+
+def _base_columns(m: FirstOrderModel) -> list[dict[int, Fraction]]:
+    """The sparse columns of ``build_base_tensor``."""
     if not all(e.is_linear() for e in m.c):
         raise ChainError("the symplectic tensor has non-constant entries (c is nonlinear)")
-    coeffs = [e.linear_coefficients()[0] for e in m.c]
-    return RationalMatrix(
-        [[cb[a] - ca[b] for b, cb in enumerate(coeffs)] for a, ca in enumerate(coeffs)]
-    )
+    cols: list[dict[int, Fraction]] = [{} for _ in m.c]
+    for b, cb in enumerate(m.c):
+        for a, x in enumerate(cb.linear_coefficients()[0]):
+            if x:
+                cols[b][a] = cols[b].get(a, 0) + x
+                cols[a][b] = cols[a].get(b, 0) - x
+    return [{i: x for i, x in col.items() if x} for col in cols]
 
 
-def _gradient_row(e: Expression) -> list[Fraction]:
+def _dense_view(cols: Sequence[dict[int, Fraction]], rows: int) -> RationalMatrix:
+    out = [[Fraction(0)] * len(cols) for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            out[i][j] = x
+    return RationalMatrix(out)
+
+
+def _gradient(e: Expression) -> dict[int, Fraction]:
     # every partial derivative is constant exactly when the degree is <= 1
     if not e.is_linear():
         raise ChainError(
             "constraint gradient is not constant; the exact chain "
             "supports linear constraints only"
         )
-    return list(e.linear_coefficients()[0])
+    return {j: x for j, x in enumerate(e.linear_coefficients()[0]) if x}
 
 
 def assemble_extended_matrix(
@@ -206,48 +225,41 @@ def assemble_extended_matrix(
     ``truncated`` the auxiliary columns of levels above 1 are dropped,
     all rows retained.
     """
-    base = build_base_tensor(m)
+    base = _base_columns(m)
     levels = sorted({c.level for c in constraints})
     if levels != list(range(1, len(levels) + 1)):
         raise ValueError("constraint levels must be consecutive starting at 1")
-    grad_blocks = [
-        [_gradient_row(c.raw) for c in constraints if c.level == lvl] for lvl in levels
-    ]
-    return _assemble(base, grad_blocks, truncated)
+    ordered = sorted(constraints, key=lambda c: c.level)
+    grads = [_gradient(c.raw) for c in ordered]
+    cols = _bordered_columns(base, ordered, grads, truncated)
+    return _dense_view(cols, len(base) + len(grads))
 
 
-def _assemble(
-    base: RationalMatrix,
-    grad_blocks: Sequence[Sequence[list[Fraction]]],
+def _bordered_columns(
+    base: Sequence[dict[int, Fraction]],
+    constraints: Sequence[Constraint],
+    grads: Sequence[dict[int, Fraction]],
     truncated: bool,
-) -> RationalMatrix:
-    """Border ``base`` by the gradient rows of each level, in level order."""
-    # the truncated matrix keeps only the level-1 auxiliary columns
-    kept_blocks = grad_blocks[:1] if truncated else grad_blocks
-    kept = [grad for block in kept_blocks for grad in block]
-    rows: list[list[Fraction]] = []
-    # coordinate rows: base tensor then +A^T blocks for the kept columns
-    for i, base_row in enumerate(base.to_rows()):
-        rows.append(list(base_row) + [grad[i] for grad in kept])
-    # auxiliary rows: -A blocks then zeros
-    padding = [Fraction(0)] * len(kept)
-    for block in grad_blocks:
-        for grad in block:
-            rows.append([-g for g in grad] + padding)
+) -> list[dict[int, Fraction]]:
+    """The sparse columns of ``base`` bordered by the level-ordered constraints.
 
-    matrix = RationalMatrix(rows)
+    Each coordinate column gains the -A entries of every constraint row,
+    then each constraint adds its +A^T column (``grads`` holds the
+    gradients); the truncated matrix keeps only the level-1 ones.  The
+    full square matrix is checked to be antisymmetric.
+    """
+    n = len(base)
+    cols = [dict(col) for col in base]
+    for r, grad in enumerate(grads, n):
+        for j, x in grad.items():
+            cols[j][r] = -x
+    cols += grads[: sum(c.level == 1 for c in constraints)] if truncated else grads
     if not truncated:
-        _assert_antisymmetric(matrix)
-    return matrix
-
-
-def _assert_antisymmetric(m: RationalMatrix) -> None:
-    rows = m.to_rows()
-    for i, row in enumerate(rows):
-        for j in range(i, m.cols):
-            x, y = row[j], rows[j][i]
-            if (x or y) and x != -y:
-                raise ChainError("assembled matrix is not antisymmetric")
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                if cols[i].get(j) != -x:
+                    raise ChainError("assembled matrix is not antisymmetric")
+    return cols
 
 
 def _hamiltonian_gradient(m: FirstOrderModel) -> tuple[Expression, ...]:
@@ -287,20 +299,20 @@ def find_new_constraints(
     known = EchelonBasis(zeta)
     for c in existing:
         known.add(c.expr)
-    return _classify(f, rhs, zeta, known)
+    return _classify(left_null_space(f), rhs, zeta, known)
 
 
 def _classify(
-    f: RationalMatrix,
+    null: Sequence[tuple[Fraction, ...]],
     rhs: Sequence[Expression],
     zeta: VarTable,
     known: EchelonBasis,
 ) -> list[Candidate]:
-    """``find_new_constraints`` against ``known``, which grows by each NEW candidate."""
+    """``find_new_constraints`` on a null basis against ``known``, which grows by each NEW one."""
     working = rhs[0].vars
     multiplier_names = working.names[len(zeta) :]
     out: list[Candidate] = []
-    for v in left_null_space(f):
+    for v in null:
         value = Expression.linear_combination(working, zip(v, rhs))
         if value.mentions_any(multiplier_names):
             out.append(Candidate(vector=v, value=value, classification=MULTIPLIER_FIXING))
@@ -332,8 +344,8 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     """Run the level loop until a termination certificate is reached.
 
     What does not change between levels is computed once per run: the
-    base tensor, the Hamiltonian gradient, each constraint's gradient
-    row and the echelon basis of the constraint span.
+    sparse base columns, the Hamiltonian gradient, each constraint's
+    sparse gradient and the echelon basis of the constraint span.
     """
     opts = opts or ChainOptions()
     constraints: list[Constraint] = [
@@ -343,34 +355,32 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     truncations: list[int] = []
     warnings: list[str] = []
 
-    base = build_base_tensor(m)
+    base = _base_columns(m)
     grad_h = _hamiltonian_gradient(m)
     zero = Expression.zero(m.working)
-    grad_blocks: list[list[list[Fraction]]] = []
+    grads = [_gradient(c.raw) for c in constraints]
     known = EchelonBasis(m.zeta)
-    if constraints:
-        grad_blocks.append([_gradient_row(c.raw) for c in constraints])
-        for c in constraints:
-            known.add(c.expr)
+    for c in constraints:
+        known.add(c.expr)
 
     def attempt(k: int, rhs: tuple[Expression, ...], truncated: bool):
         """Classify the null vectors of one bordered matrix and record the level."""
-        f = _assemble(base, grad_blocks, truncated)
-        candidates = _classify(f, rhs, m.zeta, known)
+        cols = _bordered_columns(base, constraints, grads, truncated)
+        null, det = null_space_and_determinant(cols, len(rhs))
+        candidates = _classify(null, rhs, m.zeta, known)
         records.append(LevelRecord(
-            level=k, truncated=truncated, shape=(f.rows, f.cols), candidates=tuple(candidates)
+            level=k, truncated=truncated, shape=(len(rhs), len(cols)), candidates=tuple(candidates)
         ))
-        return f, candidates, [c for c in candidates if c.classification == NEW]
+        return cols, det, candidates, [c for c in candidates if c.classification == NEW]
 
     while True:
-        k = len(grad_blocks)
+        k = constraints[-1].level if constraints else 0
         if k > opts.max_level:
             termination = Termination(kind=TERMINATED_MAX_LEVEL, level=k)
             break
         rhs = grad_h + (zero,) * len(constraints)
-        f, candidates, new = attempt(k, rhs, truncated=False)
+        cols, det, candidates, new = attempt(k, rhs, truncated=False)
         if not candidates:
-            det = determinant(f)
             if det == 0:
                 raise ChainError("certificate mismatch: zero determinant without null vectors")
             termination = Termination(kind=TERMINATED_NONSINGULAR, level=k, determinant=det)
@@ -378,10 +388,11 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
         truncated = not new
         if truncated:
             # certificate consistency: a null vector proves det(F) = 0
-            if any(row_times_matrix(candidates[0].vector, f)):
+            v = candidates[0].vector
+            if any(sum(v[i] * x for i, x in col.items()) for col in cols):
                 raise ChainError("certificate mismatch: a null vector does not annihilate F")
             if opts.allow_truncation and k > 1:
-                _, _, new = attempt(k, rhs, truncated=True)
+                *_, new = attempt(k, rhs, truncated=True)
         if not new:
             termination = Termination(kind=TERMINATED_EXHAUSTED, level=k)
             warnings.append(
@@ -398,7 +409,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
             Constraint.from_raw(k + 1, c.value.restrict(m.zeta), origin, c.vector) for c in new
         ]
         constraints.extend(accepted)
-        grad_blocks.append([_gradient_row(c.raw) for c in accepted])
+        grads.extend(_gradient(c.raw) for c in accepted)
 
     return ChainReport(
         model_name=m.name,

@@ -349,8 +349,11 @@ class Expression:
                 else:
                     power = image**e
                     product = power if product is None else product * power
-            parts = product._terms.items() if product is not None else ((zero, 1),)
-            for part, c in parts:
+            if product is None:
+                key = tuple(placed)
+                out[key] = out.get(key, 0) + coeff
+                continue
+            for part, c in product._terms.items():
                 key = tuple(x + y for x, y in zip(placed, part))
                 out[key] = out.get(key, 0) + coeff * c
         return Expression._trusted(target, out)

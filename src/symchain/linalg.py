@@ -79,18 +79,6 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-def row_times_matrix(v: Sequence[Fraction], m: RationalMatrix) -> tuple[Fraction, ...]:
-    if len(v) != m.rows:
-        raise ValueError("vector length does not match the row count")
-    out = [Fraction(0)] * m.cols
-    for coeff, row in zip(v, m.to_rows()):
-        if coeff:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] += coeff * x
-    return tuple(out)
-
-
 class SparseEchelon:
     """Incremental exact Gauss-Jordan elimination on sparse rational rows.
 
@@ -100,8 +88,9 @@ class SparseEchelon:
     nonzero column, and is zero at every other row's pivot.  RREF is
     unique, so the rows depend only on the span added, not on the order
     or the scale of the additions.  This is the library's one
-    elimination kernel: ``rref``, ``rank``, ``determinant``,
-    ``left_null_space`` and ``expressions.EchelonBasis`` all run on it.
+    elimination kernel: ``rref``, ``rank``, ``null_space_and_determinant``
+    (behind ``determinant`` and ``left_null_space``) and
+    ``expressions.EchelonBasis`` all run on it.
     """
 
     __slots__ = ("rows",)
@@ -180,27 +169,10 @@ def rank(m: RationalMatrix) -> int:
 
 
 def determinant(m: RationalMatrix) -> Fraction:
-    """Exact determinant on the sparse elimination kernel.
-
-    Reduced against the rows before it, a row keeps the determinant and
-    pivots at a new column, so the reduced rows are triangular in pivot
-    order: the determinant is the product of the pivot entries, negated
-    for each earlier pivot column to the right of a new one.
-    """
+    """Exact determinant on the sparse elimination kernel."""
     if not m.is_square:
         raise ValueError("determinant needs a square matrix")
-    kernel = SparseEchelon()
-    det = Fraction(1)
-    for row in m.to_rows():
-        vec = kernel.reduce(_sparse(row))
-        if not vec:
-            return _ZERO
-        pivot = min(vec)
-        if sum(col > pivot for col in kernel.rows) % 2:
-            det = -det
-        det *= vec[pivot]
-        kernel.add(vec)
-    return det
+    return null_space_and_determinant(_columns(m), m.rows)[1]
 
 
 def _primitive(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
@@ -214,6 +186,10 @@ def _primitive(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
     return tuple(_dense(ints, n))
 
 
+def _columns(m: RationalMatrix) -> list[dict[int, Fraction]]:
+    return [_sparse(col) for col in zip(*m.to_rows())]
+
+
 def left_null_space(m: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """Canonical basis of {v : v.M = 0}; empty iff the rows are independent.
 
@@ -222,13 +198,43 @@ def left_null_space(m: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
     leading entry, so the same matrix always gives the identical basis.
     Rectangular input is fine; vectors have length m.rows.
     """
-    n = m.rows
-    # the columns of M as rows: their reduced form is the RREF of M^T
-    pivots = SparseEchelon(_sparse(col) for col in zip(*m.to_rows())).rows
+    return null_space_and_determinant(_columns(m), m.rows)[0]
+
+
+def null_space_and_determinant(
+    cols: Sequence[dict[int, Fraction]], n: int
+) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction | None]:
+    """The canonical left null basis and the determinant of one matrix.
+
+    ``cols`` are the sparse columns of an ``n``-row matrix M (left
+    unchanged).  The null basis is that of ``left_null_space``.  Both
+    results come from one elimination of the columns, that is of the
+    rows of M^T, and det M^T = det M: reduced against the columns before
+    it, a column keeps the determinant and pivots at a new row, so the
+    reduced columns are triangular in pivot order and the determinant is
+    the product of the pivot entries, negated for each earlier pivot
+    to the right of a new one.  It is 0 when the columns are dependent
+    and None when M is not square.
+    """
+    kernel = SparseEchelon()
+    det = Fraction(1)
+    for col in cols:
+        vec = kernel.reduce(dict(col))
+        if not vec:
+            det = _ZERO
+            continue
+        pivot = min(vec)
+        if det and sum(row > pivot for row in kernel.rows) % 2:
+            det = -det
+        det *= vec[pivot]
+        kernel.add(vec)
+    # the reduced columns are the RREF of M^T; its free columns span the null space
+    pivots = kernel.rows
     null = SparseEchelon()
     for free in range(n):
         if free not in pivots:
-            vec = {col: -row[free] for col, row in pivots.items() if free in row}
+            vec = {row: -entries[free] for row, entries in pivots.items() if free in entries}
             vec[free] = Fraction(1)
             null.add(vec)
-    return tuple(_primitive(row, n) for row in null.sorted_rows())
+    basis = tuple(_primitive(row, n) for row in null.sorted_rows())
+    return basis, det if len(cols) == n else None

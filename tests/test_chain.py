@@ -37,6 +37,7 @@ from golden import (
     is_scalar_multiple,
 )
 from randmodels import random_model
+from test_linalg import bareiss_determinant
 
 
 def published(example2, upto):
@@ -207,16 +208,33 @@ def shift_chain(k):
     return FirstOrderModel(f"shift_chain_{k}", zeta, p + [Expression.zero(zeta)] * k, h, [p[-1]])
 
 
-@pytest.mark.parametrize("name", ["example2", "shift_chain_4", "lattice_3"])
+def primary_free():
+    """No primaries: the truncation keeps the derived level-1 columns."""
+    zeta = VarTable(["x", "y", "z", "w", "p_x", "p_y"])
+    c = [parse_expression(t, zeta) for t in ("p_x", "p_y", "0", "0", "0", "0")]
+    h = parse_expression("p_x*p_y + z*x + z*y + w^2", zeta)
+    return FirstOrderModel("primary_free", zeta, c, h)
+
+
+@pytest.mark.parametrize("name", ["example2", "shift_chain_4", "lattice_3", "primary_free"])
 def test_run_chain_eigenvectors_annihilate(name, example2):
-    # run_chain takes a determinant only where the null space is empty,
-    # so this is what pins the singular levels down
+    # run_chain reads the determinant off the elimination that finds the
+    # null space empty, so this is what pins the singular levels down
     model = {
         "example2": lambda: example2,
         "shift_chain_4": lambda: shift_chain(4),
         "lattice_3": lambda: build_schwinger(LatticeSpec(sites=3)),
+        "primary_free": primary_free,
     }[name]()
     report = run_chain(model)
+    if name == "primary_free":
+        assert [(rec.shape, rec.truncated) for rec in report.levels] == [
+            ((6, 6), False), ((8, 8), False), ((9, 9), False), ((9, 8), True)
+        ]
+        assert report.termination.kind == "exhausted"
+    if report.termination.kind == "nonsingular":
+        final = assemble_extended_matrix(model, report.constraints)
+        assert report.termination.determinant == bareiss_determinant(final.to_rows())
     singular = [rec for rec in report.levels if not rec.truncated and rec.candidates]
     assert singular
     for rec in report.levels:
