@@ -23,7 +23,6 @@ from .chain import (
 from .dirac import (
     CanonicalPairing,
     ConstraintMatrix,
-    OracleLevelCapError,
     OracleResult,
     SpanVerdict,
     classify,
@@ -81,7 +80,6 @@ __all__ = [
     "FirstOrderModel",
     "LatticeSpec",
     "ModelFormatError",
-    "OracleLevelCapError",
     "OracleResult",
     "ParseError",
     "RationalMatrix",

@@ -7,10 +7,10 @@ constraint (gradient rows A, border blocks +A^T / -A), each step
   1. builds the sparse columns of the extended matrix F in O(nnz): the
      base tensor's columns, made once per run, bordered for every
      constraint level found so far,
-  2. contracts each canonical left null vector v with the right-hand
-     side (the gradient of the total Hamiltonian, multipliers symbolic):
-     v . rhs is either a new constraint, a multiplier-fixing condition,
-     or redundant,
+  2. contracts each canonical left null vector v with the gradient of
+     H: every primary borders the matrix, so v is orthogonal to the
+     primaries' gradients, the multipliers of the total Hamiltonian
+     cancel, and v . grad(H) is either a new constraint or redundant,
   3. when the full matrix yields nothing new but is still singular,
      retries on a column-truncated matrix that keeps only the
      coordinate columns and the level-1 auxiliary columns,
@@ -36,7 +36,6 @@ from .model import FirstOrderModel
 
 NEW = "new"
 REDUNDANT = "redundant"
-MULTIPLIER_FIXING = "multiplier-fixing"
 
 ORIGIN_PRIMARY = "primary"
 ORIGIN_NULL_VECTOR = "null-vector"
@@ -83,7 +82,7 @@ class Candidate:
     """One canonical null vector with its extracted value and verdict."""
 
     vector: tuple[Fraction, ...]
-    value: Expression  # v . rhs over the working table
+    value: Expression  # v . rhs over zeta
     classification: str
 
 
@@ -262,18 +261,14 @@ def _bordered_columns(
     return cols
 
 
-def _hamiltonian_gradient(m: FirstOrderModel) -> tuple[Expression, ...]:
-    total = m.total_hamiltonian()
-    return tuple(total.differentiate(name) for name in m.zeta.names)
-
-
 def assemble_rhs(m: FirstOrderModel, constraints: Sequence[Constraint]) -> tuple[Expression, ...]:
     """Gradient of the total Hamiltonian, padded with one zero per constraint.
 
     Entries live over the working table (zeta plus symbolic multipliers).
     """
-    zero = Expression.zero(m.working)
-    return _hamiltonian_gradient(m) + (zero,) * len(constraints)
+    total = m.total_hamiltonian()
+    grad = tuple(total.differentiate(name) for name in m.zeta.names)
+    return grad + (Expression.zero(m.working),) * len(constraints)
 
 
 def find_new_constraints(
@@ -292,6 +287,10 @@ def find_new_constraints(
     counts as NEW only if it stays nonzero after reduction against the
     existing constraints *and* the new ones accepted earlier in this
     same call, so the returned NEW set is linearly independent.
+
+    A multiplier term that survives the contraction raises
+    ``ValueError``: a matrix that borders every primary cancels them,
+    and ``run_chain`` builds no other.
     """
     if len(rhs) != f.rows:
         raise ValueError("rhs length must match the matrix row count")
@@ -309,24 +308,18 @@ def _classify(
     known: EchelonBasis,
 ) -> list[Candidate]:
     """``find_new_constraints`` on a null basis against ``known``, which grows by each NEW one."""
-    working = rhs[0].vars
-    multiplier_names = working.names[len(zeta) :]
     out: list[Candidate] = []
     for v in null:
-        value = Expression.linear_combination(working, zip(v, rhs))
-        if value.mentions_any(multiplier_names):
-            out.append(Candidate(vector=v, value=value, classification=MULTIPLIER_FIXING))
-            continue
-        candidate = value.restrict(zeta)
-        if candidate.is_zero():
+        value = Expression.linear_combination(rhs[0].vars, zip(v, rhs)).restrict(zeta)
+        if value.is_zero():
             out.append(Candidate(vector=v, value=value, classification=REDUNDANT))
             continue
-        if not candidate.is_linear():
+        if not value.is_linear():
             raise ChainError(
                 "nonlinear constraint candidate: reduction against the "
                 "existing set is supported for linear constraints only"
             )
-        remainder = known.remainder(candidate)
+        remainder = known.remainder(value)
         if remainder.is_zero():
             out.append(Candidate(vector=v, value=value, classification=REDUNDANT))
             continue
@@ -336,7 +329,7 @@ def _classify(
                 f"the nonzero constant {remainder.constant_value()}"
             )
         out.append(Candidate(vector=v, value=value, classification=NEW))
-        known.add(candidate)
+        known.add(value)
     return out
 
 
@@ -356,20 +349,24 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     warnings: list[str] = []
 
     base = _base_columns(m)
-    grad_h = _hamiltonian_gradient(m)
-    zero = Expression.zero(m.working)
+    # every primary is a level-1 constraint, whose +A^T column every
+    # attempt keeps: each null vector is orthogonal to the primaries'
+    # gradients, so the multipliers cancel from v . grad(H_T)
+    grad_h = [m.hamiltonian.differentiate(name) for name in m.zeta.names]
     grads = [_gradient(c.raw) for c in constraints]
     known = EchelonBasis(m.zeta)
     for c in constraints:
         known.add(c.expr)
 
-    def attempt(k: int, rhs: tuple[Expression, ...], truncated: bool):
+    def attempt(k: int, truncated: bool):
         """Classify the null vectors of one bordered matrix and record the level."""
         cols = _bordered_columns(base, constraints, grads, truncated)
-        null, det = null_space_and_determinant(cols, len(rhs))
-        candidates = _classify(null, rhs, m.zeta, known)
+        rows = len(base) + len(grads)
+        null, det = null_space_and_determinant(cols, rows)
+        # the constraint rows' rhs entries are zero: zip(v, grad_h) drops them
+        candidates = _classify(null, grad_h, m.zeta, known)
         records.append(LevelRecord(
-            level=k, truncated=truncated, shape=(len(rhs), len(cols)), candidates=tuple(candidates)
+            level=k, truncated=truncated, shape=(rows, len(cols)), candidates=tuple(candidates)
         ))
         return cols, det, candidates, [c for c in candidates if c.classification == NEW]
 
@@ -378,8 +375,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
         if k > opts.max_level:
             termination = Termination(kind=TERMINATED_MAX_LEVEL, level=k)
             break
-        rhs = grad_h + (zero,) * len(constraints)
-        cols, det, candidates, new = attempt(k, rhs, truncated=False)
+        cols, det, candidates, new = attempt(k, truncated=False)
         if not candidates:
             if det == 0:
                 raise ChainError("certificate mismatch: zero determinant without null vectors")
@@ -392,7 +388,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
             if any(sum(v[i] * x for i, x in col.items()) for col in cols):
                 raise ChainError("certificate mismatch: a null vector does not annihilate F")
             if opts.allow_truncation and k > 1:
-                *_, new = attempt(k, rhs, truncated=True)
+                *_, new = attempt(k, truncated=True)
         if not new:
             termination = Termination(kind=TERMINATED_EXHAUSTED, level=k)
             warnings.append(
@@ -405,9 +401,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
             truncations.append(k)
         origin = ORIGIN_TRUNCATED if truncated else ORIGIN_NULL_VECTOR
         # NEW candidates already joined ``known`` during classification
-        accepted = [
-            Constraint.from_raw(k + 1, c.value.restrict(m.zeta), origin, c.vector) for c in new
-        ]
+        accepted = [Constraint.from_raw(k + 1, c.value, origin, c.vector) for c in new]
         constraints.extend(accepted)
         grads.extend(_gradient(c.raw) for c in accepted)
 

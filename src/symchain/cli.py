@@ -20,7 +20,7 @@ from .chain import (
     ChainOptions,
     run_chain,
 )
-from .dirac import OracleLevelCapError, compare_spans, consistency_algorithm
+from .dirac import compare_spans, consistency_algorithm
 from .lattice import LatticeSpec, build_schwinger
 from .model import FirstOrderModel, ModelFormatError, load_model, save_model
 from .reports import render_text, render_tree
@@ -162,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "analyze":
             return cmd_analyze(model, args)
         return cmd_compare(model, args)
-    except (ModelFormatError, ChainError, OracleLevelCapError, ValueError, OSError) as exc:
+    except (ModelFormatError, ChainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -88,11 +88,7 @@ class OracleResult:
         return span_fingerprint([c.expr for c in self.constraints])
 
 
-class OracleLevelCapError(RuntimeError):
-    """The consistency iteration did not close within its pass cap."""
-
-
-def consistency_algorithm(m: FirstOrderModel, max_level: int = 64) -> OracleResult:
+def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     """Iterate the consistency conditions until the constraint set closes.
 
     Each pass writes phidot_a = {phi_a, H} + sum_mu lam_mu {phi_a, phi_mu}
@@ -108,6 +104,11 @@ def consistency_algorithm(m: FirstOrderModel, max_level: int = 64) -> OracleResu
     Each constraint's brackets with H and with the primaries are taken
     once, when it joins the set, and reused by every later pass: with
     u = J grad(phi), {phi, H} = sum_j u_j d_j H and {phi, mu} = u . grad(mu).
+
+    The loop closes within len(zeta) + 1 passes: a pass that does not
+    end it appends a constraint whose remainder modulo all earlier ones
+    is nonzero and not constant, so it takes a new pivot among the
+    len(zeta) coordinate columns of the span.
     """
     pairing = derive_pairing(m)
     constraints: list[Constraint] = [
@@ -134,11 +135,7 @@ def consistency_algorithm(m: FirstOrderModel, max_level: int = 64) -> OracleResu
 
     for c in constraints:
         add_brackets(c)
-    passes = 0
     while True:
-        passes += 1
-        if passes > max_level:
-            raise OracleLevelCapError("consistency iteration exceeded the level cap")
         old = len(constraints)
         found = False
         for w in left_null_space(RationalMatrix(mixed)):

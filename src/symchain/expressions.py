@@ -363,7 +363,9 @@ class Expression:
         return self.substitute(target)
 
     def restrict(self, target: VarTable) -> "Expression":
-        """Re-express over a smaller table; fails if a foreign variable is used."""
+        """Re-express over a smaller table (self over its own); fails on a foreign variable."""
+        if target == self._vars:
+            return self
         for name in self.variables_used():
             if name not in target:
                 raise ValueError(f"expression uses '{name}', absent from the target table")

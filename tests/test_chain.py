@@ -162,11 +162,10 @@ def test_find_new_constraints_classification(example2):
     assert is_scalar_multiple(news[0].vector, [Fraction(v) for v in V3])
 
 
-def test_multiplier_fixing_classification():
+def test_find_new_constraints_rejects_unbordered_primaries():
     # inside run_chain the auxiliary columns force every null vector to
-    # be orthogonal to the primary gradients, so candidates are always
-    # multiplier-free there; the classification is reachable through the
-    # public operation at level 0, where the borders are absent
+    # be orthogonal to the primary gradients, so the multipliers cancel;
+    # at level 0, where the borders are absent, one survives
     zeta = VarTable(["q", "p"])
     zero = Expression.zero(zeta)
     q = Expression.variable(zeta, "q")
@@ -174,11 +173,8 @@ def test_multiplier_fixing_classification():
     f0 = assemble_extended_matrix(m, [])
     rhs = assemble_rhs(m, [])
     assert [str(e) for e in rhs] == ["lam1", "0"]
-    cands = find_new_constraints(f0, rhs, [])
-    by_class = {c.classification for c in cands}
-    assert "multiplier-fixing" in by_class
-    fixing = [c for c in cands if c.classification == "multiplier-fixing"]
-    assert all(c.value.mentions_any(("lam1",)) for c in fixing)
+    with pytest.raises(ValueError, match="lam1"):
+        find_new_constraints(f0, rhs, [])
 
 
 def test_run_chain_mechanical_fixture(example2):
@@ -237,6 +233,7 @@ def test_run_chain_eigenvectors_annihilate(name, example2):
         assert report.termination.determinant == bareiss_determinant(final.to_rows())
     singular = [rec for rec in report.levels if not rec.truncated and rec.candidates]
     assert singular
+    assert_public_classification_matches(model, report)
     for rec in report.levels:
         cs = [c for c in report.constraints if c.level <= rec.level]
         f = assemble_extended_matrix(model, cs, truncated=rec.truncated)
@@ -249,6 +246,17 @@ def test_run_chain_eigenvectors_annihilate(name, example2):
                     sum(cand.vector[i] * f.entry(i, j) for i in range(f.rows))
                     == 0
                 )
+
+
+def assert_public_classification_matches(model, report):
+    """``find_new_constraints`` on the multiplier-bearing rhs gives every record's candidates."""
+    for rec in report.levels:
+        cs = [c for c in report.constraints if c.level <= rec.level]
+        f = assemble_extended_matrix(model, cs, truncated=rec.truncated)
+        cands = find_new_constraints(f, assemble_rhs(model, cs), cs)
+        assert [(c.vector, str(c.value), c.classification) for c in cands] == [
+            (c.vector, str(c.value), c.classification) for c in rec.candidates
+        ]
 
 
 def test_run_chain_unconstrained(free_particle):
@@ -298,6 +306,7 @@ def test_constraints_independent_at_acceptance():
     for _ in range(25):
         m = random_model(rng)
         report = run_chain(m, ChainOptions(max_level=8))
+        assert_public_classification_matches(m, report)
         rows = []
         for c in report.constraints:
             coeffs, const = c.expr.linear_coefficients()

@@ -106,7 +106,7 @@ def test_tree_output_is_lossless():
     assert steps == [(1, False), (2, False), (3, False), (3, True), (4, False)]
     for rec in tree["eigenvectors"]:
         for cand in rec["candidates"]:
-            assert cand["classification"] in {"new", "redundant", "multiplier-fixing"}
+            assert cand["classification"] in {"new", "redundant"}
 
 
 def test_compare_equal_and_exit_codes(tmp_path):
@@ -169,9 +169,9 @@ def test_lattice_default_output_name(tmp_path):
     assert (tmp_path / "schwinger_n3.model").exists()
 
 
-def test_compare_oracle_level_cap_is_an_input_error(tmp_path):
+def test_compare_deep_chain_closes_without_an_oracle_cap(tmp_path):
     # shift chain p_33 -> p_32 -> ... -> p_1 -> q_1 -> ... -> q_33: the
-    # oracle needs 66 passes, more than its cap of 64
+    # oracle closes after 66 passes, and the chain needs 66 levels
     k = 33
     qs = [f"q_{i}" for i in range(1, k + 1)]
     ps = [f"p_{i}" for i in range(1, k + 1)]
@@ -182,9 +182,12 @@ def test_compare_oracle_level_cap_is_an_input_error(tmp_path):
         f"H {h}\nprimary p_{k}\n"
     )
     result = run_cli("compare", str(model))
-    assert result.returncode == 1
-    assert "error:" in result.stderr
+    assert result.returncode == 4
+    assert "max-level-reached" in result.stdout
     assert "Traceback" not in result.stderr
+    result = run_cli("compare", "--max-level", "70", str(model))
+    assert result.returncode == 0
+    assert "span comparison: equal" in result.stdout
 
 
 def test_lattice_zero_denominator_spacing_is_an_input_error(tmp_path):

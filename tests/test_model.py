@@ -64,9 +64,9 @@ def test_legendre_corank_counts_primaries():
 
 
 def test_legendre_rejects_nonquadratic_and_nonconstant_hessian():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="velocity Hessian is not constant"):
         legendre_transform(_second_order(["q"], "qdot^3"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="velocity Hessian is not constant"):
         legendre_transform(_second_order(["q"], "q*qdot^2"))
 
 
