@@ -4,9 +4,9 @@ The driver works on the matrix form of the equations of motion.  With
 f_ab = d_a c_b - d_b c_a and one auxiliary column/row pair per known
 constraint (gradient rows A, border blocks +A^T / -A), each step
 
-  1. builds the sparse columns of the extended matrix F in O(nnz): the
-     base tensor's columns, made once per run, bordered for every
-     constraint level found so far,
+  1. takes the sparse columns of the extended matrix F: the base
+     tensor's columns, made once per run and bordered in place, once,
+     by each constraint as it is accepted,
   2. contracts each canonical left null vector v with the gradient of
      H: every primary borders the matrix, so v is orthogonal to the
      primaries' gradients, the multipliers of the total Hamiltonian
@@ -148,16 +148,15 @@ def span_fingerprint(exprs: Sequence[Expression]) -> str:
 
 
 def _span_basis(exprs: Sequence[Expression]) -> EchelonBasis | None:
-    """The echelon basis of the affine-linear span of ``exprs`` (None if empty)."""
+    """The echelon basis of the affine-linear span of ``exprs`` (None if empty).
+
+    ``EchelonBasis.add`` raises ``ValueError`` for a nonlinear expression
+    or one over a different table.
+    """
     if not exprs:
         return None
-    vars = exprs[0].vars
-    basis = EchelonBasis(vars)
+    basis = EchelonBasis(exprs[0].vars)
     for e in exprs:
-        if e.vars != vars:
-            raise ValueError("expressions use different VarTables")
-        if not e.is_linear():
-            raise ValueError("expression is not linear")
         basis.add(e)
     return basis
 
@@ -198,16 +197,6 @@ def _dense_view(cols: Sequence[dict[int, Fraction]], rows: int) -> RationalMatri
     return RationalMatrix(out)
 
 
-def _gradient(e: Expression) -> dict[int, Fraction]:
-    # every partial derivative is constant exactly when the degree is <= 1
-    if not e.is_linear():
-        raise ChainError(
-            "constraint gradient is not constant; the exact chain "
-            "supports linear constraints only"
-        )
-    return {j: x for j, x in enumerate(e.linear_coefficients()[0]) if x}
-
-
 def assemble_extended_matrix(
     m: FirstOrderModel,
     constraints: Sequence[Constraint],
@@ -215,50 +204,53 @@ def assemble_extended_matrix(
 ) -> RationalMatrix:
     """Assemble the bordered matrix for every constraint level present.
 
-    ``constraints`` must hold consecutive levels starting at 1 (or be
-    empty, which returns the base tensor itself).  Untruncated, the
-    result is square and antisymmetric: row/column blocks are the
-    coordinates followed by one auxiliary block per constraint level,
-    with block(zeta, xi_g) = +A_g^T and block(xi_g, zeta) = -A_g for
-    A_g the gradient rows of the level-g constraints.  With
-    ``truncated`` the auxiliary columns of levels above 1 are dropped,
-    all rows retained.
+    ``constraints`` must live over ``m.zeta`` and hold consecutive
+    levels starting at 1 (or be empty, which returns the base tensor
+    itself).  Untruncated, the result is square and antisymmetric:
+    row/column blocks are the coordinates followed by one auxiliary
+    block per constraint level, with block(zeta, xi_g) = +A_g^T and
+    block(xi_g, zeta) = -A_g for A_g the gradient rows of the level-g
+    constraints.  With ``truncated`` the auxiliary columns of levels
+    above 1 are dropped, all rows retained.
     """
-    base = _base_columns(m)
+    if any(c.raw.vars != m.zeta for c in constraints):
+        raise ValueError("constraints must live over the model's zeta table")
     levels = sorted({c.level for c in constraints})
     if levels != list(range(1, len(levels) + 1)):
         raise ValueError("constraint levels must be consecutive starting at 1")
-    ordered = sorted(constraints, key=lambda c: c.level)
-    grads = [_gradient(c.raw) for c in ordered]
-    cols = _bordered_columns(base, ordered, grads, truncated)
-    return _dense_view(cols, len(base) + len(grads))
+    cols = _base_columns(m)
+    for c in sorted(constraints, key=lambda c: c.level):
+        _border(cols, c)
+    return _dense_view(_kept(cols, constraints, truncated), len(cols))
 
 
-def _bordered_columns(
-    base: Sequence[dict[int, Fraction]],
-    constraints: Sequence[Constraint],
-    grads: Sequence[dict[int, Fraction]],
-    truncated: bool,
-) -> list[dict[int, Fraction]]:
-    """The sparse columns of ``base`` bordered by the level-ordered constraints.
+def _border(cols: list[dict[int, Fraction]], c: Constraint) -> None:
+    """Border the square sparse columns ``cols`` by ``c``, in place.
 
-    Each coordinate column gains the -A entries of every constraint row,
-    then each constraint adds its +A^T column (``grads`` holds the
-    gradients); the truncated matrix keeps only the level-1 ones.  The
-    full square matrix is checked to be antisymmetric.
+    The coordinate columns gain the -A entries of ``c`` at the new last
+    row, and its gradient +A^T becomes the new last column, so an
+    antisymmetric matrix stays antisymmetric.
     """
-    n = len(base)
-    cols = [dict(col) for col in base]
-    for r, grad in enumerate(grads, n):
-        for j, x in grad.items():
-            cols[j][r] = -x
-    cols += grads[: sum(c.level == 1 for c in constraints)] if truncated else grads
+    # every partial derivative is constant exactly when the degree is <= 1
+    if not c.raw.is_linear():
+        raise ChainError(
+            "constraint gradient is not constant; the exact chain "
+            "supports linear constraints only"
+        )
+    grad = {j: x for j, x in enumerate(c.raw.linear_coefficients()[0]) if x}
+    row = len(cols)
+    for j, x in grad.items():
+        cols[j][row] = -x
+    cols.append(grad)
+
+
+def _kept(
+    cols: list[dict[int, Fraction]], constraints: Sequence[Constraint], truncated: bool
+) -> list[dict[int, Fraction]]:
+    """The columns of one attempt: all, or the coordinate and level-1 ones."""
     if not truncated:
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                if cols[i].get(j) != -x:
-                    raise ChainError("assembled matrix is not antisymmetric")
-    return cols
+        return cols
+    return cols[: len(cols) - len(constraints) + sum(c.level == 1 for c in constraints)]
 
 
 def assemble_rhs(m: FirstOrderModel, constraints: Sequence[Constraint]) -> tuple[Expression, ...]:
@@ -337,8 +329,10 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     """Run the level loop until a termination certificate is reached.
 
     What does not change between levels is computed once per run: the
-    sparse base columns, the Hamiltonian gradient, each constraint's
-    sparse gradient and the echelon basis of the constraint span.
+    Hamiltonian gradient, the echelon basis of the constraint span and
+    the sparse columns of F, which start as the base tensor's and are
+    bordered once, in place, by each accepted constraint.  A truncated
+    attempt reads a prefix of the same columns.
     """
     opts = opts or ChainOptions()
     constraints: list[Constraint] = [
@@ -348,34 +342,33 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     truncations: list[int] = []
     warnings: list[str] = []
 
-    base = _base_columns(m)
+    cols = _base_columns(m)
     # every primary is a level-1 constraint, whose +A^T column every
     # attempt keeps: each null vector is orthogonal to the primaries'
     # gradients, so the multipliers cancel from v . grad(H_T)
     grad_h = [m.hamiltonian.differentiate(name) for name in m.zeta.names]
-    grads = [_gradient(c.raw) for c in constraints]
     known = EchelonBasis(m.zeta)
     for c in constraints:
+        _border(cols, c)
         known.add(c.expr)
 
     def attempt(k: int, truncated: bool):
         """Classify the null vectors of one bordered matrix and record the level."""
-        cols = _bordered_columns(base, constraints, grads, truncated)
-        rows = len(base) + len(grads)
-        null, det = null_space_and_determinant(cols, rows)
+        kept = _kept(cols, constraints, truncated)
+        null, det = null_space_and_determinant(kept, len(cols))
         # the constraint rows' rhs entries are zero: zip(v, grad_h) drops them
         candidates = _classify(null, grad_h, m.zeta, known)
         records.append(LevelRecord(
-            level=k, truncated=truncated, shape=(rows, len(cols)), candidates=tuple(candidates)
+            level=k, truncated=truncated, shape=(len(cols), len(kept)), candidates=tuple(candidates)
         ))
-        return cols, det, candidates, [c for c in candidates if c.classification == NEW]
+        return det, candidates, [c for c in candidates if c.classification == NEW]
 
     while True:
         k = constraints[-1].level if constraints else 0
         if k > opts.max_level:
             termination = Termination(kind=TERMINATED_MAX_LEVEL, level=k)
             break
-        cols, det, candidates, new = attempt(k, truncated=False)
+        det, candidates, new = attempt(k, truncated=False)
         if not candidates:
             if det == 0:
                 raise ChainError("certificate mismatch: zero determinant without null vectors")
@@ -401,9 +394,9 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
             truncations.append(k)
         origin = ORIGIN_TRUNCATED if truncated else ORIGIN_NULL_VECTOR
         # NEW candidates already joined ``known`` during classification
-        accepted = [Constraint.from_raw(k + 1, c.value, origin, c.vector) for c in new]
-        constraints.extend(accepted)
-        grads.extend(_gradient(c.raw) for c in accepted)
+        for c in new:
+            constraints.append(Constraint.from_raw(k + 1, c.value, origin, c.vector))
+            _border(cols, constraints[-1])
 
     return ChainReport(
         model_name=m.name,

@@ -124,7 +124,6 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     brackets_h: list[Expression] = []
     mixed: list[list[Fraction]] = []
     known = EchelonBasis(zeta)
-    spanned = 0  # constraints[:spanned] are in ``known``
 
     def add_brackets(c: Constraint) -> None:
         u = _flow(c.expr, pairing)
@@ -135,6 +134,7 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
 
     for c in constraints:
         add_brackets(c)
+        known.add(c.expr)
     while True:
         old = len(constraints)
         found = False
@@ -147,9 +147,6 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
                     "nonlinear consistency candidate: reduction is supported "
                     "for linear constraints only"
                 )
-            for c in constraints[spanned:]:
-                known.add(c.expr)
-            spanned = len(constraints)
             remainder = known.remainder(candidate)
             if remainder.is_zero():
                 continue
@@ -164,6 +161,7 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
             constraints.append(
                 Constraint.from_raw(level, candidate, ORIGIN_CONSISTENCY)
             )
+            known.add(constraints[-1].expr)
             found = True
         if not found:
             break

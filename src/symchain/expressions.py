@@ -208,12 +208,6 @@ class Expression:
                     used.add(i)
         return tuple(self._vars.names[i] for i in sorted(used))
 
-    def mentions_any(self, names: Iterable[str]) -> bool:
-        wanted = {self._vars.index_of(n) for n in names if n in self._vars}
-        if not wanted:
-            return False
-        return any(any(mono[i] for i in wanted) for mono in self._terms)
-
     # -- arithmetic --------------------------------------------------
 
     def _coerce(self, other) -> "Expression":

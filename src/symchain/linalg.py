@@ -1,4 +1,4 @@
-"""Exact dense matrices over the rationals.
+"""Exact linear algebra over the rationals: the sparse elimination kernel and dense matrices.
 
 Everything here is exact: entries are fractions.Fraction, every row
 reduction and the determinant run on one sparse Gauss-Jordan kernel,

@@ -145,18 +145,19 @@ def legendre_transform(l: SecondOrderLagrangian, name: str = "model") -> FirstOr
 
     # a constant velocity Hessian W makes L = c0(q) + b(q).v + v^T W v / 2
     # exactly, so L is quadratic in the velocities once this check passes
+    grad_v = [L.differentiate(v) for v in vel]
     hessian: list[list[Fraction]] = []
-    for vi in vel:
+    for dv in grad_v:
         row = []
         for vj in vel:
-            entry = L.differentiate(vi).differentiate(vj)
+            entry = dv.differentiate(vj)
             if not entry.is_constant():
                 raise ValueError("velocity Hessian is not constant")
             row.append(entry.constant_value())
         hessian.append(row)
 
     zero_vel = {v: Expression.zero(table) for v in vel}
-    b = [L.differentiate(v).substitute(table, zero_vel) for v in vel]
+    b = [dv.substitute(table, zero_vel) for dv in grad_v]
 
     momenta = tuple(f"p_{q}" for q in coords)
     zeta = VarTable(coords.names + momenta)
@@ -273,7 +274,10 @@ def load_model(path: str | Path) -> FirstOrderModel:
                 primary_lines[0][0],
             )
         coords = _table(*vars_line)
-        table = SecondOrderLagrangian.full_table(coords)
+        try:
+            table = SecondOrderLagrangian.full_table(coords)
+        except ValueError as exc:
+            raise ModelFormatError(str(exc), vars_line[0]) from exc
         lag = _parse(l_line[1], table, l_line[0])
         try:
             return legendre_transform(SecondOrderLagrangian(coords, lag), name=name)

@@ -5,15 +5,23 @@ consistency_algorithm(m))``, recorded before the chain and the oracle
 were moved onto the incremental echelon basis.  Any change to a
 constraint, remainder, null vector, determinant or span verdict shows
 up here.
+
+``BATCH_DIGEST`` pins the tree and text reports of 400 ``randmodels``
+models and lattice N in {9, 11} under three option sets, one sha256
+over all of them, recorded before the chain's columns were bordered in
+place.
 """
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import MODELS_DIR
+from randmodels import random_model
 from symchain import (
+    ChainOptions,
     LatticeSpec,
     build_schwinger,
     compare_spans,
@@ -21,7 +29,7 @@ from symchain import (
     load_model,
     run_chain,
 )
-from symchain.reports import render_tree
+from symchain.reports import render_text, render_tree
 
 DIGESTS = {
     "example2": "16472c9e457e8cdc3de3d2773ccf86c1ae6295eeff19f9ee59d3ce3b164d3238",
@@ -31,6 +39,13 @@ DIGESTS = {
     "lattice_5": "b89eb3d4cb8287a775918f54de79fdaa86dbfb540d5edd38bc7ea409ecbe78f0",
     "lattice_7": "4d5b5462c29a98c2a78f277928d7f63be21374e0f699532179a6dd7745ee79d6",
 }
+
+BATCH_DIGEST = "90c10f7b1e218c1b944af4f2e473277353eb29c38f7af9b70ccb1af0da2c5a97"
+BATCH_OPTIONS = (
+    ChainOptions(),
+    ChainOptions(allow_truncation=False),
+    ChainOptions(max_level=2),
+)
 
 
 def _model(name):
@@ -47,3 +62,17 @@ def test_tree_report_digest(name):
     oracle = consistency_algorithm(m)
     tree = render_tree(report, compare_spans(report, oracle.constraints), oracle)
     assert hashlib.sha256(tree.encode()).hexdigest() == DIGESTS[name]
+
+
+def test_batch_report_digest():
+    models = [random_model(random.Random(seed)) for seed in range(5000, 5400)]
+    models += [build_schwinger(LatticeSpec(sites=n, spacing=Fraction(1))) for n in (9, 11)]
+    digest = hashlib.sha256()
+    for m in models:
+        oracle = consistency_algorithm(m)
+        for opts in BATCH_OPTIONS:
+            report = run_chain(m, opts)
+            verdict = compare_spans(report, oracle.constraints)
+            digest.update(render_tree(report, verdict, oracle).encode())
+            digest.update(render_text(report, verdict, oracle).encode())
+    assert digest.hexdigest() == BATCH_DIGEST

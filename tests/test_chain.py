@@ -95,6 +95,16 @@ def test_assemble_requires_consecutive_levels(example2):
         assemble_extended_matrix(example2, lonely)
 
 
+def test_assemble_rejects_constraints_over_a_foreign_table(example2):
+    # over the working table the gradient reaches past the coordinate
+    # columns; over another six-name table it would be placed by position
+    working = parse_expression("p_z + lam1", example2.working)
+    other = parse_expression("d", VarTable(["a", "b", "c", "d", "e", "f"]))
+    for raw in (working, other):
+        with pytest.raises(ValueError, match="^constraints must live over the model's zeta table$"):
+            assemble_extended_matrix(example2, [Constraint.from_raw(1, raw, "primary")])
+
+
 def test_assembled_untruncated_is_antisymmetric(example2):
     for upto in (1, 2, 3):
         m = assemble_extended_matrix(example2, published(example2, upto))
@@ -249,10 +259,15 @@ def test_run_chain_eigenvectors_annihilate(name, example2):
 
 
 def assert_public_classification_matches(model, report):
-    """``find_new_constraints`` on the multiplier-bearing rhs gives every record's candidates."""
+    """``find_new_constraints`` on the multiplier-bearing rhs gives every record's candidates.
+
+    Every untruncated record's matrix is antisymmetric.
+    """
     for rec in report.levels:
         cs = [c for c in report.constraints if c.level <= rec.level]
         f = assemble_extended_matrix(model, cs, truncated=rec.truncated)
+        if not rec.truncated:
+            assert f.transpose() == RationalMatrix([[-x for x in row] for row in f.to_rows()])
         cands = find_new_constraints(f, assemble_rhs(model, cs), cs)
         assert [(c.vector, str(c.value), c.classification) for c in cands] == [
             (c.vector, str(c.value), c.classification) for c in rec.candidates

@@ -158,7 +158,7 @@ def test_consistency_algorithm_mechanical(example2):
         )
     # the final consistency fixes the multiplier
     assert len(res.multiplier_conditions) == 1
-    assert res.multiplier_conditions[0].condition.mentions_any(("lam1",))
+    assert "lam1" in res.multiplier_conditions[0].condition.variables_used()
 
 
 def test_consistency_algorithm_free_particle(free_particle):
@@ -250,6 +250,19 @@ def test_compare_spans_detects_missing_constraint(example2):
     assert not verdict.equal
     assert [str(e) for e in verdict.only_in_second] == ["z"]
     assert verdict.only_in_first == ()
+
+
+def test_compare_spans_rejects_nonlinear_and_mixed_tables(example2):
+    zeta = example2.zeta
+    p_z = Constraint.from_raw(1, parse_expression("p_z", zeta), "primary")
+    square = Constraint.from_raw(2, parse_expression("x^2", zeta), "consistency")
+    other = Constraint.from_raw(2, parse_expression("q", VarTable(["q", "p"])), "consistency")
+    with pytest.raises(ValueError, match="linear"):
+        compare_spans([p_z, square], [p_z])
+    with pytest.raises(ValueError, match="VarTable"):
+        compare_spans([p_z, other], [p_z])
+    with pytest.raises(ValueError, match="VarTable"):
+        compare_spans([p_z], [other])
 
 
 def test_compare_spans_scale_and_sign_invariant(example2):

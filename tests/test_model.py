@@ -190,6 +190,7 @@ SECOND = "vars x\nL 1/2*xdot^2\n"
         ("model a\n" + SECOND + "primary x\n", 4,
          "'primary' lines are not allowed in second-order form (primaries are computed)"),
         ("model a\nzeta\nc\nH 0\n", 2, "empty variable list"),
+        ("model a\nvars q qdot\nL 1/2*qdot^2\n", 2, "duplicate variable names: qdot"),
         ("model a\nzeta x p\nc p 0\nH\n", 4, "missing expression"),
     ],
 )
