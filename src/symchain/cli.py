@@ -8,6 +8,7 @@ reached, 4 span mismatch (compare only).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -57,7 +58,9 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="symchain",
         description="Exact constraint-chain analysis for first-order Lagrangians.",

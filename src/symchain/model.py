@@ -65,7 +65,7 @@ class FirstOrderModel:
                 raise ValueError("primary constraint uses a foreign VarTable")
             if p.is_zero():
                 raise ValueError("primary constraint is identically zero")
-        _check_independent_primaries(primaries, zeta)
+        _check_primaries(primaries, zeta)
         self.name = name
         self.zeta = zeta
         self.multiplier_names = tuple(f"lam{i + 1}" for i in range(len(primaries)))
@@ -96,12 +96,16 @@ class FirstOrderModel:
         return f"FirstOrderModel({self.name!r}, {len(self.zeta)} coordinates, {len(self.primaries)} primaries)"
 
 
-def _check_independent_primaries(primaries: Sequence[Expression], zeta: VarTable) -> None:
-    if len(primaries) < 2 or not all(p.is_linear() for p in primaries):
+def _check_primaries(primaries: Sequence[Expression], zeta: VarTable) -> None:
+    """Linear primaries must be independent and hold at some point."""
+    if not primaries or not all(p.is_linear() for p in primaries):
         return
     basis = EchelonBasis(zeta)
     if not all(basis.add(p) for p in primaries):
         raise ValueError("primary constraints are linearly dependent")
+    # an affine span holding a nonzero constant has no common zero
+    if basis.remainder(Expression.constant(zeta, 1)).is_zero():
+        raise ValueError("primary constraints are inconsistent: their span holds the constant 1")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,12 @@ up here.
 models and lattice N in {9, 11} under three option sets, one sha256
 over all of them, recorded before the chain's columns were bordered in
 place.
+
+``DEEP_CHAIN_DIGEST`` pins the tree reports of four k=12 shift chains,
+H = sum a_i p_i q_{i+1} + b q_1^2 with the last momentum as the one
+primary: 24 constraints, one per level, from 35 attempts, the
+truncated retries at levels 13 to 23 among them.  It was recorded
+before tall matrices were eliminated with largest-index pivots.
 """
 
 import hashlib
@@ -20,15 +26,21 @@ import pytest
 
 from conftest import MODELS_DIR
 from randmodels import random_model
+from test_linalg import two_pass_null_space
 from symchain import (
     ChainOptions,
+    Expression,
+    FirstOrderModel,
     LatticeSpec,
+    VarTable,
     build_schwinger,
     compare_spans,
     consistency_algorithm,
     load_model,
     run_chain,
 )
+from symchain import chain
+from symchain.linalg import null_space_and_determinant
 from symchain.reports import render_text, render_tree
 
 DIGESTS = {
@@ -41,6 +53,7 @@ DIGESTS = {
 }
 
 BATCH_DIGEST = "90c10f7b1e218c1b944af4f2e473277353eb29c38f7af9b70ccb1af0da2c5a97"
+DEEP_CHAIN_DIGEST = "b3415232fb07c451da13a0908f8527f05f0d99577b332ddaa308ff4808060b7e"
 BATCH_OPTIONS = (
     ChainOptions(),
     ChainOptions(allow_truncation=False),
@@ -76,3 +89,50 @@ def test_batch_report_digest():
             digest.update(render_tree(report, verdict, oracle).encode())
             digest.update(render_text(report, verdict, oracle).encode())
     assert digest.hexdigest() == BATCH_DIGEST
+
+
+def _shift_chain(coefficients):
+    """H = sum a_i p_i q_{i+1} + b q_1^2 over k = len(coefficients) pairs, primary p_k."""
+    k = len(coefficients)
+    qs = [f"q_{i}" for i in range(1, k + 1)]
+    ps = [f"p_{i}" for i in range(1, k + 1)]
+    zeta = VarTable(qs + ps)
+    q = [Expression.variable(zeta, name) for name in qs]
+    p = [Expression.variable(zeta, name) for name in ps]
+    *a, b = coefficients
+    h = b * q[0] * q[0]
+    for i in range(k - 1):
+        h = h + a[i] * p[i] * q[i + 1]
+    return FirstOrderModel("shift_chain", zeta, p + [Expression.zero(zeta)] * k, h, [p[-1]])
+
+
+def _nonzero_rational(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+
+def test_deep_chain_digest():
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for _ in range(4):
+        m = _shift_chain(tuple(_nonzero_rational(rng) for _ in range(12)))
+        report = run_chain(m, ChainOptions(max_level=64))
+        assert len(report.levels) == 35 and report.truncations == tuple(range(13, 24))
+        oracle = consistency_algorithm(m)
+        digest.update(render_tree(report, compare_spans(report, oracle.constraints), oracle).encode())
+    assert digest.hexdigest() == DEEP_CHAIN_DIGEST
+
+
+def test_lattice_attempts_match_two_pass_reference(monkeypatch):
+    """Every attempt of lattice N=21, the truncated tall one included."""
+    shapes = []
+
+    def checked(cols, n):
+        result = null_space_and_determinant(cols, n)
+        assert result == two_pass_null_space(cols, n)
+        shapes.append((n, len(cols)))
+        return result
+
+    monkeypatch.setattr(chain, "null_space_and_determinant", checked)
+    report = run_chain(build_schwinger(LatticeSpec(sites=21, spacing=Fraction(1))))
+    assert report.termination.kind == "nonsingular"
+    assert shapes == [(147, 147), (168, 168), (189, 189), (189, 147), (210, 210)]

@@ -1,9 +1,14 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from checkout import checkout_env
+from symchain.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -236,3 +241,35 @@ def test_analyze_accepts_a_tab_after_a_keyword(tmp_path):
     assert result.returncode == 0
     assert result.stderr == ""
     assert "phase space: x p" in result.stdout
+
+
+@pytest.mark.parametrize("primaries", ["primary 1\n", "primary p\nprimary p + 1\n"])
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_inconsistent_primaries_are_an_input_error(tmp_path, command, primaries):
+    model = tmp_path / "inconsistent.model"
+    model.write_text("model inconsistent\nzeta x p\nc p 0\nH 1/2*p^2\n" + primaries)
+    result = run_cli(command, str(model))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: line 2: primary constraints are inconsistent: their span holds the constant 1\n"
+    )
+
+
+def _in_process(argv):
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = main(argv)
+    return code, stdout.getvalue()
+
+
+def test_main_called_twice_in_one_process():
+    """The parser is built once per process; no flag carries into the next call."""
+    model = str(MODELS / "example2.model")
+    calls = [
+        ["compare", "--no-truncation", "--max-level", "2", "--format", "tree", model],
+        ["analyze", model],
+    ]
+    for argv in calls:
+        fresh = run_cli(*argv)
+        assert _in_process(argv) == (fresh.returncode, fresh.stdout)

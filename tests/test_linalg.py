@@ -14,6 +14,7 @@ from symchain import (
     rank,
     rref,
 )
+from symchain.linalg import SparseEchelon, null_space_and_determinant
 from golden import F1_GOLDEN, F3_TRUNCATED_GOLDEN, V1, V3, is_scalar_multiple
 
 
@@ -61,6 +62,40 @@ def bareiss_determinant(rows):
             a[i][k] = 0
         prev = a[k][k]
     return Fraction(sign * a[n - 1][n - 1]) / scale
+
+
+def two_pass_null_space(cols, n):
+    """Reference for ``null_space_and_determinant``: two eliminations.
+
+    The columns are eliminated with smallest-index pivots, tracking the
+    determinant as the signed product of the pivot entries.  Each free
+    row then gives a null vector (1 there, minus the reduced entries at
+    the pivots), and a second elimination brings those vectors to the
+    reduced row-echelon basis, scaled to primitive integer rows.
+    """
+    kernel = SparseEchelon()
+    det = Fraction(1)
+    for col in cols:
+        vec = kernel.reduce(dict(col))
+        if not vec:
+            det = Fraction(0)
+            continue
+        pivot = min(vec)
+        if det and sum(row > pivot for row in kernel.rows) % 2:
+            det = -det
+        det *= vec[pivot]
+        kernel.add(vec)
+    null = SparseEchelon()
+    for free in range(n):
+        if free not in kernel.rows:
+            vec = {row: -entries[free] for row, entries in kernel.rows.items() if free in entries}
+            vec[free] = Fraction(1)
+            null.add(vec)
+    basis = []
+    for row in null.sorted_rows():
+        mult = math.lcm(*(x.denominator for x in row.values()))
+        basis.append(tuple(row.get(i, Fraction(0)) * mult for i in range(n)))
+    return tuple(basis), det if len(cols) == n else None
 
 
 def gauss_rank(rows):
@@ -251,14 +286,19 @@ def test_rref_and_rank_match_sympy(rows):
     assert rank(RationalMatrix(rows)) == _sympy(rows).rank()
 
 
+def _sympy_left_null_basis(rows):
+    """sympy's left null space, brought to primitive reduced row-echelon rows."""
+    null = _sympy(rows).T.nullspace()
+    if not null:
+        return []
+    reduced, pivots = sympy.Matrix.hstack(*null).T.rref()
+    return [_primitive_with_positive_lead(reduced.row(i)) for i in range(len(pivots))]
+
+
 @settings(max_examples=100, deadline=None)
 @given(_matrices())
 def test_left_null_space_matches_sympy(rows):
-    null = _sympy(rows).T.nullspace()
-    expected = []
-    if null:
-        reduced, pivots = sympy.Matrix.hstack(*null).T.rref()
-        expected = [_primitive_with_positive_lead(reduced.row(i)) for i in range(len(pivots))]
+    expected = _sympy_left_null_basis(rows)
     assert [list(v) for v in left_null_space(RationalMatrix(rows))] == expected
 
 
@@ -299,3 +339,50 @@ def test_determinant_matches_bareiss_reference(rows):
     expected = bareiss_determinant(rows)
     assert determinant(RationalMatrix(rows)) == expected
     assert expected == _fraction(_sympy(rows).det())
+
+
+@st.composite
+def _pivoting_columns(draw):
+    """Sparse columns of a tall, square or wide matrix, pivoting in random row orders.
+
+    Column j leads at a random row and has random entries on one side
+    of it, below or above, so the smallest and the largest nonzero row
+    of each column both vary; zero columns and multiples of one column
+    added to another make dependent columns and fill.
+    """
+    n = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 9))
+    cols = []
+    for _ in range(ncols):
+        col = {}
+        if draw(st.integers(0, 5)):
+            lead = draw(st.integers(0, n - 1))
+            col[lead] = draw(_entries.filter(bool))
+            side = range(lead + 1, n) if draw(st.booleans()) else range(lead)
+            for i in side:
+                if draw(st.booleans()):
+                    col[i] = draw(_entries)
+        cols.append({i: x for i, x in col.items() if x})
+    mixing = draw(st.lists(st.tuples(st.integers(0, ncols - 1), st.integers(0, ncols - 1), _entries)))
+    for target, source, factor in mixing:
+        if target != source:
+            col = cols[target]
+            for i, x in cols[source].items():
+                col[i] = col.get(i, 0) + factor * x
+            cols[target] = {i: x for i, x in col.items() if x}
+    return cols, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pivoting_columns())
+def test_null_space_and_determinant_match_two_pass_reference(case):
+    cols, n = case
+    before = [dict(col) for col in cols]
+    expected = two_pass_null_space(cols, n)
+    assert null_space_and_determinant(cols, n) == expected
+    assert cols == before
+    rows = [[col.get(i, Fraction(0)) for col in cols] for i in range(n)]
+    assert left_null_space(RationalMatrix(rows)) == expected[0]
+    assert [list(v) for v in expected[0]] == _sympy_left_null_basis(rows)
+    if len(cols) == n:
+        assert expected[1] == _fraction(_sympy(rows).det())

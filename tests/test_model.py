@@ -224,3 +224,27 @@ def test_load_model_accepts_tabs_after_keywords(tmp_path, example2):
         "primary\t\tp_z\n"
     )
     assert load_model(p) == example2
+
+
+
+@pytest.mark.parametrize("primaries", [["1"], ["p", "p + 1"]])
+def test_inconsistent_primaries_are_rejected(tmp_path, primaries):
+    message = "primary constraints are inconsistent: their span holds the constant 1"
+    zeta = VarTable(["x", "p"])
+    p = Expression.variable(zeta, "p")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FirstOrderModel(
+            "m", zeta, [p, Expression.zero(zeta)], p * p,
+            [parse_expression(e, zeta) for e in primaries],
+        )
+    path = tmp_path / "inconsistent.model"
+    path.write_text("model m\n" + FIRST + "".join(f"primary {e}\n" for e in primaries))
+    with pytest.raises(ModelFormatError) as err:
+        load_model(path)
+    assert str(err.value) == f"line 2: {message}"
+
+
+def test_affine_primaries_with_a_common_zero_load(tmp_path):
+    path = tmp_path / "affine.model"
+    path.write_text("model m\n" + FIRST + "primary p + 1\nprimary x - 2\n")
+    assert len(load_model(path).primaries) == 2
