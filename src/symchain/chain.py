@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .expressions import EchelonBasis, Expression, VarTable
-from .linalg import RationalMatrix, left_null_space, null_space_and_determinant
+from .linalg import RationalMatrix, _integral, left_null_space, null_space_and_determinant
 from .model import FirstOrderModel
 
 NEW = "new"
@@ -182,10 +183,9 @@ def _base_columns(m: FirstOrderModel) -> list[dict[int, Fraction]]:
         raise ChainError("the symplectic tensor has non-constant entries (c is nonlinear)")
     cols: list[dict[int, Fraction]] = [{} for _ in m.c]
     for b, cb in enumerate(m.c):
-        for a, x in enumerate(cb.linear_coefficients()[0]):
-            if x:
-                cols[b][a] = cols[b].get(a, 0) + x
-                cols[a][b] = cols[a].get(b, 0) - x
+        for a, x in _linear_part(cb).items():
+            cols[b][a] = cols[b].get(a, 0) + x
+            cols[a][b] = cols[a].get(b, 0) - x
     return [{i: x for i, x in col.items() if x} for col in cols]
 
 
@@ -237,11 +237,16 @@ def _border(cols: list[dict[int, Fraction]], c: Constraint) -> None:
             "constraint gradient is not constant; the exact chain "
             "supports linear constraints only"
         )
-    grad = {j: x for j, x in enumerate(c.raw.linear_coefficients()[0]) if x}
+    grad = _linear_part(c.raw)
     row = len(cols)
     for j, x in grad.items():
         cols[j][row] = -x
     cols.append(grad)
+
+
+def _linear_part(e: Expression) -> dict[int, Fraction]:
+    """The nonzero coefficient of each variable of the linear ``e``."""
+    return {mono.index(1): x for mono, x in e.terms.items() if any(mono)}
 
 
 def _kept(
@@ -258,8 +263,7 @@ def assemble_rhs(m: FirstOrderModel, constraints: Sequence[Constraint]) -> tuple
 
     Entries live over the working table (zeta plus symbolic multipliers).
     """
-    total = m.total_hamiltonian()
-    grad = tuple(total.differentiate(name) for name in m.zeta.names)
+    grad = m.total_hamiltonian().gradient()[: len(m.zeta)]
     return grad + (Expression.zero(m.working),) * len(constraints)
 
 
@@ -290,19 +294,37 @@ def find_new_constraints(
     known = EchelonBasis(zeta)
     for c in existing:
         known.add(c.expr)
-    return _classify(left_null_space(f), rhs, zeta, known)
+    return _classify(left_null_space(f), _Gradient(rhs), zeta, known)
+
+
+class _Gradient:
+    """Expressions over one table as int monomial maps over one common denominator."""
+
+    def __init__(self, exprs: Sequence[Expression]):
+        self.vars = exprs[0].vars
+        if any(e.vars != self.vars for e in exprs):
+            raise ValueError("expressions use different VarTables")
+        self.denominator = d = lcm(*(x.denominator for e in exprs for x in e.terms.values()))
+        self.terms = [{mono: x.numerator * (d // x.denominator) for mono, x in e.terms.items()} for e in exprs]
+
+    def combination(self, v: Sequence[Fraction]) -> Expression:
+        """sum_i v_i * exprs[i] for an integer-valued ``v``, dropping its entries past the last one."""
+        acc: dict = {}
+        for x, terms in zip(v, self.terms):
+            if x:
+                k = x.numerator
+                for mono, y in terms.items():
+                    acc[mono] = acc.get(mono, 0) + k * y
+        return Expression._trusted(self.vars, {m: Fraction(s, self.denominator) for m, s in acc.items()})
 
 
 def _classify(
-    null: Sequence[tuple[Fraction, ...]],
-    rhs: Sequence[Expression],
-    zeta: VarTable,
-    known: EchelonBasis,
+    null: Sequence[tuple[Fraction, ...]], rhs: _Gradient, zeta: VarTable, known: EchelonBasis
 ) -> list[Candidate]:
     """``find_new_constraints`` on a null basis against ``known``, which grows by each NEW one."""
     out: list[Candidate] = []
     for v in null:
-        value = Expression.linear_combination(rhs[0].vars, zip(v, rhs)).restrict(zeta)
+        value = rhs.combination(v).restrict(zeta)
         if value.is_zero():
             out.append(Candidate(vector=v, value=value, classification=REDUNDANT))
             continue
@@ -346,7 +368,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     # every primary is a level-1 constraint, whose +A^T column every
     # attempt keeps: each null vector is orthogonal to the primaries'
     # gradients, so the multipliers cancel from v . grad(H_T)
-    grad_h = [m.hamiltonian.differentiate(name) for name in m.zeta.names]
+    grad_h = _Gradient(m.hamiltonian.gradient())
     known = EchelonBasis(m.zeta)
     for c in constraints:
         _border(cols, c)
@@ -356,7 +378,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
         """Classify the null vectors of one bordered matrix and record the level."""
         kept = _kept(cols, constraints, truncated)
         null, det = null_space_and_determinant(kept, len(cols))
-        # the constraint rows' rhs entries are zero: zip(v, grad_h) drops them
+        # the constraint rows' rhs entries are zero: the combination drops them
         candidates = _classify(null, grad_h, m.zeta, known)
         records.append(LevelRecord(
             level=k, truncated=truncated, shape=(len(cols), len(kept)), candidates=tuple(candidates)
@@ -376,9 +398,9 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
             break
         truncated = not new
         if truncated:
-            # certificate consistency: a null vector proves det(F) = 0
-            v = candidates[0].vector
-            if any(sum(v[i] * x for i, x in col.items()) for col in cols):
+            # certificate consistency: a null vector proves det(F) = 0 (in ints: v is integral)
+            v = [x.numerator for x in candidates[0].vector]
+            if any(sum(v[i] * x for i, x in _integral(col)[0].items()) for col in cols):
                 raise ChainError("certificate mismatch: a null vector does not annihilate F")
             if opts.allow_truncation and k > 1:
                 *_, new = attempt(k, truncated=True)

@@ -114,10 +114,7 @@ def cmd_analyze(model: FirstOrderModel, args) -> int:
                 "warning: exhausted chain span differs from the consistency oracle",
                 file=sys.stderr,
             )
-    if args.format == "tree":
-        sys.stdout.write(render_tree(report, comparison, oracle))
-    else:
-        sys.stdout.write(render_text(report, comparison, oracle))
+    _write(args, report, comparison, oracle)
     return _TERMINATION_EXIT[report.termination.kind]
 
 
@@ -125,11 +122,13 @@ def cmd_compare(model: FirstOrderModel, args) -> int:
     report = run_chain(model, _chain_options(args))
     oracle = consistency_algorithm(model)
     comparison = compare_spans(report, oracle.constraints)
-    if args.format == "tree":
-        sys.stdout.write(render_tree(report, comparison, oracle))
-    else:
-        sys.stdout.write(render_text(report, comparison, oracle))
+    _write(args, report, comparison, oracle)
     return EXIT_OK if comparison.equal else EXIT_SPANS_DIFFER
+
+
+def _write(args, *parts) -> None:
+    """Print the report in the format ``args`` asks for."""
+    sys.stdout.write((render_tree if args.format == "tree" else render_text)(*parts))
 
 
 def _spacing(text: str) -> Fraction:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .chain import ChainReport, Constraint, span_fingerprint, _span_basis
 from .expressions import EchelonBasis, Expression, VarTable, linear_expression
-from .linalg import RationalMatrix, left_null_space, rank
+from .linalg import RationalMatrix, left_null_space
 from .model import FirstOrderModel
 
 ORIGIN_CONSISTENCY = "consistency"
@@ -119,7 +119,7 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     if not all(p.is_linear() for p in m.primaries):
         raise ValueError("nonlinear primary: the oracle supports linear constraints only")
     zeta = m.zeta
-    grad_h = [m.hamiltonian.differentiate(name) for name in zeta.names]
+    grad_h = m.hamiltonian.gradient()
     primary_grads = [p.linear_coefficients()[0] for p in m.primaries]
     brackets_h: list[Expression] = []
     mixed: list[list[Fraction]] = []
@@ -179,11 +179,15 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
 
 @dataclass(frozen=True)
 class ConstraintMatrix:
-    """Mutual-bracket matrix C_ab = {phi_a, phi_b} with its classification."""
+    """Mutual-bracket matrix C_ab = {phi_a, phi_b} with its classification.
+
+    ``first_class`` holds sum_a w_a phi_a (raw forms) for each w of the canonical
+    left null basis of C, so its length plus the rank is the constraint count.
+    """
 
     matrix: RationalMatrix | None
     rank: int
-    classes: tuple[str, ...]  # "first-class" / "second-class" per constraint
+    first_class: tuple[Expression, ...]
 
     @property
     def second_class_count(self) -> int:
@@ -193,34 +197,28 @@ class ConstraintMatrix:
 def classify(
     constraints: Sequence[Constraint], pairing: CanonicalPairing
 ) -> ConstraintMatrix:
-    """Bracket matrix, rank, and per-constraint class for a closed linear set.
+    """Bracket matrix, rank, and first-class combinations of a closed linear set.
 
     Brackets are taken between the ``raw`` constraint forms, so the
     matrix (and its determinant) reflects the constraints exactly as
-    generated; rank and classes are scale-invariant either way.  With
-    u_a = J grad(phi_a), C_ab = u_a . grad(phi_b).
+    generated; the rank and the span of the first-class combinations are
+    scale-invariant either way.  With u_a = J grad(phi_a), C_ab = u_a . grad(phi_b).
     """
     if not constraints:
         return ConstraintMatrix(None, 0, ())
     if any(c.raw.vars != pairing.zeta for c in constraints):
         raise ValueError("constraints must live over the phase-space table only")
-    _check_independent(constraints)
+    if len(_span_basis([c.expr for c in constraints])) != len(constraints):
+        raise ValueError("constraint set is not linearly independent")
     flows = [_flow(c.raw, pairing) for c in constraints]
     grads = [c.raw.linear_coefficients()[0] for c in constraints]
     matrix = RationalMatrix(
         [[sum(x * grad[j] for j, x in u.items()) for grad in grads] for u in flows]
     )
-    classes = tuple(
-        "first-class" if not any(row) else "second-class" for row in matrix.to_rows()
-    )
-    return ConstraintMatrix(matrix, rank(matrix), classes)
-
-
-def _check_independent(constraints: Sequence[Constraint]) -> None:
-    exprs = [c.expr for c in constraints]
-    basis = EchelonBasis(exprs[0].vars)
-    if not all(basis.add(e) for e in exprs):
-        raise ValueError("constraint set is not linearly independent")
+    null = left_null_space(matrix)
+    raw = [c.raw for c in constraints]
+    first_class = tuple(Expression.linear_combination(pairing.zeta, zip(w, raw)) for w in null)
+    return ConstraintMatrix(matrix, len(constraints) - len(null), first_class)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ nonnegative integer literal.  There is no general division operator:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -201,11 +202,9 @@ class Expression:
 
     def variables_used(self) -> tuple[str, ...]:
         """Names with a nonzero exponent somewhere, in table order."""
-        used = set()
+        used: set[int] = set()
         for mono in self._terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used.add(i)
+            used.update(compress(range(len(mono)), mono))
         return tuple(self._vars.names[i] for i in sorted(used))
 
     # -- arithmetic --------------------------------------------------
@@ -285,15 +284,17 @@ class Expression:
 
     def differentiate(self, name: str) -> "Expression":
         """Exact partial derivative with respect to ``name``."""
-        i = self._vars.index_of(name)
-        out: dict[Monomial, Fraction] = {}
+        return self.gradient()[self._vars.index_of(name)]
+
+    def gradient(self) -> tuple["Expression", ...]:
+        """Every exact partial derivative, in table order, from one pass over the terms."""
+        out: list[dict[Monomial, Fraction]] = [{} for _ in self._vars.names]
         for mono, coeff in self._terms.items():
-            e = mono[i]
-            if e == 0:
-                continue
-            lowered = mono[:i] + (e - 1,) + mono[i + 1 :]
-            out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
-        return Expression._trusted(self._vars, out)
+            # lowering one exponent maps distinct terms to distinct terms
+            for i in compress(range(len(mono)), mono):
+                e = mono[i]
+                out[i][mono[:i] + (e - 1,) + mono[i + 1 :]] = coeff * e if e > 1 else coeff
+        return tuple(Expression._trusted(self._vars, d) for d in out)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact value at ``point``; every used variable needs an entry."""
@@ -598,11 +599,7 @@ def linear_expression(vars: VarTable, coeffs: Sequence[Fraction], const=0) -> Ex
     if len(coeffs) != len(vars):
         raise ValueError("coefficient count does not match the VarTable")
     n = len(vars)
-    terms: dict[Monomial, Fraction] = {}
-    for i in range(n):
-        if coeffs[i]:
-            mono = tuple(1 if j == i else 0 for j in range(n))
-            terms[mono] = Fraction(coeffs[i])
+    terms = {tuple(int(j == i) for j in range(n)): x for i, x in enumerate(coeffs) if x}
     if const:
         terms[(0,) * n] = Fraction(const)
     return Expression(vars, terms)
@@ -613,10 +610,10 @@ class EchelonBasis:
 
     The Expression view of ``linalg.SparseEchelon``: a linear form is a
     sparse vector over the columns (variables in table order, then the
-    constant term), kept in reduced row-echelon form.  The remainder of
-    a form is the unique member of its coset modulo the span that
-    vanishes at every pivot column, so it depends only on the span, not
-    on the order or the scale in which members were added.
+    constant term), kept in the kernel's primitive integer rows.  The
+    remainder of a form is the unique member of its coset modulo the
+    span that vanishes at every pivot column, so it depends only on the
+    span, not on the order or the scale in which members were added.
     """
 
     __slots__ = ("_vars", "_units", "_kernel")
@@ -630,7 +627,7 @@ class EchelonBasis:
         self._kernel = SparseEchelon()
 
     def __len__(self) -> int:
-        return len(self._kernel)
+        return len(self._kernel.rows)
 
     def add(self, e: Expression) -> bool:
         """Extend the span by ``e``; False when ``e`` already lies in it."""
@@ -638,11 +635,11 @@ class EchelonBasis:
 
     def remainder(self, e: Expression) -> Expression:
         """The member of ``e`` + span that is zero at every pivot column."""
-        return self._expression(self._kernel.reduce(self._vector(e, "expression")))
+        return self._expression(self._kernel.remainder(self._vector(e, "expression")))
 
     def rref(self) -> list[Expression]:
         """The reduced row-echelon rows, in pivot order."""
-        return [self._expression(row) for row in self._kernel.sorted_rows()]
+        return [self._expression(row) for row in self._kernel.reduced_rows()]
 
     def _vector(self, e: Expression, kind: str) -> dict[int, Fraction]:
         if e.vars != self._vars:

@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals: the sparse elimination kernel and dense matrices.
 
-Everything here is exact: entries are fractions.Fraction, every row
-reduction and the determinant run on one sparse Gauss-Jordan kernel,
-and null-space bases come out in a canonical form so identical inputs
-give bit-identical outputs.
+Inputs and outputs are fractions.Fraction; every row reduction and the
+determinant run on one sparse Gauss-Jordan kernel over primitive integer
+rows, and null-space bases come out in a canonical form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
@@ -32,16 +32,6 @@ class RationalMatrix:
             raise ValueError("ragged rows")
         self._rows = data
 
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix([[Fraction(0)] * cols for _ in range(rows)])
-
     @property
     def rows(self) -> int:
         return len(self._rows)
@@ -63,9 +53,6 @@ class RationalMatrix:
     def to_rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self._rows))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self._rows == other._rows
 
@@ -80,92 +67,113 @@ class RationalMatrix:
 
 
 class SparseEchelon:
-    """Incremental exact Gauss-Jordan elimination on sparse rational rows.
+    """Incremental exact Gauss-Jordan elimination on sparse primitive integer rows.
 
-    A vector is a dict from column index to a nonzero Fraction.
-    ``rows`` maps each pivot column to its row, kept in reduced
-    row-echelon form: a row has a unit entry at its pivot, its first
-    nonzero column, and is zero at every other row's pivot.  RREF is
-    unique, so the rows depend only on the span added, not on the order
-    or the scale of the additions.  This is the library's one
-    elimination kernel: ``rref``, ``rank``, ``null_space_and_determinant``
-    (behind ``determinant`` and ``left_null_space``) and
-    ``expressions.EchelonBasis`` all run on it.
+    A vector, a dict from column index to a nonzero Fraction or int, is
+    scaled to ints once by the lcm of its denominators.  ``rows`` maps
+    each pivot column, a row's first nonzero one, to its row: ints with
+    gcd 1, positive at the pivot and zero at every other pivot, the one
+    such multiple of its unique reduced row-echelon row, so the rows
+    depend only on the span.  A reduction is vec = p*vec - a*row, p and a
+    the entries at the pivot over their gcd.  ``rref``, ``rank``,
+    ``null_space_and_determinant`` and ``EchelonBasis`` run on it alone.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, vectors: Iterable[dict[int, Fraction]] = ()):
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, dict[int, int]] = {}
         for vec in vectors:
             self.add(vec)
 
-    def __len__(self) -> int:
-        return len(self.rows)
+    def add(self, vec: dict[int, Fraction]) -> bool:
+        """Extend the span by ``vec``; False when it already lies in it."""
+        vec = self._reduce(vec)[0]
+        if vec:
+            self._insert(vec)
+        return bool(vec)
 
-    def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Reduce ``vec`` in place and return it.
+    def remainder(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        """The member of ``vec`` + span that is zero at every pivot; empty iff ``vec`` is in the span."""
+        ints, scale = self._reduce(vec)
+        return {col: Fraction(x, scale) for col, x in ints.items()}
 
-        The result is the member of ``vec`` + span that is zero at every
-        pivot column; it is empty iff ``vec`` lies in the span.
-        """
+    def reduced_rows(self) -> list[dict[int, Fraction]]:
+        """The reduced row-echelon rows, each 1 at its pivot, in pivot order."""
+        rows = sorted(self.rows.items())
+        return [{col: Fraction(x, row[pivot]) for col, x in row.items()} for pivot, row in rows]
+
+    def _reduce(self, vec: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+        """s times the member of ``vec`` + span that is zero at every pivot, as ints, and s > 0."""
+        vec, scale = _integral(vec)
         rows = self.rows
         # each row is zero at the other pivots, so one pass suffices
         for col in [c for c in vec if c in rows]:
-            _axpy(vec, -vec[col], rows[col])
-        return vec
+            vec, p = _eliminate(vec, rows[col], col)
+            scale *= p
+        return vec, scale
 
-    def add(self, vec: dict[int, Fraction]) -> bool:
-        """Extend the span by ``vec`` (consumed); False when it already lies in it."""
-        vec = self.reduce(vec)
-        if not vec:
-            return False
+    def _insert(self, vec: dict[int, int]) -> None:
+        """Make the reduced, nonzero int ``vec`` a row and clear its pivot from the others."""
         pivot = min(vec)
-        inv = 1 / vec[pivot]
-        new = {col: x * inv for col, x in vec.items()}
-        for row in self.rows.values():
-            factor = row.get(pivot)
-            if factor:
-                _axpy(row, -factor, new)
-        self.rows[pivot] = new
-        return True
-
-    def sorted_rows(self) -> list[dict[int, Fraction]]:
-        """The reduced rows in pivot order."""
-        return [self.rows[col] for col in sorted(self.rows)]
+        vec = _normalized(vec, pivot)
+        rows = self.rows
+        for key in [key for key, row in rows.items() if pivot in row]:
+            rows[key] = _normalized(_eliminate(rows[key], vec, pivot)[0], key)
+        rows[pivot] = vec
 
 
-def _axpy(target: dict[int, Fraction], factor: Fraction, row: dict[int, Fraction]) -> None:
-    """target += factor * row, dropping entries that cancel."""
-    for col, x in row.items():
-        value = target.get(col, 0) + factor * x
+def _eliminate(vec: dict[int, int], row: dict[int, int], col: int) -> tuple[dict[int, int], int]:
+    """p*vec - a*row (``vec`` consumed) and p, where p, a are row[col], vec[col] over their gcd."""
+    g = gcd(row[col], vec[col])
+    p, a = row[col] // g, vec[col] // g
+    if p != 1:
+        vec = {c: x * p for c, x in vec.items()}
+    get = vec.get
+    for c, x in row.items():
+        value = get(c, 0) - a * x
         if value:
-            target[col] = value
+            vec[c] = value
         else:
-            del target[col]
+            del vec[c]
+    return vec, p
+
+
+def _normalized(vec: dict[int, int], lead: int) -> dict[int, int]:
+    """``vec`` over its gcd content, signed so that its entry at ``lead`` is positive."""
+    content = gcd(*vec.values()) if vec[lead] > 0 else -gcd(*vec.values())
+    return vec if content == 1 else {col: x // content for col, x in vec.items()}
+
+
+def _integral(vec: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+    """The rational ``vec`` times the lcm of its denominators, as ints, and that lcm."""
+    mult = lcm(*(x.denominator for x in vec.values()))
+    if mult == 1:
+        return {col: x.numerator for col, x in vec.items()}, 1
+    return {col: x.numerator * (mult // x.denominator) for col, x in vec.items()}, mult
 
 
 def _sparse(entries: Iterable[Fraction]) -> dict[int, Fraction]:
     return {j: x for j, x in enumerate(entries) if x}
 
 
-def _dense(row: dict[int, Fraction], n: int) -> list[Fraction]:
+def _dense(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
     out = [_ZERO] * n
     for col, x in row.items():
-        out[col] = x
-    return out
+        out[col] = Fraction(x)
+    return tuple(out)
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot-column indices."""
     kernel = SparseEchelon(_sparse(row) for row in m.to_rows())
-    rows = [_dense(row, m.cols) for row in kernel.sorted_rows()]
+    rows = [_dense(row, m.cols) for row in kernel.reduced_rows()]
     rows += [[_ZERO] * m.cols for _ in range(m.rows - len(rows))]
     return RationalMatrix(rows), tuple(sorted(kernel.rows))
 
 
 def rank(m: RationalMatrix) -> int:
-    return len(SparseEchelon(_sparse(row) for row in m.to_rows()))
+    return len(SparseEchelon(_sparse(row) for row in m.to_rows()).rows)
 
 
 def determinant(m: RationalMatrix) -> Fraction:
@@ -173,17 +181,6 @@ def determinant(m: RationalMatrix) -> Fraction:
     if not m.is_square:
         raise ValueError("determinant needs a square matrix")
     return null_space_and_determinant(_columns(m), m.rows)[1]
-
-
-def _primitive(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
-    """Dense ``row`` times the lcm of its denominators.
-
-    A unit pivot makes that primitive with a positive lead: for each prime
-    of the lcm, the entry whose denominator holds its full power loses it.
-    """
-    mult = lcm(*(x.denominator for x in row.values()))
-    ints = {col: Fraction(x.numerator * (mult // x.denominator)) for col, x in row.items()}
-    return tuple(_dense(ints, n))
 
 
 def _columns(m: RationalMatrix) -> list[dict[int, Fraction]]:
@@ -206,61 +203,61 @@ def null_space_and_determinant(
 ) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction | None]:
     """The canonical left null basis and the determinant of one matrix.
 
-    ``cols`` are the sparse columns of an ``n``-row matrix M (left
-    unchanged).  The null basis is that of ``left_null_space``: the
-    reduced row-echelon basis of {v : v.M = 0}.  RREF is unique, so the
-    pivot rule of the elimination below changes no output byte; it is
-    chosen for speed.
+    ``cols`` are the sparse rational columns of an ``n``-row matrix M
+    (left unchanged); the basis is that of ``left_null_space``, and RREF
+    is unique, so the pivot rule below is chosen for speed alone.  The
+    columns, the rows of M^T, become the kernel's rows.  Each free row f,
+    the pivot of no column, gives a null vector: L at f and -L x/d at
+    the pivot of each column that is x at f and d at its pivot, L the
+    lcm of those d.
 
-    The columns, the rows of M^T, are brought to reduced row-echelon
-    form: each reduced column is 1 at its own pivot row and 0 at every
-    other column's.  Each free row f, the pivot of no column, then
-    gives a null vector: 1 at f and, at each pivot row p, minus the
-    entry at row f of the column pivoting at p.
-
-    A tall matrix (fewer columns than rows) is eliminated with each
-    column pivoting at its largest nonzero row.  A reduced column is
-    then zero below its pivot, so f's vector is nonzero only at f and
-    at pivot rows below f: the vectors already are the RREF rows.
-
-    Any other matrix pivots each column at its smallest nonzero row;
-    the vectors are then nonzero at pivot rows above f, and one more
-    elimination brings them to RREF.  This path also gives the
-    determinant, det M^T = det M: reduced against the columns before
-    it, a column keeps the determinant and pivots at a new row, so the
-    reduced columns are triangular in pivot order and the determinant
-    is the product of the pivot entries, negated for each earlier pivot
-    below a new one.  It is 0 when the columns are dependent and None
-    when M is not square.
+    A tall matrix (fewer columns than rows) pivots each column at its
+    largest nonzero row.  A reduced column is then zero below its pivot,
+    so f's vector is nonzero only at f and at pivots below it: over its
+    gcd it is the primitive RREF row.  Any other matrix pivots at the
+    smallest row, and one more elimination brings the vectors to RREF.
+    Each column reduces, in ints, to s_j > 0 times a column of the same
+    determinant with a new pivot, so det M^T = det M is the product of
+    the pivot entries over that of the s_j, negated for each earlier
+    pivot below a new one: 0 for dependent columns, None when M is not
+    square.
     """
     if len(cols) < n:
         # the kernel pivots at its smallest index: number the rows bottom up
-        last = n - 1
-        kernel = SparseEchelon({last - i: x for i, x in col.items()} for col in cols)
+        kernel = SparseEchelon({n - 1 - i: x for i, x in col.items()} for col in cols)
         free = _free_vectors(kernel.rows, n)
-        return tuple(_primitive(vec, n)[::-1] for vec in reversed(free)), None
+        return tuple(_dense(_normalized(vec, max(vec)), n)[::-1] for vec in reversed(free)), None
     kernel = SparseEchelon()
-    det = Fraction(1)
+    square = len(cols) == n
+    num = den = 1
+    pivots: list[int] = []  # sorted, for the sign
     for col in cols:
-        vec = kernel.reduce(dict(col))
+        vec, scale = kernel._reduce(col)
         if not vec:
-            det = _ZERO
+            num = 0
             continue
-        pivot = min(vec)
-        if det and sum(row > pivot for row in kernel.rows) % 2:
-            det = -det
-        det *= vec[pivot]
-        kernel.add(vec)
+        if square and num:
+            pivot = min(vec)
+            if (len(pivots) - bisect(pivots, pivot)) % 2:
+                num = -num
+            insort(pivots, pivot)
+            num *= vec[pivot]
+            den *= scale
+        kernel._insert(vec)
     null = SparseEchelon(_free_vectors(kernel.rows, n))
-    basis = tuple(_primitive(row, n) for row in null.sorted_rows())
-    return basis, det if len(cols) == n else None
+    basis = tuple(_dense(row, n) for _, row in sorted(null.rows.items()))
+    return basis, Fraction(num, den) if square else None
 
 
-def _free_vectors(pivots: dict[int, dict[int, Fraction]], n: int) -> list[dict[int, Fraction]]:
-    """The null vector of each free index of RREF rows, in index order."""
-    free = {f: {f: Fraction(1)} for f in range(n) if f not in pivots}
-    for pivot, row in pivots.items():
+def _free_vectors(rows: dict[int, dict[int, int]], n: int) -> list[dict[int, int]]:
+    """The int null vector of each free index of the kernel's rows, in index order."""
+    hits: dict[int, list[tuple[int, int, int]]] = {f: [] for f in range(n) if f not in rows}
+    for pivot, row in rows.items():
         for f, x in row.items():
             if f != pivot:
-                free[f][pivot] = -x
-    return list(free.values())
+                hits[f].append((pivot, x, row[pivot]))
+    out = []
+    for f, entries in hits.items():
+        mult = lcm(*(d for _, _, d in entries))
+        out.append({f: mult, **{p: -x * (mult // d) for p, x, d in entries}})
+    return out

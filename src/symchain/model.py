@@ -60,11 +60,8 @@ class FirstOrderModel:
         if hamiltonian.vars != zeta:
             raise ValueError("Hamiltonian uses a foreign VarTable")
         primaries = tuple(primaries)
-        for p in primaries:
-            if p.vars != zeta:
-                raise ValueError("primary constraint uses a foreign VarTable")
-            if p.is_zero():
-                raise ValueError("primary constraint is identically zero")
+        if any(p.vars != zeta for p in primaries):
+            raise ValueError("primary constraint uses a foreign VarTable")
         _check_primaries(primaries, zeta)
         self.name = name
         self.zeta = zeta
@@ -96,16 +93,26 @@ class FirstOrderModel:
         return f"FirstOrderModel({self.name!r}, {len(self.zeta)} coordinates, {len(self.primaries)} primaries)"
 
 
+class PrimaryError(ValueError):
+    """A primary that is zero, or dependent on or inconsistent with those before it, at ``index``."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 def _check_primaries(primaries: Sequence[Expression], zeta: VarTable) -> None:
-    """Linear primaries must be independent and hold at some point."""
-    if not primaries or not all(p.is_linear() for p in primaries):
-        return
+    """Primaries must be nonzero; linear ones must be independent and hold at some point."""
+    linear = all(p.is_linear() for p in primaries)
     basis = EchelonBasis(zeta)
-    if not all(basis.add(p) for p in primaries):
-        raise ValueError("primary constraints are linearly dependent")
-    # an affine span holding a nonzero constant has no common zero
-    if basis.remainder(Expression.constant(zeta, 1)).is_zero():
-        raise ValueError("primary constraints are inconsistent: their span holds the constant 1")
+    for i, p in enumerate(primaries):
+        if p.is_zero():
+            raise PrimaryError("primary constraint is identically zero", i)
+        if linear and not basis.add(p):
+            raise PrimaryError("primary constraints are linearly dependent", i)
+        # an affine span holding a nonzero constant has no common zero
+        if linear and basis.remainder(Expression.constant(zeta, 1)).is_zero():
+            raise PrimaryError("primary constraints are inconsistent: their span holds the constant 1", i)
 
 
 @dataclass(frozen=True)
@@ -149,12 +156,12 @@ def legendre_transform(l: SecondOrderLagrangian, name: str = "model") -> FirstOr
 
     # a constant velocity Hessian W makes L = c0(q) + b(q).v + v^T W v / 2
     # exactly, so L is quadratic in the velocities once this check passes
-    grad_v = [L.differentiate(v) for v in vel]
+    # the velocities are the last n names of the table
+    grad_v = L.gradient()[n:]
     hessian: list[list[Fraction]] = []
     for dv in grad_v:
         row = []
-        for vj in vel:
-            entry = dv.differentiate(vj)
+        for entry in dv.gradient()[n:]:
             if not entry.is_constant():
                 raise ValueError("velocity Hessian is not constant")
             row.append(entry.constant_value())
@@ -305,6 +312,8 @@ def load_model(path: str | Path) -> FirstOrderModel:
     primaries = [_parse(text, zeta, ln) for ln, text in primary_lines]
     try:
         return FirstOrderModel(name, zeta, c, h, primaries)
+    except PrimaryError as exc:
+        raise ModelFormatError(str(exc), primary_lines[exc.index][0]) from exc
     except ValueError as exc:
         raise ModelFormatError(str(exc), zeta_line[0]) from exc
 

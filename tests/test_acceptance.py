@@ -286,5 +286,5 @@ def test_criterion_6_bracket_algebra(example2):
     cm = classify(published, pairing)
     assert [[int(x) for x in row] for row in cm.matrix.to_rows()] == C_GOLDEN
     assert cm.rank == 4
-    assert all(cls == "second-class" for cls in cm.classes)
+    assert cm.first_class == ()
     assert determinant(cm.matrix) == 16

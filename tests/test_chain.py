@@ -37,6 +37,8 @@ from golden import (
     is_scalar_multiple,
 )
 from randmodels import random_model
+from symchain import chain
+from symchain.linalg import null_space_and_determinant
 from test_linalg import bareiss_determinant
 
 
@@ -62,7 +64,7 @@ def test_base_tensor_antisymmetric_and_zero_c():
     zero = Expression.zero(zeta)
     m = FirstOrderModel("null", zeta, [zero, zero], zero)
     f = build_base_tensor(m)
-    assert f == RationalMatrix.zeros(2, 2)
+    assert f == RationalMatrix([[0, 0], [0, 0]])
 
     # nonlinear c has a non-constant tensor, which the exact chain rejects
     q = Expression.variable(zeta, "q")
@@ -108,7 +110,7 @@ def test_assemble_rejects_constraints_over_a_foreign_table(example2):
 def test_assembled_untruncated_is_antisymmetric(example2):
     for upto in (1, 2, 3):
         m = assemble_extended_matrix(example2, published(example2, upto))
-        assert m.transpose() == RationalMatrix(
+        assert RationalMatrix(zip(*m.to_rows())) == RationalMatrix(
             [[-x for x in row] for row in m.to_rows()]
         )
 
@@ -267,7 +269,7 @@ def assert_public_classification_matches(model, report):
         cs = [c for c in report.constraints if c.level <= rec.level]
         f = assemble_extended_matrix(model, cs, truncated=rec.truncated)
         if not rec.truncated:
-            assert f.transpose() == RationalMatrix([[-x for x in row] for row in f.to_rows()])
+            assert RationalMatrix(zip(*f.to_rows())) == RationalMatrix([[-x for x in row] for row in f.to_rows()])
         cands = find_new_constraints(f, assemble_rhs(model, cs), cs)
         assert [(c.vector, str(c.value), c.classification) for c in cands] == [
             (c.vector, str(c.value), c.classification) for c in rec.candidates
@@ -305,6 +307,22 @@ def test_run_chain_extracts_zero_modes_of_the_base_tensor():
     report = run_chain(m)
     assert [(c.level, str(c.expr)) for c in report.constraints] == [(1, "q"), (1, "p")]
     assert report.termination.kind == "nonsingular"
+
+
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(2, 3)])
+def test_run_chain_rejects_a_null_vector_that_does_not_annihilate(example2, scale, monkeypatch):
+    """The integer certificate check catches a wrong null vector whose candidate is redundant."""
+    m = FirstOrderModel(
+        "scaled", example2.zeta, example2.c, example2.hamiltonian, [p * scale for p in example2.primaries]
+    )
+
+    def wrong_basis(cols, n):
+        # the primary's row: v . grad(H) ignores it, but its column entry is -scale
+        return (tuple(Fraction(i == n - 1) for i in range(n)),), null_space_and_determinant(cols, n)[1]
+
+    monkeypatch.setattr(chain, "null_space_and_determinant", wrong_basis)
+    with pytest.raises(ChainError, match="^certificate mismatch: a null vector does not annihilate F$"):
+        run_chain(m)
 
 
 def test_run_chain_rejects_nonlinear_tensor():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symchain import (
+    CanonicalPairing,
     ChainOptions,
     Constraint,
     Expression,
@@ -176,7 +177,7 @@ def test_classify_published_set(example2):
     cm = classify(constraints, pairing)
     assert [[int(x) for x in row] for row in cm.matrix.to_rows()] == C_GOLDEN
     assert cm.rank == 4
-    assert cm.classes == ("second-class",) * 4
+    assert cm.first_class == ()
     assert determinant(cm.matrix) == 16
 
     # independent verification of every entry by the brute-force bracket
@@ -193,7 +194,7 @@ def test_classify_published_set(example2):
 def test_classify_empty_and_duplicates(example2):
     pairing = derive_pairing(example2)
     cm = classify([], pairing)
-    assert cm.rank == 0 and cm.classes == ()
+    assert cm.rank == 0 and cm.first_class == ()
     p_z = parse_expression("p_z", example2.zeta)
     dup = [
         Constraint.from_raw(1, p_z, "primary"),
@@ -201,6 +202,19 @@ def test_classify_empty_and_duplicates(example2):
     ]
     with pytest.raises(ValueError):
         classify(dup, pairing)
+
+
+def test_classify_lists_first_class_combinations():
+    """A first-class combination is found although no row of C is zero."""
+    zeta = VarTable(["q1", "q2", "p1", "p2"])
+    constraints = [
+        Constraint.from_raw(1, parse_expression(t, zeta), "primary") for t in ("q1", "p1", "p1 + q2")
+    ]
+    cm = classify(constraints, CanonicalPairing(zeta, ((0, 2), (1, 3))))
+    assert all(any(row) for row in cm.matrix.to_rows())
+    assert cm.rank == cm.second_class_count == 2
+    assert len(cm.first_class) == 1
+    assert cm.first_class[0].monic() == parse_expression("q2", zeta)
 
 
 def test_classify_rank_is_even(example2):
@@ -214,6 +228,7 @@ def test_classify_rank_is_even(example2):
         cm = classify(res.constraints, pairing)
         assert cm.rank % 2 == 0
         assert cm.second_class_count == cm.rank
+        assert len(cm.first_class) + cm.second_class_count == len(res.constraints)
         # each linear-form entry is the constant general-polynomial bracket
         for a, row in zip(res.constraints, cm.matrix.to_rows()):
             for b, entry in zip(res.constraints, row):

@@ -40,7 +40,7 @@ def test_central_difference_matrix():
         ]
     )
     # antisymmetry and annihilation of constants
-    assert d.transpose() == RationalMatrix([[-x for x in row] for row in d.to_rows()])
+    assert RationalMatrix(zip(*d.to_rows())) == RationalMatrix([[-x for x in row] for row in d.to_rows()])
     for i in range(3):
         assert sum(d.row(i)) == 0
 

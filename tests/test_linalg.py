@@ -14,6 +14,7 @@ from symchain import (
     rank,
     rref,
 )
+from symchain.expressions import EchelonBasis, VarTable, linear_expression
 from symchain.linalg import SparseEchelon, null_space_and_determinant
 from golden import F1_GOLDEN, F3_TRUNCATED_GOLDEN, V1, V3, is_scalar_multiple
 
@@ -64,16 +65,65 @@ def bareiss_determinant(rows):
     return Fraction(sign * a[n - 1][n - 1]) / scale
 
 
+class FractionEchelon:
+    """Reference elimination kernel: Gauss-Jordan on sparse Fraction rows.
+
+    The library kernel before it moved to primitive integer rows, kept
+    as an independent reference.  ``rows`` maps each pivot column to its
+    row in reduced row-echelon form: 1 at its pivot, its first nonzero
+    column, and 0 at every other row's pivot.
+    """
+
+    def __init__(self, vectors=()):
+        self.rows = {}
+        for vec in vectors:
+            self.add(vec)
+
+    def reduce(self, vec):
+        """Reduce ``vec`` in place to the member of ``vec`` + span that is 0 at every pivot."""
+        for col in [c for c in vec if c in self.rows]:
+            _axpy(vec, -vec[col], self.rows[col])
+        return vec
+
+    def add(self, vec):
+        vec = self.reduce(dict(vec))
+        if not vec:
+            return False
+        pivot = min(vec)
+        inv = 1 / Fraction(vec[pivot])
+        new = {col: x * inv for col, x in vec.items()}
+        for row in self.rows.values():
+            factor = row.get(pivot)
+            if factor:
+                _axpy(row, -factor, new)
+        self.rows[pivot] = new
+        return True
+
+    def sorted_rows(self):
+        return [self.rows[col] for col in sorted(self.rows)]
+
+
+def _axpy(target, factor, row):
+    """target += factor * row, dropping entries that cancel."""
+    for col, x in row.items():
+        value = target.get(col, 0) + factor * x
+        if value:
+            target[col] = value
+        else:
+            del target[col]
+
+
 def two_pass_null_space(cols, n):
     """Reference for ``null_space_and_determinant``: two eliminations.
 
-    The columns are eliminated with smallest-index pivots, tracking the
-    determinant as the signed product of the pivot entries.  Each free
-    row then gives a null vector (1 there, minus the reduced entries at
-    the pivots), and a second elimination brings those vectors to the
-    reduced row-echelon basis, scaled to primitive integer rows.
+    The columns are eliminated on ``FractionEchelon`` with
+    smallest-index pivots, tracking the determinant as the signed
+    product of the pivot entries.  Each free row then gives a null
+    vector (1 there, minus the reduced entries at the pivots), and a
+    second elimination brings those vectors to the reduced row-echelon
+    basis, scaled to primitive integer rows.
     """
-    kernel = SparseEchelon()
+    kernel = FractionEchelon()
     det = Fraction(1)
     for col in cols:
         vec = kernel.reduce(dict(col))
@@ -85,7 +135,7 @@ def two_pass_null_space(cols, n):
             det = -det
         det *= vec[pivot]
         kernel.add(vec)
-    null = SparseEchelon()
+    null = FractionEchelon()
     for free in range(n):
         if free not in kernel.rows:
             vec = {row: -entries[free] for row, entries in kernel.rows.items() if free in entries}
@@ -124,11 +174,15 @@ def random_matrix(rng, n, m=None):
     ]
 
 
+def _identity(n):
+    return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def test_determinant_identity_and_errors():
     for n in (1, 2, 5):
-        assert determinant(RationalMatrix.identity(n)) == 1
+        assert determinant(_identity(n)) == 1
     with pytest.raises(ValueError):
-        determinant(RationalMatrix.zeros(2, 3))
+        determinant(RationalMatrix([[0, 0, 0], [0, 0, 0]]))
 
 
 def test_determinant_against_cofactor_oracle():
@@ -151,7 +205,7 @@ def test_left_null_space_goldens():
     assert len(basis) == 1
     assert is_scalar_multiple(basis[0], [Fraction(v) for v in V1])
 
-    assert len(left_null_space(RationalMatrix.identity(3))) == 0
+    assert len(left_null_space(_identity(3))) == 0
 
     tbasis = left_null_space(RationalMatrix(F3_TRUNCATED_GOLDEN))
     assert len(tbasis) == 3
@@ -216,7 +270,7 @@ def test_null_basis_is_deterministic_and_canonical():
 
 
 def test_zero_matrix_null_space_is_identity_basis():
-    basis = left_null_space(RationalMatrix.zeros(2, 2))
+    basis = left_null_space(RationalMatrix([[0, 0], [0, 0]]))
     assert [list(v) for v in basis] == [[1, 0], [0, 1]]
 
 
@@ -386,3 +440,66 @@ def test_null_space_and_determinant_match_two_pass_reference(case):
     assert [list(v) for v in expected[0]] == _sympy_left_null_basis(rows)
     if len(cols) == n:
         assert expected[1] == _fraction(_sympy(rows).det())
+
+
+# -- the integer-row kernel against the Fraction reference ---------------
+
+# small entries make dependent columns and fill; wide ones reach past the
+# 637-bit coefficients of the deep-chain benchmark
+_wide_entries = st.one_of(
+    _entries,
+    st.builds(Fraction, st.integers(-(2**640), 2**640), st.integers(1, 2**40)),
+)
+
+
+@st.composite
+def _mixed_matrices(draw):
+    """Sparse tall, square or wide matrices with zero columns, signed leads and big entries."""
+    n = draw(st.integers(1, 7))
+    ncols = draw(st.sampled_from([max(n - 2, 1), n, n + 2, draw(st.integers(1, 9))]))
+    cols = []
+    for _ in range(ncols):
+        kind = draw(st.sampled_from(["sparse", "sparse", "zero", "combination"]))
+        if kind == "combination" and cols:
+            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            k = draw(_wide_entries)
+            col = {i: a.get(i, 0) + k * b.get(i, 0) for i in set(a) | set(b)}
+        elif kind == "zero":
+            col = {}
+        else:
+            col = {i: draw(_wide_entries) for i in draw(st.sets(st.integers(0, n - 1)))}
+        cols.append({i: Fraction(x) for i, x in col.items() if x})
+    return cols, n
+
+
+def _form(table, vec):
+    """The linear Expression of a sparse vector over the table's columns, then the constant."""
+    width = len(table)
+    return linear_expression(table, [vec.get(j, 0) for j in range(width)], vec.get(width, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_matrices())
+def test_integer_kernel_matches_fraction_reference(case):
+    cols, n = case
+    assert null_space_and_determinant(cols, n) == two_pass_null_space(cols, n)
+
+    rows = [{j: col[i] for j, col in enumerate(cols) if i in col} for i in range(n)]
+    reference = FractionEchelon(rows)
+    dense_rows = [[row.get(j, Fraction(0)) for j in range(len(cols))] for row in rows]
+    reduced, pivots = rref(RationalMatrix(dense_rows))
+    expected = [[row.get(j, Fraction(0)) for j in range(len(cols))] for row in reference.sorted_rows()]
+    expected += [[Fraction(0)] * len(cols)] * (n - len(expected))
+    assert pivots == tuple(sorted(reference.rows))
+    assert [list(r) for r in reduced.to_rows()] == expected
+    assert rank(RationalMatrix(dense_rows)) == len(reference.rows)
+
+    # the rows as linear forms: the last column is the constant term
+    table = VarTable([f"x{j}" for j in range(max(len(cols) - 1, 1))])
+    forms = [_form(table, row) for row in rows]
+    basis, span = EchelonBasis(table), FractionEchelon()
+    for form, row in zip(forms[: n // 2], rows):
+        assert basis.add(form) == span.add(row)
+    for form, row in zip(forms, rows):
+        assert basis.remainder(form) == _form(table, span.reduce(dict(row)))
+    assert basis.rref() == [_form(table, row) for row in span.sorted_rows()]

@@ -241,7 +241,25 @@ def test_inconsistent_primaries_are_rejected(tmp_path, primaries):
     path.write_text("model m\n" + FIRST + "".join(f"primary {e}\n" for e in primaries))
     with pytest.raises(ModelFormatError) as err:
         load_model(path)
-    assert str(err.value) == f"line 2: {message}"
+    # the last primary, after the four header lines, brings 1 into the span
+    assert str(err.value) == f"line {4 + len(primaries)}: {message}"
+
+
+@pytest.mark.parametrize(
+    "primaries, message",
+    [
+        (["0"], "line 5: primary constraint is identically zero"),
+        (["p", "x", "0"], "line 7: primary constraint is identically zero"),
+        (["p", "2*p"], "line 6: primary constraints are linearly dependent"),
+        (["p", "x - 1", "p + 3*x - 3"], "line 7: primary constraints are linearly dependent"),
+    ],
+)
+def test_bad_primaries_are_reported_at_their_line(tmp_path, primaries, message):
+    path = tmp_path / "primaries.model"
+    path.write_text("model m\n" + FIRST + "".join(f"primary {e}\n" for e in primaries))
+    with pytest.raises(ModelFormatError) as err:
+        load_model(path)
+    assert str(err.value) == message
 
 
 def test_affine_primaries_with_a_common_zero_load(tmp_path):
