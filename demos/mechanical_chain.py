@@ -11,7 +11,6 @@ from symchain import (
     SecondOrderLagrangian,
     VarTable,
     assemble_extended_matrix,
-    assemble_rhs,
     legendre_transform,
     parse_expression,
     run_chain,
@@ -27,7 +26,10 @@ model = legendre_transform(lagrangian, name="example2")
 print("phase space:", " ".join(model.zeta.names))
 print("H_C =", model.hamiltonian)
 print("primaries:", ", ".join(str(p) for p in model.primaries))
-print("H_T =", model.total_hamiltonian())
+# every primary borders the extended matrix, so the multipliers of the
+# total Hamiltonian cancel and the chain contracts with grad(H) over zeta
+grad_h = model.hamiltonian.gradient()
+print("grad H =", tuple(str(e) for e in grad_h))
 print()
 
 # -- the extended matrix at level 1 ------------------------------------
@@ -35,16 +37,14 @@ print()
 report = run_chain(model)
 level1 = [c for c in report.constraints if c.level == 1]
 f1 = assemble_extended_matrix(model, level1)
-rhs1 = assemble_rhs(model, level1)
 print("extended matrix at level 1 (coordinates + one auxiliary column):")
 print(f1)
-print("rhs:", tuple(str(e) for e in rhs1))
 print()
 
-# Its single left null vector contracts with the rhs to give the next
-# constraint, and so on.  Level 3 is special: the full matrix is
-# singular but yields nothing new, and only the column-truncated form
-# exposes the last constraint.
+# Its single left null vector contracts with grad H (the auxiliary row
+# adds nothing) to give the next constraint, and so on.  Level 3 is
+# special: the full matrix is singular but yields nothing new, and only
+# the column-truncated form exposes the last constraint.
 
 print("chain:")
 for c in report.constraints:

@@ -14,8 +14,6 @@ from .chain import (
     Constraint,
     Termination,
     assemble_extended_matrix,
-    assemble_rhs,
-    build_base_tensor,
     find_new_constraints,
     run_chain,
     span_fingerprint,
@@ -90,8 +88,6 @@ __all__ = [
     "UnknownVariableError",
     "VarTable",
     "assemble_extended_matrix",
-    "assemble_rhs",
-    "build_base_tensor",
     "build_schwinger",
     "classify",
     "compare_spans",

@@ -18,7 +18,7 @@ constraint (gradient rows A, border blocks +A^T / -A), each step
      read off the same elimination that finds its null space empty),
      an exhausted null space, or the level cap.
 
-Border blocks are built from the *raw* constraint expressions (v . rhs
+Border blocks are built from the *raw* constraint expressions (v . grad(H)
 as extracted, unnormalized); the monic-normalized forms are used for
 span bookkeeping and reporting.  The raw scale is what makes the final
 determinant reproducible.
@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .expressions import EchelonBasis, Expression, VarTable
+from .expressions import EchelonBasis, Expression
 from .linalg import RationalMatrix, _integral, left_null_space, null_space_and_determinant
 from .model import FirstOrderModel
 
@@ -55,7 +55,7 @@ class ChainError(RuntimeError):
 class Constraint:
     """One constraint of the chain.
 
-    ``raw`` is the expression exactly as generated (v . rhs for derived
+    ``raw`` is the expression exactly as generated (v . grad(H) for derived
     levels); ``expr`` is its monic normalization under the graded-lex
     order, never in the linear span of the lower levels.
     """
@@ -83,7 +83,7 @@ class Candidate:
     """One canonical null vector with its extracted value and verdict."""
 
     vector: tuple[Fraction, ...]
-    value: Expression  # v . rhs over zeta
+    value: Expression  # v . grad(H) over zeta
     classification: str
 
 
@@ -168,17 +168,11 @@ def _span_rref(exprs: Sequence[Expression]) -> list[Expression]:
     return basis.rref() if basis is not None else []
 
 
-def build_base_tensor(m: FirstOrderModel) -> RationalMatrix:
-    """The antisymmetric tensor f_ab = d_a c_b - d_b c_a over the zeta table.
+def _base_columns(m: FirstOrderModel) -> list[dict[int, Fraction]]:
+    """The sparse columns of the base tensor f_ab = d_a c_b - d_b c_a.
 
     c is affine-linear, so d_a c_b is the coefficient C_b[a] of zeta_a in c_b.
     """
-    base = _base_columns(m)
-    return _dense_view(base, len(base))
-
-
-def _base_columns(m: FirstOrderModel) -> list[dict[int, Fraction]]:
-    """The sparse columns of ``build_base_tensor``."""
     if not all(e.is_linear() for e in m.c):
         raise ChainError("the symplectic tensor has non-constant entries (c is nonlinear)")
     cols: list[dict[int, Fraction]] = [{} for _ in m.c]
@@ -234,8 +228,8 @@ def _border(cols: list[dict[int, Fraction]], c: Constraint) -> None:
     # every partial derivative is constant exactly when the degree is <= 1
     if not c.raw.is_linear():
         raise ChainError(
-            "constraint gradient is not constant; the exact chain "
-            "supports linear constraints only"
+            "constraint gradient is not constant; the exact chain supports "
+            f"linear constraints only (level {c.level} constraint: {c.raw})"
         )
     grad = _linear_part(c.raw)
     row = len(cols)
@@ -258,15 +252,6 @@ def _kept(
     return cols[: len(cols) - len(constraints) + sum(c.level == 1 for c in constraints)]
 
 
-def assemble_rhs(m: FirstOrderModel, constraints: Sequence[Constraint]) -> tuple[Expression, ...]:
-    """Gradient of the total Hamiltonian, padded with one zero per constraint.
-
-    Entries live over the working table (zeta plus symbolic multipliers).
-    """
-    grad = m.total_hamiltonian().gradient()[: len(m.zeta)]
-    return grad + (Expression.zero(m.working),) * len(constraints)
-
-
 def find_new_constraints(
     f: RationalMatrix,
     rhs: Sequence[Expression],
@@ -275,26 +260,22 @@ def find_new_constraints(
     """Classify v . rhs for every canonical left null vector v of ``f``.
 
     ``f`` has one row per coordinate and one per constraint in
-    ``existing``, so the coordinates are the first ``f.rows -
-    len(existing)`` names of the working table (zeta followed by the
-    multiplier symbols) that ``rhs`` lives over.
+    ``existing``; ``rhs`` is grad(H) over zeta, one entry per coordinate
+    row (a matrix bordered by every primary cancels the multipliers).
 
     Candidates are processed in canonical basis order; a candidate
     counts as NEW only if it stays nonzero after reduction against the
     existing constraints *and* the new ones accepted earlier in this
     same call, so the returned NEW set is linearly independent.
-
-    A multiplier term that survives the contraction raises
-    ``ValueError``: a matrix that borders every primary cancels them,
-    and ``run_chain`` builds no other.
     """
-    if len(rhs) != f.rows:
-        raise ValueError("rhs length must match the matrix row count")
-    zeta = VarTable(rhs[0].vars.names[: f.rows - len(existing)])
-    known = EchelonBasis(zeta)
+    n = f.rows - len(existing)
+    if len(rhs) != n or len(rhs[0].vars) != n:
+        raise ValueError(f"rhs must be grad(H) over the {n} coordinates, one entry per coordinate row")
+    known = EchelonBasis(rhs[0].vars)
     for c in existing:
         known.add(c.expr)
-    return _classify(left_null_space(f), _Gradient(rhs), zeta, known)
+    level = 1 + max((c.level for c in existing), default=0)
+    return _classify(left_null_space(f), _Gradient(rhs), known, level)
 
 
 class _Gradient:
@@ -319,19 +300,19 @@ class _Gradient:
 
 
 def _classify(
-    null: Sequence[tuple[Fraction, ...]], rhs: _Gradient, zeta: VarTable, known: EchelonBasis
+    null: Sequence[tuple[Fraction, ...]], rhs: _Gradient, known: EchelonBasis, level: int
 ) -> list[Candidate]:
-    """``find_new_constraints`` on a null basis against ``known``, which grows by each NEW one."""
+    """``find_new_constraints`` on a null basis against ``known``, which grows by each NEW one (of ``level``)."""
     out: list[Candidate] = []
     for v in null:
-        value = rhs.combination(v).restrict(zeta)
+        value = rhs.combination(v)
         if value.is_zero():
             out.append(Candidate(vector=v, value=value, classification=REDUNDANT))
             continue
         if not value.is_linear():
             raise ChainError(
-                "nonlinear constraint candidate: reduction against the "
-                "existing set is supported for linear constraints only"
+                "nonlinear constraint candidate: reduction against the existing set "
+                f"is supported for linear constraints only (level {level} candidate: {value})"
             )
         remainder = known.remainder(value)
         if remainder.is_zero():
@@ -339,8 +320,8 @@ def _classify(
             continue
         if remainder.is_constant():
             raise ChainError(
-                "inconsistent dynamics: a consistency condition reduces to "
-                f"the nonzero constant {remainder.constant_value()}"
+                "inconsistent dynamics: a consistency condition reduces to the nonzero "
+                f"constant {remainder.constant_value()} (level {level} candidate: {value})"
             )
         out.append(Candidate(vector=v, value=value, classification=NEW))
         known.add(value)
@@ -378,8 +359,8 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
         """Classify the null vectors of one bordered matrix and record the level."""
         kept = _kept(cols, constraints, truncated)
         null, det = null_space_and_determinant(kept, len(cols))
-        # the constraint rows' rhs entries are zero: the combination drops them
-        candidates = _classify(null, grad_h, m.zeta, known)
+        # grad(H) has no entries for the constraint rows: the combination drops them
+        candidates = _classify(null, grad_h, known, k + 1)
         records.append(LevelRecord(
             level=k, truncated=truncated, shape=(len(cols), len(kept)), candidates=tuple(candidates)
         ))

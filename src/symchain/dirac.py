@@ -172,7 +172,7 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
         lam_part = linear_expression(m.working, [0] * len(zeta) + row)
         if not lam_part.is_zero():
             conditions.append(
-                MultiplierCondition(phi, bracket_h.embed(m.working) + lam_part)
+                MultiplierCondition(phi, bracket_h.substitute(m.working) + lam_part)
             )
     return OracleResult(tuple(constraints), tuple(conditions))
 

@@ -200,13 +200,6 @@ class Expression:
     def is_linear(self) -> bool:
         return self.degree() <= 1
 
-    def variables_used(self) -> tuple[str, ...]:
-        """Names with a nonzero exponent somewhere, in table order."""
-        used: set[int] = set()
-        for mono in self._terms:
-            used.update(compress(range(len(mono)), mono))
-        return tuple(self._vars.names[i] for i in sorted(used))
-
     # -- arithmetic --------------------------------------------------
 
     def _coerce(self, other) -> "Expression":
@@ -319,7 +312,8 @@ class Expression:
 
         Variables listed in ``mapping`` are replaced by the given
         Expressions (which must live over ``target``); every other
-        variable must exist in ``target`` under the same name.
+        variable in use must exist in ``target`` under the same name
+        (``ValueError`` names it if not), so ``target`` may add or drop names.
         """
         mapping = mapping or {}
         images: dict[int, Expression] = {}
@@ -352,19 +346,6 @@ class Expression:
                 key = tuple(x + y for x, y in zip(placed, part))
                 out[key] = out.get(key, 0) + coeff * c
         return Expression._trusted(target, out)
-
-    def embed(self, target: VarTable) -> "Expression":
-        """Re-express over a table that contains all of this table's names."""
-        return self.substitute(target)
-
-    def restrict(self, target: VarTable) -> "Expression":
-        """Re-express over a smaller table (self over its own); fails on a foreign variable."""
-        if target == self._vars:
-            return self
-        for name in self.variables_used():
-            if name not in target:
-                raise ValueError(f"expression uses '{name}', absent from the target table")
-        return self.substitute(target)
 
     # -- linear-form helpers -----------------------------------------
 

@@ -48,9 +48,7 @@ class FirstOrderModel:
     ):
         if len(zeta) % 2 != 0:
             raise ValueError("phase space must have an even number of coordinates")
-        for var in zeta:
-            if _RESERVED.match(var):
-                raise ValueError(f"variable name '{var}' is reserved")
+        _check_reserved(zeta)
         c = tuple(c)
         if len(c) != len(zeta):
             raise ValueError(f"expected {len(zeta)} coefficient entries, got {len(c)}")
@@ -71,14 +69,6 @@ class FirstOrderModel:
         self.hamiltonian = hamiltonian
         self.primaries = primaries
 
-    def total_hamiltonian(self) -> Expression:
-        """H_C + sum_mu lam_mu * phi_mu over the working table (formed on demand)."""
-        table = self.working
-        total = self.hamiltonian.embed(table)
-        for lam_name, prim in zip(self.multiplier_names, self.primaries):
-            total = total + Expression.variable(table, lam_name) * prim.embed(table)
-        return total
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FirstOrderModel)
@@ -91,6 +81,12 @@ class FirstOrderModel:
 
     def __repr__(self) -> str:
         return f"FirstOrderModel({self.name!r}, {len(self.zeta)} coordinates, {len(self.primaries)} primaries)"
+
+
+def _check_reserved(zeta: VarTable) -> None:
+    for var in zeta:
+        if _RESERVED.match(var):
+            raise ValueError(f"variable name '{var}' is reserved")
 
 
 class PrimaryError(ValueError):
@@ -134,6 +130,13 @@ class SecondOrderLagrangian:
     def full_table(coordinates: VarTable) -> VarTable:
         return coordinates.extended(SecondOrderLagrangian.velocity_names(coordinates))
 
+    @staticmethod
+    def phase_space(coordinates: VarTable) -> VarTable:
+        """The coordinates followed by their momenta (x -> p_x), checked as a zeta table."""
+        zeta = coordinates.extended(f"p_{q}" for q in coordinates)
+        _check_reserved(zeta)
+        return zeta
+
     def __post_init__(self):
         expected = SecondOrderLagrangian.full_table(self.coordinates)
         if self.lagrangian.vars != expected:
@@ -151,7 +154,6 @@ def legendre_transform(l: SecondOrderLagrangian, name: str = "model") -> FirstOr
     coords = l.coordinates
     n = len(coords)
     vel = SecondOrderLagrangian.velocity_names(coords)
-    table = SecondOrderLagrangian.full_table(coords)
     L = l.lagrangian
 
     # a constant velocity Hessian W makes L = c0(q) + b(q).v + v^T W v / 2
@@ -167,17 +169,13 @@ def legendre_transform(l: SecondOrderLagrangian, name: str = "model") -> FirstOr
             row.append(entry.constant_value())
         hessian.append(row)
 
-    zero_vel = {v: Expression.zero(table) for v in vel}
-    b = [dv.substitute(table, zero_vel) for dv in grad_v]
-
-    momenta = tuple(f"p_{q}" for q in coords)
-    zeta = VarTable(coords.names + momenta)
+    zeta = SecondOrderLagrangian.phase_space(coords)
+    momenta = zeta.names[n:]
+    zero_vel = {v: Expression.zero(zeta) for v in vel}
 
     # Gauss-Jordan on W while applying the same row operations to the
-    # symbolic right-hand side p - b(q)
-    rhs = [
-        Expression.variable(zeta, momenta[i]) - b[i].restrict(zeta) for i in range(n)
-    ]
+    # symbolic right-hand side p - b(q), b the velocity gradient at zero velocity
+    rhs = [Expression.variable(zeta, p) - dv.substitute(zeta, zero_vel) for p, dv in zip(momenta, grad_v)]
     w = [list(row) for row in hessian]
     pivots: list[tuple[int, int]] = []  # (row, col)
     r = 0
@@ -287,6 +285,7 @@ def load_model(path: str | Path) -> FirstOrderModel:
         coords = _table(*vars_line)
         try:
             table = SecondOrderLagrangian.full_table(coords)
+            SecondOrderLagrangian.phase_space(coords)  # the momenta's names, reported at this line
         except ValueError as exc:
             raise ModelFormatError(str(exc), vars_line[0]) from exc
         lag = _parse(l_line[1], table, l_line[0])

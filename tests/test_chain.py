@@ -13,8 +13,6 @@ from symchain import (
     RationalMatrix,
     VarTable,
     assemble_extended_matrix,
-    assemble_rhs,
-    build_base_tensor,
     build_schwinger,
     determinant,
     find_new_constraints,
@@ -50,8 +48,32 @@ def published(example2, upto):
     ]
 
 
+def total_hamiltonian(m):
+    """H_T = H + sum_mu lam_mu * phi_mu over the working table (zeta, then the multipliers)."""
+    table = m.working
+    total = m.hamiltonian.substitute(table)
+    for name, prim in zip(m.multiplier_names, m.primaries):
+        total = total + Expression.variable(table, name) * prim.substitute(table)
+    return total
+
+
+def total_hamiltonian_rhs(m, constraints):
+    """grad H_T over zeta, padded with one zero per constraint row: the multiplier-bearing rhs.
+
+    Contracted with a null vector of a matrix that every primary borders,
+    the multipliers cancel and the result is v . grad(H) over zeta.
+    """
+    grad = total_hamiltonian(m).gradient()[: len(m.zeta)]
+    return grad + (Expression.zero(m.working),) * len(constraints)
+
+
+def contract(m, v, rhs):
+    assert len(v) == len(rhs)
+    return Expression.linear_combination(m.working, zip(v, rhs))
+
+
 def test_base_tensor_is_canonical_block(example2):
-    f = build_base_tensor(example2)
+    f = assemble_extended_matrix(example2, [])
     expected = [[Fraction(0)] * 6 for _ in range(6)]
     for i in range(3):
         expected[i][3 + i] = Fraction(-1)
@@ -63,7 +85,7 @@ def test_base_tensor_antisymmetric_and_zero_c():
     zeta = VarTable(["q", "p"])
     zero = Expression.zero(zeta)
     m = FirstOrderModel("null", zeta, [zero, zero], zero)
-    f = build_base_tensor(m)
+    f = assemble_extended_matrix(m, [])
     assert f == RationalMatrix([[0, 0], [0, 0]])
 
     # nonlinear c has a non-constant tensor, which the exact chain rejects
@@ -71,7 +93,7 @@ def test_base_tensor_antisymmetric_and_zero_c():
     p = Expression.variable(zeta, "p")
     m2 = FirstOrderModel("nl", zeta, [q * p, zero], zero)
     with pytest.raises(ChainError):
-        build_base_tensor(m2)
+        assemble_extended_matrix(m2, [])
 
 
 def test_assembled_matrices_match_published_forms(example2):
@@ -87,8 +109,12 @@ def test_assembled_matrices_match_published_forms(example2):
 
 
 def test_assemble_level_zero_is_base_tensor(example2):
-    f0 = assemble_extended_matrix(example2, [])
-    assert f0 == build_base_tensor(example2)
+    # f_ab = d_a c_b - d_b c_a, read off the gradients of the c entries
+    for m in (example2, build_schwinger(LatticeSpec(sites=3))):
+        d = [[g.constant_value() for g in cb.gradient()] for cb in m.c]  # d[b][a] = d_a c_b
+        n = len(m.zeta)
+        expected = RationalMatrix([[d[b][a] - d[a][b] for b in range(n)] for a in range(n)])
+        assert assemble_extended_matrix(m, []) == expected
 
 
 def test_assemble_requires_consecutive_levels(example2):
@@ -116,15 +142,17 @@ def test_assembled_untruncated_is_antisymmetric(example2):
 
 
 def test_rhs_level1(example2):
-    rhs = assemble_rhs(example2, published(example2, 1))
+    rhs = total_hamiltonian_rhs(example2, published(example2, 1))
     assert [str(e) for e in rhs] == RHS_LEVEL1
+    # the chain's rhs is the same gradient over zeta with the multipliers dropped
+    assert [str(e) for e in example2.hamiltonian.gradient()] == RHS_LEVEL1[:5] + ["0"]
 
 
 def test_rhs_no_constraints_zero_hamiltonian():
     zeta = VarTable(["q", "p"])
     zero = Expression.zero(zeta)
     m = FirstOrderModel("flat", zeta, [Expression.variable(zeta, "p"), zero], zero)
-    rhs = assemble_rhs(m, [])
+    rhs = total_hamiltonian_rhs(m, [])
     assert all(e.is_zero() for e in rhs)
     assert len(rhs) == 2
 
@@ -141,40 +169,40 @@ def test_null_bases_of_published_matrices(example2):
 def test_find_new_constraints_classification(example2):
     known1 = published(example2, 1)
     f1 = assemble_extended_matrix(example2, known1)
-    rhs1 = assemble_rhs(example2, known1)
-    cands = find_new_constraints(f1, rhs1, known1)
+    rhs = example2.hamiltonian.gradient()
+    cands = find_new_constraints(f1, rhs, known1)
     assert len(cands) == 1
     assert cands[0].classification == "new"
     # raw value proportional to the published -x-y, normalized monic
     assert is_scalar_multiple(
-        cands[0].value.restrict(example2.zeta).linear_coefficients()[0],
+        cands[0].value.linear_coefficients()[0],
         parse_expression("-x-y", example2.zeta).linear_coefficients()[0],
     )
-    assert str(cands[0].value.restrict(example2.zeta).monic()) == "x + y"
+    assert cands[0].value.vars == example2.zeta
+    assert str(cands[0].value.monic()) == "x + y"
 
     # untruncated level 3: a null vector exists (rows 3 and 7 coincide)
     # but its candidate lies in the level-2 span
     known3 = published(example2, 3)
     f3 = assemble_extended_matrix(example2, known3)
-    rhs3 = assemble_rhs(example2, known3)
-    cands3 = find_new_constraints(f3, rhs3, known3)
+    cands3 = find_new_constraints(f3, rhs, known3)
     assert [list(c.vector) for c in cands3] == [[0, 0, 1, 0, 0, 0, -1, 0, 0]]
     assert all(c.classification == "redundant" for c in cands3)
     assert str(cands3[0].value) == "x + y"
 
     # truncated level 3 recovers the final constraint
     f3t = assemble_extended_matrix(example2, known3, truncated=True)
-    cands3t = find_new_constraints(f3t, rhs3, known3)
+    cands3t = find_new_constraints(f3t, rhs, known3)
     news = [c for c in cands3t if c.classification == "new"]
     assert len(news) == 1
     assert is_scalar_multiple(
-        news[0].value.restrict(example2.zeta).linear_coefficients()[0],
+        news[0].value.linear_coefficients()[0],
         parse_expression("-2*z", example2.zeta).linear_coefficients()[0],
     )
     assert is_scalar_multiple(news[0].vector, [Fraction(v) for v in V3])
 
 
-def test_find_new_constraints_rejects_unbordered_primaries():
+def test_unbordered_primaries_keep_their_multiplier():
     # inside run_chain the auxiliary columns force every null vector to
     # be orthogonal to the primary gradients, so the multipliers cancel;
     # at level 0, where the borders are absent, one survives
@@ -183,10 +211,39 @@ def test_find_new_constraints_rejects_unbordered_primaries():
     q = Expression.variable(zeta, "q")
     m = FirstOrderModel("fix", zeta, [zero, zero], zero, [q])
     f0 = assemble_extended_matrix(m, [])
-    rhs = assemble_rhs(m, [])
+    rhs = total_hamiltonian_rhs(m, [])
     assert [str(e) for e in rhs] == ["lam1", "0"]
-    with pytest.raises(ValueError, match="lam1"):
-        find_new_constraints(f0, rhs, [])
+    assert [str(contract(m, v, rhs)) for v in left_null_space(f0)] == ["lam1", "0"]
+
+
+def test_find_new_constraints_rejects_a_working_table_rhs(example2):
+    known1 = published(example2, 1)
+    f1 = assemble_extended_matrix(example2, known1)
+    padded = total_hamiltonian_rhs(example2, known1)
+    # the padded rhs has one entry too many, its coordinate part one name too many
+    for rhs in (padded, padded[: len(example2.zeta)]):
+        with pytest.raises(ValueError, match=r"^rhs must be grad\(H\) over the 6 coordinates, one entry per coordinate row$"):
+            find_new_constraints(f1, rhs, known1)
+
+
+def _chain_error_model(h, primary):
+    zeta = VarTable(["x", "y", "p_x", "p_y"])
+    c = [parse_expression(t, zeta) for t in ("p_x", "p_y", "0", "0")]
+    return FirstOrderModel("m", zeta, c, parse_expression(h, zeta), [parse_expression(primary, zeta)])
+
+
+@pytest.mark.parametrize("h, primary, message", [
+    ("p_x^2", "x^2", "constraint gradient is not constant; the exact chain supports "
+     "linear constraints only (level 1 constraint: x^2)"),
+    ("p_x^2 + y*x^2", "p_y", "nonlinear constraint candidate: reduction against the existing set "
+     "is supported for linear constraints only (level 2 candidate: x^2)"),
+    ("p_x^2 + y", "p_y", "inconsistent dynamics: a consistency condition reduces to the nonzero "
+     "constant 1 (level 2 candidate: 1)"),
+])
+def test_chain_errors_name_their_level_and_expression(h, primary, message):
+    with pytest.raises(ChainError) as err:
+        run_chain(_chain_error_model(h, primary))
+    assert str(err.value) == message
 
 
 def test_run_chain_mechanical_fixture(example2):
@@ -261,19 +318,25 @@ def test_run_chain_eigenvectors_annihilate(name, example2):
 
 
 def assert_public_classification_matches(model, report):
-    """``find_new_constraints`` on the multiplier-bearing rhs gives every record's candidates.
+    """``find_new_constraints`` on grad(H) gives every record's candidates.
 
-    Every untruncated record's matrix is antisymmetric.
+    Every untruncated record's matrix is antisymmetric, and every
+    candidate vector contracted with the multiplier-bearing grad(H_T)
+    gives the candidate's value: the multipliers cancel.
     """
+    grad_h = model.hamiltonian.gradient()
     for rec in report.levels:
         cs = [c for c in report.constraints if c.level <= rec.level]
         f = assemble_extended_matrix(model, cs, truncated=rec.truncated)
         if not rec.truncated:
             assert RationalMatrix(zip(*f.to_rows())) == RationalMatrix([[-x for x in row] for row in f.to_rows()])
-        cands = find_new_constraints(f, assemble_rhs(model, cs), cs)
+        cands = find_new_constraints(f, grad_h, cs)
         assert [(c.vector, str(c.value), c.classification) for c in cands] == [
             (c.vector, str(c.value), c.classification) for c in rec.candidates
         ]
+        rhs = total_hamiltonian_rhs(model, cs)
+        for c in rec.candidates:
+            assert contract(model, c.vector, rhs) == c.value.substitute(model.working)
 
 
 def test_run_chain_unconstrained(free_particle):

@@ -93,7 +93,7 @@ def test_differentiate_examples():
     assert str(parse_expression("x^2", VT).differentiate("x")) == "2*x"
     # gradient of the total Hamiltonian picks out the bare multiplier
     wt = VT.extended(["lam1"])
-    ht = h.embed(wt) + parse_expression("lam1*p_z", wt)
+    ht = h.substitute(wt) + parse_expression("lam1*p_z", wt)
     assert str(ht.differentiate("p_z")) == "lam1"
     with pytest.raises(ValueError):
         h.differentiate("nope")
@@ -380,7 +380,7 @@ def test_substitute_commutes_with_evaluation(e, mapping, point):
         for name in SOURCE.names
     }
     assert e.substitute(TARGET, mapping).evaluate(point) == e.evaluate(mapped)
-    assert e.embed(TARGET).restrict(SOURCE) == e
+    assert e.substitute(TARGET).substitute(SOURCE) == e
 
 
 @settings(max_examples=150, deadline=None)
@@ -397,9 +397,17 @@ def test_linear_combination_and_arithmetic_results_are_canonical(pairs, point):
     assert combined == running
     # results built without the constructor's checks hold what it would build
     for result in (combined, -combined, combined * combined, combined - combined,
-                   combined.differentiate("x"), combined.embed(TARGET)):
+                   combined.differentiate("x"), combined.substitute(TARGET)):
         assert all(result.terms.values())
         assert result == Expression(result.vars, dict(result.terms))
+
+
+def test_substitute_onto_a_smaller_table_names_a_missing_variable():
+    e = parse_expression("x*u + z", TARGET)
+    with pytest.raises(ValueError, match="^unknown variable 'u'$"):
+        e.substitute(SOURCE)
+    # a name the expression does not use may be dropped
+    assert str(parse_expression("x*y + z", TARGET).substitute(SOURCE)) == "x*y + z"
 
 
 def test_linear_combination_rejects_a_foreign_table():

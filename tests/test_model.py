@@ -71,8 +71,11 @@ def test_legendre_rejects_nonquadratic_and_nonconstant_hessian():
 
 
 def test_total_hamiltonian_on_demand():
+    from test_chain import total_hamiltonian
+
     m = legendre_transform(_second_order(["x", "y", "z"], "xdot*ydot - z*(x+y)"), name="ex")
-    ht = m.total_hamiltonian()
+    ht = total_hamiltonian(m)
+    assert ht.vars == m.working
     assert str(ht) == "x*z + y*z + p_x*p_y + p_z*lam1"
     assert str(ht.differentiate("p_z")) == "lam1"
 
@@ -191,6 +194,9 @@ SECOND = "vars x\nL 1/2*xdot^2\n"
          "'primary' lines are not allowed in second-order form (primaries are computed)"),
         ("model a\nzeta\nc\nH 0\n", 2, "empty variable list"),
         ("model a\nvars q qdot\nL 1/2*qdot^2\n", 2, "duplicate variable names: qdot"),
+        # the phase space's names: the momentum of x clashes with the coordinate p_x
+        ("model a\nvars x p_x\nL 1/2*xdot^2 + p_xdot^2\n", 2, "duplicate variable names: p_x"),
+        ("model a\nvars lam1\nL lam1dot^2\n", 2, "variable name 'lam1' is reserved"),
         ("model a\nzeta x p\nc p 0\nH\n", 4, "missing expression"),
     ],
 )
