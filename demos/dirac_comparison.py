@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Canonical brackets, the consistency algorithm, and class-ification.
+"""The consistency algorithm, class-ification, and the span check.
 
 The consistency algorithm is the library's independent ground truth:
-it never touches the extended symplectic matrices, yet on every model
-here it spans exactly the same constraint surface as the chain.
+it takes its brackets from the base tensor f, never from the extended
+symplectic matrices, yet on every model here it spans exactly the same
+constraint surface as the chain.
 """
 
 from pathlib import Path
@@ -12,26 +13,12 @@ from symchain import (
     classify,
     compare_spans,
     consistency_algorithm,
-    derive_pairing,
     determinant,
     load_model,
-    parse_expression,
-    poisson_bracket,
     run_chain,
 )
 
 model = load_model(Path(__file__).resolve().parent.parent / "models" / "example2.model")
-pairing = derive_pairing(model)
-
-# -- brackets -----------------------------------------------------------
-
-x = parse_expression("x", model.zeta)
-p_x = parse_expression("p_x", model.zeta)
-p_z = parse_expression("p_z", model.zeta)
-print("{x, p_x} =", poisson_bracket(x, p_x, pairing))
-print("{p_z, H_C} =", poisson_bracket(p_z, model.hamiltonian, pairing),
-      " <- the consistency of the primary, i.e. the next constraint")
-print()
 
 # -- the consistency algorithm ------------------------------------------
 
@@ -46,7 +33,7 @@ print()
 
 # -- classification ------------------------------------------------------
 
-cm = classify(oracle.constraints, pairing)
+cm = classify(model, oracle.constraints)
 print("mutual-bracket matrix:")
 print(cm.matrix)
 print(f"rank {cm.rank}: all {cm.second_class_count} constraints are "

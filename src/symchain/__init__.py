@@ -19,15 +19,12 @@ from .chain import (
     span_fingerprint,
 )
 from .dirac import (
-    CanonicalPairing,
     ConstraintMatrix,
     OracleResult,
     SpanVerdict,
     classify,
     compare_spans,
     consistency_algorithm,
-    derive_pairing,
-    poisson_bracket,
 )
 from .expressions import (
     EchelonBasis,
@@ -66,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Candidate",
-    "CanonicalPairing",
     "ChainError",
     "ChainOptions",
     "ChainReport",
@@ -92,7 +88,6 @@ __all__ = [
     "classify",
     "compare_spans",
     "consistency_algorithm",
-    "derive_pairing",
     "determinant",
     "difference_matrix",
     "find_new_constraints",
@@ -102,7 +97,6 @@ __all__ = [
     "load_model",
     "map_constraint_to_sites",
     "parse_expression",
-    "poisson_bracket",
     "rank",
     "rref",
     "run_chain",

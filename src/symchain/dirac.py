@@ -1,10 +1,12 @@
-"""Independent ground truth: canonical brackets and the consistency algorithm.
+"""Independent ground truth: the Dirac-Bergmann consistency algorithm.
 
 This module re-derives the constraint set the classical way: iterate
 phidot = {phi, H_T} until closure, fixing multipliers where a bracket
-with a primary survives.  It shares no code path with the chain driver
-beyond the expression substrate, so agreement between the two is a real
-cross-check.
+with a primary survives.  The bracket is the one the first-order form
+fixes, {a, b} = grad(a) . f^-1 . grad(b) (Faddeev & Jackiw 1988), so it
+holds for any order of the coordinates.  The module shares only the
+base tensor f and the span basis with the chain driver, so agreement
+between the two is a real cross-check.
 """
 
 from __future__ import annotations
@@ -13,61 +15,41 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chain import ChainReport, Constraint, span_fingerprint, _span_basis
-from .expressions import EchelonBasis, Expression, VarTable, linear_expression
-from .linalg import RationalMatrix, left_null_space
+from .chain import ChainReport, Constraint, span_fingerprint, _base_columns, _linear_part, _span_basis
+from .expressions import EchelonBasis, Expression, linear_expression
+from .linalg import RationalMatrix, SparseEchelon, left_null_space
 from .model import FirstOrderModel
 
 ORIGIN_CONSISTENCY = "consistency"
 
 
-@dataclass(frozen=True)
-class CanonicalPairing:
-    """Disjoint (coordinate, momentum) index pairs covering the zeta table."""
+def _inverse(m: FirstOrderModel) -> list[dict[int, Fraction]]:
+    """The sparse rows of f^-1, f the chain's base tensor, from one elimination.
 
-    zeta: VarTable
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        seen = [i for q, p in self.pairs for i in (q, p)]
-        if sorted(seen) != list(range(len(self.zeta))):
-            raise ValueError("pairs must be disjoint and cover the phase space")
-
-
-def derive_pairing(m: FirstOrderModel) -> CanonicalPairing:
-    """Pairing under the convention: first half coordinates, second half momenta."""
-    n = len(m.zeta)
-    half = n // 2
-    return CanonicalPairing(m.zeta, tuple((i, half + i) for i in range(half)))
+    The rows of [f | I] reduce to [I | f^-1]; a pivot in the I half
+    means f is degenerate, and the oracle then raises ``ValueError``.
+    """
+    cols = _base_columns(m)
+    n = len(cols)
+    # f is antisymmetric: its row a is minus its column a
+    kernel = SparseEchelon({**{b: -x for b, x in col.items()}, n + a: 1} for a, col in enumerate(cols))
+    rank = sum(pivot < n for pivot in kernel.rows)
+    if rank < n:
+        raise ValueError(
+            f"the consistency oracle needs a nondegenerate base tensor f, but f has rank {rank} of {n}"
+        )
+    return [{j - n: x for j, x in row.items() if j >= n} for row in kernel.reduced_rows()]
 
 
-def poisson_bracket(a: Expression, b: Expression, pairing: CanonicalPairing) -> Expression:
-    """sum_i (da/dq_i db/dp_i - da/dp_i db/dq_i), exact."""
-    zeta = pairing.zeta
-    for e in (a, b):
-        if e.vars != zeta:
-            raise ValueError(
-                "bracket arguments must live over the phase-space table only "
-                "(no multiplier or auxiliary symbols)"
-            )
-    total = Expression.zero(zeta)
-    names = zeta.names
-    for qi, pi in pairing.pairs:
-        q, p = names[qi], names[pi]
-        total = total + a.differentiate(q) * b.differentiate(p)
-        total = total - a.differentiate(p) * b.differentiate(q)
-    return total
+def _flow(a: Expression, finv: Sequence[dict[int, Fraction]]) -> dict[int, Fraction]:
+    """u = -f^-1 grad(a) for a linear ``a``, so that {a, b} = sum_j u_j d_j b.
 
-
-def _flow(a: Expression, pairing: CanonicalPairing) -> dict[int, Fraction]:
-    """u = J grad(a) for a linear ``a`` and the canonical J: {a, b} = sum_j u_j d_j b."""
-    grad = a.linear_coefficients()[0]
+    f^-1 is antisymmetric, so u = sum_j d_j a * (row j of f^-1).
+    """
     u: dict[int, Fraction] = {}
-    for q, p in pairing.pairs:
-        if grad[q]:
-            u[p] = grad[q]
-        if grad[p]:
-            u[q] = -grad[p]
+    for j, x in _linear_part(a).items():
+        for i, y in finv[j].items():
+            u[i] = u.get(i, 0) + x * y
     return u
 
 
@@ -103,14 +85,14 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
 
     Each constraint's brackets with H and with the primaries are taken
     once, when it joins the set, and reused by every later pass: with
-    u = J grad(phi), {phi, H} = sum_j u_j d_j H and {phi, mu} = u . grad(mu).
+    u = -f^-1 grad(phi), {phi, H} = sum_j u_j d_j H and {phi, mu} = u . grad(mu).
+    A model with primaries and a degenerate f raises ``ValueError``.
 
     The loop closes within len(zeta) + 1 passes: a pass that does not
     end it appends a constraint whose remainder modulo all earlier ones
     is nonzero and not constant, so it takes a new pivot among the
     len(zeta) coordinate columns of the span.
     """
-    pairing = derive_pairing(m)
     constraints: list[Constraint] = [
         Constraint.from_raw(1, p, "primary") for p in m.primaries
     ]
@@ -118,6 +100,7 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
         return OracleResult((), ())
     if not all(p.is_linear() for p in m.primaries):
         raise ValueError("nonlinear primary: the oracle supports linear constraints only")
+    finv = _inverse(m)
     zeta = m.zeta
     grad_h = m.hamiltonian.gradient()
     primary_grads = [p.linear_coefficients()[0] for p in m.primaries]
@@ -126,7 +109,7 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     known = EchelonBasis(zeta)
 
     def add_brackets(c: Constraint) -> None:
-        u = _flow(c.expr, pairing)
+        u = _flow(c.expr, finv)
         brackets_h.append(
             Expression.linear_combination(zeta, ((x, grad_h[j]) for j, x in u.items()))
         )
@@ -194,30 +177,30 @@ class ConstraintMatrix:
         return self.rank
 
 
-def classify(
-    constraints: Sequence[Constraint], pairing: CanonicalPairing
-) -> ConstraintMatrix:
-    """Bracket matrix, rank, and first-class combinations of a closed linear set.
+def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> ConstraintMatrix:
+    """Bracket matrix, rank, and first-class combinations of a closed linear set of ``m``.
 
     Brackets are taken between the ``raw`` constraint forms, so the
     matrix (and its determinant) reflects the constraints exactly as
     generated; the rank and the span of the first-class combinations are
-    scale-invariant either way.  With u_a = J grad(phi_a), C_ab = u_a . grad(phi_b).
+    scale-invariant either way.  With the oracle's flows u_a = -f^-1 grad(phi_a),
+    C_ab = u_a . grad(phi_b); a degenerate f raises ``ValueError``.
     """
     if not constraints:
         return ConstraintMatrix(None, 0, ())
-    if any(c.raw.vars != pairing.zeta for c in constraints):
+    if any(c.raw.vars != m.zeta for c in constraints):
         raise ValueError("constraints must live over the phase-space table only")
     if len(_span_basis([c.expr for c in constraints])) != len(constraints):
         raise ValueError("constraint set is not linearly independent")
-    flows = [_flow(c.raw, pairing) for c in constraints]
+    finv = _inverse(m)
+    flows = [_flow(c.raw, finv) for c in constraints]
     grads = [c.raw.linear_coefficients()[0] for c in constraints]
     matrix = RationalMatrix(
         [[sum(x * grad[j] for j, x in u.items()) for grad in grads] for u in flows]
     )
     null = left_null_space(matrix)
     raw = [c.raw for c in constraints]
-    first_class = tuple(Expression.linear_combination(pairing.zeta, zip(w, raw)) for w in null)
+    first_class = tuple(Expression.linear_combination(m.zeta, zip(w, raw)) for w in null)
     return ConstraintMatrix(matrix, len(constraints) - len(null), first_class)
 
 

@@ -234,6 +234,31 @@ def test_compare_nonlinear_c_is_an_input_error(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_compare_example2_with_shuffled_coordinates(tmp_path):
+    """The oracle's bracket comes from f, not from the order of zeta."""
+    model = tmp_path / "shuffled.model"
+    model.write_text(
+        "model shuffled\nzeta x p_x y p_y z p_z\nc p_x 0 p_y 0 p_z 0\n"
+        "H x*z + y*z + p_x*p_y\nprimary p_z\n"
+    )
+    result = run_cli("compare", str(model))
+    assert result.returncode == 0
+    assert "span comparison: equal" in result.stdout
+
+
+def test_compare_degenerate_f_with_primaries_is_an_input_error(tmp_path):
+    model = tmp_path / "degenerate.model"
+    model.write_text(
+        "model degenerate\nzeta x y p_x p_y\nc p_x 0 0 0\nH p_x^2 + x*y + p_y^2\nprimary p_y\n"
+    )
+    result = run_cli("compare", str(model))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: the consistency oracle needs a nondegenerate base tensor f, but f has rank 2 of 4\n"
+    )
+
+
 def test_analyze_accepts_a_tab_after_a_keyword(tmp_path):
     model = tmp_path / "tab.model"
     model.write_text("model tab\nzeta\tx p\nc p 0\nH 1/2*p^2\n")

@@ -6,26 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symchain import (
-    CanonicalPairing,
     ChainOptions,
     Constraint,
     Expression,
     FirstOrderModel,
-    LatticeSpec,
+    OracleResult,
     VarTable,
-    build_schwinger,
     classify,
     compare_spans,
     consistency_algorithm,
-    derive_pairing,
     determinant,
     linear_expression,
     parse_expression,
-    poisson_bracket,
     run_chain,
 )
-from symchain import dirac
-from symchain.dirac import _flow
+from symchain.dirac import _flow, _inverse
+from brackets import canonical_pairs, poisson_bracket
 from golden import C_GOLDEN, PUBLISHED_CONSTRAINTS, is_scalar_multiple
 from randmodels import random_model
 
@@ -71,32 +67,38 @@ def brute_force_bracket(a, b, vt, pairs):
 
 
 def test_canonical_pairs(example2):
-    pairing = derive_pairing(example2)
-    assert pairing.pairs == ((0, 3), (1, 4), (2, 5))
+    # the oracle's flows read off f pair each coordinate with its momentum
+    pairs = canonical_pairs(len(example2.zeta))
+    assert pairs == ((0, 3), (1, 4), (2, 5))
+    finv = _inverse(example2)
+    names = example2.zeta.names
+    for q, p in pairs:
+        assert _flow(parse_expression(names[q], example2.zeta), finv) == {p: 1}
+        assert _flow(parse_expression(names[p], example2.zeta), finv) == {q: -1}
     x = parse_expression("x", example2.zeta)
     p_x = parse_expression("p_x", example2.zeta)
-    assert str(poisson_bracket(x, p_x, pairing)) == "1"
-    assert poisson_bracket(x, x, pairing).is_zero()
+    assert str(poisson_bracket(x, p_x, pairs)) == "1"
+    assert poisson_bracket(x, x, pairs).is_zero()
 
 
 def test_bracket_of_primary_with_hamiltonian(example2):
-    pairing = derive_pairing(example2)
+    pairs = canonical_pairs(len(example2.zeta))
     p_z = parse_expression("p_z", example2.zeta)
-    assert str(poisson_bracket(p_z, example2.hamiltonian, pairing)) == "-x - y"
+    assert str(poisson_bracket(p_z, example2.hamiltonian, pairs)) == "-x - y"
 
 
 def test_bracket_rejects_foreign_symbols(example2):
-    pairing = derive_pairing(example2)
+    pairs = canonical_pairs(len(example2.zeta))
     working = example2.working
     with_lam = parse_expression("p_z + lam1", working)
     with pytest.raises(ValueError):
-        poisson_bracket(with_lam, with_lam, pairing)
+        poisson_bracket(with_lam, with_lam, pairs)
 
 
 def test_bracket_algebra_properties(example2):
     # antisymmetry, bilinearity/Leibniz, and Jacobi on random
     # linear/quadratic triples, all exact
-    pairing = derive_pairing(example2)
+    pairs = canonical_pairs(len(example2.zeta))
     vt = example2.zeta
     rng = random.Random(41)
 
@@ -112,29 +114,29 @@ def test_bracket_algebra_properties(example2):
 
     for _ in range(100):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
-        ab = poisson_bracket(a, b, pairing)
-        assert ab == -poisson_bracket(b, a, pairing)
-        assert poisson_bracket(a, a, pairing).is_zero()
+        ab = poisson_bracket(a, b, pairs)
+        assert ab == -poisson_bracket(b, a, pairs)
+        assert poisson_bracket(a, a, pairs).is_zero()
         # Leibniz: {a, b*c} = {a,b}*c + b*{a,c}
-        assert poisson_bracket(a, b * c, pairing) == ab * c + b * poisson_bracket(a, c, pairing)
+        assert poisson_bracket(a, b * c, pairs) == ab * c + b * poisson_bracket(a, c, pairs)
         # Jacobi: {a,{b,c}} + {b,{c,a}} + {c,{a,b}} = 0
         jac = (
-            poisson_bracket(a, poisson_bracket(b, c, pairing), pairing)
-            + poisson_bracket(b, poisson_bracket(c, a, pairing), pairing)
-            + poisson_bracket(c, poisson_bracket(a, b, pairing), pairing)
+            poisson_bracket(a, poisson_bracket(b, c, pairs), pairs)
+            + poisson_bracket(b, poisson_bracket(c, a, pairs), pairs)
+            + poisson_bracket(c, poisson_bracket(a, b, pairs), pairs)
         )
         assert jac.is_zero()
 
 
 def test_bracket_against_brute_force_oracle(example2):
-    pairing = derive_pairing(example2)
+    pairs = canonical_pairs(len(example2.zeta))
     vt = example2.zeta
     rng = random.Random(43)
     for _ in range(60):
         a = _rand(rng, vt)
         b = _rand(rng, vt)
-        got = poisson_bracket(a, b, pairing)
-        want = brute_force_bracket(a, b, vt, pairing.pairs)
+        got = poisson_bracket(a, b, pairs)
+        want = brute_force_bracket(a, b, vt, pairs)
         assert dict(got.terms) == want
 
 
@@ -168,13 +170,26 @@ def test_consistency_algorithm_free_particle(free_particle):
     assert res.multiplier_conditions == ()
 
 
+def test_oracle_rejects_a_degenerate_base_tensor():
+    zeta = VarTable(["x", "y", "p_x", "p_y"])
+    c = [parse_expression(t, zeta) for t in ("p_x", "0", "0", "0")]
+    h = parse_expression("p_x^2 + x*y + p_y^2", zeta)
+    p_y = parse_expression("p_y", zeta)
+    with pytest.raises(ValueError, match="nondegenerate base tensor f, but f has rank 2 of 4"):
+        consistency_algorithm(FirstOrderModel("degenerate", zeta, c, h, [p_y]))
+    # without primaries the oracle returns before it inverts f
+    free = FirstOrderModel("degenerate", zeta, c, h)
+    assert consistency_algorithm(free) == OracleResult((), ())
+    with pytest.raises(ValueError, match="rank 2 of 4"):
+        classify(free, [Constraint.from_raw(1, p_y, "primary")])
+
+
 def test_classify_published_set(example2):
-    pairing = derive_pairing(example2)
     constraints = [
         Constraint.from_raw(i + 1, parse_expression(t, example2.zeta), "consistency")
         for i, t in enumerate(PUBLISHED_CONSTRAINTS)
     ]
-    cm = classify(constraints, pairing)
+    cm = classify(example2, constraints)
     assert [[int(x) for x in row] for row in cm.matrix.to_rows()] == C_GOLDEN
     assert cm.rank == 4
     assert cm.first_class == ()
@@ -183,7 +198,7 @@ def test_classify_published_set(example2):
     # independent verification of every entry by the brute-force bracket
     for i, a in enumerate(constraints):
         for j, b in enumerate(constraints):
-            want = brute_force_bracket(a.raw, b.raw, example2.zeta, pairing.pairs)
+            want = brute_force_bracket(a.raw, b.raw, example2.zeta, canonical_pairs(len(example2.zeta)))
             entry = cm.matrix.entry(i, j)
             if entry == 0:
                 assert want == {}
@@ -192,8 +207,7 @@ def test_classify_published_set(example2):
 
 
 def test_classify_empty_and_duplicates(example2):
-    pairing = derive_pairing(example2)
-    cm = classify([], pairing)
+    cm = classify(example2, [])
     assert cm.rank == 0 and cm.first_class == ()
     p_z = parse_expression("p_z", example2.zeta)
     dup = [
@@ -201,16 +215,18 @@ def test_classify_empty_and_duplicates(example2):
         Constraint.from_raw(2, 2 * p_z, "consistency"),
     ]
     with pytest.raises(ValueError):
-        classify(dup, pairing)
+        classify(example2, dup)
 
 
 def test_classify_lists_first_class_combinations():
     """A first-class combination is found although no row of C is zero."""
     zeta = VarTable(["q1", "q2", "p1", "p2"])
+    c = [parse_expression(t, zeta) for t in ("p1", "p2", "0", "0")]
+    m = FirstOrderModel("pairs", zeta, c, Expression.zero(zeta))
     constraints = [
         Constraint.from_raw(1, parse_expression(t, zeta), "primary") for t in ("q1", "p1", "p1 + q2")
     ]
-    cm = classify(constraints, CanonicalPairing(zeta, ((0, 2), (1, 3))))
+    cm = classify(m, constraints)
     assert all(any(row) for row in cm.matrix.to_rows())
     assert cm.rank == cm.second_class_count == 2
     assert len(cm.first_class) == 1
@@ -224,31 +240,30 @@ def test_classify_rank_is_even(example2):
         res = consistency_algorithm(m)
         if not res.constraints:
             continue
-        pairing = derive_pairing(m)
-        cm = classify(res.constraints, pairing)
+        cm = classify(m, res.constraints)
+        pairs = canonical_pairs(len(m.zeta))
         assert cm.rank % 2 == 0
         assert cm.second_class_count == cm.rank
         assert len(cm.first_class) + cm.second_class_count == len(res.constraints)
         # each linear-form entry is the constant general-polynomial bracket
         for a, row in zip(res.constraints, cm.matrix.to_rows()):
             for b, entry in zip(res.constraints, row):
-                bracket = poisson_bracket(a.raw, b.raw, pairing)
+                bracket = poisson_bracket(a.raw, b.raw, pairs)
                 assert bracket.is_constant() and bracket.constant_value() == entry
 
 
 def test_classify_rejects_nonlinear_and_foreign_constraints(example2):
-    pairing = derive_pairing(example2)
     zeta = example2.zeta
     constraints = [
         Constraint.from_raw(1, parse_expression("p_z", zeta), "primary"),
         Constraint.from_raw(2, parse_expression("x^2 + p_x", zeta), "consistency"),
     ]
     with pytest.raises(ValueError, match="nonlinear"):
-        classify(constraints, pairing)
+        classify(example2, constraints)
     working = example2.working
     foreign = [Constraint.from_raw(1, parse_expression("p_z + lam1", working), "primary")]
     with pytest.raises(ValueError, match="phase-space table"):
-        classify(foreign, pairing)
+        classify(example2, foreign)
 
 
 def test_compare_spans_fixture(example2):
@@ -334,9 +349,17 @@ _rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3
 
 @st.composite
 def _bracket_inputs(draw):
-    """A randmodels table, an affine-linear form and a polynomial of degree <= 3."""
-    zeta = random_model(random.Random(draw(st.integers(0, 10**6)))).zeta
-    n = len(zeta)
+    """A permuted randmodels table with canonical c, its (q, p) pairs,
+    an affine-linear form and a polynomial of degree <= 3."""
+    names = random_model(random.Random(draw(st.integers(0, 10**6)))).zeta.names
+    n = len(names)
+    order = draw(st.permutations(range(n)))
+    zeta = VarTable([names[i] for i in order])
+    position = {old: new for new, old in enumerate(order)}
+    pairs = tuple((position[i], position[n // 2 + i]) for i in range(n // 2))
+    c = [Expression.zero(zeta)] * n
+    for q, p in pairs:
+        c[q] = Expression.variable(zeta, zeta.names[p])
     coeffs = draw(st.lists(_rationals, min_size=n + 1, max_size=n + 1))
     terms = {}
     for _ in range(draw(st.integers(0, 6))):
@@ -344,30 +367,15 @@ def _bracket_inputs(draw):
         for _ in range(draw(st.integers(0, 3))):
             mono[draw(st.integers(0, n - 1))] += 1
         terms[tuple(mono)] = draw(_rationals)
-    return zeta, linear_expression(zeta, coeffs[:n], coeffs[n]), Expression(zeta, terms)
+    b = Expression(zeta, terms)
+    return FirstOrderModel("table", zeta, c, b), pairs, linear_expression(zeta, coeffs[:n], coeffs[n]), b
 
 
 @settings(max_examples=200, deadline=None)
 @given(_bracket_inputs())
 def test_linear_form_bracket_matches_poisson_bracket(inputs):
-    zeta, a, b = inputs
-    m = FirstOrderModel("table", zeta, [Expression.zero(zeta)] * len(zeta), b)
-    pairing = derive_pairing(m)
-    gradient = [b.differentiate(name) for name in zeta.names]
-    flow = _flow(a, pairing)
-    bracket = Expression.linear_combination(zeta, ((x, gradient[j]) for j, x in flow.items()))
-    assert bracket == poisson_bracket(a, b, pairing)
-
-
-@pytest.mark.parametrize("name", ["example2", "lattice_3"])
-def test_consistency_algorithm_takes_no_poisson_bracket(name, example2, monkeypatch):
-    m = example2 if name == "example2" else build_schwinger(LatticeSpec(sites=3))
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return poisson_bracket(*args)
-
-    monkeypatch.setattr(dirac, "poisson_bracket", counting)
-    assert consistency_algorithm(m).constraints
-    assert calls == []
+    m, pairs, a, b = inputs
+    gradient = [b.differentiate(name) for name in m.zeta.names]
+    flow = _flow(a, _inverse(m))
+    bracket = Expression.linear_combination(m.zeta, ((x, gradient[j]) for j, x in flow.items()))
+    assert bracket == poisson_bracket(a, b, pairs)

@@ -16,3 +16,11 @@ def test_exports_are_exactly_the_public_names():
     }
     assert sorted(symchain.__all__) == sorted(bound)
     assert len(set(symchain.__all__)) == len(symchain.__all__)
+
+
+def test_the_pairing_convention_is_gone():
+    # the oracle reads its bracket off the base tensor f; the bracket on
+    # explicit (q, p) pairs is a test-side reference (tests/brackets.py)
+    for name in ("CanonicalPairing", "derive_pairing", "poisson_bracket"):
+        assert not hasattr(symchain, name), name
+        assert not hasattr(symchain.dirac, name), name
