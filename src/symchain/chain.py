@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Sequence
 
@@ -288,15 +289,15 @@ class _Gradient:
         self.denominator = d = lcm(*(x.denominator for e in exprs for x in e.terms.values()))
         self.terms = [{mono: x.numerator * (d // x.denominator) for mono, x in e.terms.items()} for e in exprs]
 
-    def combination(self, v: Sequence[Fraction]) -> Expression:
-        """sum_i v_i * exprs[i] for an integer-valued ``v``, dropping its entries past the last one."""
+    def combination(self, v: dict[int, int], scale: int = 1) -> Expression:
+        """sum_i v_i * exprs[i] / scale for a sparse int ``v`` and an int ``scale`` > 0."""
         acc: dict = {}
-        for x, terms in zip(v, self.terms):
-            if x:
-                k = x.numerator
-                for mono, y in terms.items():
-                    acc[mono] = acc.get(mono, 0) + k * y
-        return Expression._trusted(self.vars, {m: Fraction(s, self.denominator) for m, s in acc.items()})
+        terms = self.terms
+        for i, k in v.items():
+            for mono, y in terms[i].items():
+                acc[mono] = acc.get(mono, 0) + k * y
+        d = self.denominator * scale
+        return Expression._trusted(self.vars, {m: Fraction(s, d) for m, s in acc.items()})
 
 
 def _classify(
@@ -304,8 +305,10 @@ def _classify(
 ) -> list[Candidate]:
     """``find_new_constraints`` on a null basis against ``known``, which grows by each NEW one (of ``level``)."""
     out: list[Candidate] = []
+    n = len(rhs.terms)
     for v in null:
-        value = rhs.combination(v)
+        # v is integral; grad(H) has no entries for the constraint rows, from n on
+        value = rhs.combination({i: v[i].numerator for i in compress(range(n), v)})
         if value.is_zero():
             out.append(Candidate(vector=v, value=value, classification=REDUNDANT))
             continue
@@ -359,7 +362,6 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
         """Classify the null vectors of one bordered matrix and record the level."""
         kept = _kept(cols, constraints, truncated)
         null, det = null_space_and_determinant(kept, len(cols))
-        # grad(H) has no entries for the constraint rows: the combination drops them
         candidates = _classify(null, grad_h, known, k + 1)
         records.append(LevelRecord(
             level=k, truncated=truncated, shape=(len(cols), len(kept)), candidates=tuple(candidates)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chain import ChainReport, Constraint, span_fingerprint, _base_columns, _linear_part, _span_basis
+from .chain import ChainReport, Constraint, span_fingerprint, _base_columns, _Gradient, _linear_part, _span_basis
 from .expressions import EchelonBasis, Expression, linear_expression
-from .linalg import RationalMatrix, SparseEchelon, left_null_space
+from .linalg import RationalMatrix, SparseEchelon, _integral, left_null_space
 from .model import FirstOrderModel
 
 ORIGIN_CONSISTENCY = "consistency"
@@ -85,7 +85,9 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
 
     Each constraint's brackets with H and with the primaries are taken
     once, when it joins the set, and reused by every later pass: with
-    u = -f^-1 grad(phi), {phi, H} = sum_j u_j d_j H and {phi, mu} = u . grad(mu).
+    u = -f^-1 grad(phi), {phi, H} = sum_j u_j d_j H, summed in ints over
+    the nonzeros of u, and {phi, mu} = u . grad(mu) over the nonzeros of
+    grad(mu).
     A model with primaries and a degenerate f raises ``ValueError``.
 
     The loop closes within len(zeta) + 1 passes: a pass that does not
@@ -102,18 +104,16 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
         raise ValueError("nonlinear primary: the oracle supports linear constraints only")
     finv = _inverse(m)
     zeta = m.zeta
-    grad_h = m.hamiltonian.gradient()
-    primary_grads = [p.linear_coefficients()[0] for p in m.primaries]
+    grad_h = _Gradient(m.hamiltonian.gradient())
+    primary_grads = [_linear_part(p) for p in m.primaries]
     brackets_h: list[Expression] = []
     mixed: list[list[Fraction]] = []
     known = EchelonBasis(zeta)
 
     def add_brackets(c: Constraint) -> None:
         u = _flow(c.expr, finv)
-        brackets_h.append(
-            Expression.linear_combination(zeta, ((x, grad_h[j]) for j, x in u.items()))
-        )
-        mixed.append([sum(x * beta[j] for j, x in u.items()) for beta in primary_grads])
+        brackets_h.append(grad_h.combination(*_integral(u)))
+        mixed.append([sum(u[j] * x for j, x in beta.items() if j in u) for beta in primary_grads])
 
     for c in constraints:
         add_brackets(c)
@@ -194,9 +194,9 @@ def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> Constrain
         raise ValueError("constraint set is not linearly independent")
     finv = _inverse(m)
     flows = [_flow(c.raw, finv) for c in constraints]
-    grads = [c.raw.linear_coefficients()[0] for c in constraints]
+    grads = [_linear_part(c.raw) for c in constraints]
     matrix = RationalMatrix(
-        [[sum(x * grad[j] for j, x in u.items()) for grad in grads] for u in flows]
+        [[sum(u[j] * x for j, x in grad.items() if j in u) for grad in grads] for u in flows]
     )
     null = left_null_space(matrix)
     raw = [c.raw for c in constraints]

@@ -394,26 +394,20 @@ class Expression:
         if not self._terms:
             return "0"
         plus, minus = ("+", "-") if compact else (" + ", " - ")
+        names = self._vars.names
         parts: list[str] = []
         for mono in sorted(self._terms, key=_grlex_key, reverse=True):
             coeff = self._terms[mono]
-            factors = []
-            for i, e in enumerate(mono):
-                if e == 1:
-                    factors.append(self._vars.names[i])
-                elif e > 1:
-                    factors.append(f"{self._vars.names[i]}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
-                parts.append((plus if coeff > 0 else minus) + body)
+            num, den = coeff.numerator, coeff.denominator
+            factors = [
+                name if e == 1 else f"{name}^{e}" for name, e in compress(zip(names, mono), mono)
+            ]
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            if factors and mag != "1":
+                factors.insert(0, mag)
+            body = "*".join(factors) if factors else mag
+            sign = (plus if num > 0 else minus) if parts else ("" if num > 0 else "-")
+            parts.append(sign + body)
         return "".join(parts)
 
 

@@ -2,13 +2,18 @@
 
 The tree form is a single JSON document per run, holding every field of
 the report (the text table is a projection).  Both renderings are
-byte-deterministic for identical inputs.
+byte-deterministic for identical inputs.  The tree is written by
+``_json``, which gives the bytes of ``json.dumps(tree, indent=2)``:
+with an indent, ``json.dumps`` runs the pure-Python encoder, while
+``_json`` quotes each string with the C one and joins a list of strings
+in one call.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from .chain import ChainReport, Constraint
@@ -91,7 +96,25 @@ def render_tree(
     comparison: SpanVerdict | None = None,
     oracle: OracleResult | None = None,
 ) -> str:
-    return json.dumps(report_tree(report, comparison, oracle), indent=2) + "\n"
+    return _json(report_tree(report, comparison, oracle)) + "\n"
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` for str-keyed dicts, lists and JSON scalars.
+
+    ``indent`` is the newline and the indentation that precede ``obj``'s closing bracket.
+    """
+    if type(obj) is str:
+        return _quote(obj)
+    if not obj or type(obj) not in (list, dict):
+        return json.dumps(obj)
+    inner = indent + "  "
+    sep = "," + inner
+    if type(obj) is dict:
+        return "{" + inner + sep.join(_quote(k) + ": " + _json(v, inner) for k, v in obj.items()) + indent + "}"
+    if all(type(x) is str for x in obj):
+        return "[" + inner + sep.join(map(_quote, obj)) + indent + "]"
+    return "[" + inner + sep.join(_json(x, inner) for x in obj) + indent + "]"
 
 
 def _constraint_rows(constraints: Sequence[Constraint]) -> list[tuple[str, ...]]:

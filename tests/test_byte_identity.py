@@ -2,14 +2,16 @@
 
 The digests are sha256 of ``render_tree(run_chain(m), compare_spans(...),
 consistency_algorithm(m))``, recorded before the chain and the oracle
-were moved onto the incremental echelon basis.  Any change to a
+were moved onto the incremental echelon basis.  ``lattice_N_s`` is the
+lattice of N sites at spacing s; the two at a fractional spacing were
+recorded before the oracle's brackets were taken in integers.  Any change to a
 constraint, remainder, null vector, determinant or span verdict shows
 up here.
 
 ``BATCH_DIGEST`` pins the tree and text reports of 400 ``randmodels``
 models and lattice N in {9, 11} under three option sets, one sha256
 over all of them, recorded before the chain's columns were bordered in
-place.
+place.  Each of those trees must also be ``json.dumps(tree, indent=2)``.
 
 ``DEEP_CHAIN_DIGEST`` pins the tree reports of four k=12 shift chains,
 H = sum a_i p_i q_{i+1} + b q_1^2 with the last momentum as the one
@@ -19,6 +21,7 @@ before tall matrices were eliminated with largest-index pivots.
 """
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -41,7 +44,7 @@ from symchain import (
 )
 from symchain import chain
 from symchain.linalg import null_space_and_determinant
-from symchain.reports import render_text, render_tree
+from symchain.reports import render_text, render_tree, report_tree
 
 DIGESTS = {
     "example2": "16472c9e457e8cdc3de3d2773ccf86c1ae6295eeff19f9ee59d3ce3b164d3238",
@@ -50,6 +53,8 @@ DIGESTS = {
     "lattice_3": "9a028c4b50db50c103e4e0234afd0c5edb4778c95a3488f95cecebf0db0c458b",
     "lattice_5": "b89eb3d4cb8287a775918f54de79fdaa86dbfb540d5edd38bc7ea409ecbe78f0",
     "lattice_7": "4d5b5462c29a98c2a78f277928d7f63be21374e0f699532179a6dd7745ee79d6",
+    "lattice_5_3/7": "1f6c255f9dc22ada19cd2904c991f4d86ec4558267a265248514bd45116a3948",
+    "lattice_7_9/4": "c44ede4b9dbb68bcc3c6a8c0bb6cea0f54814e6ba6358e1432639d819d800539",
 }
 
 BATCH_DIGEST = "90c10f7b1e218c1b944af4f2e473277353eb29c38f7af9b70ccb1af0da2c5a97"
@@ -63,8 +68,8 @@ BATCH_OPTIONS = (
 
 def _model(name):
     if name.startswith("lattice_"):
-        sites = int(name.split("_")[1])
-        return build_schwinger(LatticeSpec(sites=sites, spacing=Fraction(1)))
+        _, sites, *spacing = name.split("_")
+        return build_schwinger(LatticeSpec(sites=int(sites), spacing=Fraction(*spacing or [1])))
     return load_model(MODELS_DIR / f"{name}.model")
 
 
@@ -86,7 +91,9 @@ def test_batch_report_digest():
         for opts in BATCH_OPTIONS:
             report = run_chain(m, opts)
             verdict = compare_spans(report, oracle.constraints)
-            digest.update(render_tree(report, verdict, oracle).encode())
+            tree = render_tree(report, verdict, oracle)
+            assert tree == json.dumps(report_tree(report, verdict, oracle), indent=2) + "\n"
+            digest.update(tree.encode())
             digest.update(render_text(report, verdict, oracle).encode())
     assert digest.hexdigest() == BATCH_DIGEST
 

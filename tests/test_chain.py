@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symchain import (
     ChainError,
@@ -422,3 +424,36 @@ def test_span_fingerprint_is_scale_invariant(example2):
         [parse_expression(t, example2.zeta) for t in PUBLISHED_CONSTRAINTS]
     )
     assert a == b
+
+
+COMBO = VarTable(["x", "y", "p_x", "p_y"])
+_combo_exprs = st.dictionaries(
+    # degree <= 3 monomials: the variables at up to three drawn indices
+    st.lists(st.integers(0, 3), max_size=3).map(lambda ix: tuple(ix.count(i) for i in range(4))),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5])),
+    max_size=5,
+).map(lambda terms: Expression(COMBO, terms))
+_CANCELLING = [parse_expression(t, COMBO) for t in ("x^3 + 1/2*x*y", "-x^3 - 1/2*x*y + p_y", "-p_y")]
+_CUBIC_GRADIENT = list(parse_expression("x^3*y + 2/3*p_x^2*x - y + p_x*p_y", COMBO).gradient())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_combo_exprs, min_size=1, max_size=5).flatmap(
+        lambda exprs: st.tuples(
+            st.just(exprs),
+            st.dictionaries(st.integers(0, len(exprs) - 1), st.integers(-5, 5).filter(bool)),
+        )
+    ),
+    st.integers(1, 12),
+)
+@example((_CANCELLING, {0: 2, 1: 2}), 3)
+@example((_CANCELLING, {0: 1, 1: 1, 2: 1}), 1)
+@example((_CUBIC_GRADIENT, {0: 3, 3: -2}), 7)
+def test_gradient_combination_matches_linear_combination(case, scale):
+    """sum_i v_i e_i / scale in ints equals the Fraction sum, with cancelled terms dropped."""
+    exprs, v = case
+    got = chain._Gradient(exprs).combination(v, scale)
+    weights = ((Fraction(k, scale), exprs[i]) for i, k in v.items())
+    assert got == Expression.linear_combination(COMBO, weights)
+    assert all(got.terms.values())

@@ -413,3 +413,61 @@ def test_substitute_onto_a_smaller_table_names_a_missing_variable():
 def test_linear_combination_rejects_a_foreign_table():
     with pytest.raises(ValueError, match="different VarTables"):
         Expression.linear_combination(TARGET, [(0, Expression.variable(SOURCE, "x"))])
+
+
+# -- printing against the term-by-term reference -----------------------
+
+
+def reference_text(e, compact=False):
+    """``Expression.to_text`` as first written: every exponent visited, Fraction comparisons."""
+    if e.is_zero():
+        return "0"
+    plus, minus = ("+", "-") if compact else (" + ", " - ")
+    parts = []
+    for mono in sorted(e.terms, key=lambda m: (sum(m), m), reverse=True):
+        coeff = e.terms[mono]
+        factors = []
+        for i, x in enumerate(mono):
+            if x == 1:
+                factors.append(e.vars.names[i])
+            elif x > 1:
+                factors.append(f"{e.vars.names[i]}^{x}")
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not parts:
+            parts.append(body if coeff > 0 else "-" + body)
+        else:
+            parts.append((plus if coeff > 0 else minus) + body)
+    return "".join(parts)
+
+
+def _monomial(indices):
+    """The exponent tuple over VT that multiplies the variables at ``indices``."""
+    return tuple(indices.count(i) for i in range(len(VT)))
+
+
+# degree <= 3, so x^2 and x^3 occur, and the empty product is the constant term
+_cubic_monomials = st.lists(st.integers(0, len(VT) - 1), max_size=3).map(_monomial)
+_signed_rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 1, 2, 3, 7, 12]))
+_cubics = st.dictionaries(_cubic_monomials, _signed_rationals, max_size=6).map(
+    lambda terms: Expression(VT, terms)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cubics, st.booleans())
+def test_to_text_matches_the_reference(e, compact):
+    assert e.to_text(compact) == reference_text(e, compact)
+
+
+def test_to_text_reference_cases():
+    for text in ("0", "-1", "7/3", "-x^3 + 2/3*x^2*y - p_z + 1", "x*y*z - 1/2*y^2 - 5"):
+        e = parse_expression(text, VT)
+        for compact in (False, True):
+            assert e.to_text(compact) == reference_text(e, compact)
+    assert parse_expression("-x^3 + 2/3*x^2*y - p_z + 1", VT).to_text(True) == "-x^3+2/3*x^2*y-p_z+1"

@@ -1,0 +1,40 @@
+"""The tree writer against ``json.dumps(obj, indent=2)``."""
+
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from symchain.reports import _json
+
+# quotes, backslashes, control characters, non-ASCII and non-BMP characters
+_awkward = st.sampled_from(['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "é", " ", "\U0001f600"])
+_strings = st.text(st.one_of(_awkward, st.characters()), max_size=8)
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), _strings)
+_trees = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_strings, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+def _nested(depth):
+    """A list and a dict in turn, ``depth`` levels deep, with an empty container at the bottom."""
+    tree = {}
+    for level in range(depth):
+        tree = [level, tree, "x"] if level % 2 else {"k": tree, "n": None}
+    return tree
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees)
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": [[]], "d": [{}]})
+@example(["a", 1, None, ["b"], {}, True, False, "c"])
+@example(["a", "b", ["c", 0]])
+@example([1, "a"])
+@example(_nested(60))
+@example({'"\\': ["\x00\x1f\x7f", "é \U0001f600"]})
+def test_writer_matches_json_dumps(tree):
+    assert _json(tree) == json.dumps(tree, indent=2)
