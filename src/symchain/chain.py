@@ -32,7 +32,7 @@ from itertools import compress
 from math import lcm
 from typing import Sequence
 
-from .expressions import EchelonBasis, Expression
+from .expressions import EchelonBasis, Expression, _linear_part
 from .linalg import RationalMatrix, _integral, left_null_space, null_space_and_determinant
 from .model import FirstOrderModel
 
@@ -65,14 +65,14 @@ class Constraint:
     expr: Expression
     raw: Expression
     origin: str
-    generator: tuple[Fraction, ...] | None = None
+    generator: tuple[int, ...] | None = None
 
     @staticmethod
     def from_raw(
         level: int,
         raw: Expression,
         origin: str,
-        generator: tuple[Fraction, ...] | None = None,
+        generator: tuple[int, ...] | None = None,
     ) -> "Constraint":
         if raw.is_zero():
             raise ValueError("constraint expression is identically zero")
@@ -83,7 +83,7 @@ class Constraint:
 class Candidate:
     """One canonical null vector with its extracted value and verdict."""
 
-    vector: tuple[Fraction, ...]
+    vector: tuple[int, ...]
     value: Expression  # v . grad(H) over zeta
     classification: str
 
@@ -239,11 +239,6 @@ def _border(cols: list[dict[int, Fraction]], c: Constraint) -> None:
     cols.append(grad)
 
 
-def _linear_part(e: Expression) -> dict[int, Fraction]:
-    """The nonzero coefficient of each variable of the linear ``e``."""
-    return {mono.index(1): x for mono, x in e.terms.items() if any(mono)}
-
-
 def _kept(
     cols: list[dict[int, Fraction]], constraints: Sequence[Constraint], truncated: bool
 ) -> list[dict[int, Fraction]]:
@@ -301,14 +296,14 @@ class _Gradient:
 
 
 def _classify(
-    null: Sequence[tuple[Fraction, ...]], rhs: _Gradient, known: EchelonBasis, level: int
+    null: Sequence[tuple[int, ...]], rhs: _Gradient, known: EchelonBasis, level: int
 ) -> list[Candidate]:
     """``find_new_constraints`` on a null basis against ``known``, which grows by each NEW one (of ``level``)."""
     out: list[Candidate] = []
     n = len(rhs.terms)
     for v in null:
-        # v is integral; grad(H) has no entries for the constraint rows, from n on
-        value = rhs.combination({i: v[i].numerator for i in compress(range(n), v)})
+        # grad(H) has no entries for the constraint rows, from n on
+        value = rhs.combination({i: v[i] for i in compress(range(n), v)})
         if value.is_zero():
             out.append(Candidate(vector=v, value=value, classification=REDUNDANT))
             continue
@@ -381,8 +376,8 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
             break
         truncated = not new
         if truncated:
-            # certificate consistency: a null vector proves det(F) = 0 (in ints: v is integral)
-            v = [x.numerator for x in candidates[0].vector]
+            # certificate consistency: a null vector proves det(F) = 0 (in ints)
+            v = candidates[0].vector
             if any(sum(v[i] * x for i, x in _integral(col)[0].items()) for col in cols):
                 raise ChainError("certificate mismatch: a null vector does not annihilate F")
             if opts.allow_truncation and k > 1:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chain import ChainReport, Constraint, span_fingerprint, _base_columns, _Gradient, _linear_part, _span_basis
-from .expressions import EchelonBasis, Expression, linear_expression
+from .chain import ChainReport, Constraint, span_fingerprint, _base_columns, _Gradient, _span_basis
+from .expressions import EchelonBasis, Expression, _linear_part, linear_expression
 from .linalg import RationalMatrix, SparseEchelon, _integral, left_null_space
 from .model import FirstOrderModel
 

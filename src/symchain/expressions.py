@@ -2,13 +2,15 @@
 
 An Expression is a sparse map from monomials to coefficients:
 
-    monomial    = tuple of exponents, one per variable of a VarTable
+    monomial    = tuple of (variable index, exponent >= 1) pairs, sorted
+                  by index; () is the constant term
     coefficient = fractions.Fraction (always exact, never float)
 
 Zero coefficients are never stored, so two Expressions are equal iff their
-maps are equal.  The VarTable fixes the variable order once and for all;
-that order induces the graded-lexicographic monomial order used for
-canonical printing and for monic normalization.
+maps are equal.  A monomial lists only the variables it uses, so a term
+costs its own size, not the size of the VarTable.  The VarTable fixes the
+variable order once and for all; that order induces the graded-lexicographic
+monomial order used for canonical printing and for monic normalization.
 
 The text grammar accepts rational literals (``3``, ``1/2``), variable
 names, ``+ - * ^``, unary minus and parentheses.  ``^`` takes a
@@ -19,13 +21,12 @@ nonnegative integer literal.  There is no general division operator:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import SparseEchelon
 
-Monomial = tuple[int, ...]
+Monomial = tuple[tuple[int, int], ...]
 
 _NAME_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_REST = _NAME_FIRST | set("0123456789")
@@ -105,10 +106,24 @@ def _check_name(name: str) -> None:
         raise ValueError(f"invalid variable name {name!r}")
 
 
+def _degree(mono: Monomial) -> int:
+    return sum(e for _, e in mono)
+
+
 def _grlex_key(mono: Monomial) -> tuple:
     # graded-lex: total degree first, ties broken lexicographically on the
-    # exponent vector (earlier table positions dominate)
-    return (sum(mono), mono)
+    # dense exponent vector (earlier table positions dominate); a variable
+    # absent from one monomial is a 0 there, so the smaller index ranks higher
+    return (_degree(mono), tuple((-i, e) for i, e in mono))
+
+
+def _product(a: Monomial, b: Monomial) -> Monomial:
+    if not a or not b:
+        return a or b
+    exps = dict(a)
+    for i, e in b:
+        exps[i] = exps.get(i, 0) + e
+    return tuple(sorted(exps.items()))
 
 
 class Expression:
@@ -124,10 +139,18 @@ class Expression:
         nvars = len(vars)
         clean: dict[Monomial, Fraction] = {}
         for mono, coeff in terms.items():
-            if len(mono) != nvars:
-                raise ValueError("monomial length does not match the VarTable")
-            if any(e < 0 for e in mono):
-                raise ValueError("negative exponent")
+            last = -1
+            for pair in mono:
+                if type(pair) is not tuple or len(pair) != 2:
+                    raise ValueError(f"monomial entry {pair!r} is not an (index, exponent) pair")
+                i, e = pair
+                if not 0 <= i < nvars:
+                    raise ValueError(f"variable index {i} is out of range for the VarTable")
+                if i <= last:
+                    raise ValueError("variable indices of a monomial must increase")
+                if e < 1:
+                    raise ValueError("monomial exponents must be at least 1")
+                last = i
             coeff = Fraction(coeff)
             if coeff != 0:
                 clean[tuple(mono)] = coeff
@@ -150,13 +173,11 @@ class Expression:
 
     @staticmethod
     def constant(vars: VarTable, value) -> "Expression":
-        return Expression(vars, {(0,) * len(vars): Fraction(value)})
+        return Expression(vars, {(): Fraction(value)})
 
     @staticmethod
     def variable(vars: VarTable, name: str) -> "Expression":
-        exps = [0] * len(vars)
-        exps[vars.index_of(name)] = 1
-        return Expression(vars, {tuple(exps): Fraction(1)})
+        return Expression(vars, {((vars.index_of(name), 1),): Fraction(1)})
 
     @staticmethod
     def linear_combination(vars: VarTable, pairs: Iterable[tuple[Fraction, "Expression"]]) -> "Expression":
@@ -186,7 +207,7 @@ class Expression:
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0."""
-        return max((sum(m) for m in self._terms), default=0)
+        return max(map(_degree, self._terms), default=0)
 
     def is_constant(self) -> bool:
         return self.degree() == 0
@@ -244,7 +265,7 @@ class Expression:
         out: dict[Monomial, Fraction] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
+                mono = _product(ma, mb)
                 out[mono] = out.get(mono, Fraction(0)) + ca * cb
         return Expression._trusted(self._vars, out)
 
@@ -284,9 +305,11 @@ class Expression:
         out: list[dict[Monomial, Fraction]] = [{} for _ in self._vars.names]
         for mono, coeff in self._terms.items():
             # lowering one exponent maps distinct terms to distinct terms
-            for i in compress(range(len(mono)), mono):
-                e = mono[i]
-                out[i][mono[:i] + (e - 1,) + mono[i + 1 :]] = coeff * e if e > 1 else coeff
+            for k, (i, e) in enumerate(mono):
+                if e > 1:
+                    out[i][mono[:k] + ((i, e - 1),) + mono[k + 1 :]] = coeff * e
+                else:
+                    out[i][mono[:k] + mono[k + 1 :]] = coeff
         return tuple(Expression._trusted(self._vars, d) for d in out)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
@@ -295,9 +318,7 @@ class Expression:
         total = Fraction(0)
         for mono, coeff in self._terms.items():
             term = coeff
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
+            for i, e in mono:
                 if i not in values:
                     name = self._vars.names[i]
                     if name not in point:
@@ -324,26 +345,23 @@ class Expression:
                     raise ValueError(f"substitution for '{name}' uses the wrong VarTable")
                 images[i] = img
         names = self._vars.names
-        zero = (0,) * len(target)
         out: dict[Monomial, Fraction] = {}
         for mono, coeff in self._terms.items():
-            placed = list(zero)  # exponents of the variables kept by name
+            placed = []  # the variables kept by name, with their exponents
             product: Expression | None = None  # of the mapped variables' images
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
+            for i, e in mono:
                 image = images.get(i)
                 if image is None:
-                    placed[target.index_of(names[i])] += e
+                    placed.append((target.index_of(names[i]), e))
                 else:
                     power = image**e
                     product = power if product is None else product * power
+            kept = tuple(sorted(placed))
             if product is None:
-                key = tuple(placed)
-                out[key] = out.get(key, 0) + coeff
+                out[kept] = out.get(kept, 0) + coeff
                 continue
             for part, c in product._terms.items():
-                key = tuple(x + y for x, y in zip(placed, part))
+                key = _product(kept, part)
                 out[key] = out.get(key, 0) + coeff * c
         return Expression._trusted(target, out)
 
@@ -354,14 +372,9 @@ class Expression:
         if not self.is_linear():
             raise ValueError("expression is not linear")
         coeffs = [Fraction(0)] * len(self._vars)
-        const = Fraction(0)
-        for mono, coeff in self._terms.items():
-            deg = sum(mono)
-            if deg == 0:
-                const = coeff
-            else:
-                coeffs[mono.index(1)] = coeff
-        return tuple(coeffs), const
+        for i, x in _linear_part(self).items():
+            coeffs[i] = x
+        return tuple(coeffs), self._terms.get((), Fraction(0))
 
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the graded-lex leading monomial (0 for the zero poly)."""
@@ -399,9 +412,7 @@ class Expression:
         for mono in sorted(self._terms, key=_grlex_key, reverse=True):
             coeff = self._terms[mono]
             num, den = coeff.numerator, coeff.denominator
-            factors = [
-                name if e == 1 else f"{name}^{e}" for name, e in compress(zip(names, mono), mono)
-            ]
+            factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono]
             mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if factors and mag != "1":
                 factors.insert(0, mag)
@@ -569,14 +580,18 @@ def parse_expression(text: str, vars: VarTable) -> Expression:
 
 # -- linear reduction ------------------------------------------------
 
+def _linear_part(e: Expression) -> dict[int, Fraction]:
+    """The nonzero coefficient of each variable of the linear ``e``."""
+    return {mono[0][0]: x for mono, x in e._terms.items() if mono}
+
+
 def linear_expression(vars: VarTable, coeffs: Sequence[Fraction], const=0) -> Expression:
     """Build sum_i coeffs[i] * vars[i] + const."""
     if len(coeffs) != len(vars):
         raise ValueError("coefficient count does not match the VarTable")
-    n = len(vars)
-    terms = {tuple(int(j == i) for j in range(n)): x for i, x in enumerate(coeffs) if x}
+    terms = {((i, 1),): x for i, x in enumerate(coeffs) if x}
     if const:
-        terms[(0,) * n] = Fraction(const)
+        terms[()] = Fraction(const)
     return Expression(vars, terms)
 
 
@@ -591,14 +606,10 @@ class EchelonBasis:
     span, not on the order or the scale in which members were added.
     """
 
-    __slots__ = ("_vars", "_units", "_kernel")
+    __slots__ = ("_vars", "_kernel")
 
     def __init__(self, vars: VarTable):
-        n = len(vars)
         self._vars = vars
-        # monomial of each column; the last one is the constant term
-        self._units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        self._units.append((0,) * n)
         self._kernel = SparseEchelon()
 
     def __len__(self) -> int:
@@ -622,11 +633,8 @@ class EchelonBasis:
         if not e.is_linear():
             raise ValueError(f"nonlinear {kind}: only linear reduction is supported")
         constant = len(self._vars)
-        return {
-            (mono.index(1) if any(mono) else constant): coeff
-            for mono, coeff in e._terms.items()
-        }
+        return {(mono[0][0] if mono else constant): coeff for mono, coeff in e._terms.items()}
 
     def _expression(self, vec: dict[int, Fraction]) -> Expression:
-        units = self._units
-        return Expression._trusted(self._vars, {units[col]: x for col, x in vec.items()})
+        n = len(self._vars)
+        return Expression._trusted(self._vars, {((col, 1),) if col < n else (): x for col, x in vec.items()})

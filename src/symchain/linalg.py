@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals: the sparse elimination kernel and dense matrices.
 
-Inputs and outputs are fractions.Fraction; every row reduction and the
+Inputs and outputs are fractions.Fraction, except null-space bases, which
+come out as canonical primitive int vectors; every row reduction and the
 determinant run on one sparse Gauss-Jordan kernel over primitive integer
-rows, and null-space bases come out in a canonical form.
+rows.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from bisect import bisect, insort
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-_ZERO = Fraction(0)
 
 
 class RationalMatrix:
@@ -157,10 +156,10 @@ def _sparse(entries: Iterable[Fraction]) -> dict[int, Fraction]:
     return {j: x for j, x in enumerate(entries) if x}
 
 
-def _dense(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
-    out = [_ZERO] * n
+def _dense(row: dict[int, Fraction], n: int) -> tuple:
+    out = [0] * n
     for col, x in row.items():
-        out[col] = Fraction(x)
+        out[col] = x
     return tuple(out)
 
 
@@ -168,7 +167,7 @@ def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot-column indices."""
     kernel = SparseEchelon(_sparse(row) for row in m.to_rows())
     rows = [_dense(row, m.cols) for row in kernel.reduced_rows()]
-    rows += [[_ZERO] * m.cols for _ in range(m.rows - len(rows))]
+    rows += [[0] * m.cols for _ in range(m.rows - len(rows))]
     return RationalMatrix(rows), tuple(sorted(kernel.rows))
 
 
@@ -187,11 +186,11 @@ def _columns(m: RationalMatrix) -> list[dict[int, Fraction]]:
     return [_sparse(col) for col in zip(*m.to_rows())]
 
 
-def left_null_space(m: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
+def left_null_space(m: RationalMatrix) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of {v : v.M = 0}; empty iff the rows are independent.
 
     The vectors are the reduced row-echelon basis of the null space in
-    pivot order, each scaled to a primitive integer vector with positive
+    pivot order, each scaled to a primitive vector of ints with positive
     leading entry, so the same matrix always gives the identical basis.
     Rectangular input is fine; vectors have length m.rows.
     """
@@ -200,52 +199,45 @@ def left_null_space(m: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
 
 def null_space_and_determinant(
     cols: Sequence[dict[int, Fraction]], n: int
-) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction | None]:
+) -> tuple[tuple[tuple[int, ...], ...], Fraction | None]:
     """The canonical left null basis and the determinant of one matrix.
 
     ``cols`` are the sparse rational columns of an ``n``-row matrix M
-    (left unchanged); the basis is that of ``left_null_space``, and RREF
-    is unique, so the pivot rule below is chosen for speed alone.  The
-    columns, the rows of M^T, become the kernel's rows.  Each free row f,
+    (left unchanged); the basis is that of ``left_null_space``.  The
+    columns, the rows of M^T, become the kernel's rows with M's rows
+    numbered bottom up, so each column pivots at its largest nonzero row
+    of M and a reduced column is zero below its pivot.  Each free row f,
     the pivot of no column, gives a null vector: L at f and -L x/d at
     the pivot of each column that is x at f and d at its pivot, L the
-    lcm of those d.
+    lcm of those d.  It is nonzero only at f and at pivots below f, so
+    over its gcd it is the primitive row of the null space's reduced
+    row-echelon form, whatever the shape of M.
 
-    A tall matrix (fewer columns than rows) pivots each column at its
-    largest nonzero row.  A reduced column is then zero below its pivot,
-    so f's vector is nonzero only at f and at pivots below it: over its
-    gcd it is the primitive RREF row.  Any other matrix pivots at the
-    smallest row, and one more elimination brings the vectors to RREF.
     Each column reduces, in ints, to s_j > 0 times a column of the same
     determinant with a new pivot, so det M^T = det M is the product of
     the pivot entries over that of the s_j, negated for each earlier
     pivot below a new one: 0 for dependent columns, None when M is not
     square.
     """
-    if len(cols) < n:
-        # the kernel pivots at its smallest index: number the rows bottom up
-        kernel = SparseEchelon({n - 1 - i: x for i, x in col.items()} for col in cols)
-        free = _free_vectors(kernel.rows, n)
-        return tuple(_dense(_normalized(vec, max(vec)), n)[::-1] for vec in reversed(free)), None
     kernel = SparseEchelon()
     square = len(cols) == n
     num = den = 1
-    pivots: list[int] = []  # sorted, for the sign
+    pivots: list[int] = []  # sorted, bottom-up numbers, for the sign
     for col in cols:
-        vec, scale = kernel._reduce(col)
+        vec, scale = kernel._reduce({n - 1 - i: x for i, x in col.items()})
         if not vec:
             num = 0
             continue
         if square and num:
             pivot = min(vec)
-            if (len(pivots) - bisect(pivots, pivot)) % 2:
+            if bisect(pivots, pivot) % 2:
                 num = -num
             insort(pivots, pivot)
             num *= vec[pivot]
             den *= scale
         kernel._insert(vec)
-    null = SparseEchelon(_free_vectors(kernel.rows, n))
-    basis = tuple(_dense(row, n) for _, row in sorted(null.rows.items()))
+    free = _free_vectors(kernel.rows, n)
+    basis = tuple(_dense(_normalized(vec, max(vec)), n)[::-1] for vec in reversed(free))
     return basis, Fraction(num, den) if square else None
 
 

@@ -12,7 +12,6 @@ in one call.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
@@ -20,8 +19,8 @@ from .chain import ChainReport, Constraint
 from .dirac import OracleResult, SpanVerdict
 
 
-def _vec(v: Sequence[Fraction]) -> list[str]:
-    return [str(x) for x in v]
+def _vec(v: Sequence[int]) -> list[str]:
+    return list(map(str, v))
 
 
 def report_tree(

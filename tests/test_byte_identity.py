@@ -4,7 +4,10 @@ The digests are sha256 of ``render_tree(run_chain(m), compare_spans(...),
 consistency_algorithm(m))``, recorded before the chain and the oracle
 were moved onto the incremental echelon basis.  ``lattice_N_s`` is the
 lattice of N sites at spacing s; the two at a fractional spacing were
-recorded before the oracle's brackets were taken in integers.  Any change to a
+recorded before the oracle's brackets were taken in integers.  A
+``_forward`` suffix selects the forward difference scheme, whose D is
+not antisymmetric; those three were recorded before monomials were
+keyed by their nonzero exponents.  Any change to a
 constraint, remainder, null vector, determinant or span verdict shows
 up here.
 
@@ -55,6 +58,9 @@ DIGESTS = {
     "lattice_7": "4d5b5462c29a98c2a78f277928d7f63be21374e0f699532179a6dd7745ee79d6",
     "lattice_5_3/7": "1f6c255f9dc22ada19cd2904c991f4d86ec4558267a265248514bd45116a3948",
     "lattice_7_9/4": "c44ede4b9dbb68bcc3c6a8c0bb6cea0f54814e6ba6358e1432639d819d800539",
+    "lattice_4_1_forward": "33192318e7a2e7204881607178a00ff53432366c877ba6c57265b531a8cac40c",
+    "lattice_5_1_forward": "e566e48da5a8fb2bebce23a17a5c42abf12da7252c17c4ef4c614ea3006b4c2a",
+    "lattice_6_1/2_forward": "e0545295e4d37290bb8d5657975bd19a7ca28cacf416667acd765d9dd8458efc",
 }
 
 BATCH_DIGEST = "90c10f7b1e218c1b944af4f2e473277353eb29c38f7af9b70ccb1af0da2c5a97"
@@ -68,8 +74,10 @@ BATCH_OPTIONS = (
 
 def _model(name):
     if name.startswith("lattice_"):
-        _, sites, *spacing = name.split("_")
-        return build_schwinger(LatticeSpec(sites=int(sites), spacing=Fraction(*spacing or [1])))
+        _, sites, *rest = name.split("_")
+        scheme = rest.pop() if rest[-1:] == ["forward"] else "central"
+        spacing = Fraction(*rest or [1])
+        return build_schwinger(LatticeSpec(sites=int(sites), spacing=spacing, scheme=scheme))
     return load_model(MODELS_DIR / f"{name}.model")
 
 

@@ -39,6 +39,7 @@ from golden import (
 from randmodels import random_model
 from symchain import chain
 from symchain.linalg import null_space_and_determinant
+from test_expressions import sparse_key
 from test_linalg import bareiss_determinant
 
 
@@ -429,7 +430,7 @@ def test_span_fingerprint_is_scale_invariant(example2):
 COMBO = VarTable(["x", "y", "p_x", "p_y"])
 _combo_exprs = st.dictionaries(
     # degree <= 3 monomials: the variables at up to three drawn indices
-    st.lists(st.integers(0, 3), max_size=3).map(lambda ix: tuple(ix.count(i) for i in range(4))),
+    st.lists(st.integers(0, 3), max_size=3).map(lambda ix: sparse_key(ix.count(i) for i in range(4))),
     st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5])),
     max_size=5,
 ).map(lambda terms: Expression(COMBO, terms))

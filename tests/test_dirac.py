@@ -24,10 +24,12 @@ from symchain.dirac import _flow, _inverse
 from brackets import canonical_pairs, poisson_bracket
 from golden import C_GOLDEN, PUBLISHED_CONSTRAINTS, is_scalar_multiple
 from randmodels import random_model
+from test_expressions import dense_key, sparse_key
 
 
 def dict_terms(e):
-    return dict(e.terms)
+    """The terms of ``e`` keyed by dense exponent vectors."""
+    return {dense_key(mono, len(e.vars)): coeff for mono, coeff in e.terms.items()}
 
 
 def brute_force_bracket(a, b, vt, pairs):
@@ -136,7 +138,7 @@ def test_bracket_against_brute_force_oracle(example2):
         a = _rand(rng, vt)
         b = _rand(rng, vt)
         got = poisson_bracket(a, b, pairs)
-        want = brute_force_bracket(a, b, vt, pairs)
+        want = {sparse_key(m): c for m, c in brute_force_bracket(a, b, vt, pairs).items()}
         assert dict(got.terms) == want
 
 
@@ -366,7 +368,7 @@ def _bracket_inputs(draw):
         mono = [0] * n
         for _ in range(draw(st.integers(0, 3))):
             mono[draw(st.integers(0, n - 1))] += 1
-        terms[tuple(mono)] = draw(_rationals)
+        terms[sparse_key(mono)] = draw(_rationals)
     b = Expression(zeta, terms)
     return FirstOrderModel("table", zeta, c, b), pairs, linear_expression(zeta, coeffs[:n], coeffs[n]), b
 

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symchain.expressions import _grlex_key
 from symchain import (
     EchelonBasis,
     Expression,
@@ -17,6 +18,19 @@ from symchain import (
 )
 
 VT = VarTable(["x", "y", "z", "p_x", "p_y", "p_z"])
+
+
+def sparse_key(exps):
+    """The monomial key of a dense exponent vector: its (index, exponent) pairs with exponent >= 1."""
+    return tuple((i, e) for i, e in enumerate(exps) if e)
+
+
+def dense_key(mono, n):
+    """The exponent vector of length ``n`` of a monomial key."""
+    exps = [0] * n
+    for i, e in mono:
+        exps[i] = e
+    return tuple(exps)
 
 
 def test_vartable_rejects_duplicates_and_bad_names():
@@ -362,7 +376,7 @@ TARGET = VarTable(["u", "z", "x", "v", "y"])  # a superset in another order
 
 
 def _polys(vt, max_exponent):
-    monomials = st.tuples(*[st.integers(0, max_exponent)] * len(vt))
+    monomials = st.tuples(*[st.integers(0, max_exponent)] * len(vt)).map(sparse_key)
     return st.dictionaries(monomials, _rationals, max_size=4).map(
         lambda terms: Expression(vt, terms)
     )
@@ -423,9 +437,10 @@ def reference_text(e, compact=False):
     if e.is_zero():
         return "0"
     plus, minus = ("+", "-") if compact else (" + ", " - ")
+    terms = {dense_key(mono, len(e.vars)): coeff for mono, coeff in e.terms.items()}
     parts = []
-    for mono in sorted(e.terms, key=lambda m: (sum(m), m), reverse=True):
-        coeff = e.terms[mono]
+    for mono in sorted(terms, key=lambda m: (sum(m), m), reverse=True):
+        coeff = terms[mono]
         factors = []
         for i, x in enumerate(mono):
             if x == 1:
@@ -447,8 +462,8 @@ def reference_text(e, compact=False):
 
 
 def _monomial(indices):
-    """The exponent tuple over VT that multiplies the variables at ``indices``."""
-    return tuple(indices.count(i) for i in range(len(VT)))
+    """The monomial key over VT that multiplies the variables at ``indices``."""
+    return sparse_key(indices.count(i) for i in range(len(VT)))
 
 
 # degree <= 3, so x^2 and x^3 occur, and the empty product is the constant term
@@ -471,3 +486,33 @@ def test_to_text_reference_cases():
         for compact in (False, True):
             assert e.to_text(compact) == reference_text(e, compact)
     assert parse_expression("-x^3 + 2/3*x^2*y - p_z + 1", VT).to_text(True) == "-x^3+2/3*x^2*y-p_z+1"
+
+
+# -- sparse monomial keys ------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=6, max_size=6), unique_by=tuple, max_size=12))
+def test_grlex_key_orders_sparse_monomials_as_the_dense_key(exponent_vectors):
+    """Sorting by ``_grlex_key`` gives the order of the dense key (degree, exponent vector)."""
+    dense = [tuple(exps) for exps in exponent_vectors]
+    by_sparse = sorted(dense, key=lambda exps: _grlex_key(sparse_key(exps)))
+    assert by_sparse == sorted(dense, key=lambda exps: (sum(exps), exps))
+
+
+@pytest.mark.parametrize(
+    "mono, message",
+    [
+        (((6, 1),), "out of range"),
+        (((-1, 1),), "out of range"),
+        (((1, 1), (1, 2)), "must increase"),
+        (((2, 1), (0, 1)), "must increase"),
+        (((0, 0),), "at least 1"),
+        (((0, -1),), "at least 1"),
+        ((1, 0, 0, 0, 0, 0), "not an \\(index, exponent\\) pair"),
+        (((0, 1, 2),), "not an \\(index, exponent\\) pair"),
+    ],
+)
+def test_expression_rejects_a_malformed_monomial_key(mono, message):
+    with pytest.raises(ValueError, match=message):
+        Expression(VT, {mono: Fraction(1)})

@@ -5,7 +5,10 @@ base tensor f, so a permuted copy of a model must compare equal, find
 the same span (with its coordinates permuted), and end the same way.
 The determinant may change by a nonzero rational square: the chain can
 pick other level-k representatives modulo the lower levels, which
-changes the bordered matrix by a triangular change of basis.
+changes the bordered matrix by a triangular change of basis.  With F =
+[[f, A^T], [-A, 0]] and the copy's gradient rows A' = T A over the
+original coordinates, F' = diag(I, T) F diag(I, T^T) up to a
+permutation of the coordinates, so det F' = det(T)^2 det F exactly.
 """
 
 import functools
@@ -13,6 +16,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +60,23 @@ def is_rational_square(x):
     return x > 0 and all(isqrt(k) ** 2 == k for k in (x.numerator, x.denominator))
 
 
+def gradient_rows(constraints, zeta):
+    """The raw constraints' gradients over ``zeta``, one sympy row each."""
+    rows = [c.raw.substitute(zeta).linear_coefficients()[0] for c in constraints]
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+def transition_determinant(base, report, zeta):
+    """det T for the ``report``'s gradient rows A' = T A, A those of ``base``, both over ``zeta``."""
+    a, a_copy = gradient_rows(base.constraints, zeta), gradient_rows(report.constraints, zeta)
+    solution, free = a.T.gauss_jordan_solve(a_copy.T)
+    assert free.shape[0] == 0
+    t = solution.T
+    assert t * a == a_copy
+    det = t.det()
+    return Fraction(int(det.p), int(det.q))
+
+
 @st.composite
 def permuted_copies(draw):
     key = draw(st.one_of(st.sampled_from(["example2", "lattice_3"]), st.integers(5000, 5199)))
@@ -83,5 +104,10 @@ def test_a_permuted_copy_keeps_every_verdict(case):
     )
     if base.termination.determinant is not None:
         assert is_rational_square(report.termination.determinant / base.termination.determinant)
+        t = transition_determinant(base, report, m.zeta)
+        assert report.termination.determinant == t**2 * base.termination.determinant
     rescaled = run_chain(permuted(m, order, primary, scale))
     assert rescaled.span_fingerprint() == report.span_fingerprint()
+    if base.termination.determinant is not None:
+        t = transition_determinant(base, rescaled, m.zeta)
+        assert rescaled.termination.determinant == t**2 * base.termination.determinant
