@@ -4,9 +4,11 @@ The driver works on the matrix form of the equations of motion.  With
 f_ab = d_a c_b - d_b c_a and one auxiliary column/row pair per known
 constraint (gradient rows A, border blocks +A^T / -A), each step
 
-  1. takes the sparse columns of the extended matrix F: the base
-     tensor's columns, made once per run and bordered in place, once,
-     by each constraint as it is accepted,
+  1. eliminates the sparse integer columns of the extended matrix F:
+     the base tensor's, made once per run and bordered in place, once,
+     by each constraint as it is accepted; the elimination of the
+     constraint columns, which never change, carries from level to
+     level, so each attempt reduces only the coordinate columns,
   2. contracts each canonical left null vector v with the gradient of
      H: every primary borders the matrix, so v is orthogonal to the
      primaries' gradients, the multipliers of the total Hamiltonian
@@ -29,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .expressions import EchelonBasis, Expression, _linear_part
-from .linalg import RationalMatrix, _integral, left_null_space, null_space_and_determinant
+from .linalg import RationalMatrix, _absorb, _integral, _null_basis, left_null_space
 from .model import FirstOrderModel
 
 NEW = "new"
@@ -184,12 +186,9 @@ def _base_columns(m: FirstOrderModel) -> list[dict[int, Fraction]]:
     return [{i: x for i, x in col.items() if x} for col in cols]
 
 
-def _dense_view(cols: Sequence[dict[int, Fraction]], rows: int) -> RationalMatrix:
-    out = [[Fraction(0)] * len(cols) for _ in range(rows)]
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            out[i][j] = x
-    return RationalMatrix(out)
+def _integer_columns(m: FirstOrderModel) -> list[tuple[dict[int, int], int]]:
+    """The base tensor's columns as (vec, scale) pairs: ints keyed by ~i for row i, over their lcm."""
+    return [_integral({~i: x for i, x in col.items()}) for col in _base_columns(m)]
 
 
 def assemble_extended_matrix(
@@ -213,18 +212,24 @@ def assemble_extended_matrix(
     levels = sorted({c.level for c in constraints})
     if levels != list(range(1, len(levels) + 1)):
         raise ValueError("constraint levels must be consecutive starting at 1")
-    cols = _base_columns(m)
+    cols = _integer_columns(m)
     for c in sorted(constraints, key=lambda c: c.level):
         _border(cols, c)
-    return _dense_view(_kept(cols, constraints, truncated), len(cols))
+    kept = _kept(cols, constraints, truncated)
+    out = [[Fraction(0)] * len(kept) for _ in cols]
+    for j, (vec, scale) in enumerate(kept):
+        for key, x in vec.items():
+            out[~key][j] = Fraction(x, scale)
+    return RationalMatrix(out)
 
 
-def _border(cols: list[dict[int, Fraction]], c: Constraint) -> None:
-    """Border the square sparse columns ``cols`` by ``c``, in place.
+def _border(cols: list[tuple[dict[int, int], int]], c: Constraint) -> None:
+    """Border the square integer columns ``cols`` by ``c``, in place.
 
     The coordinate columns gain the -A entries of ``c`` at the new last
     row, and its gradient +A^T becomes the new last column, so an
-    antisymmetric matrix stays antisymmetric.
+    antisymmetric matrix stays antisymmetric.  A column is rescaled only
+    when the denominator of its new entry does not divide its scale.
     """
     # every partial derivative is constant exactly when the degree is <= 1
     if not c.raw.is_linear():
@@ -233,19 +238,33 @@ def _border(cols: list[dict[int, Fraction]], c: Constraint) -> None:
             f"linear constraints only (level {c.level} constraint: {c.raw})"
         )
     grad = _linear_part(c.raw)
-    row = len(cols)
+    row = ~len(cols)
     for j, x in grad.items():
-        cols[j][row] = -x
-    cols.append(grad)
+        vec, scale = cols[j]
+        if scale % x.denominator:
+            mult = x.denominator // gcd(scale, x.denominator)
+            cols[j] = vec, scale = {key: y * mult for key, y in vec.items()}, scale * mult
+        vec[row] = -x.numerator * (scale // x.denominator)
+    cols.append(_integral({~j: x for j, x in grad.items()}))
 
 
-def _kept(
-    cols: list[dict[int, Fraction]], constraints: Sequence[Constraint], truncated: bool
-) -> list[dict[int, Fraction]]:
+def _kept(cols: list, constraints: Sequence[Constraint], truncated: bool) -> list:
     """The columns of one attempt: all, or the coordinate and level-1 ones."""
     if not truncated:
         return cols
     return cols[: len(cols) - len(constraints) + sum(c.level == 1 for c in constraints)]
+
+
+def _solve(state: tuple, kept: list, n_zeta: int, n: int) -> tuple:
+    """``null_space_and_determinant`` of one attempt's n-row matrix with integer columns ``kept``.
+
+    ``state`` has taken in the constraint columns kept[n_zeta:], so only
+    the coordinate columns are reduced.  Taking those last moves n_zeta
+    columns past n_aux, a sign (-1)^(n_zeta * n_aux) on the determinant:
+    +1, since a ``FirstOrderModel`` has an even number of coordinates.
+    """
+    rows, num, den, _ = _absorb(state, kept[:n_zeta])
+    return _null_basis(rows, n), Fraction(num, den) if len(kept) == n else None
 
 
 def find_new_constraints(
@@ -284,26 +303,35 @@ class _Gradient:
         self.denominator = d = lcm(*(x.denominator for e in exprs for x in e.terms.values()))
         self.terms = [{mono: x.numerator * (d // x.denominator) for mono, x in e.terms.items()} for e in exprs]
 
-    def combination(self, v: dict[int, int], scale: int = 1) -> Expression:
-        """sum_i v_i * exprs[i] / scale for a sparse int ``v`` and an int ``scale`` > 0."""
+    def sums(self, v: dict[int, int]) -> dict:
+        """sum_i v_i * exprs[i] times the common denominator, as int monomial sums (zeros kept)."""
         acc: dict = {}
         terms = self.terms
         for i, k in v.items():
             for mono, y in terms[i].items():
                 acc[mono] = acc.get(mono, 0) + k * y
+        return acc
+
+    def combination(self, v: dict[int, int], scale: int = 1) -> Expression:
+        """sum_i v_i * exprs[i] / scale for a sparse int ``v`` and an int ``scale`` > 0."""
         d = self.denominator * scale
-        return Expression._trusted(self.vars, {m: Fraction(s, d) for m, s in acc.items()})
+        return Expression._trusted(self.vars, {m: Fraction(s, d) for m, s in self.sums(v).items()})
 
 
 def _classify(
     null: Sequence[tuple[int, ...]], rhs: _Gradient, known: EchelonBasis, level: int
 ) -> list[Candidate]:
-    """``find_new_constraints`` on a null basis against ``known``, which grows by each NEW one (of ``level``)."""
+    """``find_new_constraints`` on a null basis against ``known``, which grows by each NEW one (of ``level``).
+
+    A candidate reduces in ints, as v . grad(H) times its denominator, against ``known``'s kernel.
+    """
     out: list[Candidate] = []
     n = len(rhs.terms)
+    d, kernel = rhs.denominator, known._kernel
     for v in null:
         # grad(H) has no entries for the constraint rows, from n on
-        value = rhs.combination({i: v[i] for i in compress(range(n), v)})
+        acc = rhs.sums({i: v[i] for i in compress(range(n), v)})
+        value = Expression._trusted(rhs.vars, {mono: Fraction(s, d) for mono, s in acc.items()})
         if value.is_zero():
             out.append(Candidate(vector=v, value=value, classification=REDUNDANT))
             continue
@@ -312,17 +340,18 @@ def _classify(
                 "nonlinear constraint candidate: reduction against the existing set "
                 f"is supported for linear constraints only (level {level} candidate: {value})"
             )
-        remainder = known.remainder(value)
-        if remainder.is_zero():
+        # ``known``'s columns are the variables, then the constant term at n
+        vec, scale = kernel._reduce({mono[0][0] if mono else n: s for mono, s in acc.items() if s}, d)
+        if not vec:
             out.append(Candidate(vector=v, value=value, classification=REDUNDANT))
             continue
-        if remainder.is_constant():
+        if n in vec and len(vec) == 1:
             raise ChainError(
                 "inconsistent dynamics: a consistency condition reduces to the nonzero "
-                f"constant {remainder.constant_value()} (level {level} candidate: {value})"
+                f"constant {Fraction(vec[n], scale)} (level {level} candidate: {value})"
             )
         out.append(Candidate(vector=v, value=value, classification=NEW))
-        known.add(value)
+        kernel._insert(vec)
     return out
 
 
@@ -330,10 +359,12 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     """Run the level loop until a termination certificate is reached.
 
     What does not change between levels is computed once per run: the
-    Hamiltonian gradient, the echelon basis of the constraint span and
-    the sparse columns of F, which start as the base tensor's and are
-    bordered once, in place, by each accepted constraint.  A truncated
-    attempt reads a prefix of the same columns.
+    Hamiltonian gradient, the echelon basis of the constraint span, the
+    integer columns of F, which start as the base tensor's and are
+    bordered once, in place, by each accepted constraint, and the
+    elimination of the constraint columns +A^T, which never change: it
+    takes in each one at its border, and a truncated attempt starts from
+    its state after level 1.  An attempt reduces the coordinate columns.
     """
     opts = opts or ChainOptions()
     constraints: list[Constraint] = [
@@ -343,20 +374,24 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     truncations: list[int] = []
     warnings: list[str] = []
 
-    cols = _base_columns(m)
+    cols = _integer_columns(m)
+    n_zeta = len(cols)
     # every primary is a level-1 constraint, whose +A^T column every
     # attempt keeps: each null vector is orthogonal to the primaries'
     # gradients, so the multipliers cancel from v . grad(H_T)
     grad_h = _Gradient(m.hamiltonian.gradient())
     known = EchelonBasis(m.zeta)
+    full: tuple = ({}, 1, 1, [])
+    level1: tuple | None = None
     for c in constraints:
         _border(cols, c)
+        full = _absorb(full, cols[-1:])
         known.add(c.expr)
 
     def attempt(k: int, truncated: bool):
         """Classify the null vectors of one bordered matrix and record the level."""
         kept = _kept(cols, constraints, truncated)
-        null, det = null_space_and_determinant(kept, len(cols))
+        null, det = _solve(level1 if truncated else full, kept, n_zeta, len(cols))
         candidates = _classify(null, grad_h, known, k + 1)
         records.append(LevelRecord(
             level=k, truncated=truncated, shape=(len(cols), len(kept)), candidates=tuple(candidates)
@@ -378,7 +413,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
         if truncated:
             # certificate consistency: a null vector proves det(F) = 0 (in ints)
             v = candidates[0].vector
-            if any(sum(v[i] * x for i, x in _integral(col)[0].items()) for col in cols):
+            if any(sum(v[~key] * x for key, x in vec.items()) for vec, _ in cols):
                 raise ChainError("certificate mismatch: a null vector does not annihilate F")
             if opts.allow_truncation and k > 1:
                 *_, new = attempt(k, truncated=True)
@@ -393,10 +428,13 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
         if truncated:
             truncations.append(k)
         origin = ORIGIN_TRUNCATED if truncated else ORIGIN_NULL_VECTOR
+        if k == 1:  # the state before any level-2 column, for truncated attempts (never square: no det)
+            level1 = (full[0], 0, 1, [])
         # NEW candidates already joined ``known`` during classification
         for c in new:
             constraints.append(Constraint.from_raw(k + 1, c.value, origin, c.vector))
             _border(cols, constraints[-1])
+            full = _absorb(full, cols[-1:])
 
     return ChainReport(
         model_name=m.name,

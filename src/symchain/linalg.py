@@ -87,14 +87,14 @@ class SparseEchelon:
 
     def add(self, vec: dict[int, Fraction]) -> bool:
         """Extend the span by ``vec``; False when it already lies in it."""
-        vec = self._reduce(vec)[0]
+        vec = self._reduce(*_integral(vec))[0]
         if vec:
             self._insert(vec)
         return bool(vec)
 
     def remainder(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         """The member of ``vec`` + span that is zero at every pivot; empty iff ``vec`` is in the span."""
-        ints, scale = self._reduce(vec)
+        ints, scale = self._reduce(*_integral(vec))
         return {col: Fraction(x, scale) for col, x in ints.items()}
 
     def reduced_rows(self) -> list[dict[int, Fraction]]:
@@ -102,9 +102,8 @@ class SparseEchelon:
         rows = sorted(self.rows.items())
         return [{col: Fraction(x, row[pivot]) for col, x in row.items()} for pivot, row in rows]
 
-    def _reduce(self, vec: dict[int, Fraction]) -> tuple[dict[int, int], int]:
-        """s times the member of ``vec`` + span that is zero at every pivot, as ints, and s > 0."""
-        vec, scale = _integral(vec)
+    def _reduce(self, vec: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
+        """s times the member of vec/scale + span zero at every pivot, in ints, and s > 0 (``vec`` consumed)."""
         rows = self.rows
         # each row is zero at the other pivots, so one pass suffices
         for col in [c for c in vec if c in rows]:
@@ -113,12 +112,12 @@ class SparseEchelon:
         return vec, scale
 
     def _insert(self, vec: dict[int, int]) -> None:
-        """Make the reduced, nonzero int ``vec`` a row and clear its pivot from the others."""
+        """Make the reduced, nonzero int ``vec`` a row; rows holding its pivot are replaced, never changed."""
         pivot = min(vec)
         vec = _normalized(vec, pivot)
         rows = self.rows
         for key in [key for key, row in rows.items() if pivot in row]:
-            rows[key] = _normalized(_eliminate(rows[key], vec, pivot)[0], key)
+            rows[key] = _normalized(_eliminate(dict(rows[key]), vec, pivot)[0], key)
         rows[pivot] = vec
 
 
@@ -156,17 +155,10 @@ def _sparse(entries: Iterable[Fraction]) -> dict[int, Fraction]:
     return {j: x for j, x in enumerate(entries) if x}
 
 
-def _dense(row: dict[int, Fraction], n: int) -> tuple:
-    out = [0] * n
-    for col, x in row.items():
-        out[col] = x
-    return tuple(out)
-
-
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot-column indices."""
     kernel = SparseEchelon(_sparse(row) for row in m.to_rows())
-    rows = [_dense(row, m.cols) for row in kernel.reduced_rows()]
+    rows = [[row.get(j, 0) for j in range(m.cols)] for row in kernel.reduced_rows()]
     rows += [[0] * m.cols for _ in range(m.rows - len(rows))]
     return RationalMatrix(rows), tuple(sorted(kernel.rows))
 
@@ -203,32 +195,42 @@ def null_space_and_determinant(
     """The canonical left null basis and the determinant of one matrix.
 
     ``cols`` are the sparse rational columns of an ``n``-row matrix M
-    (left unchanged); the basis is that of ``left_null_space``.  The
-    columns, the rows of M^T, become the kernel's rows with M's rows
-    numbered bottom up, so each column pivots at its largest nonzero row
-    of M and a reduced column is zero below its pivot.  Each free row f,
-    the pivot of no column, gives a null vector: L at f and -L x/d at
-    the pivot of each column that is x at f and d at its pivot, L the
-    lcm of those d.  It is nonzero only at f and at pivots below f, so
-    over its gcd it is the primitive row of the null space's reduced
-    row-echelon form, whatever the shape of M.
+    (left unchanged); the basis is that of ``left_null_space``.  Each
+    column is scaled to ints keyed by ~i (= -1-i) for row i and taken in
+    by ``_absorb``, the elimination the chain carries across its levels.
+    """
+    square = len(cols) == n
+    ints = [_integral({~i: x for i, x in col.items()}) for col in cols]
+    rows, num, den, _ = _absorb(({}, int(square), 1, []), ints)
+    return _null_basis(rows, n), Fraction(num, den) if square else None
+
+
+def _absorb(state: tuple, cols: Iterable[tuple[dict[int, int], int]]) -> tuple:
+    """The elimination ``state`` after it takes in ``cols``; ``state`` is left unchanged.
+
+    A column of M is the pair (vec, scale) for vec/scale, vec ints keyed
+    by ~i for row i, so keys do not depend on the number of rows and
+    each column pivots at its largest row.  A state is (rows, num, den,
+    pivots): the ``SparseEchelon`` rows of the columns taken in so far,
+    as rows of M^T, and their determinant num/den with its sorted
+    pivots, or num 0 to track none.
 
     Each column reduces, in ints, to s_j > 0 times a column of the same
     determinant with a new pivot, so det M^T = det M is the product of
     the pivot entries over that of the s_j, negated for each earlier
-    pivot below a new one: 0 for dependent columns, None when M is not
-    square.
+    pivot below a new one: 0 at a dependent column.  The rows depend
+    only on the span of the columns.
     """
+    rows, num, den, pivots = state
     kernel = SparseEchelon()
-    square = len(cols) == n
-    num = den = 1
-    pivots: list[int] = []  # sorted, bottom-up numbers, for the sign
-    for col in cols:
-        vec, scale = kernel._reduce({n - 1 - i: x for i, x in col.items()})
+    kernel.rows = dict(rows)  # _insert replaces rows, so the state keeps its own
+    pivots = list(pivots)
+    for vec, scale in cols:
+        vec, scale = kernel._reduce(dict(vec), scale)
         if not vec:
             num = 0
             continue
-        if square and num:
+        if num:
             pivot = min(vec)
             if bisect(pivots, pivot) % 2:
                 num = -num
@@ -236,20 +238,30 @@ def null_space_and_determinant(
             num *= vec[pivot]
             den *= scale
         kernel._insert(vec)
-    free = _free_vectors(kernel.rows, n)
-    basis = tuple(_dense(_normalized(vec, max(vec)), n)[::-1] for vec in reversed(free))
-    return basis, Fraction(num, den) if square else None
+    return kernel.rows, num, den, pivots
 
 
-def _free_vectors(rows: dict[int, dict[int, int]], n: int) -> list[dict[int, int]]:
-    """The int null vector of each free index of the kernel's rows, in index order."""
-    hits: dict[int, list[tuple[int, int, int]]] = {f: [] for f in range(n) if f not in rows}
+def _null_basis(rows: dict[int, dict[int, int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """The canonical left null basis of the n-row M whose columns ``_absorb`` took in as ``rows``.
+
+    Each free row f, the pivot of no column, gives a null vector: L at f
+    and -L x/d at the pivot of each column that is x at f and d at its
+    pivot, L the lcm of those d.  It is nonzero only at f and at pivots
+    below f (a reduced column is zero below its pivot), so over its gcd
+    it is the primitive row of the null space's reduced row-echelon
+    form, whatever the shape of M.
+    """
+    hits: dict[int, list[tuple[int, int, int]]] = {~i: [] for i in range(n) if ~i not in rows}
     for pivot, row in rows.items():
         for f, x in row.items():
             if f != pivot:
                 hits[f].append((pivot, x, row[pivot]))
-    out = []
+    basis = []
     for f, entries in hits.items():
         mult = lcm(*(d for _, _, d in entries))
-        out.append({f: mult, **{p: -x * (mult // d) for p, x, d in entries}})
-    return out
+        vec = _normalized({f: mult, **{p: -x * (mult // d) for p, x, d in entries}}, f)
+        out = [0] * n
+        for key, x in vec.items():
+            out[~key] = x
+        basis.append(tuple(out))
+    return tuple(basis)

@@ -46,7 +46,6 @@ from symchain import (
     run_chain,
 )
 from symchain import chain
-from symchain.linalg import null_space_and_determinant
 from symchain.reports import render_text, render_tree, report_tree
 
 DIGESTS = {
@@ -140,14 +139,16 @@ def test_deep_chain_digest():
 def test_lattice_attempts_match_two_pass_reference(monkeypatch):
     """Every attempt of lattice N=21, the truncated tall one included."""
     shapes = []
+    solve = chain._solve
 
-    def checked(cols, n):
-        result = null_space_and_determinant(cols, n)
+    def checked(state, kept, n_zeta, n):
+        result = solve(state, kept, n_zeta, n)
+        cols = [{~key: Fraction(x, scale) for key, x in vec.items()} for vec, scale in kept]
         assert result == two_pass_null_space(cols, n)
-        shapes.append((n, len(cols)))
+        shapes.append((n, len(kept)))
         return result
 
-    monkeypatch.setattr(chain, "null_space_and_determinant", checked)
+    monkeypatch.setattr(chain, "_solve", checked)
     report = run_chain(build_schwinger(LatticeSpec(sites=21, spacing=Fraction(1))))
     assert report.termination.kind == "nonsingular"
     assert shapes == [(147, 147), (168, 168), (189, 189), (189, 147), (210, 210)]

@@ -37,8 +37,9 @@ from golden import (
     is_scalar_multiple,
 )
 from randmodels import random_model
-from symchain import chain
+from symchain import chain, linalg
 from symchain.linalg import null_space_and_determinant
+from test_byte_identity import _nonzero_rational, _shift_chain
 from test_expressions import sparse_key
 from test_linalg import bareiss_determinant
 
@@ -382,13 +383,83 @@ def test_run_chain_rejects_a_null_vector_that_does_not_annihilate(example2, scal
         "scaled", example2.zeta, example2.c, example2.hamiltonian, [p * scale for p in example2.primaries]
     )
 
-    def wrong_basis(cols, n):
-        # the primary's row: v . grad(H) ignores it, but its column entry is -scale
-        return (tuple(Fraction(i == n - 1) for i in range(n)),), null_space_and_determinant(cols, n)[1]
+    solve = chain._solve
 
-    monkeypatch.setattr(chain, "null_space_and_determinant", wrong_basis)
+    def wrong_basis(state, kept, n_zeta, n):
+        # the primary's row: v . grad(H) ignores it, but its column entry is -scale
+        return (tuple(Fraction(i == n - 1) for i in range(n)),), solve(state, kept, n_zeta, n)[1]
+
+    monkeypatch.setattr(chain, "_solve", wrong_basis)
     with pytest.raises(ChainError, match="^certificate mismatch: a null vector does not annihilate F$"):
         run_chain(m)
+
+
+def _deep_shift_chain():
+    """The 24-coordinate shift chain of the deep-chain digest: 35 attempts, 11 of them truncated."""
+    rng = random.Random(0)
+    return _shift_chain(tuple(_nonzero_rational(rng) for _ in range(12)))
+
+
+CARRY_MODELS = {
+    "shift_chain": lambda: [(_deep_shift_chain(), ChainOptions(max_level=64))],
+    "lattice_5_3/7": lambda: [(build_schwinger(LatticeSpec(sites=5, spacing=Fraction(3, 7))), None)],
+    "lattice_4_forward": lambda: [(build_schwinger(LatticeSpec(sites=4, scheme="forward")), None)],
+    "randmodels": lambda: [(random_model(random.Random(seed)), None) for seed in range(200)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CARRY_MODELS))
+def test_carried_elimination_equals_a_fresh_one(name, monkeypatch):
+    """Every attempt's (null basis, determinant) is that of its freshly assembled matrix.
+
+    The chain carries the constraint columns' elimination across the
+    levels and borders its integer columns in place, rescaling one when
+    a fractional gradient entry needs it.
+    """
+    results = []
+    solve = chain._solve
+    monkeypatch.setattr(chain, "_solve", lambda *args: results.append(solve(*args)) or results[-1])
+    attempts = truncated = 0
+    for model, opts in CARRY_MODELS[name]():
+        results.clear()
+        report = run_chain(model, opts)
+        assert len(results) == len(report.levels)
+        for rec, got in zip(report.levels, results):
+            so_far = [c for c in report.constraints if c.level <= rec.level]
+            f = assemble_extended_matrix(model, so_far, truncated=rec.truncated)
+            cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*f.to_rows())]
+            assert got == null_space_and_determinant(cols, f.rows)
+        attempts += len(report.levels)
+        truncated += sum(rec.truncated for rec in report.levels)
+    if name == "shift_chain":
+        assert (attempts, truncated) == (35, 11)
+
+
+def test_run_chain_scales_and_eliminates_each_column_once(monkeypatch):
+    """On the deep shift chain: no column is rescaled to ints per attempt, no constraint column re-eliminated."""
+    scaled = []
+    integral = linalg._integral
+    absorbed = []
+    absorb = chain._absorb
+
+    def counted(vec):
+        scaled.append(vec)
+        return integral(vec)
+
+    def recorded(state, cols):
+        absorbed.append(len(cols))
+        return absorb(state, cols)
+
+    monkeypatch.setattr(linalg, "_integral", counted)
+    monkeypatch.setattr(chain, "_integral", counted)
+    monkeypatch.setattr(chain, "_absorb", recorded)
+    report = run_chain(_deep_shift_chain(), ChainOptions(max_level=64))
+    n_zeta, n_constraints = 24, len(report.constraints)
+    assert report.levels[-1].shape == (n_zeta + n_constraints,) * 2
+    # once per column as it is created, once per constraint as it joins the span
+    assert len(scaled) <= n_zeta + 2 * n_constraints == 72
+    # each constraint column once, at its border; each attempt its coordinate columns
+    assert sorted(absorbed) == [1] * n_constraints + [n_zeta] * len(report.levels)
 
 
 def test_run_chain_rejects_nonlinear_tensor():
