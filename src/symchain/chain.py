@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
 from typing import Sequence
@@ -141,34 +142,29 @@ class ChainReport:
 
     def span_fingerprint(self) -> str:
         """Canonical text form of the constraint span (RREF row expressions)."""
-        return span_fingerprint([c.expr for c in self.constraints])
+        return "; ".join(str(e) for e in self._span[1]) if self.constraints else "<empty>"
+
+    @cached_property
+    def _span(self) -> tuple[EchelonBasis | None, list[Expression]]:
+        """The echelon basis of the constraint span and its RREF rows, built once per report."""
+        return _span([c.expr for c in self.constraints])
 
 
 def span_fingerprint(exprs: Sequence[Expression]) -> str:
-    if not exprs:
-        return "<empty>"
-    reduced = _span_rref(exprs)
-    return "; ".join(str(e) for e in reduced)
+    return "; ".join(str(e) for e in _span(exprs)[1]) if exprs else "<empty>"
 
 
-def _span_basis(exprs: Sequence[Expression]) -> EchelonBasis | None:
-    """The echelon basis of the affine-linear span of ``exprs`` (None if empty).
+def _span(exprs: Sequence[Expression]) -> tuple[EchelonBasis | None, list[Expression]]:
+    """The echelon basis of the affine-linear span of ``exprs`` and its canonical RREF rows; (None, []) if empty.
 
-    ``EchelonBasis.add`` raises ``ValueError`` for a nonlinear expression
-    or one over a different table.
+    ``EchelonBasis.add`` raises ``ValueError`` for a nonlinear expression or one over a different table.
     """
     if not exprs:
-        return None
+        return None, []
     basis = EchelonBasis(exprs[0].vars)
     for e in exprs:
         basis.add(e)
-    return basis
-
-
-def _span_rref(exprs: Sequence[Expression]) -> list[Expression]:
-    """Canonical reduced basis of the affine-linear span of ``exprs``."""
-    basis = _span_basis(exprs)
-    return basis.rref() if basis is not None else []
+    return basis, basis.rref()
 
 
 def _base_columns(m: FirstOrderModel) -> list[dict[int, Fraction]]:
@@ -228,8 +224,7 @@ def _border(cols: list[tuple[dict[int, int], int]], c: Constraint) -> None:
 
     The coordinate columns gain the -A entries of ``c`` at the new last
     row, and its gradient +A^T becomes the new last column, so an
-    antisymmetric matrix stays antisymmetric.  A column is rescaled only
-    when the denominator of its new entry does not divide its scale.
+    antisymmetric matrix stays antisymmetric (``_put`` writes each entry).
     """
     # every partial derivative is constant exactly when the degree is <= 1
     if not c.raw.is_linear():
@@ -240,12 +235,17 @@ def _border(cols: list[tuple[dict[int, int], int]], c: Constraint) -> None:
     grad = _linear_part(c.raw)
     row = ~len(cols)
     for j, x in grad.items():
-        vec, scale = cols[j]
-        if scale % x.denominator:
-            mult = x.denominator // gcd(scale, x.denominator)
-            cols[j] = vec, scale = {key: y * mult for key, y in vec.items()}, scale * mult
-        vec[row] = -x.numerator * (scale // x.denominator)
+        _put(cols, j, row, -x.numerator, x.denominator)
     cols.append(_integral({~j: x for j, x in grad.items()}))
+
+
+def _put(cols: list[tuple[dict[int, int], int]], j: int, key: int, num: int, den: int) -> None:
+    """Set entry ``key`` of column cols[j] to num/den in lowest terms; rescale it if den does not divide its scale."""
+    vec, scale = cols[j]
+    if scale % den:
+        mult = den // gcd(scale, den)
+        cols[j] = vec, scale = {k: y * mult for k, y in vec.items()}, scale * mult
+    vec[key] = num * (scale // den)
 
 
 def _kept(cols: list, constraints: Sequence[Constraint], truncated: bool) -> list:

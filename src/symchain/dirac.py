@@ -4,20 +4,22 @@ This module re-derives the constraint set the classical way: iterate
 phidot = {phi, H_T} until closure, fixing multipliers where a bracket
 with a primary survives.  The bracket is the one the first-order form
 fixes, {a, b} = grad(a) . f^-1 . grad(b) (Faddeev & Jackiw 1988), so it
-holds for any order of the coordinates.  The module shares only the
-base tensor f and the span basis with the chain driver, so agreement
-between the two is a real cross-check.
+holds for any order of the coordinates.  Each pass forms a candidate
+only for the null directions the previous pass added, in integers.
+The module shares only the base tensor f and the span basis with the
+chain driver, so agreement between the two is a real cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .chain import ChainReport, Constraint, span_fingerprint, _base_columns, _Gradient, _span_basis
+from .chain import ChainReport, Constraint, span_fingerprint, _base_columns, _Gradient, _put, _span
 from .expressions import EchelonBasis, Expression, _linear_part, linear_expression
-from .linalg import RationalMatrix, SparseEchelon, _integral, left_null_space
+from .linalg import RationalMatrix, SparseEchelon, _absorb, _integral, _null_basis, left_null_space
 from .model import FirstOrderModel
 
 ORIGIN_CONSISTENCY = "consistency"
@@ -70,6 +72,18 @@ class OracleResult:
         return span_fingerprint([c.expr for c in self.constraints])
 
 
+def _candidate(w: Sequence[int], flows: list[tuple[dict[int, int], int]], grad_h: _Gradient) -> tuple[dict, int]:
+    """{sum_i w_i phi_i, H} = grad(H) . sum_i w_i u_i as int monomial sums over their denominator."""
+    picked = [(k, *flows[i]) for i, k in enumerate(w) if k]
+    mult = lcm(*(scale for *_, scale in picked))
+    flow: dict[int, int] = {}
+    for k, vec, scale in picked:
+        k *= mult // scale
+        for j, x in vec.items():
+            flow[j] = flow.get(j, 0) + k * x
+    return grad_h.sums(flow), grad_h.denominator * mult
+
+
 def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     """Iterate the consistency conditions until the constraint set closes.
 
@@ -83,11 +97,14 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     Level bookkeeping matches the chain module: primaries are level 1
     and a condition drawn from levels up to k lands at level k+1.
 
-    Each constraint's brackets with H and with the primaries are taken
-    once, when it joins the set, and reused by every later pass: with
-    u = -f^-1 grad(phi), {phi, H} = sum_j u_j d_j H, summed in ints over
-    the nonzeros of u, and {phi, mu} = u . grad(mu) over the nonzeros of
-    grad(mu).
+    A pass skips each null vector w that is zero past ``seen``, the size
+    of the set at the previous pass.  Such a w is a null vector of that
+    pass; its candidate, linear in w, is a combination of that pass's
+    candidates, each zero, reduced to zero or joined to the set, which
+    only grows.  (The canonical basis is not nested, so it is recomputed.)
+    The flow u = -f^-1 grad(phi), with {phi, b} = sum_j u_j d_j b, and
+    the bracket-matrix row u . grad(mu) of a constraint are taken once,
+    in ints, and candidates are formed and reduced in ints.
     A model with primaries and a degenerate f raises ``ValueError``.
 
     The loop closes within len(zeta) + 1 passes: a pass that does not
@@ -95,68 +112,65 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     is nonzero and not constant, so it takes a new pivot among the
     len(zeta) coordinate columns of the span.
     """
-    constraints: list[Constraint] = [
-        Constraint.from_raw(1, p, "primary") for p in m.primaries
-    ]
+    constraints = [Constraint.from_raw(1, p, "primary") for p in m.primaries]
     if not constraints:
         return OracleResult((), ())
     if not all(p.is_linear() for p in m.primaries):
         raise ValueError("nonlinear primary: the oracle supports linear constraints only")
     finv = _inverse(m)
-    zeta = m.zeta
+    zeta, n = m.zeta, len(m.zeta)
     grad_h = _Gradient(m.hamiltonian.gradient())
     primary_grads = [_linear_part(p) for p in m.primaries]
-    brackets_h: list[Expression] = []
-    mixed: list[list[Fraction]] = []
+    flows: list[tuple[dict[int, int], int]] = []
+    mixed: list[tuple[dict[int, int], int]] = [({}, 1) for _ in primary_grads]  # {phi_i, mu} at key ~i
     known = EchelonBasis(zeta)
+    kernel = known._kernel  # columns: the variables, then the constant term at n
 
-    def add_brackets(c: Constraint) -> None:
+    def join(c: Constraint) -> None:
         u = _flow(c.expr, finv)
-        brackets_h.append(grad_h.combination(*_integral(u)))
-        mixed.append([sum(u[j] * x for j, x in beta.items() if j in u) for beta in primary_grads])
+        for mu, beta in enumerate(primary_grads):
+            x = sum(u[j] * y for j, y in beta.items() if j in u)
+            if x:
+                _put(mixed, mu, ~len(flows), x.numerator, x.denominator)
+        flows.append(_integral(u))
 
     for c in constraints:
-        add_brackets(c)
+        join(c)
         known.add(c.expr)
+    seen = 0
     while True:
         old = len(constraints)
-        found = False
-        for w in left_null_space(RationalMatrix(mixed)):
-            candidate = Expression.linear_combination(zeta, zip(w, brackets_h))
-            if candidate.is_zero():
+        for w in _null_basis(_absorb(({}, 0, 1, []), mixed)[0], old):
+            if not any(w[seen:]):
                 continue
-            if not candidate.is_linear():
+            acc, den = _candidate(w, flows, grad_h)
+            if any(s and (len(mono) > 1 or mono[0][1] > 1) for mono, s in acc.items() if mono):
                 raise ValueError(
-                    "nonlinear consistency candidate: reduction is supported "
-                    "for linear constraints only"
+                    "nonlinear consistency candidate: reduction is supported for linear constraints only"
                 )
-            remainder = known.remainder(candidate)
-            if remainder.is_zero():
+            vec, scale = kernel._reduce({mono[0][0] if mono else n: s for mono, s in acc.items() if s}, den)
+            if not vec:  # zero, or zero modulo the set
                 continue
-            if remainder.is_constant():
+            if n in vec and len(vec) == 1:
                 raise ValueError(
                     "inconsistent dynamics: a consistency condition reduces to "
-                    f"the nonzero constant {remainder.constant_value()}"
+                    f"the nonzero constant {Fraction(vec[n], scale)}"
                 )
-            level = 1 + max(
-                c.level for c, coeff in zip(constraints, w) if coeff
-            )
-            constraints.append(
-                Constraint.from_raw(level, candidate, ORIGIN_CONSISTENCY)
-            )
-            known.add(constraints[-1].expr)
-            found = True
-        if not found:
+            level = 1 + max(c.level for c, coeff in zip(constraints, w) if coeff)
+            value = Expression._trusted(zeta, {mono: Fraction(s, den) for mono, s in acc.items()})
+            constraints.append(Constraint.from_raw(level, value, ORIGIN_CONSISTENCY))
+            kernel._insert(vec)
+        if len(constraints) == old:
             break
+        seen = old
         for c in constraints[old:]:
-            add_brackets(c)
+            join(c)
     conditions: list[MultiplierCondition] = []
-    for phi, bracket_h, row in zip(constraints, brackets_h, mixed):
-        lam_part = linear_expression(m.working, [0] * len(zeta) + row)
-        if not lam_part.is_zero():
-            conditions.append(
-                MultiplierCondition(phi, bracket_h.substitute(m.working) + lam_part)
-            )
+    for i, (phi, flow) in enumerate(zip(constraints, flows)):
+        row = [Fraction(vec[~i], scale) if ~i in vec else 0 for vec, scale in mixed]
+        if any(row):
+            lam_part = linear_expression(m.working, [0] * n + row)
+            conditions.append(MultiplierCondition(phi, grad_h.combination(*flow).substitute(m.working) + lam_part))
     return OracleResult(tuple(constraints), tuple(conditions))
 
 
@@ -190,14 +204,12 @@ def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> Constrain
         return ConstraintMatrix(None, 0, ())
     if any(c.raw.vars != m.zeta for c in constraints):
         raise ValueError("constraints must live over the phase-space table only")
-    if len(_span_basis([c.expr for c in constraints])) != len(constraints):
+    if len(_span([c.expr for c in constraints])[0]) != len(constraints):
         raise ValueError("constraint set is not linearly independent")
     finv = _inverse(m)
     flows = [_flow(c.raw, finv) for c in constraints]
     grads = [_linear_part(c.raw) for c in constraints]
-    matrix = RationalMatrix(
-        [[sum(u[j] * x for j, x in grad.items() if j in u) for grad in grads] for u in flows]
-    )
+    matrix = RationalMatrix([[sum(u[j] * x for j, x in grad.items() if j in u) for grad in grads] for u in flows])
     null = left_null_space(matrix)
     raw = [c.raw for c in constraints]
     first_class = tuple(Expression.linear_combination(m.zeta, zip(w, raw)) for w in null)
@@ -221,31 +233,19 @@ class SpanVerdict:
         return "; ".join(parts)
 
 
-def compare_spans(
-    chain: ChainReport | Sequence[Constraint],
-    oracle: Sequence[Constraint],
-) -> SpanVerdict:
+def compare_spans(chain: ChainReport | Sequence[Constraint], oracle: Sequence[Constraint]) -> SpanVerdict:
     """Spans are equal iff the row-reduced coefficient matrices coincide.
 
     The verdict carries a mismatch basis: constraints of one side that
     stay nonzero after reduction against the other side's span.
     """
-    first = list(chain.constraints) if isinstance(chain, ChainReport) else list(chain)
-    span_first = _span_basis([c.expr for c in first])
-    span_second = _span_basis([c.expr for c in oracle])
-    basis_first = span_first.rref() if span_first is not None else []
-    basis_second = span_second.rref() if span_second is not None else []
+    span_first, basis_first = chain._span if isinstance(chain, ChainReport) else _span([c.expr for c in chain])
+    span_second, basis_second = _span([c.expr for c in oracle])
     if basis_first == basis_second:
         return SpanVerdict(True, (), ())
-    only_first = _mismatch(basis_first, span_second)
-    only_second = _mismatch(basis_second, span_first)
-    return SpanVerdict(False, tuple(only_first), tuple(only_second))
+    return SpanVerdict(False, _mismatch(basis_first, span_second), _mismatch(basis_second, span_first))
 
 
-def _mismatch(candidates: Sequence[Expression], other: EchelonBasis | None) -> list[Expression]:
-    out = []
-    for e in candidates:
-        r = other.remainder(e) if other is not None else e
-        if not r.is_zero():
-            out.append(r.monic())
-    return out
+def _mismatch(candidates: Sequence[Expression], other: EchelonBasis | None) -> tuple[Expression, ...]:
+    remainders = (other.remainder(e) if other is not None else e for e in candidates)
+    return tuple(r.monic() for r in remainders if not r.is_zero())

@@ -1,9 +1,15 @@
-"""Seeded random-model generator for the chain/oracle agreement suite.
+"""Seeded random-model generators for the chain/oracle agreement suite.
 
-Models are canonical (c carries the momenta), with a homogeneous
-quadratic Hamiltonian and one or two independent homogeneous linear
-primaries.  Homogeneity keeps every consistency candidate homogeneous
-linear, so no run can hit the inconsistent-constant error path.
+``random_model`` gives canonical models (c carries the momenta), with a
+homogeneous quadratic Hamiltonian and one or two independent homogeneous
+linear primaries.  Homogeneity keeps every consistency candidate
+homogeneous linear, so no run can hit the inconsistent-constant error
+path.
+
+``random_second_order`` gives the Legendre transform of a second-order
+Lagrangian whose velocity Hessian is singular enough to leave at least
+two primaries, the same family as the ``L`` models of perfbench's
+model-batch workload.
 """
 
 import random
@@ -13,7 +19,9 @@ from symchain import (
     Expression,
     FirstOrderModel,
     RationalMatrix,
+    SecondOrderLagrangian,
     VarTable,
+    legendre_transform,
     linear_expression,
     rank,
 )
@@ -49,3 +57,30 @@ def random_model(rng: random.Random) -> FirstOrderModel:
     c = [Expression.variable(zeta, p) for p in ps]
     c += [Expression.zero(zeta) for _ in range(n)]
     return FirstOrderModel("random", zeta, c, h, prims)
+
+
+def random_second_order(rng: random.Random) -> FirstOrderModel:
+    """L = 1/2 v.W.v + v.B.x - V(x) over n = 2..4 coordinates, W of rank at most n - 2.
+
+    W is a sum of at most n - 2 signed integer outer products, B and the
+    quadratic potential V are sparse with small coefficients, and the
+    model is the one ``legendre_transform`` returns.
+    """
+    n = rng.randint(2, 4)
+    coords = VarTable([f"x{i + 1}" for i in range(n)])
+    table = SecondOrderLagrangian.full_table(coords)
+    x = [Expression.variable(table, name) for name in table.names[:n]]
+    v = [Expression.variable(table, name) for name in table.names[n:]]
+    lag = Expression.zero(table)
+    for _ in range(rng.randint(0, n - 2)):
+        uv = sum((rng.randint(-2, 2) * vi for vi in v), Expression.zero(table))
+        lag = lag + Fraction(rng.choice((-1, 1)), 2) * uv * uv
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.4:
+                lag = lag + rng.randint(-2, 2) * x[j] * v[i]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.5:
+                lag = lag - Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) * x[i] * x[j]
+    return legendre_transform(SecondOrderLagrangian(coords, lag), name="second_order")

@@ -33,7 +33,7 @@ from symchain import (
     run_chain,
     assemble_extended_matrix,
 )
-from symchain.chain import _span_rref
+from symchain.chain import _span
 from brackets import canonical_pairs, poisson_bracket
 from checkout import checkout_env
 from golden import (
@@ -183,7 +183,7 @@ def test_criterion_3_lattice():
         for level in range(1, 5):
             got = [c.expr for c in report.constraints if c.level == level]
             assert len(got) == sites
-            assert _span_rref(got) == _span_rref(expected[level])
+            assert _span(got)[1] == _span(expected[level])[1]
     print(f"  recorded lattice determinants: {determinants}", end=" ")
 
 

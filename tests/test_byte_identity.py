@@ -21,6 +21,12 @@ H = sum a_i p_i q_{i+1} + b q_1^2 with the last momentum as the one
 primary: 24 constraints, one per level, from 35 attempts, the
 truncated retries at levels 13 to 23 among them.  It was recorded
 before tall matrices were eliminated with largest-index pivots.
+
+``SECOND_ORDER_DIGEST`` pins the tree reports of 400
+``random_second_order`` models (seeds 0-399): Legendre transforms with
+two to four primaries, whose oracle passes take several null
+directions at once.  It was recorded before the oracle skipped the
+null directions an earlier pass had checked.
 """
 
 import hashlib
@@ -31,7 +37,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import MODELS_DIR
-from randmodels import random_model
+from randmodels import random_model, random_second_order
 from test_linalg import two_pass_null_space
 from symchain import (
     ChainOptions,
@@ -64,6 +70,7 @@ DIGESTS = {
 
 BATCH_DIGEST = "90c10f7b1e218c1b944af4f2e473277353eb29c38f7af9b70ccb1af0da2c5a97"
 DEEP_CHAIN_DIGEST = "b3415232fb07c451da13a0908f8527f05f0d99577b332ddaa308ff4808060b7e"
+SECOND_ORDER_DIGEST = "221ab82d72b4de4eab93628ca9ab46b3208b0a9c4f8eefd64098f924ac40930b"
 BATCH_OPTIONS = (
     ChainOptions(),
     ChainOptions(allow_truncation=False),
@@ -134,6 +141,16 @@ def test_deep_chain_digest():
         oracle = consistency_algorithm(m)
         digest.update(render_tree(report, compare_spans(report, oracle.constraints), oracle).encode())
     assert digest.hexdigest() == DEEP_CHAIN_DIGEST
+
+
+def test_second_order_digest():
+    digest = hashlib.sha256()
+    for seed in range(400):
+        m = random_second_order(random.Random(seed))
+        report = run_chain(m)
+        oracle = consistency_algorithm(m)
+        digest.update(render_tree(report, compare_spans(report, oracle.constraints), oracle).encode())
+    assert digest.hexdigest() == SECOND_ORDER_DIGEST
 
 
 def test_lattice_attempts_match_two_pass_reference(monkeypatch):

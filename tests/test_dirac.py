@@ -8,22 +8,34 @@ from hypothesis import strategies as st
 from symchain import (
     ChainOptions,
     Constraint,
+    EchelonBasis,
     Expression,
     FirstOrderModel,
+    LatticeSpec,
     OracleResult,
+    RationalMatrix,
+    SecondOrderLagrangian,
     VarTable,
+    build_schwinger,
     classify,
     compare_spans,
     consistency_algorithm,
     determinant,
+    left_null_space,
+    legendre_transform,
     linear_expression,
     parse_expression,
     run_chain,
 )
-from symchain.dirac import _flow, _inverse
+from symchain import dirac
+from symchain.chain import _Gradient
+from symchain.dirac import MultiplierCondition, _flow, _inverse
+from symchain.expressions import _linear_part
+from symchain.linalg import _integral
 from brackets import canonical_pairs, poisson_bracket
 from golden import C_GOLDEN, PUBLISHED_CONSTRAINTS, is_scalar_multiple
 from randmodels import random_model
+from test_byte_identity import _nonzero_rational, _shift_chain
 from test_expressions import dense_key, sparse_key
 
 
@@ -381,3 +393,165 @@ def test_linear_form_bracket_matches_poisson_bracket(inputs):
     flow = _flow(a, _inverse(m))
     bracket = Expression.linear_combination(m.zeta, ((x, gradient[j]) for j, x in flow.items()))
     assert bracket == poisson_bracket(a, b, pairs)
+
+
+# -- the oracle against the pass loop it replaced ----------------------------
+
+
+def reference_consistency_algorithm(m):
+    """``consistency_algorithm`` as each pass once ran it: the full canonical null
+    basis of the dense bracket matrix, and a ``Fraction`` candidate for every
+    null vector, those an earlier pass checked included."""
+    constraints = [Constraint.from_raw(1, p, "primary") for p in m.primaries]
+    if not constraints:
+        return OracleResult((), ())
+    if not all(p.is_linear() for p in m.primaries):
+        raise ValueError("nonlinear primary: the oracle supports linear constraints only")
+    finv = _inverse(m)
+    zeta = m.zeta
+    grad_h = _Gradient(m.hamiltonian.gradient())
+    primary_grads = [_linear_part(p) for p in m.primaries]
+    brackets_h, mixed = [], []
+    known = EchelonBasis(zeta)
+
+    def add_brackets(c):
+        u = _flow(c.expr, finv)
+        brackets_h.append(grad_h.combination(*_integral(u)))
+        mixed.append([sum(u[j] * x for j, x in beta.items() if j in u) for beta in primary_grads])
+
+    for c in constraints:
+        add_brackets(c)
+        known.add(c.expr)
+    while True:
+        old = len(constraints)
+        for w in left_null_space(RationalMatrix(mixed)):
+            candidate = Expression.linear_combination(zeta, zip(w, brackets_h))
+            if candidate.is_zero():
+                continue
+            if not candidate.is_linear():
+                raise ValueError(
+                    "nonlinear consistency candidate: reduction is supported "
+                    "for linear constraints only"
+                )
+            remainder = known.remainder(candidate)
+            if remainder.is_zero():
+                continue
+            if remainder.is_constant():
+                raise ValueError(
+                    "inconsistent dynamics: a consistency condition reduces to "
+                    f"the nonzero constant {remainder.constant_value()}"
+                )
+            level = 1 + max(c.level for c, coeff in zip(constraints, w) if coeff)
+            constraints.append(Constraint.from_raw(level, candidate, "consistency"))
+            known.add(constraints[-1].expr)
+        if len(constraints) == old:
+            break
+        for c in constraints[old:]:
+            add_brackets(c)
+    conditions = []
+    for phi, bracket_h, row in zip(constraints, brackets_h, mixed):
+        lam_part = linear_expression(m.working, [0] * len(zeta) + row)
+        if not lam_part.is_zero():
+            conditions.append(MultiplierCondition(phi, bracket_h.substitute(m.working) + lam_part))
+    return OracleResult(tuple(constraints), tuple(conditions))
+
+
+def _second_order7():
+    """Model-batch seed 1's ``second_order7``: three primaries, three more levels."""
+    coords = VarTable(["x1", "x2", "x3"])
+    table = SecondOrderLagrangian.full_table(coords)
+    lag = parse_expression("2*x2*x1dot + 2*x1*x3dot - (-3*x1*x2 + x2*x3 - x3*x3)", table)
+    return legendre_transform(SecondOrderLagrangian(coords, lag), name="second_order7")
+
+
+def _k12_shift_chain():
+    rng = random.Random(0)
+    return _shift_chain(tuple(_nonzero_rational(rng) for _ in range(12)))
+
+
+def _xy_model(h):
+    """zeta = (x, y, p_x, p_y), c = (p_x, p_y, 0, 0), primary p_y."""
+    zeta = VarTable(["x", "y", "p_x", "p_y"])
+    c = [parse_expression(t, zeta) for t in ("p_x", "p_y", "0", "0")]
+    return FirstOrderModel("xy", zeta, c, parse_expression(h, zeta), [parse_expression("p_y", zeta)])
+
+
+ORACLE_ERRORS = {
+    "p_x^2 + 2/3*y": "inconsistent dynamics: a consistency condition reduces to the nonzero constant -2/3",
+    # the constant appears only after reduction, in the second pass
+    "y*p_x + y + 2/5*x*p_x": "inconsistent dynamics: a consistency condition reduces to the nonzero constant 2/5",
+    "p_x^2 + y*x^2": "nonlinear consistency candidate: reduction is supported for linear constraints only",
+}
+
+
+def _oracle_outcome(oracle, m):
+    try:
+        return oracle(m)
+    except ValueError as exc:
+        return str(exc)
+
+
+_REFERENCE_MODELS = {
+    "randmodels": lambda: [random_model(random.Random(seed)) for seed in range(300)],
+    "lattice": lambda: [
+        build_schwinger(LatticeSpec(sites=n, spacing=s)) for n in (3, 5, 7) for s in (Fraction(1), Fraction(3, 7))
+    ],
+    "shift_chain": lambda: [_k12_shift_chain()],
+    "second_order7": lambda: [_second_order7()],
+    "errors": lambda: [_xy_model(h) for h in ORACLE_ERRORS],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_REFERENCE_MODELS))
+def test_oracle_matches_the_reference_pass_loop(family):
+    for m in _REFERENCE_MODELS[family]():
+        got = _oracle_outcome(consistency_algorithm, m)
+        reference = _oracle_outcome(reference_consistency_algorithm, m)
+        assert got == reference
+        if isinstance(got, OracleResult):
+            # the same bytes, not only the same values
+            for a, b in zip(got.constraints, reference.constraints):
+                assert (a.level, str(a.expr), str(a.raw), a.origin) == (b.level, str(b.expr), str(b.raw), b.origin)
+            for a, b in zip(got.multiplier_conditions, reference.multiplier_conditions):
+                assert (str(a.constraint.expr), str(a.condition)) == (str(b.constraint.expr), str(b.condition))
+
+
+def test_oracle_keeps_the_raw_forms_of_a_multi_primary_second_order_model():
+    res = consistency_algorithm(_second_order7())
+    assert [(c.level, str(c.raw), c.origin) for c in res.constraints] == [
+        (1, "-2*x2 + p_x1", "primary"),
+        (1, "p_x2", "primary"),
+        (1, "-2*x1 + p_x3", "primary"),
+        (2, "3*x1 - x2 + x3", "consistency"),
+        (3, "-3*x2 + 3*x3", "consistency"),
+        (4, "-3/2*x2", "consistency"),
+    ]
+
+
+@pytest.mark.parametrize("h", sorted(ORACLE_ERRORS))
+def test_oracle_error_texts(h):
+    with pytest.raises(ValueError) as info:
+        consistency_algorithm(_xy_model(h))
+    assert str(info.value) == ORACLE_ERRORS[h]
+
+
+@pytest.mark.parametrize(
+    "model, formed",
+    [
+        (_k12_shift_chain, 23),  # 299 with every null vector of every pass
+        (lambda: build_schwinger(LatticeSpec(sites=11, spacing=Fraction(1))), 33),  # 99
+    ],
+    ids=["shift_chain", "lattice_11"],
+)
+def test_oracle_forms_a_candidate_only_for_new_null_directions(model, formed, monkeypatch):
+    calls = []
+    candidate = dirac._candidate
+
+    def counted(*args):
+        calls.append(args)
+        return candidate(*args)
+
+    monkeypatch.setattr(dirac, "_candidate", counted)
+    res = consistency_algorithm(model())
+    assert len(calls) == formed
+    assert res == reference_consistency_algorithm(model())

@@ -1,11 +1,12 @@
-"""The tree writer against ``json.dumps(obj, indent=2)``."""
+"""The tree writer against ``json.dumps(obj, indent=2)``, and the work behind a report."""
 
 import json
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symchain.reports import _json
+from symchain import chain, compare_spans, consistency_algorithm, run_chain
+from symchain.reports import _json, render_tree
 
 # quotes, backslashes, control characters, non-ASCII and non-BMP characters
 _awkward = st.sampled_from(['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "é", " ", "\U0001f600"])
@@ -38,3 +39,21 @@ def _nested(depth):
 @example({'"\\': ["\x00\x1f\x7f", "é \U0001f600"]})
 def test_writer_matches_json_dumps(tree):
     assert _json(tree) == json.dumps(tree, indent=2)
+
+
+def test_a_report_builds_its_span_once(example2, monkeypatch):
+    """``compare_spans`` and the fingerprint in ``render_tree`` share the chain span's RREF."""
+    built = []
+    span = chain._span
+
+    def counted(exprs):
+        built.append(len(exprs))
+        return span(exprs)
+
+    monkeypatch.setattr(chain, "_span", counted)
+    report = run_chain(example2)
+    oracle = consistency_algorithm(example2)
+    tree = json.loads(render_tree(report, compare_spans(report, oracle.constraints), oracle))
+    assert built == [4]
+    assert tree["span_fingerprint"] == report.span_fingerprint()
+    assert built == [4]
