@@ -28,15 +28,15 @@ determinant reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
-from typing import Sequence
 
 from .expressions import EchelonBasis, Expression, _linear_part
-from .linalg import RationalMatrix, _absorb, _integral, _null_basis, left_null_space
+from .linalg import RationalMatrix, _absorb, _dense, _integral, _null_basis, left_null_space
 from .model import FirstOrderModel
 
 NEW = "new"
@@ -55,20 +55,16 @@ class ChainError(RuntimeError):
     """The chain cannot proceed on this model (reported, never silent)."""
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(namedtuple("Constraint", "level expr raw origin generator", defaults=(None,))):
     """One constraint of the chain.
 
-    ``raw`` is the expression exactly as generated (v . grad(H) for derived
-    levels); ``expr`` is its monic normalization under the graded-lex
-    order, never in the linear span of the lower levels.
+    ``level`` (int), ``expr`` and ``raw`` (Expression), ``origin`` (str), ``generator`` (int tuple
+    or None).  ``raw`` is the expression exactly as generated (v . grad(H) for derived levels);
+    ``expr`` is its monic normalization under the graded-lex order, never in the linear span of
+    the lower levels.
     """
 
-    level: int
-    expr: Expression
-    raw: Expression
-    origin: str
-    generator: tuple[int, ...] | None = None
+    __slots__ = ()
 
     @staticmethod
     def from_raw(
@@ -82,28 +78,22 @@ class Constraint:
         return Constraint(level=level, expr=raw.monic(), raw=raw, origin=origin, generator=generator)
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One canonical null vector with its extracted value and verdict."""
+class Candidate(namedtuple("Candidate", "vector value classification")):
+    """One canonical null ``vector`` (int tuple), its ``value`` v . grad(H) over zeta and its ``classification``."""
 
-    vector: tuple[int, ...]
-    value: Expression  # v . grad(H) over zeta
-    classification: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LevelRecord:
-    level: int
-    truncated: bool
-    shape: tuple[int, int]
-    candidates: tuple[Candidate, ...]
+class LevelRecord(namedtuple("LevelRecord", "level truncated shape candidates")):
+    """One attempt: ``level`` (int), ``truncated`` (bool), ``shape`` (rows, cols), ``candidates`` (Candidate tuple)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Termination:
-    kind: str
-    level: int
-    determinant: Fraction | None = None
+class Termination(namedtuple("Termination", "kind level determinant", defaults=(None,))):
+    """How the chain stopped: ``kind`` (str), ``level`` (int), ``determinant`` (Fraction or None)."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.kind == TERMINATED_NONSINGULAR:
@@ -116,26 +106,27 @@ class Termination:
         return f"max-level-reached at level {self.level}"
 
 
-@dataclass(frozen=True)
-class ChainOptions:
-    max_level: int = 12
-    allow_truncation: bool = True
+class ChainOptions(namedtuple("ChainOptions", "max_level allow_truncation", defaults=(12, True))):
+    """Chain settings: ``max_level`` (int, at least 1), ``allow_truncation`` (bool)."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_level < 1:
             raise ValueError("max_level must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    model_name: str
-    zeta_names: tuple[str, ...]
-    multiplier_names: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
-    levels: tuple[LevelRecord, ...]
-    truncations: tuple[int, ...]
-    termination: Termination
-    warnings: tuple[str, ...] = field(default=())
+class ChainReport(namedtuple("ChainReport", "model_name zeta_names multiplier_names constraints levels truncations "
+                             "termination warnings", defaults=((),))):
+    """One chain run.
+
+    ``model_name`` (str), ``zeta_names`` and ``multiplier_names`` (str tuples), ``constraints``
+    (Constraint tuple), ``levels`` (LevelRecord tuple), ``truncations`` (int tuple),
+    ``termination`` (Termination), ``warnings`` (str tuple).  No ``__slots__``: the
+    instance ``__dict__`` holds the cached ``_span``.
+    """
 
     def num_levels(self) -> int:
         return max((c.level for c in self.constraints), default=0)
@@ -264,7 +255,7 @@ def _solve(state: tuple, kept: list, n_zeta: int, n: int) -> tuple:
     +1, since a ``FirstOrderModel`` has an even number of coordinates.
     """
     rows, num, den, _ = _absorb(state, kept[:n_zeta])
-    return _null_basis(rows, n), Fraction(num, den) if len(kept) == n else None
+    return tuple(_dense(v, n) for v in _null_basis(rows, n)), Fraction(num, den) if len(kept) == n else None
 
 
 def find_new_constraints(

@@ -12,14 +12,14 @@ chain driver, so agreement between the two is a real cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .chain import ChainReport, Constraint, span_fingerprint, _base_columns, _Gradient, _put, _span
 from .expressions import EchelonBasis, Expression, _linear_part, linear_expression
-from .linalg import RationalMatrix, SparseEchelon, _absorb, _integral, _null_basis, left_null_space
+from .linalg import RationalMatrix, SparseEchelon, _absorb, _dense, _integral, _null_basis, left_null_space
 from .model import FirstOrderModel
 
 ORIGIN_CONSISTENCY = "consistency"
@@ -55,18 +55,19 @@ def _flow(a: Expression, finv: Sequence[dict[int, Fraction]]) -> dict[int, Fract
     return u
 
 
-@dataclass(frozen=True)
-class MultiplierCondition:
-    """A consistency condition that fixes multipliers instead of adding a constraint."""
+class MultiplierCondition(namedtuple("MultiplierCondition", "constraint condition")):
+    """A consistency condition that fixes multipliers instead of adding a constraint.
 
-    constraint: Constraint
-    condition: Expression  # over the working table, mentions at least one multiplier
+    ``constraint`` (Constraint); ``condition`` (Expression over the working table, mentioning a multiplier).
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    constraints: tuple[Constraint, ...]
-    multiplier_conditions: tuple[MultiplierCondition, ...]
+class OracleResult(namedtuple("OracleResult", "constraints multiplier_conditions")):
+    """The closed set: ``constraints`` (Constraint tuple), ``multiplier_conditions`` (their tuple)."""
+
+    __slots__ = ()
 
     def span_fingerprint(self) -> str:
         return span_fingerprint([c.expr for c in self.constraints])
@@ -140,9 +141,10 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     seen = 0
     while True:
         old = len(constraints)
-        for w in _null_basis(_absorb(({}, 0, 1, []), mixed)[0], old):
-            if not any(w[seen:]):
+        for vec in _null_basis(_absorb(({}, 0, 1, []), mixed)[0], old):
+            if min(vec) > ~seen:  # zero past seen
                 continue
+            w = _dense(vec, old)
             acc, den = _candidate(w, flows, grad_h)
             if any(s and (len(mono) > 1 or mono[0][1] > 1) for mono, s in acc.items() if mono):
                 raise ValueError(
@@ -174,17 +176,15 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     return OracleResult(tuple(constraints), tuple(conditions))
 
 
-@dataclass(frozen=True)
-class ConstraintMatrix:
+class ConstraintMatrix(namedtuple("ConstraintMatrix", "matrix rank first_class")):
     """Mutual-bracket matrix C_ab = {phi_a, phi_b} with its classification.
 
-    ``first_class`` holds sum_a w_a phi_a (raw forms) for each w of the canonical
+    ``matrix`` (RationalMatrix or None), ``rank`` (int), ``first_class``
+    (Expression tuple): sum_a w_a phi_a (raw forms) for each w of the canonical
     left null basis of C, so its length plus the rank is the constraint count.
     """
 
-    matrix: RationalMatrix | None
-    rank: int
-    first_class: tuple[Expression, ...]
+    __slots__ = ()
 
     @property
     def second_class_count(self) -> int:
@@ -216,11 +216,10 @@ def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> Constrain
     return ConstraintMatrix(matrix, len(constraints) - len(null), first_class)
 
 
-@dataclass(frozen=True)
-class SpanVerdict:
-    equal: bool
-    only_in_first: tuple[Expression, ...]
-    only_in_second: tuple[Expression, ...]
+class SpanVerdict(namedtuple("SpanVerdict", "equal only_in_first only_in_second")):
+    """Two spans compared: ``equal`` (bool); ``only_in_first``, ``only_in_second`` (Expression tuples)."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.equal:

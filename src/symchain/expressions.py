@@ -20,9 +20,9 @@ nonnegative integer literal.  There is no general division operator:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 from .linalg import SparseEchelon
 

@@ -16,7 +16,7 @@ with the N primary constraints pi0_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .expressions import Expression, VarTable
@@ -30,15 +30,16 @@ CENTRAL = "central"
 FORWARD = "forward"
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Sites, spacing and difference scheme of a periodic lattice."""
+class LatticeSpec(namedtuple("LatticeSpec", "sites spacing scheme", defaults=(Fraction(1), CENTRAL))):
+    """Sites, spacing and difference scheme of a periodic lattice.
 
-    sites: int
-    spacing: Fraction = Fraction(1)
-    scheme: str = CENTRAL
+    ``sites`` (int), ``spacing`` (Fraction), ``scheme`` (str).
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.sites < 3:
             raise ValueError("need at least 3 lattice sites")
         if self.spacing <= 0:
@@ -47,13 +48,13 @@ class LatticeSpec:
             raise ValueError(f"unknown scheme '{self.scheme}'")
         if self.scheme == CENTRAL and self.sites % 2 == 0:
             raise ValueError("the central scheme needs an odd number of sites")
+        return self
 
 
-@dataclass(frozen=True)
-class FieldSet:
-    """Site-variable layout: field blocks first, then momentum blocks."""
+class FieldSet(namedtuple("FieldSet", "spec")):
+    """Site-variable layout of ``spec`` (LatticeSpec): field blocks first, then momentum blocks."""
 
-    spec: LatticeSpec
+    __slots__ = ()
 
     @property
     def sites(self) -> int:
@@ -133,12 +134,13 @@ def build_schwinger(spec: LatticeSpec) -> FirstOrderModel:
     return FirstOrderModel(f"schwinger_n{n}", zeta, c, h, primaries)
 
 
-@dataclass(frozen=True)
-class SiteStencil:
-    """A constraint resolved as per-site (identity / D) stencils on the blocks."""
+class SiteStencil(namedtuple("SiteStencil", "site terms")):
+    """A constraint resolved as per-site (identity / D) stencils on the blocks.
 
-    site: int  # 1-based
-    terms: tuple[tuple[str, str, Fraction], ...]  # (block, "I" or "D", coefficient)
+    ``site`` (int, 1-based); ``terms`` (tuple of (block, "I" or "D", coefficient)).
+    """
+
+    __slots__ = ()
 
     def describe(self) -> str:
         parts = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect, insort
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 
 class RationalMatrix:
@@ -202,7 +202,7 @@ def null_space_and_determinant(
     square = len(cols) == n
     ints = [_integral({~i: x for i, x in col.items()}) for col in cols]
     rows, num, den, _ = _absorb(({}, int(square), 1, []), ints)
-    return _null_basis(rows, n), Fraction(num, den) if square else None
+    return tuple(_dense(vec, n) for vec in _null_basis(rows, n)), Fraction(num, den) if square else None
 
 
 def _absorb(state: tuple, cols: Iterable[tuple[dict[int, int], int]]) -> tuple:
@@ -241,7 +241,15 @@ def _absorb(state: tuple, cols: Iterable[tuple[dict[int, int], int]]) -> tuple:
     return kernel.rows, num, den, pivots
 
 
-def _null_basis(rows: dict[int, dict[int, int]], n: int) -> tuple[tuple[int, ...], ...]:
+def _dense(vec: dict[int, int], n: int) -> tuple[int, ...]:
+    """The length-``n`` vector whose entry i is ``vec``'s at key ~i."""
+    out = [0] * n
+    for key, x in vec.items():
+        out[~key] = x
+    return tuple(out)
+
+
+def _null_basis(rows: dict[int, dict[int, int]], n: int) -> list[dict[int, int]]:
     """The canonical left null basis of the n-row M whose columns ``_absorb`` took in as ``rows``.
 
     Each free row f, the pivot of no column, gives a null vector: L at f
@@ -249,7 +257,8 @@ def _null_basis(rows: dict[int, dict[int, int]], n: int) -> tuple[tuple[int, ...
     pivot, L the lcm of those d.  It is nonzero only at f and at pivots
     below f (a reduced column is zero below its pivot), so over its gcd
     it is the primitive row of the null space's reduced row-echelon
-    form, whatever the shape of M.
+    form, whatever the shape of M.  Vectors are sparse, keyed by ~i for
+    entry i; ``_dense`` makes them tuples.
     """
     hits: dict[int, list[tuple[int, int, int]]] = {~i: [] for i in range(n) if ~i not in rows}
     for pivot, row in rows.items():
@@ -259,9 +268,5 @@ def _null_basis(rows: dict[int, dict[int, int]], n: int) -> tuple[tuple[int, ...
     basis = []
     for f, entries in hits.items():
         mult = lcm(*(d for _, _, d in entries))
-        vec = _normalized({f: mult, **{p: -x * (mult // d) for p, x, d in entries}}, f)
-        out = [0] * n
-        for key, x in vec.items():
-            out[~key] = x
-        basis.append(tuple(out))
-    return tuple(basis)
+        basis.append(_normalized({f: mult, **{p: -x * (mult // d) for p, x, d in entries}}, f))
+    return basis

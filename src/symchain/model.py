@@ -8,11 +8,11 @@ line-oriented text format (see ``load_model``).
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from pathlib import Path
-from typing import Sequence
 
 from .expressions import EchelonBasis, Expression, ParseError, VarTable, parse_expression
 
@@ -111,16 +111,21 @@ def _check_primaries(primaries: Sequence[Expression], zeta: VarTable) -> None:
             raise PrimaryError("primary constraints are inconsistent: their span holds the constant 1", i)
 
 
-@dataclass(frozen=True)
-class SecondOrderLagrangian:
+class SecondOrderLagrangian(namedtuple("SecondOrderLagrangian", "coordinates lagrangian")):
     """L(q, qdot), at most quadratic in the velocities.
 
-    The table holds the coordinates followed by the auto-named
-    velocities (x -> xdot); the velocity Hessian must be constant.
+    ``coordinates`` (VarTable); ``lagrangian`` (Expression) over the
+    coordinates followed by the auto-named velocities (x -> xdot); the
+    velocity Hessian must be constant.
     """
 
-    coordinates: VarTable
-    lagrangian: Expression
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.lagrangian.vars != SecondOrderLagrangian.full_table(self.coordinates):
+            raise ValueError("Lagrangian must live over coordinates + velocities")
+        return self
 
     @staticmethod
     def velocity_names(coordinates: VarTable) -> tuple[str, ...]:
@@ -136,11 +141,6 @@ class SecondOrderLagrangian:
         zeta = coordinates.extended(f"p_{q}" for q in coordinates)
         _check_reserved(zeta)
         return zeta
-
-    def __post_init__(self):
-        expected = SecondOrderLagrangian.full_table(self.coordinates)
-        if self.lagrangian.vars != expected:
-            raise ValueError("Lagrangian must live over coordinates + velocities")
 
 
 def legendre_transform(l: SecondOrderLagrangian, name: str = "model") -> FirstOrderModel:
@@ -232,9 +232,10 @@ def legendre_transform(l: SecondOrderLagrangian, name: str = "model") -> FirstOr
 _SINGLE_KEYWORDS = ("model", "vars", "zeta", "L", "c", "H")  # at most one line each
 
 
-def load_model(path: str | Path) -> FirstOrderModel:
+def load_model(path: str | os.PathLike) -> FirstOrderModel:
     """Load and validate a model file; second-order form is transformed on load."""
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as file:
+        text = file.read()
     found: dict[str, tuple[int, str]] = {}  # keyword -> (line number, rest)
     primary_lines: list[tuple[int, str]] = []
 
@@ -317,7 +318,7 @@ def load_model(path: str | Path) -> FirstOrderModel:
         raise ModelFormatError(str(exc), zeta_line[0]) from exc
 
 
-def save_model(m: FirstOrderModel, path: str | Path) -> None:
+def save_model(m: FirstOrderModel, path: str | os.PathLike) -> None:
     """Write the first-order form; load_model(save_model(m)) == m."""
     lines = [f"model {m.name}"]
     lines.append("zeta " + " ".join(m.zeta.names))
@@ -325,7 +326,8 @@ def save_model(m: FirstOrderModel, path: str | Path) -> None:
     lines.append("H " + str(m.hamiltonian))
     for p in m.primaries:
         lines.append("primary " + str(p))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as file:
+        file.write("\n".join(lines) + "\n")
 
 
 def _table(lineno: int, rest: str) -> VarTable:

@@ -12,8 +12,8 @@ in one call.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Sequence
 
 from .chain import ChainReport, Constraint
 from .dirac import OracleResult, SpanVerdict

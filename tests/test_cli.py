@@ -63,6 +63,17 @@ def test_analyze_input_error():
     assert "error:" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_unreadable_model_file_messages(tmp_path, command):
+    missing = run_cli(command, "missing.model", cwd=tmp_path)
+    assert (missing.returncode, missing.stdout) == (1, "")
+    assert missing.stderr == "error: [Errno 2] No such file or directory: 'missing.model'\n"
+    (tmp_path / "folder.model").mkdir()
+    folder = run_cli(command, "folder.model", cwd=tmp_path)
+    assert (folder.returncode, folder.stdout) == (1, "")
+    assert folder.stderr == "error: [Errno 21] Is a directory: 'folder.model'\n"
+
+
 def test_analyze_rejects_bad_model(tmp_path):
     bad = tmp_path / "bad.model"
     bad.write_text("model bad\nzeta x x\nc 0 0\nH 0\n")

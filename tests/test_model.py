@@ -101,6 +101,14 @@ def test_save_load_roundtrip(tmp_path, example2, free_particle, models_dir):
         assert load_model(path) == m
 
 
+def test_save_load_roundtrip_takes_str_and_path(tmp_path, example2):
+    as_path, as_str = tmp_path / "as_path.model", tmp_path / "as_str.model"
+    save_model(example2, as_path)
+    save_model(example2, str(as_str))
+    assert as_path.read_bytes() == as_str.read_bytes()
+    assert load_model(str(as_path)) == load_model(as_str) == example2
+
+
 def test_load_rejects_duplicate_variables(tmp_path):
     p = tmp_path / "bad.model"
     p.write_text("model bad\nzeta x x\nc 0 0\nH 0\n")

@@ -1,6 +1,9 @@
 import inspect
+import subprocess
+import sys
 
 import symchain
+from checkout import checkout_env
 
 
 def test_every_export_resolves():
@@ -24,3 +27,16 @@ def test_the_pairing_convention_is_gone():
     for name in ("CanonicalPairing", "derive_pairing", "poisson_bracket"):
         assert not hasattr(symchain, name), name
         assert not hasattr(symchain.dirac, name), name
+
+
+def test_import_loads_no_unused_stdlib_machinery():
+    # records are namedtuples, annotations stay strings, files open with open()
+    code = (
+        "import sys, symchain, symchain.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=checkout_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -1,0 +1,180 @@
+"""The contract of symchain's immutable records.
+
+Each record builds from positional and keyword arguments, fills its
+defaults, prints a fixed ``repr``, compares and hashes by value, refuses
+assignment to a field, and validates where it did before.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from symchain import (
+    Candidate,
+    ChainOptions,
+    ChainReport,
+    Constraint,
+    ConstraintMatrix,
+    Expression,
+    FieldSet,
+    LatticeSpec,
+    OracleResult,
+    SecondOrderLagrangian,
+    SiteStencil,
+    SpanVerdict,
+    Termination,
+    VarTable,
+)
+from symchain.chain import LevelRecord
+from symchain.dirac import MultiplierCondition
+
+Z = VarTable(["x", "p"])
+X = Expression.variable(Z, "x")
+P = Expression.variable(Z, "p")
+COORDS = VarTable(["x"])
+XDOT = Expression.variable(SecondOrderLagrangian.full_table(COORDS), "xdot")
+PRIMARY = Constraint(1, P, P, "primary")
+END = Termination("exhausted", 1)
+
+# (class, positional args, keyword args, repr)
+CASES = [
+    (
+        Constraint,
+        (1, P, 2 * P, "primary"),
+        dict(level=1, expr=P, raw=2 * P, origin="primary"),
+        "Constraint(level=1, expr=Expression('p'), raw=Expression('2*p'), origin='primary', generator=None)",
+    ),
+    (
+        Candidate,
+        ((1, 0), X, "new"),
+        dict(vector=(1, 0), value=X, classification="new"),
+        "Candidate(vector=(1, 0), value=Expression('x'), classification='new')",
+    ),
+    (
+        LevelRecord,
+        (1, False, (2, 3), ()),
+        dict(level=1, truncated=False, shape=(2, 3), candidates=()),
+        "LevelRecord(level=1, truncated=False, shape=(2, 3), candidates=())",
+    ),
+    (
+        Termination,
+        ("nonsingular", 2),
+        dict(kind="nonsingular", level=2),
+        "Termination(kind='nonsingular', level=2, determinant=None)",
+    ),
+    (
+        ChainOptions,
+        (),
+        {},
+        "ChainOptions(max_level=12, allow_truncation=True)",
+    ),
+    (
+        ChainReport,
+        ("m", ("x", "p"), ("lam1",), (), (), (), END),
+        dict(
+            model_name="m",
+            zeta_names=("x", "p"),
+            multiplier_names=("lam1",),
+            constraints=(),
+            levels=(),
+            truncations=(),
+            termination=END,
+        ),
+        "ChainReport(model_name='m', zeta_names=('x', 'p'), multiplier_names=('lam1',), "
+        "constraints=(), levels=(), truncations=(), "
+        "termination=Termination(kind='exhausted', level=1, determinant=None), warnings=())",
+    ),
+    (
+        MultiplierCondition,
+        (PRIMARY, X),
+        dict(constraint=PRIMARY, condition=X),
+        "MultiplierCondition(constraint=Constraint(level=1, expr=Expression('p'), raw=Expression('p'), "
+        "origin='primary', generator=None), condition=Expression('x'))",
+    ),
+    (
+        OracleResult,
+        ((PRIMARY,), ()),
+        dict(constraints=(PRIMARY,), multiplier_conditions=()),
+        "OracleResult(constraints=(Constraint(level=1, expr=Expression('p'), raw=Expression('p'), "
+        "origin='primary', generator=None),), multiplier_conditions=())",
+    ),
+    (
+        ConstraintMatrix,
+        (None, 0, ()),
+        dict(matrix=None, rank=0, first_class=()),
+        "ConstraintMatrix(matrix=None, rank=0, first_class=())",
+    ),
+    (
+        SpanVerdict,
+        (False, (X,), ()),
+        dict(equal=False, only_in_first=(X,), only_in_second=()),
+        "SpanVerdict(equal=False, only_in_first=(Expression('x'),), only_in_second=())",
+    ),
+    (
+        LatticeSpec,
+        (3,),
+        dict(sites=3),
+        "LatticeSpec(sites=3, spacing=Fraction(1, 1), scheme='central')",
+    ),
+    (
+        FieldSet,
+        (LatticeSpec(5, Fraction(1, 2), "forward"),),
+        dict(spec=LatticeSpec(sites=5, spacing=Fraction(1, 2), scheme="forward")),
+        "FieldSet(spec=LatticeSpec(sites=5, spacing=Fraction(1, 2), scheme='forward'))",
+    ),
+    (
+        SiteStencil,
+        (1, (("A0", "I", Fraction(1)),)),
+        dict(site=1, terms=(("A0", "I", Fraction(1)),)),
+        "SiteStencil(site=1, terms=(('A0', 'I', Fraction(1, 1)),))",
+    ),
+    (
+        SecondOrderLagrangian,
+        (COORDS, XDOT * XDOT),
+        dict(coordinates=COORDS, lagrangian=XDOT * XDOT),
+        "SecondOrderLagrangian(coordinates=VarTable(x), lagrangian=Expression('xdot^2'))",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, args, kwargs, text", CASES, ids=[case[0].__name__ for case in CASES])
+def test_record_contract(cls, args, kwargs, text):
+    positional, keyword = cls(*args), cls(**kwargs)
+    assert repr(positional) == repr(keyword) == text
+    assert positional == keyword
+    assert hash(positional) == hash(keyword)
+    first = text[len(cls.__name__) + 1 :].split("=", 1)[0]
+    with pytest.raises(AttributeError):
+        setattr(positional, first, getattr(positional, first))
+
+
+def test_record_defaults():
+    assert ChainOptions() == ChainOptions(12, True)
+    assert (ChainOptions().max_level, ChainOptions().allow_truncation) == (12, True)
+    assert Termination("nonsingular", 3).determinant is None
+    assert Constraint(1, P, P, "primary").generator is None
+    assert ChainReport("m", (), (), (), (), (), END).warnings == ()
+    spec = LatticeSpec(3)
+    assert spec.spacing == Fraction(1) and type(spec.spacing) is Fraction
+    assert spec.scheme == "central"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ChainOptions(max_level=0), "max_level must be >= 1"),
+        (lambda: ChainOptions(0, True), "max_level must be >= 1"),
+        (lambda: LatticeSpec(2), "need at least 3 lattice sites"),
+        (lambda: LatticeSpec(3, Fraction(0)), "lattice spacing must be positive"),
+        (lambda: LatticeSpec(3, scheme="x"), "unknown scheme 'x'"),
+        (lambda: LatticeSpec(4), "the central scheme needs an odd number of sites"),
+        (
+            lambda: SecondOrderLagrangian(COORDS, X),
+            "Lagrangian must live over coordinates + velocities",
+        ),
+    ],
+)
+def test_record_validation_texts(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
