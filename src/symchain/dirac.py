@@ -141,9 +141,7 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     seen = 0
     while True:
         old = len(constraints)
-        for vec in _null_basis(_absorb(({}, 0, 1, []), mixed)[0], old):
-            if min(vec) > ~seen:  # zero past seen
-                continue
+        for vec in _null_basis(_absorb(({}, 0, 1, []), mixed)[0], old, ~seen):  # nonzero past seen
             w = _dense(vec, old)
             acc, den = _candidate(w, flows, grad_h)
             if any(s and (len(mono) > 1 or mono[0][1] > 1) for mono, s in acc.items() if mono):
@@ -204,7 +202,8 @@ def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> Constrain
         return ConstraintMatrix(None, 0, ())
     if any(c.raw.vars != m.zeta for c in constraints):
         raise ValueError("constraints must live over the phase-space table only")
-    if len(_span([c.expr for c in constraints])[0]) != len(constraints):
+    basis = EchelonBasis(m.zeta)
+    if sum(basis.add(c.expr) for c in constraints) != len(constraints):
         raise ValueError("constraint set is not linearly independent")
     finv = _inverse(m)
     flows = [_flow(c.raw, finv) for c in constraints]

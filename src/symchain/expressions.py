@@ -117,6 +117,15 @@ def _grlex_key(mono: Monomial) -> tuple:
     return (_degree(mono), tuple((-i, e) for i, e in mono))
 
 
+def _descending(terms: Iterable[Monomial]) -> list[Monomial]:
+    """The monomials ``terms`` in graded-lex descending order; only a nonlinear set calls ``_grlex_key``:
+    sorted linear monomials ((i, 1),) are in that order, and the constant () moves from first to last."""
+    monos = sorted(terms)
+    if not all(len(m) == 1 and m[0][1] == 1 for m in monos if m):
+        return sorted(monos, key=_grlex_key, reverse=True)
+    return monos[1:] + monos[:1] if monos and not monos[0] else monos
+
+
 def _product(a: Monomial, b: Monomial) -> Monomial:
     if not a or not b:
         return a or b
@@ -380,15 +389,14 @@ class Expression:
         """Coefficient of the graded-lex leading monomial (0 for the zero poly)."""
         if not self._terms:
             return Fraction(0)
-        lead = max(self._terms, key=_grlex_key)
-        return self._terms[lead]
+        return self._terms[_descending(self._terms)[0]]
 
     def monic(self) -> "Expression":
-        """Scale so the graded-lex leading coefficient becomes +1."""
+        """Scale so the graded-lex leading coefficient becomes +1; ``self`` when it is 0 or 1."""
         lc = self.leading_coefficient()
-        if lc == 0:
+        if lc == 0 or lc == 1:
             return self
-        return self * (Fraction(1) / lc)
+        return Expression._trusted(self._vars, {mono: coeff / lc for mono, coeff in self._terms.items()})
 
     # -- printing ----------------------------------------------------
 
@@ -409,7 +417,7 @@ class Expression:
         plus, minus = ("+", "-") if compact else (" + ", " - ")
         names = self._vars.names
         parts: list[str] = []
-        for mono in sorted(self._terms, key=_grlex_key, reverse=True):
+        for mono in _descending(self._terms):
             coeff = self._terms[mono]
             num, den = coeff.numerator, coeff.denominator
             factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono]

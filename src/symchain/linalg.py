@@ -249,7 +249,7 @@ def _dense(vec: dict[int, int], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _null_basis(rows: dict[int, dict[int, int]], n: int) -> list[dict[int, int]]:
+def _null_basis(rows: dict[int, dict[int, int]], n: int, above: int = 0) -> list[dict[int, int]]:
     """The canonical left null basis of the n-row M whose columns ``_absorb`` took in as ``rows``.
 
     Each free row f, the pivot of no column, gives a null vector: L at f
@@ -258,7 +258,8 @@ def _null_basis(rows: dict[int, dict[int, int]], n: int) -> list[dict[int, int]]
     below f (a reduced column is zero below its pivot), so over its gcd
     it is the primitive row of the null space's reduced row-echelon
     form, whatever the shape of M.  Vectors are sparse, keyed by ~i for
-    entry i; ``_dense`` makes them tuples.
+    entry i; ``_dense`` makes them tuples.  A vector whose keys all lie
+    above ``above`` is left out before it is built; the default keeps all.
     """
     hits: dict[int, list[tuple[int, int, int]]] = {~i: [] for i in range(n) if ~i not in rows}
     for pivot, row in rows.items():
@@ -267,6 +268,8 @@ def _null_basis(rows: dict[int, dict[int, int]], n: int) -> list[dict[int, int]]
                 hits[f].append((pivot, x, row[pivot]))
     basis = []
     for f, entries in hits.items():
+        if f > above and all(p > above for p, _, _ in entries):
+            continue
         mult = lcm(*(d for _, _, d in entries))
         basis.append(_normalized({f: mult, **{p: -x * (mult // d) for p, x, d in entries}}, f))
     return basis

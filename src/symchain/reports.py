@@ -3,24 +3,21 @@
 The tree form is a single JSON document per run, holding every field of
 the report (the text table is a projection).  Both renderings are
 byte-deterministic for identical inputs.  The tree is written by
-``_json``, which gives the bytes of ``json.dumps(tree, indent=2)``:
-with an indent, ``json.dumps`` runs the pure-Python encoder, while
-``_json`` quotes each string with the C one and joins a list of strings
-in one call.
+``_json``, which gives the bytes of ``json.dumps(report_tree(...), indent=2)``
+(``json.dumps`` runs the pure-Python encoder with an indent).  ``_json``
+quotes strings with the C encoder and writes a vector, kept as its int
+tuple, as its decimal strings: it visits only the nonzero entries.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
 from .chain import ChainReport, Constraint
 from .dirac import OracleResult, SpanVerdict
-
-
-def _vec(v: Sequence[int]) -> list[str]:
-    return list(map(str, v))
 
 
 def report_tree(
@@ -28,6 +25,12 @@ def report_tree(
     comparison: SpanVerdict | None = None,
     oracle: OracleResult | None = None,
 ) -> dict:
+    """The report as a JSON tree; each vector is the list of its entries' decimal strings."""
+    return json.loads(render_tree(report, comparison, oracle))
+
+
+def _tree(report: ChainReport, comparison: SpanVerdict | None, oracle: OracleResult | None) -> dict:
+    """``report_tree``, with each null vector and generator left as its int tuple."""
     tree: dict = {
         "model": report.model_name,
         "zeta": list(report.zeta_names),
@@ -38,7 +41,7 @@ def report_tree(
                 "expr": str(c.expr),
                 "raw": str(c.raw),
                 "origin": c.origin,
-                "generator": _vec(c.generator) if c.generator is not None else None,
+                "generator": c.generator,
             }
             for c in report.constraints
         ],
@@ -49,7 +52,7 @@ def report_tree(
                 "shape": list(rec.shape),
                 "candidates": [
                     {
-                        "vector": _vec(cand.vector),
+                        "vector": cand.vector,
                         "value": str(cand.value),
                         "classification": cand.classification,
                     }
@@ -95,31 +98,43 @@ def render_tree(
     comparison: SpanVerdict | None = None,
     oracle: OracleResult | None = None,
 ) -> str:
-    return _json(report_tree(report, comparison, oracle)) + "\n"
+    return _json(_tree(report, comparison, oracle)) + "\n"
 
 
 def _json(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` for str-keyed dicts, lists and JSON scalars.
 
+    A tuple of ints is written as the list of its decimal strings.
     ``indent`` is the newline and the indentation that precede ``obj``'s closing bracket.
     """
-    if type(obj) is str:
+    kind = type(obj)
+    if kind is str:
         return _quote(obj)
-    if not obj or type(obj) not in (list, dict):
+    if kind is int:
+        return int.__repr__(obj)
+    if not obj or kind not in (list, dict, tuple):
         return json.dumps(obj)
     inner = indent + "  "
+    if kind is tuple:
+        # the nonzero entries one by one, each run of zeros as one repeated string
+        zero, parts, end = '"0",' + inner, [], 0
+        for i in compress(range(len(obj)), obj):
+            parts += (zero * (i - end), '"', int.__repr__(obj[i]), '",', inner)
+            end = i + 1
+        parts.append(zero * (len(obj) - end))
+        return "[" + inner + "".join(parts)[: -len(inner) - 1] + indent + "]"
     sep = "," + inner
-    if type(obj) is dict:
-        return "{" + inner + sep.join(_quote(k) + ": " + _json(v, inner) for k, v in obj.items()) + indent + "}"
-    if all(type(x) is str for x in obj):
+    if kind is dict:
+        return "{" + inner + sep.join([_quote(k) + ": " + _json(v, inner) for k, v in obj.items()]) + indent + "}"
+    if set(map(type, obj)) == {str}:
         return "[" + inner + sep.join(map(_quote, obj)) + indent + "]"
-    return "[" + inner + sep.join(_json(x, inner) for x in obj) + indent + "]"
+    return "[" + inner + sep.join([_json(x, inner) for x in obj]) + indent + "]"
 
 
 def _constraint_rows(constraints: Sequence[Constraint]) -> list[tuple[str, ...]]:
     rows = [("level", "constraint", "raw", "origin", "eigenvector")]
     for c in constraints:
-        vec = "(" + ", ".join(_vec(c.generator)) + ")" if c.generator is not None else "-"
+        vec = "(" + ", ".join(map(str, c.generator)) + ")" if c.generator is not None else "-"
         rows.append((str(c.level), str(c.expr), str(c.raw), c.origin, vec))
     return rows
 

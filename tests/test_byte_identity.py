@@ -14,7 +14,7 @@ up here.
 ``BATCH_DIGEST`` pins the tree and text reports of 400 ``randmodels``
 models and lattice N in {9, 11} under three option sets, one sha256
 over all of them, recorded before the chain's columns were bordered in
-place.  Each of those trees must also be ``json.dumps(tree, indent=2)``.
+place.
 
 ``DEEP_CHAIN_DIGEST`` pins the tree reports of four k=12 shift chains,
 H = sum a_i p_i q_{i+1} + b q_1^2 with the last momentum as the one
@@ -27,6 +27,12 @@ before tall matrices were eliminated with largest-index pivots.
 two to four primaries, whose oracle passes take several null
 directions at once.  It was recorded before the oracle skipped the
 null directions an earlier pass had checked.
+
+Each batch, deep-chain and second-order tree must also be
+``json.dumps(reference_tree(...), indent=2)``, and ``report_tree`` must
+return that reference tree: ``reference_tree`` builds the tree as a dict
+of plain strings and lists, so the writer's fast paths are checked
+against the standard encoder.
 """
 
 import hashlib
@@ -78,6 +84,80 @@ BATCH_OPTIONS = (
 )
 
 
+def reference_tree(report, comparison=None, oracle=None):
+    """The report tree as ``report_tree`` built it while it formatted every vector entry."""
+    vec = lambda v: list(map(str, v))
+    tree = {
+        "model": report.model_name,
+        "zeta": list(report.zeta_names),
+        "multipliers": list(report.multiplier_names),
+        "constraints": [
+            {
+                "level": c.level,
+                "expr": str(c.expr),
+                "raw": str(c.raw),
+                "origin": c.origin,
+                "generator": vec(c.generator) if c.generator is not None else None,
+            }
+            for c in report.constraints
+        ],
+        "eigenvectors": [
+            {
+                "level": rec.level,
+                "truncated": rec.truncated,
+                "shape": list(rec.shape),
+                "candidates": [
+                    {
+                        "vector": vec(cand.vector),
+                        "value": str(cand.value),
+                        "classification": cand.classification,
+                    }
+                    for cand in rec.candidates
+                ],
+            }
+            for rec in report.levels
+        ],
+        "truncations": list(report.truncations),
+        "termination": {
+            "kind": report.termination.kind,
+            "level": report.termination.level,
+            "determinant": (
+                str(report.termination.determinant)
+                if report.termination.determinant is not None
+                else None
+            ),
+        },
+        "span_fingerprint": report.span_fingerprint(),
+        "warnings": list(report.warnings),
+        "comparison": None,
+    }
+    if comparison is not None:
+        tree["comparison"] = {
+            "equal": comparison.equal,
+            "chain_only": [str(e) for e in comparison.only_in_first],
+            "oracle_only": [str(e) for e in comparison.only_in_second],
+        }
+        if oracle is not None:
+            tree["comparison"]["oracle_constraints"] = [
+                {"level": c.level, "expr": str(c.expr), "raw": str(c.raw)}
+                for c in oracle.constraints
+            ]
+            tree["comparison"]["multiplier_conditions"] = [
+                {"constraint": str(mc.constraint.expr), "condition": str(mc.condition)}
+                for mc in oracle.multiplier_conditions
+            ]
+    return tree
+
+
+def _checked_tree(report, verdict, oracle):
+    """``render_tree``, checked against the reference tree and ``json.dumps``."""
+    tree = render_tree(report, verdict, oracle)
+    reference = reference_tree(report, verdict, oracle)
+    assert tree == json.dumps(reference, indent=2) + "\n"
+    assert report_tree(report, verdict, oracle) == reference
+    return tree
+
+
 def _model(name):
     if name.startswith("lattice_"):
         _, sites, *rest = name.split("_")
@@ -105,8 +185,7 @@ def test_batch_report_digest():
         for opts in BATCH_OPTIONS:
             report = run_chain(m, opts)
             verdict = compare_spans(report, oracle.constraints)
-            tree = render_tree(report, verdict, oracle)
-            assert tree == json.dumps(report_tree(report, verdict, oracle), indent=2) + "\n"
+            tree = _checked_tree(report, verdict, oracle)
             digest.update(tree.encode())
             digest.update(render_text(report, verdict, oracle).encode())
     assert digest.hexdigest() == BATCH_DIGEST
@@ -139,7 +218,7 @@ def test_deep_chain_digest():
         report = run_chain(m, ChainOptions(max_level=64))
         assert len(report.levels) == 35 and report.truncations == tuple(range(13, 24))
         oracle = consistency_algorithm(m)
-        digest.update(render_tree(report, compare_spans(report, oracle.constraints), oracle).encode())
+        digest.update(_checked_tree(report, compare_spans(report, oracle.constraints), oracle).encode())
     assert digest.hexdigest() == DEEP_CHAIN_DIGEST
 
 
@@ -149,7 +228,7 @@ def test_second_order_digest():
         m = random_second_order(random.Random(seed))
         report = run_chain(m)
         oracle = consistency_algorithm(m)
-        digest.update(render_tree(report, compare_spans(report, oracle.constraints), oracle).encode())
+        digest.update(_checked_tree(report, compare_spans(report, oracle.constraints), oracle).encode())
     assert digest.hexdigest() == SECOND_ORDER_DIGEST
 
 

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symchain.expressions import _grlex_key
+from symchain.expressions import _descending, _grlex_key
 from symchain import (
     EchelonBasis,
     Expression,
@@ -472,12 +472,39 @@ _signed_rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1
 _cubics = st.dictionaries(_cubic_monomials, _signed_rationals, max_size=6).map(
     lambda terms: Expression(VT, terms)
 )
+# the constant term and the degree-one monomials only
+_linear_monomials = st.sampled_from([()] + [((i, 1),) for i in range(len(VT))])
+_linears = st.dictionaries(_linear_monomials, _signed_rationals, max_size=len(VT) + 1).map(
+    lambda terms: Expression(VT, terms)
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_cubics, st.booleans())
+@given(_cubics | _linears, st.booleans())
 def test_to_text_matches_the_reference(e, compact):
     assert e.to_text(compact) == reference_text(e, compact)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(_linear_monomials) | st.sets(_linear_monomials | _cubic_monomials))
+@example(set())
+@example({()})
+@example({(), ((2, 1),)})
+@example({((5, 1),), ((0, 1),)})
+def test_descending_is_the_grlex_sort(monomials):
+    """Linear sets skip the sort key, mixed ones use it; both give the graded-lex descending order."""
+    terms = dict.fromkeys(monomials, Fraction(1))
+    assert _descending(terms) == sorted(terms, key=_grlex_key, reverse=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cubics | _linears)
+def test_monic_scales_by_the_leading_coefficient(e):
+    lc = e.leading_coefficient()
+    assert lc == (e.terms[max(e.terms, key=_grlex_key)] if e.terms else 0)
+    assert e.monic() == (e * (1 / lc) if lc else e)
+    if lc in (0, 1):
+        assert e.monic() is e
 
 
 def test_to_text_reference_cases():

@@ -41,6 +41,26 @@ def test_writer_matches_json_dumps(tree):
     assert _json(tree) == json.dumps(tree, indent=2)
 
 
+# runs of zeros at either end or between nonzero entries, signed and 300-bit entries
+_entries = st.one_of(st.just(0), st.integers(-(2**300), 2**300), st.integers(-9, 9))
+_int_vectors = st.lists(_entries, max_size=30).map(tuple)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_int_vectors, st.integers(0, 6))
+@example((), 0)
+@example((0,), 3)
+@example((0, 0, 0, 0), 0)
+@example((0, 0, -5, 0, 7, 0, 0), 2)
+@example((3, 0, 0), 6)
+@example((-(2**300), 0, 2**300 - 1), 1)
+def test_int_vector_is_written_as_its_decimal_strings(vector, depth):
+    """A tuple of ints is the list of its decimal strings, at any depth of the tree."""
+    indent = "\n" + "  " * depth
+    expected = json.dumps(list(map(str, vector)), indent=2).replace("\n", indent)
+    assert _json(vector, indent) == expected
+
+
 def test_a_report_builds_its_span_once(example2, monkeypatch):
     """``compare_spans`` and the fingerprint in ``render_tree`` share the chain span's RREF."""
     built = []
