@@ -14,7 +14,6 @@ from .chain import (
     Constraint,
     Termination,
     assemble_extended_matrix,
-    find_new_constraints,
     run_chain,
     span_fingerprint,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "consistency_algorithm",
     "determinant",
     "difference_matrix",
-    "find_new_constraints",
     "left_null_space",
     "legendre_transform",
     "linear_expression",

@@ -33,10 +33,10 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from math import gcd, lcm
+from math import lcm
 
 from .expressions import EchelonBasis, Expression, _linear_part
-from .linalg import RationalMatrix, _absorb, _dense, _integral, _null_basis, left_null_space
+from .linalg import RationalMatrix, _absorb, _dense, _integral, _null_basis, _put, _rows
 from .model import FirstOrderModel
 
 NEW = "new"
@@ -202,12 +202,7 @@ def assemble_extended_matrix(
     cols = _integer_columns(m)
     for c in sorted(constraints, key=lambda c: c.level):
         _border(cols, c)
-    kept = _kept(cols, constraints, truncated)
-    out = [[Fraction(0)] * len(kept) for _ in cols]
-    for j, (vec, scale) in enumerate(kept):
-        for key, x in vec.items():
-            out[~key][j] = Fraction(x, scale)
-    return RationalMatrix(out)
+    return RationalMatrix(_rows(_kept(cols, constraints, truncated), len(cols)))
 
 
 def _border(cols: list[tuple[dict[int, int], int]], c: Constraint) -> None:
@@ -230,15 +225,6 @@ def _border(cols: list[tuple[dict[int, int], int]], c: Constraint) -> None:
     cols.append(_integral({~j: x for j, x in grad.items()}))
 
 
-def _put(cols: list[tuple[dict[int, int], int]], j: int, key: int, num: int, den: int) -> None:
-    """Set entry ``key`` of column cols[j] to num/den in lowest terms; rescale it if den does not divide its scale."""
-    vec, scale = cols[j]
-    if scale % den:
-        mult = den // gcd(scale, den)
-        cols[j] = vec, scale = {k: y * mult for k, y in vec.items()}, scale * mult
-    vec[key] = num * (scale // den)
-
-
 def _kept(cols: list, constraints: Sequence[Constraint], truncated: bool) -> list:
     """The columns of one attempt: all, or the coordinate and level-1 ones."""
     if not truncated:
@@ -256,32 +242,6 @@ def _solve(state: tuple, kept: list, n_zeta: int, n: int) -> tuple:
     """
     rows, num, den, _ = _absorb(state, kept[:n_zeta])
     return tuple(_dense(v, n) for v in _null_basis(rows, n)), Fraction(num, den) if len(kept) == n else None
-
-
-def find_new_constraints(
-    f: RationalMatrix,
-    rhs: Sequence[Expression],
-    existing: Sequence[Constraint],
-) -> list[Candidate]:
-    """Classify v . rhs for every canonical left null vector v of ``f``.
-
-    ``f`` has one row per coordinate and one per constraint in
-    ``existing``; ``rhs`` is grad(H) over zeta, one entry per coordinate
-    row (a matrix bordered by every primary cancels the multipliers).
-
-    Candidates are processed in canonical basis order; a candidate
-    counts as NEW only if it stays nonzero after reduction against the
-    existing constraints *and* the new ones accepted earlier in this
-    same call, so the returned NEW set is linearly independent.
-    """
-    n = f.rows - len(existing)
-    if len(rhs) != n or len(rhs[0].vars) != n:
-        raise ValueError(f"rhs must be grad(H) over the {n} coordinates, one entry per coordinate row")
-    known = EchelonBasis(rhs[0].vars)
-    for c in existing:
-        known.add(c.expr)
-    level = 1 + max((c.level for c in existing), default=0)
-    return _classify(left_null_space(f), _Gradient(rhs), known, level)
 
 
 class _Gradient:
@@ -312,37 +272,27 @@ class _Gradient:
 def _classify(
     null: Sequence[tuple[int, ...]], rhs: _Gradient, known: EchelonBasis, level: int
 ) -> list[Candidate]:
-    """``find_new_constraints`` on a null basis against ``known``, which grows by each NEW one (of ``level``).
+    """Classify v . grad(H) for each null vector v, in order, against ``known``, which grows by each NEW one.
 
-    A candidate reduces in ints, as v . grad(H) times its denominator, against ``known``'s kernel.
+    A candidate is NEW iff it stays nonzero modulo ``known``, so the NEW
+    ones are independent; it is reduced in ints, as v . grad(H) times its denominator.
     """
     out: list[Candidate] = []
     n = len(rhs.terms)
-    d, kernel = rhs.denominator, known._kernel
     for v in null:
         # grad(H) has no entries for the constraint rows, from n on
         acc = rhs.sums({i: v[i] for i in compress(range(n), v)})
-        value = Expression._trusted(rhs.vars, {mono: Fraction(s, d) for mono, s in acc.items()})
-        if value.is_zero():
-            out.append(Candidate(vector=v, value=value, classification=REDUNDANT))
-            continue
+        value = Expression._trusted(rhs.vars, {mono: Fraction(s, rhs.denominator) for mono, s in acc.items()})
         if not value.is_linear():
             raise ChainError(
                 "nonlinear constraint candidate: reduction against the existing set "
                 f"is supported for linear constraints only (level {level} candidate: {value})"
             )
-        # ``known``'s columns are the variables, then the constant term at n
-        vec, scale = kernel._reduce({mono[0][0] if mono else n: s for mono, s in acc.items() if s}, d)
-        if not vec:
-            out.append(Candidate(vector=v, value=value, classification=REDUNDANT))
-            continue
-        if n in vec and len(vec) == 1:
-            raise ChainError(
-                "inconsistent dynamics: a consistency condition reduces to the nonzero "
-                f"constant {Fraction(vec[n], scale)} (level {level} candidate: {value})"
-            )
-        out.append(Candidate(vector=v, value=value, classification=NEW))
-        kernel._insert(vec)
+        try:
+            new = known._add_sums(acc, rhs.denominator)
+        except ValueError as err:
+            raise ChainError(f"{err} (level {level} candidate: {value})") from None
+        out.append(Candidate(vector=v, value=value, classification=NEW if new else REDUNDANT))
     return out
 
 

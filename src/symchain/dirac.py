@@ -17,9 +17,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
-from .chain import ChainReport, Constraint, span_fingerprint, _base_columns, _Gradient, _put, _span
+from .chain import ChainReport, Constraint, span_fingerprint, _base_columns, _Gradient, _span
 from .expressions import EchelonBasis, Expression, _linear_part, linear_expression
-from .linalg import RationalMatrix, SparseEchelon, _absorb, _dense, _integral, _null_basis, left_null_space
+from .linalg import RationalMatrix, SparseEchelon, _absorb, _dense, _integral, _null_basis, _put, _rows
 from .model import FirstOrderModel
 
 ORIGIN_CONSISTENCY = "consistency"
@@ -53,6 +53,16 @@ def _flow(a: Expression, finv: Sequence[dict[int, Fraction]]) -> dict[int, Fract
         for i, y in finv[j].items():
             u[i] = u.get(i, 0) + x * y
     return u
+
+
+def _put_brackets(
+    cols: list[tuple[dict[int, int], int]], grads: Sequence[dict[int, Fraction]], u: dict[int, Fraction], i: int
+) -> None:
+    """Write {phi_i, g} = u . grad(g), u the flow of phi_i, at key ~i of integer column cols[g] for each ``grads`` g."""
+    for g, grad in enumerate(grads):
+        x = sum(u[j] * y for j, y in grad.items() if j in u)
+        if x:
+            _put(cols, g, ~i, x.numerator, x.denominator)
 
 
 class MultiplierCondition(namedtuple("MultiplierCondition", "constraint condition")):
@@ -125,14 +135,10 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     flows: list[tuple[dict[int, int], int]] = []
     mixed: list[tuple[dict[int, int], int]] = [({}, 1) for _ in primary_grads]  # {phi_i, mu} at key ~i
     known = EchelonBasis(zeta)
-    kernel = known._kernel  # columns: the variables, then the constant term at n
 
     def join(c: Constraint) -> None:
         u = _flow(c.expr, finv)
-        for mu, beta in enumerate(primary_grads):
-            x = sum(u[j] * y for j, y in beta.items() if j in u)
-            if x:
-                _put(mixed, mu, ~len(flows), x.numerator, x.denominator)
+        _put_brackets(mixed, primary_grads, u, len(flows))
         flows.append(_integral(u))
 
     for c in constraints:
@@ -148,26 +154,18 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
                 raise ValueError(
                     "nonlinear consistency candidate: reduction is supported for linear constraints only"
                 )
-            vec, scale = kernel._reduce({mono[0][0] if mono else n: s for mono, s in acc.items() if s}, den)
-            if not vec:  # zero, or zero modulo the set
+            if not known._add_sums(acc, den):  # zero, or zero modulo the set
                 continue
-            if n in vec and len(vec) == 1:
-                raise ValueError(
-                    "inconsistent dynamics: a consistency condition reduces to "
-                    f"the nonzero constant {Fraction(vec[n], scale)}"
-                )
             level = 1 + max(c.level for c, coeff in zip(constraints, w) if coeff)
             value = Expression._trusted(zeta, {mono: Fraction(s, den) for mono, s in acc.items()})
             constraints.append(Constraint.from_raw(level, value, ORIGIN_CONSISTENCY))
-            kernel._insert(vec)
         if len(constraints) == old:
             break
         seen = old
         for c in constraints[old:]:
             join(c)
     conditions: list[MultiplierCondition] = []
-    for i, (phi, flow) in enumerate(zip(constraints, flows)):
-        row = [Fraction(vec[~i], scale) if ~i in vec else 0 for vec, scale in mixed]
+    for phi, flow, row in zip(constraints, flows, _rows(mixed, len(constraints))):
         if any(row):
             lam_part = linear_expression(m.working, [0] * n + row)
             conditions.append(MultiplierCondition(phi, grad_h.combination(*flow).substitute(m.working) + lam_part))
@@ -196,7 +194,8 @@ def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> Constrain
     matrix (and its determinant) reflects the constraints exactly as
     generated; the rank and the span of the first-class combinations are
     scale-invariant either way.  With the oracle's flows u_a = -f^-1 grad(phi_a),
-    C_ab = u_a . grad(phi_b); a degenerate f raises ``ValueError``.
+    C_ab = u_a . grad(phi_b), in the oracle's integer bracket columns, of which
+    ``matrix`` is the dense view; a degenerate f raises ``ValueError``.
     """
     if not constraints:
         return ConstraintMatrix(None, 0, ())
@@ -206,13 +205,15 @@ def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> Constrain
     if sum(basis.add(c.expr) for c in constraints) != len(constraints):
         raise ValueError("constraint set is not linearly independent")
     finv = _inverse(m)
-    flows = [_flow(c.raw, finv) for c in constraints]
+    k = len(constraints)
     grads = [_linear_part(c.raw) for c in constraints]
-    matrix = RationalMatrix([[sum(u[j] * x for j, x in grad.items() if j in u) for grad in grads] for u in flows])
-    null = left_null_space(matrix)
+    cols: list[tuple[dict[int, int], int]] = [({}, 1) for _ in constraints]  # {phi_i, phi_g} at key ~i
+    for i, c in enumerate(constraints):
+        _put_brackets(cols, grads, _flow(c.raw, finv), i)
+    null = _null_basis(_absorb(({}, 0, 1, []), cols)[0], k)
     raw = [c.raw for c in constraints]
-    first_class = tuple(Expression.linear_combination(m.zeta, zip(w, raw)) for w in null)
-    return ConstraintMatrix(matrix, len(constraints) - len(null), first_class)
+    first_class = tuple(Expression.linear_combination(m.zeta, zip(_dense(w, k), raw)) for w in null)
+    return ConstraintMatrix(RationalMatrix(_rows(cols, k)), k - len(null), first_class)
 
 
 class SpanVerdict(namedtuple("SpanVerdict", "equal only_in_first only_in_second")):

@@ -627,6 +627,22 @@ class EchelonBasis:
         """Extend the span by ``e``; False when ``e`` already lies in it."""
         return self._kernel.add(self._vector(e, "basis expression"))
 
+    def _add_sums(self, sums: dict, den: int) -> bool:
+        """``add`` for the linear form given as int monomial sums (zeros allowed) over an int ``den`` > 0.
+
+        A form that reduces to a nonzero constant modulo the span raises ``ValueError``.
+        """
+        n = len(self._vars)  # the constant term is column n
+        vec, scale = self._kernel._reduce({mono[0][0] if mono else n: s for mono, s in sums.items() if s}, den)
+        if len(vec) == 1 and n in vec:
+            raise ValueError(
+                "inconsistent dynamics: a consistency condition reduces to the nonzero "
+                f"constant {Fraction(vec[n], scale)}"
+            )
+        if vec:
+            self._kernel._insert(vec)
+        return bool(vec)
+
     def remainder(self, e: Expression) -> Expression:
         """The member of ``e`` + span that is zero at every pivot column."""
         return self._expression(self._kernel.remainder(self._vector(e, "expression")))

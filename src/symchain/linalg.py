@@ -151,6 +151,15 @@ def _integral(vec: dict[int, Fraction]) -> tuple[dict[int, int], int]:
     return {col: x.numerator * (mult // x.denominator) for col, x in vec.items()}, mult
 
 
+def _put(cols: list[tuple[dict[int, int], int]], j: int, key: int, num: int, den: int) -> None:
+    """Set entry ``key`` of column cols[j] to num/den in lowest terms; rescale it if den does not divide its scale."""
+    vec, scale = cols[j]
+    if scale % den:
+        mult = den // gcd(scale, den)
+        cols[j] = vec, scale = {k: y * mult for k, y in vec.items()}, scale * mult
+    vec[key] = num * (scale // den)
+
+
 def _sparse(entries: Iterable[Fraction]) -> dict[int, Fraction]:
     return {j: x for j, x in enumerate(entries) if x}
 
@@ -247,6 +256,12 @@ def _dense(vec: dict[int, int], n: int) -> tuple[int, ...]:
     for key, x in vec.items():
         out[~key] = x
     return tuple(out)
+
+
+def _rows(cols: Sequence[tuple[dict[int, int], int]], n: int) -> list[list[Fraction]]:
+    """The ``n`` rows of the matrix whose columns are the integer (vec, scale) pairs ``cols``."""
+    zero = Fraction(0)
+    return [[Fraction(vec[~i], scale) if ~i in vec else zero for vec, scale in cols] for i in range(n)]
 
 
 def _null_basis(rows: dict[int, dict[int, int]], n: int, above: int = 0) -> list[dict[int, int]]:

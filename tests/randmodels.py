@@ -6,6 +6,9 @@ linear primaries.  Homogeneity keeps every consistency candidate
 homogeneous linear, so no run can hit the inconsistent-constant error
 path.
 
+``random_scaled_model`` is ``random_model`` with each momentum entry of
+c scaled by a small nonzero rational, so f^-1 need not be integral.
+
 ``random_second_order`` gives the Legendre transform of a second-order
 Lagrangian whose velocity Hessian is singular enough to leave at least
 two primaries, the same family as the ``L`` models of perfbench's
@@ -57,6 +60,15 @@ def random_model(rng: random.Random) -> FirstOrderModel:
     c = [Expression.variable(zeta, p) for p in ps]
     c += [Expression.zero(zeta) for _ in range(n)]
     return FirstOrderModel("random", zeta, c, h, prims)
+
+
+def random_scaled_model(rng: random.Random) -> FirstOrderModel:
+    """``random_model`` with c_i scaled by s_i in +-{1, 2, 3}/{1, 2, 3}, so det f = prod_i s_i^2."""
+    m = random_model(rng)
+    n = len(m.zeta) // 2
+    scales = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3))) for _ in range(n)]
+    c = [s * e for s, e in zip(scales, m.c)] + list(m.c[n:])
+    return FirstOrderModel("random_scaled", m.zeta, c, m.hamiltonian, m.primaries)
 
 
 def random_second_order(rng: random.Random) -> FirstOrderModel:

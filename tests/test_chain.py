@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symchain import (
+    Candidate,
     ChainError,
     ChainOptions,
     Constraint,
+    EchelonBasis,
     Expression,
     FirstOrderModel,
     LatticeSpec,
@@ -17,7 +19,6 @@ from symchain import (
     assemble_extended_matrix,
     build_schwinger,
     determinant,
-    find_new_constraints,
     left_null_space,
     parse_expression,
     rank,
@@ -74,6 +75,25 @@ def total_hamiltonian_rhs(m, constraints):
 def contract(m, v, rhs):
     assert len(v) == len(rhs)
     return Expression.linear_combination(m.working, zip(v, rhs))
+
+
+def reference_candidates(m, f, cs):
+    """The candidates of the bordered matrix ``f`` of ``cs``, from public pieces only.
+
+    Each canonical left null vector v of ``f`` gives v . grad(H) over
+    zeta (grad(H) has no entries for the constraint rows); in basis
+    order, a candidate is NEW iff the span of ``cs`` and the NEW ones
+    before it does not hold it.
+    """
+    grad_h = m.hamiltonian.gradient()
+    known = EchelonBasis(m.zeta)
+    for c in cs:
+        known.add(c.expr)
+    out = []
+    for v in left_null_space(f):
+        value = Expression.linear_combination(m.zeta, zip(v, grad_h))
+        out.append(Candidate(v, value, "new" if known.add(value) else "redundant"))
+    return out
 
 
 def test_base_tensor_is_canonical_block(example2):
@@ -173,8 +193,7 @@ def test_null_bases_of_published_matrices(example2):
 def test_find_new_constraints_classification(example2):
     known1 = published(example2, 1)
     f1 = assemble_extended_matrix(example2, known1)
-    rhs = example2.hamiltonian.gradient()
-    cands = find_new_constraints(f1, rhs, known1)
+    cands = reference_candidates(example2, f1, known1)
     assert len(cands) == 1
     assert cands[0].classification == "new"
     # raw value proportional to the published -x-y, normalized monic
@@ -189,14 +208,14 @@ def test_find_new_constraints_classification(example2):
     # but its candidate lies in the level-2 span
     known3 = published(example2, 3)
     f3 = assemble_extended_matrix(example2, known3)
-    cands3 = find_new_constraints(f3, rhs, known3)
+    cands3 = reference_candidates(example2, f3, known3)
     assert [list(c.vector) for c in cands3] == [[0, 0, 1, 0, 0, 0, -1, 0, 0]]
     assert all(c.classification == "redundant" for c in cands3)
     assert str(cands3[0].value) == "x + y"
 
     # truncated level 3 recovers the final constraint
     f3t = assemble_extended_matrix(example2, known3, truncated=True)
-    cands3t = find_new_constraints(f3t, rhs, known3)
+    cands3t = reference_candidates(example2, f3t, known3)
     news = [c for c in cands3t if c.classification == "new"]
     assert len(news) == 1
     assert is_scalar_multiple(
@@ -218,16 +237,6 @@ def test_unbordered_primaries_keep_their_multiplier():
     rhs = total_hamiltonian_rhs(m, [])
     assert [str(e) for e in rhs] == ["lam1", "0"]
     assert [str(contract(m, v, rhs)) for v in left_null_space(f0)] == ["lam1", "0"]
-
-
-def test_find_new_constraints_rejects_a_working_table_rhs(example2):
-    known1 = published(example2, 1)
-    f1 = assemble_extended_matrix(example2, known1)
-    padded = total_hamiltonian_rhs(example2, known1)
-    # the padded rhs has one entry too many, its coordinate part one name too many
-    for rhs in (padded, padded[: len(example2.zeta)]):
-        with pytest.raises(ValueError, match=r"^rhs must be grad\(H\) over the 6 coordinates, one entry per coordinate row$"):
-            find_new_constraints(f1, rhs, known1)
 
 
 def _chain_error_model(h, primary):
@@ -322,19 +331,18 @@ def test_run_chain_eigenvectors_annihilate(name, example2):
 
 
 def assert_public_classification_matches(model, report):
-    """``find_new_constraints`` on grad(H) gives every record's candidates.
+    """``reference_candidates``, on a fresh dense elimination, gives every record's candidates.
 
     Every untruncated record's matrix is antisymmetric, and every
     candidate vector contracted with the multiplier-bearing grad(H_T)
     gives the candidate's value: the multipliers cancel.
     """
-    grad_h = model.hamiltonian.gradient()
     for rec in report.levels:
         cs = [c for c in report.constraints if c.level <= rec.level]
         f = assemble_extended_matrix(model, cs, truncated=rec.truncated)
         if not rec.truncated:
             assert RationalMatrix(zip(*f.to_rows())) == RationalMatrix([[-x for x in row] for row in f.to_rows()])
-        cands = find_new_constraints(f, grad_h, cs)
+        cands = reference_candidates(model, f, cs)
         assert [(c.vector, str(c.value), c.classification) for c in cands] == [
             (c.vector, str(c.value), c.classification) for c in rec.candidates
         ]

@@ -150,6 +150,15 @@ def test_compare_unequal_exit_code():
     assert "oracle-only: z" in result.stdout
 
 
+def test_gauge_pair_spans_agree_but_the_chain_exhausts():
+    # both constraints are first class: the oracle closes on {p_y, p_x},
+    # and the chain finds the same span but ends exhausted
+    result = run_cli("compare", str(MODELS / "gauge_pair.model"))
+    assert result.returncode == 0
+    assert "span comparison: equal" in result.stdout
+    assert run_cli("analyze", str(MODELS / "gauge_pair.model")).returncode == 2
+
+
 def test_compare_schwinger():
     result = run_cli("compare", str(MODELS / "schwinger_n3.model"))
     assert result.returncode == 0

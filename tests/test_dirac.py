@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +25,10 @@ from symchain import (
     left_null_space,
     legendre_transform,
     linear_expression,
+    load_model,
     parse_expression,
     run_chain,
+    span_fingerprint,
 )
 from symchain import dirac
 from symchain.chain import _Gradient
@@ -34,7 +37,7 @@ from symchain.expressions import _linear_part
 from symchain.linalg import _integral
 from brackets import canonical_pairs, poisson_bracket
 from golden import C_GOLDEN, PUBLISHED_CONSTRAINTS, is_scalar_multiple
-from randmodels import random_model
+from randmodels import random_model, random_scaled_model
 from test_byte_identity import _nonzero_rational, _shift_chain
 from test_expressions import dense_key, sparse_key
 
@@ -264,6 +267,51 @@ def test_classify_rank_is_even(example2):
             for b, entry in zip(res.constraints, row):
                 bracket = poisson_bracket(a.raw, b.raw, pairs)
                 assert bracket.is_constant() and bracket.constant_value() == entry
+
+
+def _sympy_form(e, symbols):
+    return sympy.sympify(str(e).replace("^", "**"), locals={str(s): s for s in symbols})
+
+
+def test_classify_matches_sympy_where_det_f_is_not_one():
+    """C = A f^-1 A^T over the raw forms, A their gradient rows, and its left null space, from sympy."""
+    unit_det = fractional = 0
+    for seed in range(60):
+        m = random_scaled_model(random.Random(seed))
+        constraints = consistency_algorithm(m).constraints
+        cm = classify(m, constraints)
+        symbols = sympy.symbols(m.zeta.names)
+        n = len(symbols)
+        c = [_sympy_form(e, symbols) for e in m.c]
+        f = sympy.Matrix(n, n, lambda a, b: sympy.diff(c[b], symbols[a]) - sympy.diff(c[a], symbols[b]))
+        raw = [_sympy_form(k.raw, symbols) for k in constraints]
+        a = sympy.Matrix([[sympy.diff(r, s) for s in symbols] for r in raw])
+        want = a * f.inv() * a.T
+        assert cm.matrix.to_rows() == tuple(
+            tuple(Fraction(int(x.p), int(x.q)) for x in want.row(i)) for i in range(want.rows)
+        )
+        assert cm.rank == want.rank()
+        # the raw forms' coefficient rows (gradient, then constant) combined by each null vector
+        rows = a.row_join(sympy.Matrix([r.subs({s: 0 for s in symbols}) for r in raw]))
+        expected = [w.T * rows for w in want.T.nullspace()]
+        got = [sympy.Matrix([[*coeffs, const]]) for coeffs, const in (e.linear_coefficients() for e in cm.first_class)]
+        assert len(got) == len(expected)
+        if got:
+            assert sympy.Matrix.vstack(*got, *expected).rank() == sympy.Matrix.vstack(*expected).rank() == len(got)
+        unit_det += abs(f.det()) == 1
+        fractional += any(x.denominator != 1 for row in cm.matrix.to_rows() for x in row)
+    # most seeds have a non-integral f^-1, and some a non-integral bracket
+    assert unit_det < 20 and fractional >= 20
+
+
+def test_classify_gauge_pair_is_all_first_class(models_dir):
+    # L = 1/2 (xdot - y)^2: the oracle closes on {p_y, p_x}, both first class
+    m = load_model(models_dir / "gauge_pair.model")
+    cm = classify(m, consistency_algorithm(m).constraints)
+    assert cm.matrix == RationalMatrix([[0, 0], [0, 0]])
+    assert cm.rank == 0
+    momenta = [parse_expression(t, m.zeta) for t in ("p_x", "p_y")]
+    assert span_fingerprint(cm.first_class) == span_fingerprint(momenta)
 
 
 def test_classify_rejects_nonlinear_and_foreign_constraints(example2):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -346,6 +347,26 @@ def test_basis_rref_matches_sympy(forms):
         [Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(pivots))
     ]
     assert rows == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_form_sets, st.integers(1, 3))
+@example([[1, 0, 0, 0, 0], [2, 0, 0, 0, Fraction(3, 2)], [0, 0, 0, 0, 0]], 2)
+def test_add_sums_matches_add(forms, k):
+    # each form as its int monomial sums, zeros kept, over k times the lcm of its denominators
+    ints, public = EchelonBasis(SMALL), EchelonBasis(SMALL)
+    for vec in forms:
+        e = _form(vec)
+        den = lcm(*(x.denominator for x in vec)) * k
+        sums = {((i, 1),) if i < 4 else (): x.numerator * (den // x.denominator) for i, x in enumerate(vec)}
+        r = public.remainder(e)
+        if r.is_constant() and not r.is_zero():
+            message = "inconsistent dynamics: a consistency condition reduces to the nonzero constant"
+            with pytest.raises(ValueError, match=f"^{message} {r.constant_value()}$"):
+                ints._add_sums(sums, den)
+        else:
+            assert ints._add_sums(sums, den) == public.add(e)
+        assert ints.rref() == public.rref()
 
 
 @settings(max_examples=150, deadline=None)

@@ -29,6 +29,13 @@ def test_the_pairing_convention_is_gone():
         assert not hasattr(symchain.dirac, name), name
 
 
+def test_find_new_constraints_is_gone():
+    # run_chain classifies its candidates in one private path; tests
+    # build the reference from left_null_space and EchelonBasis
+    assert not hasattr(symchain, "find_new_constraints")
+    assert not hasattr(symchain.chain, "find_new_constraints")
+
+
 def test_import_loads_no_unused_stdlib_machinery():
     # records are namedtuples, annotations stay strings, files open with open()
     code = (
