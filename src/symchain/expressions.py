@@ -4,7 +4,7 @@ An Expression is a sparse map from monomials to coefficients:
 
     monomial    = tuple of (variable index, exponent >= 1) pairs, sorted
                   by index; () is the constant term
-    coefficient = fractions.Fraction (always exact, never float)
+    coefficient = fractions.Fraction (always exact; a float is rejected)
 
 Zero coefficients are never stored, so two Expressions are equal iff their
 maps are equal.  A monomial lists only the variables it uses, so a term
@@ -135,6 +135,47 @@ def _product(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
+_ONE = Fraction(1)
+
+
+def _add(out: dict[Monomial, Fraction], terms: Mapping[Monomial, Fraction], k=1) -> dict[Monomial, Fraction]:
+    """Add ``k`` (an int or a Fraction) times the term map ``terms`` into ``out``, in place, and return ``out``.
+
+    A term map never stores a zero, so a sum that cancels is deleted here.
+    """
+    if type(k) is not Fraction and k != 1:
+        k = Fraction(k)  # a term whose coefficient is the shared _ONE stores k itself
+    if k:
+        for mono, c in terms.items() if k == 1 else ((m, k if c is _ONE else k * c) for m, c in terms.items()):
+            total = out.get(mono)
+            total = c if total is None else total + c
+            if total:
+                out[mono] = total
+            else:
+                del out[mono]
+    return out
+
+
+def _mul(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+    """The product of two term maps (one monomial times distinct monomials gives distinct monomials)."""
+    out: dict[Monomial, Fraction] = {}
+    for ma, ca in a.items():
+        _add(out, {_product(ma, mb): cb for mb, cb in b.items()}, ca)
+    return out
+
+
+def _power(terms: Mapping[Monomial, Fraction], n: int) -> dict[Monomial, Fraction]:
+    """``terms`` to the nonnegative int power ``n``, by repeated squaring (0^0 is 1)."""
+    result: dict[Monomial, Fraction] = {(): _ONE}
+    while n:
+        if n & 1:
+            result = _mul(result, terms)
+        n >>= 1
+        if n:
+            terms = _mul(terms, terms)
+    return result
+
+
 class Expression:
     """Canonical sparse polynomial over a fixed VarTable.
 
@@ -160,6 +201,8 @@ class Expression:
                 if e < 1:
                     raise ValueError("monomial exponents must be at least 1")
                 last = i
+            if isinstance(coeff, float):
+                raise ValueError(f"coefficient {coeff!r} is a float; coefficients must be exact")
             coeff = Fraction(coeff)
             if coeff != 0:
                 clean[tuple(mono)] = coeff
@@ -182,11 +225,11 @@ class Expression:
 
     @staticmethod
     def constant(vars: VarTable, value) -> "Expression":
-        return Expression(vars, {(): Fraction(value)})
+        return Expression(vars, {(): value})
 
     @staticmethod
     def variable(vars: VarTable, name: str) -> "Expression":
-        return Expression(vars, {((vars.index_of(name), 1),): Fraction(1)})
+        return Expression(vars, {((vars.index_of(name), 1),): _ONE})
 
     @staticmethod
     def linear_combination(vars: VarTable, pairs: Iterable[tuple[Fraction, "Expression"]]) -> "Expression":
@@ -195,9 +238,7 @@ class Expression:
         for k, e in pairs:
             if e._vars != vars:
                 raise ValueError("expressions use different VarTables")
-            if k:
-                for mono, c in e._terms.items():
-                    out[mono] = out.get(mono, 0) + k * c
+            _add(out, e._terms, k)
         return Expression._trusted(vars, out)
 
     # -- inspection --------------------------------------------------
@@ -245,10 +286,7 @@ class Expression:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Expression._trusted(self._vars, out)
+        return Expression._trusted(self._vars, _add(dict(self._terms), other._terms))
 
     __radd__ = __add__
 
@@ -256,7 +294,7 @@ class Expression:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return Expression._trusted(self._vars, _add(dict(self._terms), other._terms, -1))
 
     def __rsub__(self, other) -> "Expression":
         return (-self) + other
@@ -266,32 +304,18 @@ class Expression:
 
     def __mul__(self, other) -> "Expression":
         if isinstance(other, (int, Fraction)):
-            k = Fraction(other)
-            return Expression._trusted(self._vars, {m: c * k for m, c in self._terms.items()})
+            return Expression._trusted(self._vars, _add({}, self._terms, other))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mono = _product(ma, mb)
-                out[mono] = out.get(mono, Fraction(0)) + ca * cb
-        return Expression._trusted(self._vars, out)
+        return Expression._trusted(self._vars, _mul(self._terms, other._terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Expression":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Expression.constant(self._vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return Expression._trusted(self._vars, _power(self._terms, n))
 
     def __eq__(self, other) -> bool:
         return (
@@ -346,32 +370,27 @@ class Expression:
         (``ValueError`` names it if not), so ``target`` may add or drop names.
         """
         mapping = mapping or {}
-        images: dict[int, Expression] = {}
+        images: dict[int, dict[Monomial, Fraction]] = {}
         for i, name in enumerate(self._vars.names):
             if name in mapping:
                 img = mapping[name]
                 if img.vars != target:
                     raise ValueError(f"substitution for '{name}' uses the wrong VarTable")
-                images[i] = img
+                images[i] = img._terms
         names = self._vars.names
         out: dict[Monomial, Fraction] = {}
         for mono, coeff in self._terms.items():
             placed = []  # the variables kept by name, with their exponents
-            product: Expression | None = None  # of the mapped variables' images
+            product = None  # the term map of the mapped variables' images
             for i, e in mono:
                 image = images.get(i)
                 if image is None:
                     placed.append((target.index_of(names[i]), e))
                 else:
-                    power = image**e
-                    product = power if product is None else product * power
+                    power = _power(image, e)
+                    product = power if product is None else _mul(product, power)
             kept = tuple(sorted(placed))
-            if product is None:
-                out[kept] = out.get(kept, 0) + coeff
-                continue
-            for part, c in product._terms.items():
-                key = _product(kept, part)
-                out[key] = out.get(key, 0) + coeff * c
+            _add(out, {kept: coeff} if product is None else _mul({kept: coeff}, product))
         return Expression._trusted(target, out)
 
     # -- linear-form helpers -----------------------------------------
@@ -418,14 +437,18 @@ class Expression:
         names = self._vars.names
         parts: list[str] = []
         for mono in _descending(self._terms):
-            coeff = self._terms[mono]
-            num, den = coeff.numerator, coeff.denominator
-            factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono]
-            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            if factors and mag != "1":
-                factors.insert(0, mag)
-            body = "*".join(factors) if factors else mag
-            sign = (plus if num > 0 else minus) if parts else ("" if num > 0 else "-")
+            coeff = str(self._terms[mono])  # "n" or "n/d", reduced, with its sign
+            negative = coeff[0] == "-"
+            mag = coeff[1:] if negative else coeff
+            if len(mono) == 1 and mono[0][1] == 1:
+                body = names[mono[0][0]]
+            else:
+                body = "*".join([names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono])
+            if not body:
+                body = mag
+            elif mag != "1":
+                body = f"{mag}*{body}"
+            sign = (minus if negative else plus) if parts else ("-" if negative else "")
             parts.append(sign + body)
         return "".join(parts)
 
@@ -468,6 +491,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent over the tokens; every method returns a fresh term map (monomial -> Fraction)."""
+
     def __init__(self, text: str, vars: VarTable):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -489,34 +514,33 @@ class _Parser:
         self.take()
 
     def parse(self) -> Expression:
-        expr = self.sum()
+        terms = self.sum()
         kind, value, at = self.peek()
         if kind != _TOK_END:
             raise ParseError(f"unexpected {value!r}", at)
-        return expr
+        return Expression._trusted(self.vars, terms)
 
-    def sum(self) -> Expression:
-        expr = self.product()
+    def sum(self) -> dict[Monomial, Fraction]:
+        terms = self.product()
         while True:
             kind, value, _ = self.peek()
             if kind == _TOK_OP and value in "+-":
                 self.take()
-                rhs = self.product()
-                expr = expr + rhs if value == "+" else expr - rhs
+                _add(terms, self.product(), 1 if value == "+" else -1)
             else:
-                return expr
+                return terms
 
-    def product(self) -> Expression:
-        expr = self.signed()
+    def product(self) -> dict[Monomial, Fraction]:
+        terms = self.signed()
         while True:
             kind, value, _ = self.peek()
             if kind == _TOK_OP and value == "*":
                 self.take()
-                expr = expr * self.signed()
+                terms = _mul(terms, self.signed())
             else:
-                return expr
+                return terms
 
-    def signed(self) -> Expression:
+    def signed(self) -> dict[Monomial, Fraction]:
         # a run of unary signs binds looser than '^': -x^2 is -(x^2)
         negate = False
         while True:
@@ -525,10 +549,10 @@ class _Parser:
                 break
             self.take()
             negate ^= value == "-"
-        expr = self.power()
-        return -expr if negate else expr
+        terms = self.power()
+        return {m: -c for m, c in terms.items()} if negate else terms
 
-    def power(self) -> Expression:
+    def power(self) -> dict[Monomial, Fraction]:
         base = self.atom()
         kind, value, at = self.peek()
         if kind == _TOK_OP and value == "^":
@@ -542,10 +566,10 @@ class _Parser:
             kind2, value2, at2 = self.peek()
             if kind2 == _TOK_OP and value2 == "/":
                 raise ParseError("exponent must be an integer (fractions not allowed)", at2)
-            return base ** int(value)
+            return _power(base, int(value))
         return base
 
-    def atom(self) -> Expression:
+    def atom(self) -> dict[Monomial, Fraction]:
         kind, value, at = self.take()
         if kind == _TOK_NUM:
             numerator = int(value)
@@ -558,12 +582,12 @@ class _Parser:
                 self.take()
                 if int(value3) == 0:
                     raise ParseError("zero denominator in rational literal", at3)
-                return Expression.constant(self.vars, Fraction(numerator, int(value3)))
-            return Expression.constant(self.vars, numerator)
+                return {(): Fraction(numerator, int(value3))} if numerator else {}
+            return {(): Fraction(numerator)} if numerator else {}
         if kind == _TOK_NAME:
             if value not in self.vars:
                 raise UnknownVariableError(value, at)
-            return Expression.variable(self.vars, value)
+            return {((self.vars.index_of(value), 1),): _ONE}
         if kind == _TOK_OP and value == "(":
             inner = self.sum()
             self.expect_op(")")
@@ -572,7 +596,7 @@ class _Parser:
 
 
 def parse_expression(text: str, vars: VarTable) -> Expression:
-    """Parse ``text`` into a canonical Expression over ``vars``.
+    """Parse ``text`` into a canonical Expression over ``vars``, built as one term map and wrapped once.
 
     Raises ParseError (with a character offset) on malformed input,
     including parentheses nested deeper than the interpreter's recursion
@@ -599,7 +623,7 @@ def linear_expression(vars: VarTable, coeffs: Sequence[Fraction], const=0) -> Ex
         raise ValueError("coefficient count does not match the VarTable")
     terms = {((i, 1),): x for i, x in enumerate(coeffs) if x}
     if const:
-        terms[()] = Fraction(const)
+        terms[()] = const
     return Expression(vars, terms)
 
 

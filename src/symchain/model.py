@@ -14,7 +14,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .expressions import EchelonBasis, Expression, ParseError, VarTable, parse_expression
+from .expressions import EchelonBasis, Expression, ParseError, VarTable, _ONE, _add, _mul, parse_expression
 
 # multiplier symbols (lam<k>) and auxiliary directions (xi<k>) are
 # never zeta names
@@ -153,29 +153,30 @@ def legendre_transform(l: SecondOrderLagrangian, name: str = "model") -> FirstOr
     """
     coords = l.coordinates
     n = len(coords)
-    vel = SecondOrderLagrangian.velocity_names(coords)
-    L = l.lagrangian
-
-    # a constant velocity Hessian W makes L = c0(q) + b(q).v + v^T W v / 2
-    # exactly, so L is quadratic in the velocities once this check passes
-    # the velocities are the last n names of the table
-    grad_v = L.gradient()[n:]
-    hessian: list[list[Fraction]] = []
-    for dv in grad_v:
-        row = []
-        for entry in dv.gradient()[n:]:
-            if not entry.is_constant():
-                raise ValueError("velocity Hessian is not constant")
-            row.append(entry.constant_value())
-        hessian.append(row)
+    # index k < n is q_k in both tables, n + k is qdot_k in L's and p_k in zeta's,
+    # so coordinate monomials and the momenta need no renumbering; one pass
+    # splits L = c0(q) + b(q).v + v^T W v / 2, exact once W is constant
+    hessian = [[Fraction(0)] * n for _ in range(n)]
+    pb = [{((n + i, 1),): _ONE} for i in range(n)]  # p - b(q)
+    c0 = {}
+    for mono, coeff in l.lagrangian.terms.items():
+        q = tuple(pair for pair in mono if pair[0] < n)
+        v = mono[len(q):]
+        if not v:
+            c0[mono] = coeff
+        elif len(v) == 1 and v[0][1] == 1:
+            pb[v[0][0] - n][q] = -coeff
+        elif q or sum(e for _, e in v) > 2:
+            raise ValueError("velocity Hessian is not constant")
+        else:  # v_i*v_j, or v_i^2 whose second derivative is twice its coefficient
+            i, j = v[0][0] - n, v[-1][0] - n
+            hessian[i][j] = hessian[j][i] = coeff * v[0][1]
 
     zeta = SecondOrderLagrangian.phase_space(coords)
-    momenta = zeta.names[n:]
-    zero_vel = {v: Expression.zero(zeta) for v in vel}
 
     # Gauss-Jordan on W while applying the same row operations to the
-    # symbolic right-hand side p - b(q), b the velocity gradient at zero velocity
-    rhs = [Expression.variable(zeta, p) - dv.substitute(zeta, zero_vel) for p, dv in zip(momenta, grad_v)]
+    # right-hand sides p - b(q), as term maps over zeta
+    rhs = [dict(t) for t in pb]
     w = [list(row) for row in hessian]
     pivots: list[tuple[int, int]] = []  # (row, col)
     r = 0
@@ -187,31 +188,34 @@ def legendre_transform(l: SecondOrderLagrangian, name: str = "model") -> FirstOr
         rhs[r], rhs[pivot_row] = rhs[pivot_row], rhs[r]
         inv = Fraction(1) / w[r][col]
         w[r] = [x * inv for x in w[r]]
-        rhs[r] = rhs[r] * inv
+        rhs[r] = _add({}, rhs[r], inv)
         for i in range(n):
             if i != r and w[i][col]:
                 factor = w[i][col]
                 w[i] = [a - factor * p for a, p in zip(w[i], w[r])]
-                rhs[i] = rhs[i] - factor * rhs[r]
+                _add(rhs[i], rhs[r], -factor)
         pivots.append((r, col))
         r += 1
 
     solved = {col: rhs[row] for row, col in pivots}
-    vstar = [solved.get(i, Expression.zero(zeta)) for i in range(n)]
+    vstar = [solved.get(i, {}) for i in range(n)]
     # rows beyond the rank carry u.(p - b) for left-null directions u of
     # the Hessian; those are the primary constraints (never identically
     # zero, since the momenta are independent symbols)
-    primaries = [rhs[i] for i in range(r, n) if not rhs[i].is_zero()]
+    primaries = [Expression._trusted(zeta, rhs[i]) for i in range(r, n) if rhs[i]]
 
-    substitution = {vel[i]: vstar[i] for i in range(n)}
-    h = Expression.zero(zeta)
-    for i in range(n):
-        h = h + Expression.variable(zeta, momenta[i]) * vstar[i]
-    h = h - L.substitute(zeta, substitution)
+    # H = p.v* - L(q, v*) = sum_i v*_i (p_i - b_i - (W v*)_i / 2) - c0
+    h = _add({}, c0, -1)
+    for i, vi in enumerate(vstar):
+        if vi:
+            factor = dict(pb[i])
+            for j, x in enumerate(hessian[i]):
+                if x:
+                    _add(factor, vstar[j], -x / 2)
+            _add(h, _mul(vi, factor))
 
-    c = [Expression.variable(zeta, momenta[i]) for i in range(n)]
-    c += [Expression.zero(zeta) for _ in range(n)]
-    return FirstOrderModel(name, zeta, c, h, primaries)
+    c = [Expression.variable(zeta, p) for p in zeta.names[n:]] + [Expression.zero(zeta)] * n
+    return FirstOrderModel(name, zeta, c, Expression._trusted(zeta, h), primaries)
 
 
 # -- model file format ------------------------------------------------

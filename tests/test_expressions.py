@@ -61,20 +61,34 @@ def test_parse_rational_literals():
     assert const == Fraction(-1, 4)
 
 
+PARSE_ERRORS = [
+    ("x +", "unexpected end of input", 3),
+    ("", "unexpected end of input", 0),
+    ("x * (", "unexpected end of input", 5),
+    ("x ^ -2", "exponent must be a nonnegative integer literal", 4),
+    ("x^y", "exponent must be a nonnegative integer literal", 2),
+    ("x^1/2", "exponent must be an integer (fractions not allowed)", 3),
+    ("1/0", "zero denominator in rational literal", 2),
+    ("1/", "expected an integer denominator", 2),
+    ("1/x", "expected an integer denominator", 2),
+    ("x $ y", "unexpected character '$'", 2),
+    ("(x + y", "expected ')'", 6),
+    ("x y", "unexpected 'y'", 2),
+    ("x + * y", "unexpected '*'", 4),
+    (")", "unexpected ')'", 0),
+    ("x^2^3", "unexpected '^'", 3),
+    ("x + qq*y", "unknown variable 'qq'", 4),
+]
+
+
 def test_parse_errors_report_position():
+    for text, message, position in PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, VT)
+        assert (str(err.value), err.value.position) == (f"{message} (at offset {position})", position), text
     with pytest.raises(UnknownVariableError) as err:
         parse_expression("x + qq*y", VT)
-    assert err.value.position == 4
-    with pytest.raises(ParseError):
-        parse_expression("x +", VT)
-    with pytest.raises(ParseError):
-        parse_expression("x ^ -2", VT)
-    with pytest.raises(ParseError):
-        parse_expression("x^1/2", VT)
-    with pytest.raises(ParseError):
-        parse_expression("1/0", VT)
-    with pytest.raises(ParseError):
-        parse_expression("x $ y", VT)
+    assert err.value.name == "qq"
 
 
 @pytest.mark.parametrize(
@@ -96,10 +110,98 @@ def test_parse_deep_input():
     assert str(parse_expression("-" * 3000 + "x", VT)) == "x"
     assert str(parse_expression("-" * 3001 + "x", VT)) == "-x"
     assert str(parse_expression("(" * 150 + "x" + ")" * 150, VT)) == "x"
-    with pytest.raises(ParseError, match="nested too deeply"):
-        parse_expression("(" * 400 + "x" + ")" * 400, VT)
-    with pytest.raises(ParseError, match="nested too deeply"):
-        parse_expression("(-" * 400 + "x" + ")" * 400, VT)
+    # the guard reports the offset of the token the parser was reading when
+    # the stack ran out: one inside the opening run, past the 150 levels above
+    for opening in ("(", "(-"):
+        text = opening * 400 + "x" + ")" * 400
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, VT)
+        position = err.value.position
+        assert str(err.value) == f"parentheses nested too deeply (at offset {position})"
+        assert 150 * len(opening) < position < 400 * len(opening) and text[position] in opening
+
+
+def _random_text(rng):
+    """A random expression text over VT and the Expression it denotes, built with + - * **.
+
+    It follows the grammar level by level (sum, product, signed, power, atom)
+    and draws literal zeros, terms that cancel, runs of unary signs, nested
+    parentheses and powers of every kind of atom.
+    """
+    def space():
+        return rng.choice(["", "", " "])
+
+    def atom(depth):
+        kind = rng.choice(["int", "rational", "name", "name", "paren"] if depth < 3 else ["int", "name"])
+        if kind == "int":
+            value = rng.choice([0, 0, 1, 2, 3, 10])
+            return str(value), Expression.constant(VT, value)
+        if kind == "rational":
+            num, den = rng.randint(0, 7), rng.randint(1, 6)
+            return f"{num}/{den}", Expression.constant(VT, Fraction(num, den))
+        if kind == "name":
+            name = rng.choice(VT.names[:4])
+            return name, Expression.variable(VT, name)
+        text, expr = summed(depth + 1)
+        return f"({space()}{text}{space()})", expr
+
+    def power(depth):
+        text, expr = atom(depth)
+        if rng.random() < 0.25:
+            k = rng.randint(0, 3)
+            return f"{text}^{k}", expr**k
+        return text, expr
+
+    def signed(depth):
+        signs = "".join(rng.choice("+-") for _ in range(rng.choice([0, 0, 0, 1, 2, 3])))
+        text, expr = power(depth)
+        return signs + text, -expr if signs.count("-") % 2 else expr
+
+    def product(depth):
+        text, expr = signed(depth)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            rhs_text, rhs = signed(depth)
+            text, expr = f"{text}{space()}*{space()}{rhs_text}", expr * rhs
+        return text, expr
+
+    def summed(depth):
+        text, expr = product(depth)
+        terms = [(text, expr)]
+        for _ in range(rng.choice([0, 1, 2, 3])):
+            # reuse an earlier term now and then, so terms cancel or pile up
+            rhs_text, rhs = rng.choice(terms) if rng.random() < 0.4 else product(depth)
+            terms.append((rhs_text, rhs))
+            op = rng.choice("+-")
+            text = f"{text}{space()}{op}{space()}{rhs_text}"
+            expr = expr + rhs if op == "+" else expr - rhs
+        return text, expr
+
+    return summed(0)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("x + y - x + x", "x + y"),
+        ("x - x", "0"),
+        ("0*x + 0 - 0/3", "0"),
+        ("2/3^2*x", "4/9*x"),
+        ("(x - y)*(x + y) - x^2", "-y^2"),
+        ("-(-(x))^0", "-1"),
+        ("0^0 + (x - x)^0", "2"),
+    ],
+)
+def test_parse_cancellations_and_zeros(text, expected):
+    assert str(parse_expression(text, VT)) == expected
+
+
+def test_parse_matches_arithmetic_reference():
+    rng = random.Random(2024)
+    for _ in range(600):
+        text, expected = _random_text(rng)
+        e = parse_expression(text, VT)
+        assert e == expected, text
+        assert all(type(c) is Fraction for c in e.terms.values()), text
 
 
 def test_differentiate_examples():
@@ -112,6 +214,18 @@ def test_differentiate_examples():
     assert str(ht.differentiate("p_z")) == "lam1"
     with pytest.raises(ValueError):
         h.differentiate("nope")
+
+
+def test_float_coefficients_are_rejected():
+    for build in (
+        lambda: Expression.constant(VT, 0.1),
+        lambda: Expression(VT, {((0, 1),): 0.5}),
+        lambda: linear_expression(VT, [0] * 6, 0.25),
+    ):
+        with pytest.raises(ValueError, match="^coefficient .* is a float; coefficients must be exact$"):
+            build()
+    assert Expression.constant(VT, 2).constant_value() == 2
+    assert Expression.constant(VT, Fraction(1, 10)).constant_value() == Fraction(1, 10)
 
 
 def test_evaluate_exact():

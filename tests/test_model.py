@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from symchain import (
@@ -11,6 +14,8 @@ from symchain import (
     parse_expression,
     save_model,
 )
+
+from randmodels import random_second_order
 
 
 def _second_order(coord_names, text):
@@ -68,6 +73,16 @@ def test_legendre_rejects_nonquadratic_and_nonconstant_hessian():
         legendre_transform(_second_order(["q"], "qdot^3"))
     with pytest.raises(ValueError, match="velocity Hessian is not constant"):
         legendre_transform(_second_order(["q"], "q*qdot^2"))
+    for text in ("x*xdot^2", "xdot^3", "1/2*ydot^2 + y*xdot*ydot"):
+        with pytest.raises(ValueError, match="^velocity Hessian is not constant$"):
+            legendre_transform(_second_order(["x", "y"], text))
+
+
+def test_legendre_coefficients_are_fractions():
+    for seed in range(200):
+        m = random_second_order(random.Random(seed))
+        for e in (*m.c, m.hamiltonian, *m.primaries):
+            assert all(type(x) is Fraction for x in e.terms.values()), seed
 
 
 def test_total_hamiltonian_on_demand():
