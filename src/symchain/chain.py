@@ -36,7 +36,7 @@ from itertools import compress
 from math import lcm
 
 from .expressions import EchelonBasis, Expression, _linear_part
-from .linalg import RationalMatrix, _absorb, _dense, _integral, _null_basis, _put, _rows
+from .linalg import RationalMatrix, SparseEchelon, _integral, _put, _rows
 from .model import FirstOrderModel
 
 NEW = "new"
@@ -232,16 +232,16 @@ def _kept(cols: list, constraints: Sequence[Constraint], truncated: bool) -> lis
     return cols[: len(cols) - len(constraints) + sum(c.level == 1 for c in constraints)]
 
 
-def _solve(state: tuple, kept: list, n_zeta: int, n: int) -> tuple:
+def _solve(state: SparseEchelon, kept: list, n_zeta: int, n: int) -> tuple:
     """``null_space_and_determinant`` of one attempt's n-row matrix with integer columns ``kept``.
 
     ``state`` has taken in the constraint columns kept[n_zeta:], so only
-    the coordinate columns are reduced.  Taking those last moves n_zeta
+    the coordinate columns are reduced, in a copy.  Taking those last moves n_zeta
     columns past n_aux, a sign (-1)^(n_zeta * n_aux) on the determinant:
     +1, since a ``FirstOrderModel`` has an even number of coordinates.
     """
-    rows, num, den, _ = _absorb(state, kept[:n_zeta])
-    return tuple(_dense(v, n) for v in _null_basis(rows, n)), Fraction(num, den) if len(kept) == n else None
+    kernel = state.copy().absorb(kept[:n_zeta])
+    return kernel.null_basis(n), Fraction(kernel.num, kernel.den) if len(kept) == n else None
 
 
 class _Gradient:
@@ -304,8 +304,9 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     integer columns of F, which start as the base tensor's and are
     bordered once, in place, by each accepted constraint, and the
     elimination of the constraint columns +A^T, which never change: it
-    takes in each one at its border, and a truncated attempt starts from
-    its state after level 1.  An attempt reduces the coordinate columns.
+    takes in each one at its border, in place, and a truncated attempt
+    starts from its state after level 1.  An attempt reduces the coordinate
+    columns, in a copy of the state.
     """
     opts = opts or ChainOptions()
     constraints: list[Constraint] = [
@@ -322,11 +323,12 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     # gradients, so the multipliers cancel from v . grad(H_T)
     grad_h = _Gradient(m.hamiltonian.gradient())
     known = EchelonBasis(m.zeta)
-    full: tuple = ({}, 1, 1, [])
-    level1: tuple | None = None
+    full = SparseEchelon()
+    full.num = 1  # track the determinant
+    level1: SparseEchelon | None = None
     for c in constraints:
         _border(cols, c)
-        full = _absorb(full, cols[-1:])
+        full.absorb(cols[-1:])
         known.add(c.expr)
 
     def attempt(k: int, truncated: bool):
@@ -370,12 +372,13 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
             truncations.append(k)
         origin = ORIGIN_TRUNCATED if truncated else ORIGIN_NULL_VECTOR
         if k == 1:  # the state before any level-2 column, for truncated attempts (never square: no det)
-            level1 = (full[0], 0, 1, [])
+            level1 = full.copy()
+            level1.num = 0
         # NEW candidates already joined ``known`` during classification
         for c in new:
             constraints.append(Constraint.from_raw(k + 1, c.value, origin, c.vector))
             _border(cols, constraints[-1])
-            full = _absorb(full, cols[-1:])
+            full.absorb(cols[-1:])
 
     return ChainReport(
         model_name=m.name,

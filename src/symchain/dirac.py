@@ -19,7 +19,7 @@ from math import lcm
 
 from .chain import ChainReport, Constraint, span_fingerprint, _base_columns, _Gradient, _span
 from .expressions import EchelonBasis, Expression, _linear_part, linear_expression
-from .linalg import RationalMatrix, SparseEchelon, _absorb, _dense, _integral, _null_basis, _put, _rows
+from .linalg import RationalMatrix, SparseEchelon, _integral, _put, _rows
 from .model import FirstOrderModel
 
 ORIGIN_CONSISTENCY = "consistency"
@@ -147,8 +147,7 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     seen = 0
     while True:
         old = len(constraints)
-        for vec in _null_basis(_absorb(({}, 0, 1, []), mixed)[0], old, ~seen):  # nonzero past seen
-            w = _dense(vec, old)
+        for w in SparseEchelon().absorb(mixed).null_basis(old, ~seen):  # nonzero past seen
             acc, den = _candidate(w, flows, grad_h)
             if any(s and (len(mono) > 1 or mono[0][1] > 1) for mono, s in acc.items() if mono):
                 raise ValueError(
@@ -210,9 +209,9 @@ def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> Constrain
     cols: list[tuple[dict[int, int], int]] = [({}, 1) for _ in constraints]  # {phi_i, phi_g} at key ~i
     for i, c in enumerate(constraints):
         _put_brackets(cols, grads, _flow(c.raw, finv), i)
-    null = _null_basis(_absorb(({}, 0, 1, []), cols)[0], k)
+    null = SparseEchelon().absorb(cols).null_basis(k)
     raw = [c.raw for c in constraints]
-    first_class = tuple(Expression.linear_combination(m.zeta, zip(_dense(w, k), raw)) for w in null)
+    first_class = tuple(Expression.linear_combination(m.zeta, zip(w, raw)) for w in null)
     return ConstraintMatrix(RationalMatrix(_rows(cols, k)), k - len(null), first_class)
 
 

@@ -459,6 +459,7 @@ _TOK_NUM = "num"
 _TOK_NAME = "name"
 _TOK_OP = "op"
 _TOK_END = "end"
+_MAX_NESTING = 160  # levels of parentheses, at about 5 frames each of the default recursion limit 1000
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -497,6 +498,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vars = vars
+        self.depth = 0  # parentheses open around the current token
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -589,8 +591,12 @@ class _Parser:
                 raise UnknownVariableError(value, at)
             return {((self.vars.index_of(value), 1),): _ONE}
         if kind == _TOK_OP and value == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError("parentheses nested too deeply", at)
+            self.depth += 1
             inner = self.sum()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", at)
 
@@ -599,9 +605,9 @@ def parse_expression(text: str, vars: VarTable) -> Expression:
     """Parse ``text`` into a canonical Expression over ``vars``, built as one term map and wrapped once.
 
     Raises ParseError (with a character offset) on malformed input,
-    including parentheses nested deeper than the interpreter's recursion
-    limit allows, and UnknownVariableError for names missing from the
-    table.
+    including parentheses nested deeper than ``_MAX_NESTING`` levels (or
+    than a deep caller's remaining stack allows), and UnknownVariableError
+    for names missing from the table.
     """
     parser = _Parser(text, vars)
     try:

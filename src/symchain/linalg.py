@@ -74,14 +74,17 @@ class SparseEchelon:
     gcd 1, positive at the pivot and zero at every other pivot, the one
     such multiple of its unique reduced row-echelon row, so the rows
     depend only on the span.  A reduction is vec = p*vec - a*row, p and a
-    the entries at the pivot over their gcd.  ``rref``, ``rank``,
-    ``null_space_and_determinant`` and ``EchelonBasis`` run on it alone.
+    the entries at the pivot over their gcd.  Every elimination of the
+    package runs on it.  ``absorb`` takes in the columns of a matrix M and
+    keeps their determinant num/den with its sorted ``pivots`` (num 0, the
+    default, tracks none).
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "num", "den", "pivots")
 
     def __init__(self, vectors: Iterable[dict[int, Fraction]] = ()):
         self.rows: dict[int, dict[int, int]] = {}
+        self.num, self.den, self.pivots = 0, 1, []
         for vec in vectors:
             self.add(vec)
 
@@ -101,6 +104,67 @@ class SparseEchelon:
         """The reduced row-echelon rows, each 1 at its pivot, in pivot order."""
         rows = sorted(self.rows.items())
         return [{col: Fraction(x, row[pivot]) for col, x in row.items()} for pivot, row in rows]
+
+    def copy(self) -> SparseEchelon:
+        """An independent copy; it shares the rows, which ``_insert`` replaces and never changes."""
+        new = SparseEchelon()
+        new.rows, new.num, new.den, new.pivots = dict(self.rows), self.num, self.den, list(self.pivots)
+        return new
+
+    def absorb(self, cols: Iterable[tuple[dict[int, int], int]]) -> SparseEchelon:
+        """Take in the columns ``cols`` (left unchanged) of a matrix M, in place, and return self.
+
+        A column is a pair (vec, scale) for vec/scale, vec ints keyed by ~i
+        for row i, so each column pivots at its largest row.  It reduces,
+        in ints, to s_j > 0 times a column of the same determinant with a
+        new pivot, so det M^T = det M is the product of the pivot entries
+        over that of the s_j, negated for each earlier pivot below a new
+        one: 0 at a dependent column.
+        """
+        num, den, pivots = self.num, self.den, self.pivots
+        for vec, scale in cols:
+            vec, scale = self._reduce(dict(vec), scale)
+            if not vec:
+                num = 0
+                continue
+            if num:
+                pivot = min(vec)
+                if bisect(pivots, pivot) % 2:
+                    num = -num
+                insort(pivots, pivot)
+                num *= vec[pivot]
+                den *= scale
+            self._insert(vec)
+        self.num, self.den = num, den
+        return self
+
+    def null_basis(self, n: int, above: int = 0) -> tuple[tuple[int, ...], ...]:
+        """The canonical left null basis of the n-row M whose columns ``absorb`` took in.
+
+        Each free row f, the pivot of no column, gives a null vector: L at f
+        and -L x/d at the pivot of each column that is x at f and d at its
+        pivot, L the lcm of those d.  It is nonzero only at f and at pivots
+        below f (a reduced column is zero below its pivot), so over its gcd
+        it is the primitive row of the null space's reduced row-echelon
+        form, whatever the shape of M.  A vector whose keys all lie above
+        ``above`` is left out before it is built; the default keeps all.
+        """
+        rows = self.rows
+        hits: dict[int, list[tuple[int, int, int]]] = {~i: [] for i in range(n) if ~i not in rows}
+        for pivot, row in rows.items():
+            for f, x in row.items():
+                if f != pivot:
+                    hits[f].append((pivot, x, row[pivot]))
+        basis = []
+        for f, entries in hits.items():
+            if f > above and all(p > above for p, _, _ in entries):
+                continue
+            mult = lcm(*(d for _, _, d in entries))
+            out = [0] * n
+            for key, x in _normalized({f: mult, **{p: -x * (mult // d) for p, x, d in entries}}, f).items():
+                out[~key] = x
+            basis.append(tuple(out))
+        return tuple(basis)
 
     def _reduce(self, vec: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
         """s times the member of vec/scale + span zero at every pivot, in ints, and s > 0 (``vec`` consumed)."""
@@ -206,85 +270,16 @@ def null_space_and_determinant(
     ``cols`` are the sparse rational columns of an ``n``-row matrix M
     (left unchanged); the basis is that of ``left_null_space``.  Each
     column is scaled to ints keyed by ~i (= -1-i) for row i and taken in
-    by ``_absorb``, the elimination the chain carries across its levels.
+    by ``SparseEchelon.absorb``, the elimination the chain carries across its levels.
     """
     square = len(cols) == n
-    ints = [_integral({~i: x for i, x in col.items()}) for col in cols]
-    rows, num, den, _ = _absorb(({}, int(square), 1, []), ints)
-    return tuple(_dense(vec, n) for vec in _null_basis(rows, n)), Fraction(num, den) if square else None
-
-
-def _absorb(state: tuple, cols: Iterable[tuple[dict[int, int], int]]) -> tuple:
-    """The elimination ``state`` after it takes in ``cols``; ``state`` is left unchanged.
-
-    A column of M is the pair (vec, scale) for vec/scale, vec ints keyed
-    by ~i for row i, so keys do not depend on the number of rows and
-    each column pivots at its largest row.  A state is (rows, num, den,
-    pivots): the ``SparseEchelon`` rows of the columns taken in so far,
-    as rows of M^T, and their determinant num/den with its sorted
-    pivots, or num 0 to track none.
-
-    Each column reduces, in ints, to s_j > 0 times a column of the same
-    determinant with a new pivot, so det M^T = det M is the product of
-    the pivot entries over that of the s_j, negated for each earlier
-    pivot below a new one: 0 at a dependent column.  The rows depend
-    only on the span of the columns.
-    """
-    rows, num, den, pivots = state
     kernel = SparseEchelon()
-    kernel.rows = dict(rows)  # _insert replaces rows, so the state keeps its own
-    pivots = list(pivots)
-    for vec, scale in cols:
-        vec, scale = kernel._reduce(dict(vec), scale)
-        if not vec:
-            num = 0
-            continue
-        if num:
-            pivot = min(vec)
-            if bisect(pivots, pivot) % 2:
-                num = -num
-            insort(pivots, pivot)
-            num *= vec[pivot]
-            den *= scale
-        kernel._insert(vec)
-    return kernel.rows, num, den, pivots
-
-
-def _dense(vec: dict[int, int], n: int) -> tuple[int, ...]:
-    """The length-``n`` vector whose entry i is ``vec``'s at key ~i."""
-    out = [0] * n
-    for key, x in vec.items():
-        out[~key] = x
-    return tuple(out)
+    kernel.num = int(square)
+    kernel.absorb(_integral({~i: x for i, x in col.items()}) for col in cols)
+    return kernel.null_basis(n), Fraction(kernel.num, kernel.den) if square else None
 
 
 def _rows(cols: Sequence[tuple[dict[int, int], int]], n: int) -> list[list[Fraction]]:
     """The ``n`` rows of the matrix whose columns are the integer (vec, scale) pairs ``cols``."""
     zero = Fraction(0)
     return [[Fraction(vec[~i], scale) if ~i in vec else zero for vec, scale in cols] for i in range(n)]
-
-
-def _null_basis(rows: dict[int, dict[int, int]], n: int, above: int = 0) -> list[dict[int, int]]:
-    """The canonical left null basis of the n-row M whose columns ``_absorb`` took in as ``rows``.
-
-    Each free row f, the pivot of no column, gives a null vector: L at f
-    and -L x/d at the pivot of each column that is x at f and d at its
-    pivot, L the lcm of those d.  It is nonzero only at f and at pivots
-    below f (a reduced column is zero below its pivot), so over its gcd
-    it is the primitive row of the null space's reduced row-echelon
-    form, whatever the shape of M.  Vectors are sparse, keyed by ~i for
-    entry i; ``_dense`` makes them tuples.  A vector whose keys all lie
-    above ``above`` is left out before it is built; the default keeps all.
-    """
-    hits: dict[int, list[tuple[int, int, int]]] = {~i: [] for i in range(n) if ~i not in rows}
-    for pivot, row in rows.items():
-        for f, x in row.items():
-            if f != pivot:
-                hits[f].append((pivot, x, row[pivot]))
-    basis = []
-    for f, entries in hits.items():
-        if f > above and all(p > above for p, _, _ in entries):
-            continue
-        mult = lcm(*(d for _, _, d in entries))
-        basis.append(_normalized({f: mult, **{p: -x * (mult // d) for p, x, d in entries}}, f))
-    return basis

@@ -12,9 +12,9 @@ import os
 import re
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .expressions import EchelonBasis, Expression, ParseError, VarTable, _ONE, _add, _mul, parse_expression
+from .linalg import SparseEchelon
 
 # multiplier symbols (lam<k>) and auxiliary directions (xi<k>) are
 # never zeta names
@@ -106,8 +106,8 @@ def _check_primaries(primaries: Sequence[Expression], zeta: VarTable) -> None:
             raise PrimaryError("primary constraint is identically zero", i)
         if linear and not basis.add(p):
             raise PrimaryError("primary constraints are linearly dependent", i)
-        # an affine span holding a nonzero constant has no common zero
-        if linear and basis.remainder(Expression.constant(zeta, 1)).is_zero():
+        # an affine span has no common zero iff it holds 1: a row pivots at the last, constant, column
+        if linear and len(zeta) in basis._kernel.rows:
             raise PrimaryError("primary constraints are inconsistent: their span holds the constant 1", i)
 
 
@@ -156,7 +156,7 @@ def legendre_transform(l: SecondOrderLagrangian, name: str = "model") -> FirstOr
     # index k < n is q_k in both tables, n + k is qdot_k in L's and p_k in zeta's,
     # so coordinate monomials and the momenta need no renumbering; one pass
     # splits L = c0(q) + b(q).v + v^T W v / 2, exact once W is constant
-    hessian = [[Fraction(0)] * n for _ in range(n)]
+    rows = [{n + i: 1} for i in range(n)]  # [W_i | e_i], e_i at column n + i
     pb = [{((n + i, 1),): _ONE} for i in range(n)]  # p - b(q)
     c0 = {}
     for mono, coeff in l.lagrangian.terms.items():
@@ -170,47 +170,43 @@ def legendre_transform(l: SecondOrderLagrangian, name: str = "model") -> FirstOr
             raise ValueError("velocity Hessian is not constant")
         else:  # v_i*v_j, or v_i^2 whose second derivative is twice its coefficient
             i, j = v[0][0] - n, v[-1][0] - n
-            hessian[i][j] = hessian[j][i] = coeff * v[0][1]
+            rows[i][j] = rows[j][i] = coeff * v[0][1]
 
     zeta = SecondOrderLagrangian.phase_space(coords)
 
-    # Gauss-Jordan on W while applying the same row operations to the
-    # right-hand sides p - b(q), as term maps over zeta
-    rhs = [dict(t) for t in pb]
-    w = [list(row) for row in hessian]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
+    # Gauss-Jordan on the rows, pivoting as by hand: at each column, the first
+    # row in swapped order whose remainder is nonzero there moves up to position
+    # r; a row's e half u stands for the combination u.(p - b(q))
+    kernel = SparseEchelon()
+    order = list(range(n))
     for col in range(n):
-        pivot_row = next((i for i in range(r, n) if w[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        w[r], w[pivot_row] = w[pivot_row], w[r]
-        rhs[r], rhs[pivot_row] = rhs[pivot_row], rhs[r]
-        inv = Fraction(1) / w[r][col]
-        w[r] = [x * inv for x in w[r]]
-        rhs[r] = _add({}, rhs[r], inv)
-        for i in range(n):
-            if i != r and w[i][col]:
-                factor = w[i][col]
-                w[i] = [a - factor * p for a, p in zip(w[i], w[r])]
-                _add(rhs[i], rhs[r], -factor)
-        pivots.append((r, col))
-        r += 1
+        r = len(kernel.rows)
+        s = next((s for s in range(r, n) if col in kernel.remainder(rows[order[s]])), None)
+        if s is not None:
+            order[r], order[s] = order[s], order[r]
+            kernel.add(rows[order[r]])
 
-    solved = {col: rhs[row] for row, col in pivots}
-    vstar = [solved.get(i, {}) for i in range(n)]
-    # rows beyond the rank carry u.(p - b) for left-null directions u of
-    # the Hessian; those are the primary constraints (never identically
-    # zero, since the momenta are independent symbols)
-    primaries = [Expression._trusted(zeta, rhs[i]) for i in range(r, n) if rhs[i]]
+    def rhs(row: dict) -> dict:
+        out = {}
+        for j, x in row.items():
+            if j >= n:
+                _add(out, pb[j - n], x)
+        return out
+
+    vstar = [{}] * n
+    for row in kernel.reduced_rows():  # free velocities are 0
+        vstar[min(row)] = rhs(row)
+    # each row left out, in swapped order, reduces to u.(p - b(q)) for a left-null direction u
+    # of W: a primary constraint, never zero since the momenta are independent symbols
+    primaries = [Expression._trusted(zeta, rhs(kernel.remainder(rows[i]))) for i in order[len(kernel.rows):]]
 
     # H = p.v* - L(q, v*) = sum_i v*_i (p_i - b_i - (W v*)_i / 2) - c0
     h = _add({}, c0, -1)
     for i, vi in enumerate(vstar):
         if vi:
             factor = dict(pb[i])
-            for j, x in enumerate(hessian[i]):
-                if x:
+            for j, x in rows[i].items():
+                if j < n:
                     _add(factor, vstar[j], -x / 2)
             _add(h, _mul(vi, factor))
 

@@ -39,7 +39,7 @@ from golden import (
 )
 from randmodels import random_model
 from symchain import chain, linalg
-from symchain.linalg import null_space_and_determinant
+from symchain.linalg import SparseEchelon, null_space_and_determinant
 from test_byte_identity import _nonzero_rational, _shift_chain
 from test_expressions import sparse_key
 from test_linalg import bareiss_determinant
@@ -448,19 +448,19 @@ def test_run_chain_scales_and_eliminates_each_column_once(monkeypatch):
     scaled = []
     integral = linalg._integral
     absorbed = []
-    absorb = chain._absorb
+    absorb = SparseEchelon.absorb
 
     def counted(vec):
         scaled.append(vec)
         return integral(vec)
 
-    def recorded(state, cols):
+    def recorded(self, cols):
         absorbed.append(len(cols))
-        return absorb(state, cols)
+        return absorb(self, cols)
 
     monkeypatch.setattr(linalg, "_integral", counted)
     monkeypatch.setattr(chain, "_integral", counted)
-    monkeypatch.setattr(chain, "_absorb", recorded)
+    monkeypatch.setattr(SparseEchelon, "absorb", recorded)
     report = run_chain(_deep_shift_chain(), ChainOptions(max_level=64))
     n_zeta, n_constraints = 24, len(report.constraints)
     assert report.levels[-1].shape == (n_zeta + n_constraints,) * 2

@@ -110,15 +110,18 @@ def test_parse_deep_input():
     assert str(parse_expression("-" * 3000 + "x", VT)) == "x"
     assert str(parse_expression("-" * 3001 + "x", VT)) == "-x"
     assert str(parse_expression("(" * 150 + "x" + ")" * 150, VT)) == "x"
-    # the guard reports the offset of the token the parser was reading when
-    # the stack ran out: one inside the opening run, past the 150 levels above
+    # the limit is 160 levels: the error is at the first "(" past it,
+    # whatever the depth of the caller's stack
+    def nested(frames, text):
+        return nested(frames - 1, text) if frames else parse_expression(text, VT)
+
     for opening in ("(", "(-"):
         text = opening * 400 + "x" + ")" * 400
-        with pytest.raises(ParseError) as err:
-            parse_expression(text, VT)
-        position = err.value.position
-        assert str(err.value) == f"parentheses nested too deeply (at offset {position})"
-        assert 150 * len(opening) < position < 400 * len(opening) and text[position] in opening
+        for frames in (0, 50):
+            with pytest.raises(ParseError) as err:
+                nested(frames, text)
+            assert str(err.value) == f"parentheses nested too deeply (at offset {160 * len(opening)})"
+            assert err.value.position == 160 * len(opening)
 
 
 def _random_text(rng):

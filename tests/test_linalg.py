@@ -15,7 +15,7 @@ from symchain import (
     rref,
 )
 from symchain.expressions import EchelonBasis, VarTable, linear_expression
-from symchain.linalg import SparseEchelon, null_space_and_determinant
+from symchain.linalg import SparseEchelon, _integral, null_space_and_determinant
 from golden import F1_GOLDEN, F3_TRUNCATED_GOLDEN, V1, V3, is_scalar_multiple
 
 
@@ -503,3 +503,24 @@ def test_integer_kernel_matches_fraction_reference(case):
     for form, row in zip(forms, rows):
         assert basis.remainder(form) == _form(table, span.reduce(dict(row)))
     assert basis.rref() == [_form(table, row) for row in span.sorted_rows()]
+
+
+# -- the elimination state: batches and copies ----------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_pivoting_columns(), _mixed_matrices()), st.data())
+def test_absorb_in_two_batches_on_a_copy_equals_one_batch(case, data):
+    cols, n = case
+    ints = [_integral({~i: x for i, x in col.items()}) for col in cols]
+    split = data.draw(st.integers(0, len(cols)))
+    first = SparseEchelon()
+    first.num = int(len(cols) == n)
+    first.absorb(ints[:split])
+    state = ({k: dict(row) for k, row in first.rows.items()}, first.num, first.den, list(first.pivots))
+    second = first.copy().absorb(ints[split:])
+    # the copy shares no state that absorb changes
+    assert (first.rows, first.num, first.den, first.pivots) == state
+    basis, det = null_space_and_determinant(cols, n)
+    assert second.null_basis(n) == basis
+    assert (Fraction(second.num, second.den) if len(cols) == n else None) == det

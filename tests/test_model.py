@@ -15,6 +15,10 @@ from symchain import (
     save_model,
 )
 
+from symchain.expressions import _ONE, _add, _mul
+from symchain.model import PrimaryError
+
+import randmodels
 from randmodels import random_second_order
 
 
@@ -66,6 +70,131 @@ def test_legendre_corank_counts_primaries():
     # Hessian rank 1 over three velocities: two primaries
     assert len(m.primaries) == 2
     assert {str(p) for p in m.primaries} == {"-cc + p_b", "p_cc"}
+
+
+def test_legendre_keeps_the_rows_the_hand_pivot_rule_brings_up():
+    # W = [[0,0,2],[0,0,3],[2,3,1]]: column 0 pivots on row 2, swapped up, so
+    # rows 2 and 1 are kept and row 0 gives the primary, where taking the
+    # first independent rows would keep rows 0 and 2 and scale it differently
+    m = legendre_transform(_second_order(["x", "y", "z"], "2*xdot*zdot + 3*ydot*zdot + 1/2*zdot^2 + x*ydot"))
+    assert [str(p) for p in m.primaries] == ["2/3*x + p_x - 2/3*p_y"]
+    assert str(m.hamiltonian) == "1/18*x^2 + 1/6*x*p_x - 1/9*x*p_y - 1/6*p_x*p_y + 1/2*p_x*p_z + 1/18*p_y^2"
+
+
+def _hand_legendre(l):
+    """Reference: H and the primaries from Gauss-Jordan on W by hand, with row swaps, on term maps."""
+    n = len(l.coordinates)
+    hessian = [[Fraction(0)] * n for _ in range(n)]
+    pb = [{((n + i, 1),): _ONE} for i in range(n)]
+    c0 = {}
+    for mono, coeff in l.lagrangian.terms.items():
+        q = tuple(pair for pair in mono if pair[0] < n)
+        v = mono[len(q):]
+        if not v:
+            c0[mono] = coeff
+        elif len(v) == 1 and v[0][1] == 1:
+            pb[v[0][0] - n][q] = -coeff
+        else:
+            i, j = v[0][0] - n, v[-1][0] - n
+            hessian[i][j] = hessian[j][i] = coeff * v[0][1]
+    rhs = [dict(t) for t in pb]
+    w = [list(row) for row in hessian]
+    pivots = []
+    r = 0
+    for col in range(n):
+        pivot_row = next((i for i in range(r, n) if w[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        w[r], w[pivot_row] = w[pivot_row], w[r]
+        rhs[r], rhs[pivot_row] = rhs[pivot_row], rhs[r]
+        inv = 1 / w[r][col]
+        w[r] = [x * inv for x in w[r]]
+        rhs[r] = _add({}, rhs[r], inv)
+        for i in range(n):
+            if i != r and w[i][col]:
+                factor = w[i][col]
+                w[i] = [a - factor * p for a, p in zip(w[i], w[r])]
+                _add(rhs[i], rhs[r], -factor)
+        pivots.append((r, col))
+        r += 1
+    solved = {col: rhs[row] for row, col in pivots}
+    vstar = [solved.get(i, {}) for i in range(n)]
+    h = _add({}, c0, -1)
+    for i, vi in enumerate(vstar):
+        if vi:
+            factor = dict(pb[i])
+            for j, x in enumerate(hessian[i]):
+                if x:
+                    _add(factor, vstar[j], -x / 2)
+            _add(h, _mul(vi, factor))
+    zeta = SecondOrderLagrangian.phase_space(l.coordinates)
+    return str(Expression._trusted(zeta, h)), [str(Expression._trusted(zeta, rhs[i])) for i in range(r, n)]
+
+
+def _texts(m):
+    return str(m.hamiltonian), [str(p) for p in m.primaries]
+
+
+def _random_singular_lagrangian(rng):
+    """L = 1/2 v.W.v + v.B.x - V(x) with W = P^T S P, P k x n sparse, S symmetric, k < n <= 6.
+
+    S often has zero diagonal entries and P unit columns, so W often has
+    zero diagonal entries and its pivots need row swaps.
+    """
+    n = rng.randint(2, 6)
+    k = rng.randint(1, n - 1)
+    s = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            s[a][b] = s[b][a] = rng.choice((0, 0, 1, -1, 2, 3))
+    p = [[0] * n for _ in range(k)]
+    for i in range(n):
+        if rng.random() < 0.6:
+            p[rng.randrange(k)][i] = 1
+        else:
+            for a in range(k):
+                p[a][i] = rng.choice((0, 0, 1, -2, Fraction(3, 2)))
+    pairs = [(a, b) for a in range(k) for b in range(k)]
+    w = [[sum(p[a][i] * s[a][b] * p[b][j] for a, b in pairs) for j in range(n)] for i in range(n)]
+    coords = VarTable([f"x{i + 1}" for i in range(n)])
+    table = SecondOrderLagrangian.full_table(coords)
+    x = [Expression.variable(table, name) for name in table.names[:n]]
+    v = [Expression.variable(table, name) for name in table.names[n:]]
+    lag = Expression.zero(table)
+    for i in range(n):
+        for j in range(i, n):
+            if w[i][j]:
+                lag = lag + (Fraction(w[i][j], 2) if i == j else w[i][j]) * v[i] * v[j]
+        for j in range(n):
+            if rng.random() < 0.3:
+                lag = lag + rng.randint(-2, 2) * x[j] * v[i]
+        if rng.random() < 0.5:
+            lag = lag - rng.randint(-3, 3) * x[i] * x[rng.randrange(n)]
+    return SecondOrderLagrangian(coords, lag)
+
+
+def test_legendre_matches_hand_gauss_jordan_on_random_singular_hessians():
+    rng = random.Random(2023)
+    primaries = 0
+    for _ in range(400):
+        l = _random_singular_lagrangian(rng)
+        got = _texts(legendre_transform(l))
+        assert got == _hand_legendre(l)
+        primaries += len(got[1])
+    assert primaries > 400
+
+
+def test_legendre_matches_hand_gauss_jordan_on_random_second_order(monkeypatch):
+    lagrangians = []
+
+    def recorded(l, name):
+        lagrangians.append(l)
+        return legendre_transform(l, name)
+
+    monkeypatch.setattr(randmodels, "legendre_transform", recorded)
+    for seed in range(200):
+        m = random_second_order(random.Random(seed))
+        assert _texts(m) == _hand_legendre(lagrangians[-1])
 
 
 def test_legendre_rejects_nonquadratic_and_nonconstant_hessian():
@@ -289,6 +418,15 @@ def test_bad_primaries_are_reported_at_their_line(tmp_path, primaries, message):
     with pytest.raises(ModelFormatError) as err:
         load_model(path)
     assert str(err.value) == message
+
+
+def test_inconsistent_primary_is_reported_at_its_index():
+    zeta = VarTable(["x", "p"])
+    x, p = Expression.variable(zeta, "x"), Expression.variable(zeta, "p")
+    message = "^primary constraints are inconsistent: their span holds the constant 1$"
+    with pytest.raises(PrimaryError, match=message) as err:
+        FirstOrderModel("m", zeta, [p, Expression.zero(zeta)], p * p, [x, x + 1])
+    assert err.value.index == 1
 
 
 def test_affine_primaries_with_a_common_zero_load(tmp_path):

@@ -36,6 +36,12 @@ def test_find_new_constraints_is_gone():
     assert not hasattr(symchain.chain, "find_new_constraints")
 
 
+def test_tuple_elimination_helpers_are_gone():
+    # the elimination state is a SparseEchelon: absorb, copy, null_basis
+    for name in ("_absorb", "_null_basis", "_dense"):
+        assert not hasattr(symchain.linalg, name)
+
+
 def test_import_loads_no_unused_stdlib_machinery():
     # records are namedtuples, annotations stay strings, files open with open()
     code = (
