@@ -158,8 +158,8 @@ def _span(exprs: Sequence[Expression]) -> tuple[EchelonBasis | None, list[Expres
     return basis, basis.rref()
 
 
-def _base_columns(m: FirstOrderModel) -> list[dict[int, Fraction]]:
-    """The sparse columns of the base tensor f_ab = d_a c_b - d_b c_a.
+def _integer_columns(m: FirstOrderModel) -> list[tuple[dict[int, int], int]]:
+    """The columns of the base tensor f_ab = d_a c_b - d_b c_a as (vec, scale) pairs: ints keyed by ~i for row i.
 
     c is affine-linear, so d_a c_b is the coefficient C_b[a] of zeta_a in c_b.
     """
@@ -168,14 +168,9 @@ def _base_columns(m: FirstOrderModel) -> list[dict[int, Fraction]]:
     cols: list[dict[int, Fraction]] = [{} for _ in m.c]
     for b, cb in enumerate(m.c):
         for a, x in _linear_part(cb).items():
-            cols[b][a] = cols[b].get(a, 0) + x
-            cols[a][b] = cols[a].get(b, 0) - x
-    return [{i: x for i, x in col.items() if x} for col in cols]
-
-
-def _integer_columns(m: FirstOrderModel) -> list[tuple[dict[int, int], int]]:
-    """The base tensor's columns as (vec, scale) pairs: ints keyed by ~i for row i, over their lcm."""
-    return [_integral({~i: x for i, x in col.items()}) for col in _base_columns(m)]
+            cols[b][~a] = cols[b].get(~a, 0) + x
+            cols[a][~b] = cols[a].get(~b, 0) - x
+    return [_integral({i: x for i, x in col.items() if x}) for col in cols]
 
 
 def assemble_extended_matrix(

@@ -15,53 +15,49 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from math import lcm
 
-from .chain import ChainReport, Constraint, span_fingerprint, _base_columns, _Gradient, _span
+from .chain import ChainReport, Constraint, span_fingerprint, _Gradient, _integer_columns, _span
 from .expressions import EchelonBasis, Expression, _linear_part, linear_expression
-from .linalg import RationalMatrix, SparseEchelon, _integral, _put, _rows
+from .linalg import RationalMatrix, SparseEchelon, _combine, _integral, _put, _rows
 from .model import FirstOrderModel
 
 ORIGIN_CONSISTENCY = "consistency"
 
 
-def _inverse(m: FirstOrderModel) -> list[dict[int, Fraction]]:
-    """The sparse rows of f^-1, f the chain's base tensor, from one elimination.
+def _inverse(m: FirstOrderModel) -> list[tuple[dict[int, int], int]]:
+    """The sparse rows of f^-1, f the chain's base tensor, as (vec, scale) pairs from one elimination.
 
-    The rows of [f | I] reduce to [I | f^-1]; a pivot in the I half
-    means f is degenerate, and the oracle then raises ``ValueError``.
+    The rows of [f | I] reduce to [I | f^-1], row a over its pivot entry; a
+    pivot in the I half means f is degenerate, and the oracle then raises ``ValueError``.
     """
-    cols = _base_columns(m)
-    n = len(cols)
-    # f is antisymmetric: its row a is minus its column a
-    kernel = SparseEchelon({**{b: -x for b, x in col.items()}, n + a: 1} for a, col in enumerate(cols))
+    n = len(m.c)
+    kernel = SparseEchelon()
+    for a, (col, scale) in enumerate(_integer_columns(m)):  # f is antisymmetric: its row a is minus its column a
+        kernel.add({**{~key: -x for key, x in col.items()}, n + a: scale})
     rank = sum(pivot < n for pivot in kernel.rows)
     if rank < n:
         raise ValueError(
             f"the consistency oracle needs a nondegenerate base tensor f, but f has rank {rank} of {n}"
         )
-    return [{j - n: x for j, x in row.items() if j >= n} for row in kernel.reduced_rows()]
+    return [({j - n: x for j, x in row.items() if j >= n}, row[a]) for a, row in sorted(kernel.rows.items())]
 
 
-def _flow(a: Expression, finv: Sequence[dict[int, Fraction]]) -> dict[int, Fraction]:
-    """u = -f^-1 grad(a) for a linear ``a``, so that {a, b} = sum_j u_j d_j b.
+def _flow(a: Expression, finv: Sequence[tuple[dict[int, int], int]]) -> tuple[dict[int, int], int]:
+    """u = -f^-1 grad(a) for a linear ``a`` as a (vec, scale) pair, so that {a, b} = sum_j u_j d_j b.
 
     f^-1 is antisymmetric, so u = sum_j d_j a * (row j of f^-1).
     """
-    u: dict[int, Fraction] = {}
-    for j, x in _linear_part(a).items():
-        for i, y in finv[j].items():
-            u[i] = u.get(i, 0) + x * y
-    return u
+    grad, den = _integral(_linear_part(a))
+    u, scale = _combine([(x, *finv[j]) for j, x in grad.items()])
+    return u, scale * den
 
 
-def _put_brackets(
-    cols: list[tuple[dict[int, int], int]], grads: Sequence[dict[int, Fraction]], u: dict[int, Fraction], i: int
-) -> None:
-    """Write {phi_i, g} = u . grad(g), u the flow of phi_i, at key ~i of integer column cols[g] for each ``grads`` g."""
-    for g, grad in enumerate(grads):
+def _put_brackets(cols: list, grads: Sequence[tuple[dict[int, int], int]], u: dict, scale: int, i: int) -> None:
+    """Write {phi_i, g} = u . grad(g)/scale, u/scale the flow of phi_i, at key ~i of cols[g] for each ``grads`` g."""
+    for g, (grad, den) in enumerate(grads):
         x = sum(u[j] * y for j, y in grad.items() if j in u)
         if x:
+            x = Fraction(x, scale * den)
             _put(cols, g, ~i, x.numerator, x.denominator)
 
 
@@ -85,13 +81,7 @@ class OracleResult(namedtuple("OracleResult", "constraints multiplier_conditions
 
 def _candidate(w: Sequence[int], flows: list[tuple[dict[int, int], int]], grad_h: _Gradient) -> tuple[dict, int]:
     """{sum_i w_i phi_i, H} = grad(H) . sum_i w_i u_i as int monomial sums over their denominator."""
-    picked = [(k, *flows[i]) for i, k in enumerate(w) if k]
-    mult = lcm(*(scale for *_, scale in picked))
-    flow: dict[int, int] = {}
-    for k, vec, scale in picked:
-        k *= mult // scale
-        for j, x in vec.items():
-            flow[j] = flow.get(j, 0) + k * x
+    flow, mult = _combine([(k, *flows[i]) for i, k in enumerate(w) if k])
     return grad_h.sums(flow), grad_h.denominator * mult
 
 
@@ -131,15 +121,14 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     finv = _inverse(m)
     zeta, n = m.zeta, len(m.zeta)
     grad_h = _Gradient(m.hamiltonian.gradient())
-    primary_grads = [_linear_part(p) for p in m.primaries]
+    primary_grads = [_integral(_linear_part(p)) for p in m.primaries]
     flows: list[tuple[dict[int, int], int]] = []
     mixed: list[tuple[dict[int, int], int]] = [({}, 1) for _ in primary_grads]  # {phi_i, mu} at key ~i
     known = EchelonBasis(zeta)
 
     def join(c: Constraint) -> None:
-        u = _flow(c.expr, finv)
-        _put_brackets(mixed, primary_grads, u, len(flows))
-        flows.append(_integral(u))
+        flows.append(_flow(c.expr, finv))
+        _put_brackets(mixed, primary_grads, *flows[-1], len(flows) - 1)
 
     for c in constraints:
         join(c)
@@ -205,10 +194,10 @@ def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> Constrain
         raise ValueError("constraint set is not linearly independent")
     finv = _inverse(m)
     k = len(constraints)
-    grads = [_linear_part(c.raw) for c in constraints]
+    grads = [_integral(_linear_part(c.raw)) for c in constraints]
     cols: list[tuple[dict[int, int], int]] = [({}, 1) for _ in constraints]  # {phi_i, phi_g} at key ~i
     for i, c in enumerate(constraints):
-        _put_brackets(cols, grads, _flow(c.raw, finv), i)
+        _put_brackets(cols, grads, *_flow(c.raw, finv), i)
     null = SparseEchelon().absorb(cols).null_basis(k)
     raw = [c.raw for c in constraints]
     first_class = tuple(Expression.linear_combination(m.zeta, zip(w, raw)) for w in null)

@@ -24,7 +24,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from types import MappingProxyType
 
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, _exact, _integral
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -201,9 +201,7 @@ class Expression:
                 if e < 1:
                     raise ValueError("monomial exponents must be at least 1")
                 last = i
-            if isinstance(coeff, float):
-                raise ValueError(f"coefficient {coeff!r} is a float; coefficients must be exact")
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff, "coefficient")
             if coeff != 0:
                 clean[tuple(mono)] = coeff
         self._vars = vars
@@ -655,7 +653,7 @@ class EchelonBasis:
 
     def add(self, e: Expression) -> bool:
         """Extend the span by ``e``; False when ``e`` already lies in it."""
-        return self._kernel.add(self._vector(e, "basis expression"))
+        return self._kernel.add(self._vector(e, "basis expression")[0])
 
     def _add_sums(self, sums: dict, den: int) -> bool:
         """``add`` for the linear form given as int monomial sums (zeros allowed) over an int ``den`` > 0.
@@ -663,32 +661,37 @@ class EchelonBasis:
         A form that reduces to a nonzero constant modulo the span raises ``ValueError``.
         """
         n = len(self._vars)  # the constant term is column n
-        vec, scale = self._kernel._reduce({mono[0][0] if mono else n: s for mono, s in sums.items() if s}, den)
+        vec, scale = self._kernel.reduce({mono[0][0] if mono else n: s for mono, s in sums.items() if s}, den)
         if len(vec) == 1 and n in vec:
             raise ValueError(
                 "inconsistent dynamics: a consistency condition reduces to the nonzero "
                 f"constant {Fraction(vec[n], scale)}"
             )
         if vec:
-            self._kernel._insert(vec)
+            self._kernel.insert(vec)
         return bool(vec)
+
+    def holds_constant(self) -> bool:
+        """True when the span holds the constant 1: a row pivots at the last, constant, column."""
+        return len(self._vars) in self._kernel.rows
 
     def remainder(self, e: Expression) -> Expression:
         """The member of ``e`` + span that is zero at every pivot column."""
-        return self._expression(self._kernel.remainder(self._vector(e, "expression")))
+        return self._expression(*self._kernel.reduce(*self._vector(e, "expression")))
 
     def rref(self) -> list[Expression]:
         """The reduced row-echelon rows, in pivot order."""
-        return [self._expression(row) for row in self._kernel.reduced_rows()]
+        return [self._expression(row, row[pivot]) for pivot, row in sorted(self._kernel.rows.items())]
 
-    def _vector(self, e: Expression, kind: str) -> dict[int, Fraction]:
+    def _vector(self, e: Expression, kind: str) -> tuple[dict[int, int], int]:
         if e.vars != self._vars:
             raise ValueError("basis expression uses a different VarTable")
         if not e.is_linear():
             raise ValueError(f"nonlinear {kind}: only linear reduction is supported")
         constant = len(self._vars)
-        return {(mono[0][0] if mono else constant): coeff for mono, coeff in e._terms.items()}
+        return _integral({(mono[0][0] if mono else constant): coeff for mono, coeff in e._terms.items()})
 
-    def _expression(self, vec: dict[int, Fraction]) -> Expression:
+    def _expression(self, vec: dict[int, int], scale: int) -> Expression:
         n = len(self._vars)
-        return Expression._trusted(self._vars, {((col, 1),) if col < n else (): x for col, x in vec.items()})
+        terms = {((col, 1),) if col < n else (): Fraction(x, scale) for col, x in vec.items()}
+        return Expression._trusted(self._vars, terms)

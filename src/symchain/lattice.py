@@ -40,8 +40,12 @@ class LatticeSpec(namedtuple("LatticeSpec", "sites spacing scheme", defaults=(Fr
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if not isinstance(self.sites, int):
+            raise ValueError(f"lattice sites must be an int, not {self.sites!r}")
         if self.sites < 3:
             raise ValueError("need at least 3 lattice sites")
+        if not isinstance(self.spacing, (int, Fraction)):
+            raise ValueError(f"lattice spacing must be an int or a Fraction, not {self.spacing!r}")
         if self.spacing <= 0:
             raise ValueError("lattice spacing must be positive")
         if self.scheme not in (CENTRAL, FORWARD):

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals: the sparse elimination kernel and dense matrices.
 
 Inputs and outputs are fractions.Fraction, except null-space bases, which
-come out as canonical primitive int vectors; every row reduction and the
-determinant run on one sparse Gauss-Jordan kernel over primitive integer
-rows.
+come out as canonical primitive int vectors.  Under them a rational sparse
+vector is the pair (vec, scale) for vec/scale, vec an int dict, made once
+where a Fraction enters; every row reduction and the determinant run on
+one sparse Gauss-Jordan kernel over primitive integer rows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class RationalMatrix:
     def __init__(self, rows: Iterable[Iterable[Fraction]]):
         # Fractions are immutable, so entries that already are one are shared
         data = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
+            tuple(x if type(x) is Fraction else _exact(x, "element") for x in row) for row in rows
         )
         if not data or not data[0]:
             raise ValueError("matrix dimensions must be positive")
@@ -65,14 +66,19 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
+def _exact(x, kind: str) -> Fraction:
+    if isinstance(x, float):
+        raise ValueError(f"{kind} {x!r} is a float; {kind}s must be exact")
+    return Fraction(x)
+
+
 class SparseEchelon:
     """Incremental exact Gauss-Jordan elimination on sparse primitive integer rows.
 
-    A vector, a dict from column index to a nonzero Fraction or int, is
-    scaled to ints once by the lcm of its denominators.  ``rows`` maps
-    each pivot column, a row's first nonzero one, to its row: ints with
-    gcd 1, positive at the pivot and zero at every other pivot, the one
-    such multiple of its unique reduced row-echelon row, so the rows
+    A vector is a dict from column index to a nonzero int.  ``rows`` maps
+    each pivot column, a row's first nonzero one, to its row: ints with gcd
+    1, positive at the pivot and zero at every other pivot, the one such
+    multiple of its reduced row-echelon row (row, row[pivot]), so the rows
     depend only on the span.  A reduction is vec = p*vec - a*row, p and a
     the entries at the pivot over their gcd.  Every elimination of the
     package runs on it.  ``absorb`` takes in the columns of a matrix M and
@@ -82,31 +88,19 @@ class SparseEchelon:
 
     __slots__ = ("rows", "num", "den", "pivots")
 
-    def __init__(self, vectors: Iterable[dict[int, Fraction]] = ()):
+    def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
         self.num, self.den, self.pivots = 0, 1, []
-        for vec in vectors:
-            self.add(vec)
 
-    def add(self, vec: dict[int, Fraction]) -> bool:
-        """Extend the span by ``vec``; False when it already lies in it."""
-        vec = self._reduce(*_integral(vec))[0]
+    def add(self, vec: dict[int, int]) -> bool:
+        """Extend the span by the int ``vec`` (consumed); False when it already lies in it."""
+        vec = self.reduce(vec, 1)[0]
         if vec:
-            self._insert(vec)
+            self.insert(vec)
         return bool(vec)
 
-    def remainder(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """The member of ``vec`` + span that is zero at every pivot; empty iff ``vec`` is in the span."""
-        ints, scale = self._reduce(*_integral(vec))
-        return {col: Fraction(x, scale) for col, x in ints.items()}
-
-    def reduced_rows(self) -> list[dict[int, Fraction]]:
-        """The reduced row-echelon rows, each 1 at its pivot, in pivot order."""
-        rows = sorted(self.rows.items())
-        return [{col: Fraction(x, row[pivot]) for col, x in row.items()} for pivot, row in rows]
-
     def copy(self) -> SparseEchelon:
-        """An independent copy; it shares the rows, which ``_insert`` replaces and never changes."""
+        """An independent copy; it shares the rows, which ``insert`` replaces and never changes."""
         new = SparseEchelon()
         new.rows, new.num, new.den, new.pivots = dict(self.rows), self.num, self.den, list(self.pivots)
         return new
@@ -123,7 +117,7 @@ class SparseEchelon:
         """
         num, den, pivots = self.num, self.den, self.pivots
         for vec, scale in cols:
-            vec, scale = self._reduce(dict(vec), scale)
+            vec, scale = self.reduce(dict(vec), scale)
             if not vec:
                 num = 0
                 continue
@@ -134,7 +128,7 @@ class SparseEchelon:
                 insort(pivots, pivot)
                 num *= vec[pivot]
                 den *= scale
-            self._insert(vec)
+            self.insert(vec)
         self.num, self.den = num, den
         return self
 
@@ -166,8 +160,8 @@ class SparseEchelon:
             basis.append(tuple(out))
         return tuple(basis)
 
-    def _reduce(self, vec: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
-        """s times the member of vec/scale + span zero at every pivot, in ints, and s > 0 (``vec`` consumed)."""
+    def reduce(self, vec: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
+        """The member of vec/scale + span zero at every pivot, as a (vec, scale) pair (``vec`` consumed)."""
         rows = self.rows
         # each row is zero at the other pivots, so one pass suffices
         for col in [c for c in vec if c in rows]:
@@ -175,7 +169,7 @@ class SparseEchelon:
             scale *= p
         return vec, scale
 
-    def _insert(self, vec: dict[int, int]) -> None:
+    def insert(self, vec: dict[int, int]) -> None:
         """Make the reduced, nonzero int ``vec`` a row; rows holding its pivot are replaced, never changed."""
         pivot = min(vec)
         vec = _normalized(vec, pivot)
@@ -215,6 +209,17 @@ def _integral(vec: dict[int, Fraction]) -> tuple[dict[int, int], int]:
     return {col: x.numerator * (mult // x.denominator) for col, x in vec.items()}, mult
 
 
+def _combine(terms: Sequence[tuple[int, dict[int, int], int]]) -> tuple[dict[int, int], int]:
+    """sum k*vec/scale over the int (k, vec, scale) ``terms`` as ints over the lcm of the scales (zeros kept)."""
+    mult = lcm(*(scale for *_, scale in terms))
+    out: dict[int, int] = {}
+    for k, vec, scale in terms:
+        k *= mult // scale
+        for j, x in vec.items():
+            out[j] = out.get(j, 0) + k * x
+    return out, mult
+
+
 def _put(cols: list[tuple[dict[int, int], int]], j: int, key: int, num: int, den: int) -> None:
     """Set entry ``key`` of column cols[j] to num/den in lowest terms; rescale it if den does not divide its scale."""
     vec, scale = cols[j]
@@ -230,14 +235,16 @@ def _sparse(entries: Iterable[Fraction]) -> dict[int, Fraction]:
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot-column indices."""
-    kernel = SparseEchelon(_sparse(row) for row in m.to_rows())
-    rows = [[row.get(j, 0) for j in range(m.cols)] for row in kernel.reduced_rows()]
+    kernel = SparseEchelon()
+    for row in m.to_rows():
+        kernel.add(_integral(_sparse(row))[0])
+    rows = [[Fraction(row.get(j, 0), row[p]) for j in range(m.cols)] for p, row in sorted(kernel.rows.items())]
     rows += [[0] * m.cols for _ in range(m.rows - len(rows))]
     return RationalMatrix(rows), tuple(sorted(kernel.rows))
 
 
 def rank(m: RationalMatrix) -> int:
-    return len(SparseEchelon(_sparse(row) for row in m.to_rows()).rows)
+    return m.rows - len(left_null_space(m))
 
 
 def determinant(m: RationalMatrix) -> Fraction:

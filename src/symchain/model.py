@@ -12,9 +12,10 @@ import os
 import re
 from collections import namedtuple
 from collections.abc import Sequence
+from fractions import Fraction
 
 from .expressions import EchelonBasis, Expression, ParseError, VarTable, _ONE, _add, _mul, parse_expression
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, _integral
 
 # multiplier symbols (lam<k>) and auxiliary directions (xi<k>) are
 # never zeta names
@@ -106,8 +107,8 @@ def _check_primaries(primaries: Sequence[Expression], zeta: VarTable) -> None:
             raise PrimaryError("primary constraint is identically zero", i)
         if linear and not basis.add(p):
             raise PrimaryError("primary constraints are linearly dependent", i)
-        # an affine span has no common zero iff it holds 1: a row pivots at the last, constant, column
-        if linear and len(zeta) in basis._kernel.rows:
+        # an affine span has no common zero iff it holds 1
+        if linear and basis.holds_constant():
             raise PrimaryError("primary constraints are inconsistent: their span holds the constant 1", i)
 
 
@@ -174,31 +175,32 @@ def legendre_transform(l: SecondOrderLagrangian, name: str = "model") -> FirstOr
 
     zeta = SecondOrderLagrangian.phase_space(coords)
 
-    # Gauss-Jordan on the rows, pivoting as by hand: at each column, the first
-    # row in swapped order whose remainder is nonzero there moves up to position
-    # r; a row's e half u stands for the combination u.(p - b(q))
+    # Gauss-Jordan on the integral rows, pivoting as by hand: at each column, the
+    # first row in swapped order whose remainder is nonzero there moves up to
+    # position r; a row's e half u stands for the combination u.(p - b(q))
+    ints = [_integral(row) for row in rows]
     kernel = SparseEchelon()
     order = list(range(n))
     for col in range(n):
         r = len(kernel.rows)
-        s = next((s for s in range(r, n) if col in kernel.remainder(rows[order[s]])), None)
+        s = next((s for s in range(r, n) if col in kernel.reduce(dict(ints[order[s]][0]), 1)[0]), None)
         if s is not None:
             order[r], order[s] = order[s], order[r]
-            kernel.add(rows[order[r]])
+            kernel.add(ints[order[r]][0])
 
-    def rhs(row: dict) -> dict:
+    def rhs(row: dict, scale: int) -> dict:
         out = {}
         for j, x in row.items():
             if j >= n:
-                _add(out, pb[j - n], x)
+                _add(out, pb[j - n], Fraction(x, scale))
         return out
 
     vstar = [{}] * n
-    for row in kernel.reduced_rows():  # free velocities are 0
-        vstar[min(row)] = rhs(row)
+    for pivot, row in kernel.rows.items():  # free velocities are 0
+        vstar[pivot] = rhs(row, row[pivot])
     # each row left out, in swapped order, reduces to u.(p - b(q)) for a left-null direction u
     # of W: a primary constraint, never zero since the momenta are independent symbols
-    primaries = [Expression._trusted(zeta, rhs(kernel.remainder(rows[i]))) for i in order[len(kernel.rows):]]
+    primaries = [Expression._trusted(zeta, rhs(*kernel.reduce(*ints[i]))) for i in order[len(kernel.rows):]]
 
     # H = p.v* - L(q, v*) = sum_i v*_i (p_i - b_i - (W v*)_i / 2) - c0
     h = _add({}, c0, -1)

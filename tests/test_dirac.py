@@ -34,7 +34,6 @@ from symchain import dirac
 from symchain.chain import _Gradient
 from symchain.dirac import MultiplierCondition, _flow, _inverse
 from symchain.expressions import _linear_part
-from symchain.linalg import _integral
 from brackets import canonical_pairs, poisson_bracket
 from golden import C_GOLDEN, PUBLISHED_CONSTRAINTS, is_scalar_multiple
 from randmodels import random_model, random_scaled_model
@@ -90,8 +89,8 @@ def test_canonical_pairs(example2):
     finv = _inverse(example2)
     names = example2.zeta.names
     for q, p in pairs:
-        assert _flow(parse_expression(names[q], example2.zeta), finv) == {p: 1}
-        assert _flow(parse_expression(names[p], example2.zeta), finv) == {q: -1}
+        assert _flow(parse_expression(names[q], example2.zeta), finv) == ({p: 1}, 1)
+        assert _flow(parse_expression(names[p], example2.zeta), finv) == ({q: -1}, 1)
     x = parse_expression("x", example2.zeta)
     p_x = parse_expression("p_x", example2.zeta)
     assert str(poisson_bracket(x, p_x, pairs)) == "1"
@@ -304,6 +303,27 @@ def test_classify_matches_sympy_where_det_f_is_not_one():
     assert unit_det < 20 and fractional >= 20
 
 
+def test_inverse_rows_match_sympy(example2):
+    """Each (vec, scale) row of ``_inverse``, read as vec/scale, is that row of sympy's f^-1."""
+    models = [example2, build_schwinger(LatticeSpec(sites=3, spacing=Fraction(3, 7)))]
+    models += [random_scaled_model(random.Random(seed)) for seed in range(30)]
+    fractional = 0
+    for m in models:
+        symbols = sympy.symbols(m.zeta.names)
+        n = len(symbols)
+        c = [_sympy_form(e, symbols) for e in m.c]
+        f = sympy.Matrix(n, n, lambda a, b: sympy.diff(c[b], symbols[a]) - sympy.diff(c[a], symbols[b]))
+        want = f.inv()
+        rows = _inverse(m)
+        assert len(rows) == n
+        for a, (vec, scale) in enumerate(rows):
+            assert [Fraction(vec.get(j, 0), scale) for j in range(n)] == [
+                Fraction(int(x.p), int(x.q)) for x in want.row(a)
+            ]
+        fractional += any(scale > 1 for _, scale in rows)
+    assert fractional >= 10
+
+
 def test_classify_gauge_pair_is_all_first_class(models_dir):
     # L = 1/2 (xdot - y)^2: the oracle closes on {p_y, p_x}, both first class
     m = load_model(models_dir / "gauge_pair.model")
@@ -438,8 +458,8 @@ def _bracket_inputs(draw):
 def test_linear_form_bracket_matches_poisson_bracket(inputs):
     m, pairs, a, b = inputs
     gradient = [b.differentiate(name) for name in m.zeta.names]
-    flow = _flow(a, _inverse(m))
-    bracket = Expression.linear_combination(m.zeta, ((x, gradient[j]) for j, x in flow.items()))
+    flow, scale = _flow(a, _inverse(m))
+    bracket = Expression.linear_combination(m.zeta, ((Fraction(x, scale), gradient[j]) for j, x in flow.items()))
     assert bracket == poisson_bracket(a, b, pairs)
 
 
@@ -463,9 +483,9 @@ def reference_consistency_algorithm(m):
     known = EchelonBasis(zeta)
 
     def add_brackets(c):
-        u = _flow(c.expr, finv)
-        brackets_h.append(grad_h.combination(*_integral(u)))
-        mixed.append([sum(u[j] * x for j, x in beta.items() if j in u) for beta in primary_grads])
+        u, scale = _flow(c.expr, finv)
+        brackets_h.append(grad_h.combination(u, scale))
+        mixed.append([sum(u[j] * x for j, x in beta.items() if j in u) / Fraction(scale) for beta in primary_grads])
 
     for c in constraints:
         add_brackets(c)

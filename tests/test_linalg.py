@@ -15,7 +15,7 @@ from symchain import (
     rref,
 )
 from symchain.expressions import EchelonBasis, VarTable, linear_expression
-from symchain.linalg import SparseEchelon, _integral, null_space_and_determinant
+from symchain.linalg import SparseEchelon, _combine, _integral, null_space_and_determinant
 from golden import F1_GOLDEN, F3_TRUNCATED_GOLDEN, V1, V3, is_scalar_multiple
 
 
@@ -524,3 +524,49 @@ def test_absorb_in_two_batches_on_a_copy_equals_one_batch(case, data):
     basis, det = null_space_and_determinant(cols, n)
     assert second.null_basis(n) == basis
     assert (Fraction(second.num, second.den) if len(cols) == n else None) == det
+
+
+# -- the (vec, scale) contract --------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_matrices(), st.integers(1, 6))
+def test_reduce_equals_the_fraction_remainder(case, extra):
+    """reduce(vec, scale), read as vec/scale, is the remainder on the Fraction reference, at any scale."""
+    cols, n = case
+    rows = [{j: col[i] for j, col in enumerate(cols) if i in col} for i in range(n)]
+    kernel, reference = SparseEchelon(), FractionEchelon()
+    for row in rows[: n // 2]:
+        assert kernel.add(_integral(row)[0]) == reference.add(row)
+    for row in rows:
+        vec, scale = _integral(row)
+        vec, scale = kernel.reduce({j: x * extra for j, x in vec.items()}, scale * extra)
+        assert scale > 0
+        assert {j: Fraction(x, scale) for j, x in vec.items()} == reference.reduce(dict(row))
+
+
+_int_vectors = st.dictionaries(st.integers(0, 6), st.integers(-5, 5), max_size=4)  # zeros allowed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-9, 9), _int_vectors, st.integers(1, 12)), max_size=5))
+def test_combine_matches_a_fraction_sum(terms):
+    vec, scale = _combine(terms)
+    assert scale == math.lcm(*(s for *_, s in terms))
+    want = {}
+    for k, v, s in terms:
+        for j, x in v.items():
+            want[j] = want.get(j, 0) + Fraction(k * x, s)
+    # every key of every term is kept, also where the sum is zero
+    assert {j: Fraction(x, scale) for j, x in vec.items()} == want
+
+
+def test_combine_of_no_terms_is_the_empty_vector():
+    assert _combine([]) == ({}, 1)
+
+
+def test_rational_matrix_rejects_float_entries():
+    with pytest.raises(ValueError) as info:
+        RationalMatrix([[0.1, 1]])
+    assert str(info.value) == "element 0.1 is a float; elements must be exact"
+    assert RationalMatrix([[Fraction(1, 10), 1]]).row(0) == (Fraction(1, 10), Fraction(1))

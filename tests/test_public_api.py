@@ -1,6 +1,7 @@
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import symchain
 from checkout import checkout_env
@@ -40,6 +41,21 @@ def test_tuple_elimination_helpers_are_gone():
     # the elimination state is a SparseEchelon: absorb, copy, null_basis
     for name in ("_absorb", "_null_basis", "_dense"):
         assert not hasattr(symchain.linalg, name)
+
+
+def test_elimination_speaks_only_ints_below_the_expression_boundary():
+    # SparseEchelon takes int vectors; the rational views are built by its callers
+    for name in ("remainder", "reduced_rows"):
+        assert not hasattr(symchain.linalg.SparseEchelon, name), name
+    assert not hasattr(symchain.chain, "_base_columns")
+    # only linalg calls the kernel's own steps, and only expressions holds an EchelonBasis' kernel
+    package = Path(symchain.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        if path.name != "linalg.py":
+            assert "._reduce(" not in text and "._insert(" not in text, path.name
+        if path.name != "expressions.py":
+            assert "._kernel" not in text, path.name
 
 
 def test_import_loads_no_unused_stdlib_machinery():

@@ -168,6 +168,9 @@ def test_record_defaults():
         (lambda: LatticeSpec(3, Fraction(0)), "lattice spacing must be positive"),
         (lambda: LatticeSpec(3, scheme="x"), "unknown scheme 'x'"),
         (lambda: LatticeSpec(4), "the central scheme needs an odd number of sites"),
+        (lambda: LatticeSpec(5.0), "lattice sites must be an int, not 5.0"),
+        (lambda: LatticeSpec(3, 0.1), "lattice spacing must be an int or a Fraction, not 0.1"),
+        (lambda: LatticeSpec(3, "1/2"), "lattice spacing must be an int or a Fraction, not '1/2'"),
         (
             lambda: SecondOrderLagrangian(COORDS, X),
             "Lagrangian must live over coordinates + velocities",
