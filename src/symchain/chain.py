@@ -32,11 +32,9 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
-from math import lcm
 
-from .expressions import EchelonBasis, Expression, _linear_part
-from .linalg import RationalMatrix, SparseEchelon, _integral, _put, _rows
+from .expressions import EchelonBasis, Expression, VarTable, _linear_part
+from .linalg import RationalMatrix, SparseEchelon, _combine, _integral, _put, _rows
 from .model import FirstOrderModel
 
 NEW = "new"
@@ -239,52 +237,27 @@ def _solve(state: SparseEchelon, kept: list, n_zeta: int, n: int) -> tuple:
     return kernel.null_basis(n), Fraction(kernel.num, kernel.den) if len(kept) == n else None
 
 
-class _Gradient:
-    """Expressions over one table as int monomial maps over one common denominator."""
-
-    def __init__(self, exprs: Sequence[Expression]):
-        self.vars = exprs[0].vars
-        if any(e.vars != self.vars for e in exprs):
-            raise ValueError("expressions use different VarTables")
-        self.denominator = d = lcm(*(x.denominator for e in exprs for x in e.terms.values()))
-        self.terms = [{mono: x.numerator * (d // x.denominator) for mono, x in e.terms.items()} for e in exprs]
-
-    def sums(self, v: dict[int, int]) -> dict:
-        """sum_i v_i * exprs[i] times the common denominator, as int monomial sums (zeros kept)."""
-        acc: dict = {}
-        terms = self.terms
-        for i, k in v.items():
-            for mono, y in terms[i].items():
-                acc[mono] = acc.get(mono, 0) + k * y
-        return acc
-
-    def combination(self, v: dict[int, int], scale: int = 1) -> Expression:
-        """sum_i v_i * exprs[i] / scale for a sparse int ``v`` and an int ``scale`` > 0."""
-        d = self.denominator * scale
-        return Expression._trusted(self.vars, {m: Fraction(s, d) for m, s in self.sums(v).items()})
-
-
 def _classify(
-    null: Sequence[tuple[int, ...]], rhs: _Gradient, known: EchelonBasis, level: int
+    null: Sequence[tuple[int, ...]], grad_h: list[tuple[dict, int]], zeta: VarTable, known: EchelonBasis, level: int
 ) -> list[Candidate]:
     """Classify v . grad(H) for each null vector v, in order, against ``known``, which grows by each NEW one.
 
+    ``grad_h`` holds each partial derivative of H as a (vec, scale) pair keyed by monomial.
     A candidate is NEW iff it stays nonzero modulo ``known``, so the NEW
     ones are independent; it is reduced in ints, as v . grad(H) times its denominator.
     """
     out: list[Candidate] = []
-    n = len(rhs.terms)
     for v in null:
-        # grad(H) has no entries for the constraint rows, from n on
-        acc = rhs.sums({i: v[i] for i in compress(range(n), v)})
-        value = Expression._trusted(rhs.vars, {mono: Fraction(s, rhs.denominator) for mono, s in acc.items()})
+        # zip stops at the coordinates: grad(H) has no entries for the constraint rows
+        acc, den = _combine([(k, vec, scale) for k, (vec, scale) in zip(v, grad_h) if k])
+        value = Expression._trusted(zeta, {mono: Fraction(s, den) for mono, s in acc.items()})
         if not value.is_linear():
             raise ChainError(
                 "nonlinear constraint candidate: reduction against the existing set "
                 f"is supported for linear constraints only (level {level} candidate: {value})"
             )
         try:
-            new = known._add_sums(acc, rhs.denominator)
+            new = known._add_sums(acc, den)
         except ValueError as err:
             raise ChainError(f"{err} (level {level} candidate: {value})") from None
         out.append(Candidate(vector=v, value=value, classification=NEW if new else REDUNDANT))
@@ -316,7 +289,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     # every primary is a level-1 constraint, whose +A^T column every
     # attempt keeps: each null vector is orthogonal to the primaries'
     # gradients, so the multipliers cancel from v . grad(H_T)
-    grad_h = _Gradient(m.hamiltonian.gradient())
+    grad_h = [_integral(g.terms) for g in m.hamiltonian.gradient()]
     known = EchelonBasis(m.zeta)
     full = SparseEchelon()
     full.num = 1  # track the determinant
@@ -330,7 +303,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
         """Classify the null vectors of one bordered matrix and record the level."""
         kept = _kept(cols, constraints, truncated)
         null, det = _solve(level1 if truncated else full, kept, n_zeta, len(cols))
-        candidates = _classify(null, grad_h, known, k + 1)
+        candidates = _classify(null, grad_h, m.zeta, known, k + 1)
         records.append(LevelRecord(
             level=k, truncated=truncated, shape=(len(cols), len(kept)), candidates=tuple(candidates)
         ))

@@ -16,8 +16,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .chain import ChainReport, Constraint, span_fingerprint, _Gradient, _integer_columns, _span
-from .expressions import EchelonBasis, Expression, _linear_part, linear_expression
+from .chain import ChainReport, Constraint, span_fingerprint, _integer_columns, _span
+from .expressions import EchelonBasis, Expression, _linear_part
 from .linalg import RationalMatrix, SparseEchelon, _combine, _integral, _put, _rows
 from .model import FirstOrderModel
 
@@ -79,10 +79,11 @@ class OracleResult(namedtuple("OracleResult", "constraints multiplier_conditions
         return span_fingerprint([c.expr for c in self.constraints])
 
 
-def _candidate(w: Sequence[int], flows: list[tuple[dict[int, int], int]], grad_h: _Gradient) -> tuple[dict, int]:
+def _candidate(w: Sequence[int], flows: list[tuple[dict, int]], grad_h: list[tuple[dict, int]]) -> tuple[dict, int]:
     """{sum_i w_i phi_i, H} = grad(H) . sum_i w_i u_i as int monomial sums over their denominator."""
     flow, mult = _combine([(k, *flows[i]) for i, k in enumerate(w) if k])
-    return grad_h.sums(flow), grad_h.denominator * mult
+    acc, den = _combine([(x, *grad_h[j]) for j, x in flow.items() if x])
+    return acc, den * mult
 
 
 def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
@@ -120,7 +121,7 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
         raise ValueError("nonlinear primary: the oracle supports linear constraints only")
     finv = _inverse(m)
     zeta, n = m.zeta, len(m.zeta)
-    grad_h = _Gradient(m.hamiltonian.gradient())
+    grad_h = [_integral(g.terms) for g in m.hamiltonian.gradient()]
     primary_grads = [_integral(_linear_part(p)) for p in m.primaries]
     flows: list[tuple[dict[int, int], int]] = []
     mixed: list[tuple[dict[int, int], int]] = [({}, 1) for _ in primary_grads]  # {phi_i, mu} at key ~i
@@ -153,10 +154,12 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
         for c in constraints[old:]:
             join(c)
     conditions: list[MultiplierCondition] = []
-    for phi, flow, row in zip(constraints, flows, _rows(mixed, len(constraints))):
-        if any(row):
-            lam_part = linear_expression(m.working, [0] * n + row)
-            conditions.append(MultiplierCondition(phi, grad_h.combination(*flow).substitute(m.working) + lam_part))
+    for phi, (u, scale), row in zip(constraints, flows, _rows(mixed, len(constraints))):
+        if any(row):  # working is zeta followed by the multipliers, so {phi, H} keeps its monomials
+            acc, den = _combine([(x, *grad_h[j]) for j, x in u.items() if x])
+            terms = {mono: Fraction(s, den * scale) for mono, s in acc.items()}
+            terms.update({((n + g, 1),): x for g, x in enumerate(row) if x})
+            conditions.append(MultiplierCondition(phi, Expression._trusted(m.working, terms)))
     return OracleResult(tuple(constraints), tuple(conditions))
 
 

@@ -354,7 +354,7 @@ class Expression:
                     name = self._vars.names[i]
                     if name not in point:
                         raise ValueError(f"no value assigned to variable '{name}'")
-                    values[i] = Fraction(point[name])
+                    values[i] = _exact(point[name], "value")
                 term *= values[i] ** e
             total += term
         return total
@@ -558,8 +558,6 @@ class _Parser:
         if kind == _TOK_OP and value == "^":
             self.take()
             kind, value, at = self.peek()
-            if kind == _TOK_OP and value == "-":
-                raise ParseError("exponent must be a nonnegative integer literal", at)
             if kind != _TOK_NUM:
                 raise ParseError("exponent must be a nonnegative integer literal", at)
             self.take()

@@ -209,9 +209,9 @@ def _integral(vec: dict[int, Fraction]) -> tuple[dict[int, int], int]:
     return {col: x.numerator * (mult // x.denominator) for col, x in vec.items()}, mult
 
 
-def _combine(terms: Sequence[tuple[int, dict[int, int], int]]) -> tuple[dict[int, int], int]:
+def _combine(terms: Sequence[tuple[int, dict, int]]) -> tuple[dict, int]:
     """sum k*vec/scale over the int (k, vec, scale) ``terms`` as ints over the lcm of the scales (zeros kept)."""
-    mult = lcm(*(scale for *_, scale in terms))
+    mult = lcm(*[scale for _, _, scale in terms])
     out: dict[int, int] = {}
     for k, vec, scale in terms:
         k *= mult // scale

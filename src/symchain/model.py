@@ -183,10 +183,12 @@ def legendre_transform(l: SecondOrderLagrangian, name: str = "model") -> FirstOr
     order = list(range(n))
     for col in range(n):
         r = len(kernel.rows)
-        s = next((s for s in range(r, n) if col in kernel.reduce(dict(ints[order[s]][0]), 1)[0]), None)
-        if s is not None:
-            order[r], order[s] = order[s], order[r]
-            kernel.add(ints[order[r]][0])
+        for s in range(r, n):
+            vec = kernel.reduce(dict(ints[order[s]][0]), 1)[0]
+            if col in vec:
+                order[r], order[s] = order[s], order[r]
+                kernel.insert(vec)
+                break
 
     def rhs(row: dict, scale: int) -> dict:
         out = {}

@@ -39,7 +39,7 @@ from golden import (
 )
 from randmodels import random_model
 from symchain import chain, linalg
-from symchain.linalg import SparseEchelon, null_space_and_determinant
+from symchain.linalg import SparseEchelon, _combine, _integral, null_space_and_determinant
 from test_byte_identity import _nonzero_rational, _shift_chain
 from test_expressions import sparse_key
 from test_linalg import bareiss_determinant
@@ -531,9 +531,10 @@ _CUBIC_GRADIENT = list(parse_expression("x^3*y + 2/3*p_x^2*x - y + p_x*p_y", COM
 @example((_CANCELLING, {0: 1, 1: 1, 2: 1}), 1)
 @example((_CUBIC_GRADIENT, {0: 3, 3: -2}), 7)
 def test_gradient_combination_matches_linear_combination(case, scale):
-    """sum_i v_i e_i / scale in ints equals the Fraction sum, with cancelled terms dropped."""
+    """sum_i v_i e_i / scale, from ``_combine`` over the (vec, scale) pairs of the e_i, equals the Fraction sum."""
     exprs, v = case
-    got = chain._Gradient(exprs).combination(v, scale)
+    acc, den = _combine([(k, *_integral(exprs[i].terms)) for i, k in v.items()])
+    got = Expression._trusted(COMBO, {mono: Fraction(s, den * scale) for mono, s in acc.items()})
     weights = ((Fraction(k, scale), exprs[i]) for i, k in v.items())
     assert got == Expression.linear_combination(COMBO, weights)
     assert all(got.terms.values())

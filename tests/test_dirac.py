@@ -31,7 +31,6 @@ from symchain import (
     span_fingerprint,
 )
 from symchain import dirac
-from symchain.chain import _Gradient
 from symchain.dirac import MultiplierCondition, _flow, _inverse
 from symchain.expressions import _linear_part
 from brackets import canonical_pairs, poisson_bracket
@@ -477,14 +476,14 @@ def reference_consistency_algorithm(m):
         raise ValueError("nonlinear primary: the oracle supports linear constraints only")
     finv = _inverse(m)
     zeta = m.zeta
-    grad_h = _Gradient(m.hamiltonian.gradient())
+    grad_h = m.hamiltonian.gradient()
     primary_grads = [_linear_part(p) for p in m.primaries]
     brackets_h, mixed = [], []
     known = EchelonBasis(zeta)
 
     def add_brackets(c):
         u, scale = _flow(c.expr, finv)
-        brackets_h.append(grad_h.combination(u, scale))
+        brackets_h.append(Expression.linear_combination(zeta, ((Fraction(x, scale), grad_h[j]) for j, x in u.items())))
         mixed.append([sum(u[j] * x for j, x in beta.items() if j in u) / Fraction(scale) for beta in primary_grads])
 
     for c in constraints:

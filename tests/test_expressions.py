@@ -245,6 +245,13 @@ def test_evaluate_exact():
         h.evaluate({"x": Fraction(1)})
 
 
+def test_evaluate_rejects_float_values():
+    e = parse_expression("x + y", VarTable(["x", "y"]))
+    with pytest.raises(ValueError, match=r"^value 0\.1 is a float; values must be exact$"):
+        e.evaluate({"x": 0.1, "y": 0})
+    assert e.evaluate({"x": Fraction(1, 10), "y": 0}) == Fraction(1, 10)
+
+
 def test_roundtrip_parse_print():
     rng = random.Random(7)
     for _ in range(200):

@@ -37,6 +37,14 @@ def test_find_new_constraints_is_gone():
     assert not hasattr(symchain.chain, "find_new_constraints")
 
 
+def test_the_gradient_format_is_gone():
+    # grad(H) is one (vec, scale) pair per component, summed by linalg._combine, and the
+    # oracle builds its multiplier conditions over the working table without a substitution
+    assert not hasattr(symchain.chain, "_Gradient")
+    for path in sorted(Path(symchain.__file__).parent.glob("*.py")):
+        assert ".substitute(" not in path.read_text(), path.name
+
+
 def test_tuple_elimination_helpers_are_gone():
     # the elimination state is a SparseEchelon: absorb, copy, null_basis
     for name in ("_absorb", "_null_basis", "_dense"):
