@@ -10,7 +10,6 @@ level 3, exactly as in the continuum treatment.
 from fractions import Fraction
 
 from symchain import (
-    FieldSet,
     LatticeSpec,
     build_schwinger,
     compare_spans,
@@ -21,7 +20,6 @@ from symchain import (
 )
 
 spec = LatticeSpec(sites=5, spacing=Fraction(1), scheme="central")
-fields = FieldSet(spec)
 
 print("difference matrix D (central, exactly antisymmetric):")
 print(difference_matrix(spec))
@@ -44,7 +42,7 @@ oracle = consistency_algorithm(model)
 print("consistency-algorithm constraints, as per-site stencils:")
 seen = set()
 for c in oracle.constraints:
-    stencil = map_constraint_to_sites(c, fields)
+    stencil = map_constraint_to_sites(c, spec)
     text = stencil.describe() if stencil else str(c.expr)
     pattern = text.split(" @ ")[0]
     if pattern not in seen:
@@ -53,5 +51,7 @@ for c in oracle.constraints:
 
 print()
 print("chain vs oracle spans:", compare_spans(report, oracle.constraints).describe())
-print("(recorded, not asserted: the final determinant is",
-      f"{report.termination.determinant} on this lattice)")
+# with the central scheme at spacing 1 the final determinant is 2^(4N-2)
+expected = 2 ** (4 * spec.sites - 2)
+assert report.termination.determinant == expected, report.termination.determinant
+print(f"final determinant {report.termination.determinant} = 2^(4N-2) for N = {spec.sites}: asserted")

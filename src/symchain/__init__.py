@@ -31,11 +31,9 @@ from .expressions import (
     ParseError,
     UnknownVariableError,
     VarTable,
-    linear_expression,
     parse_expression,
 )
 from .lattice import (
-    FieldSet,
     LatticeSpec,
     SiteStencil,
     build_schwinger,
@@ -69,7 +67,6 @@ __all__ = [
     "ConstraintMatrix",
     "EchelonBasis",
     "Expression",
-    "FieldSet",
     "FirstOrderModel",
     "LatticeSpec",
     "ModelFormatError",
@@ -91,7 +88,6 @@ __all__ = [
     "difference_matrix",
     "left_null_space",
     "legendre_transform",
-    "linear_expression",
     "load_model",
     "map_constraint_to_sites",
     "parse_expression",

@@ -1,8 +1,8 @@
 """Command-line front door: analyze, compare, and lattice model generation.
 
 Exit codes for analyze/compare: 0 nonsingular termination (and, for
-compare, equal spans), 1 input error, 2 exhausted chain, 3 level cap
-reached, 4 span mismatch (compare only).
+compare, equal spans), 1 input or usage error, 2 exhausted chain, 3
+level cap reached, 4 span mismatch (compare only).
 """
 
 from __future__ import annotations
@@ -156,7 +156,11 @@ def cmd_lattice(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help or --version, and 2, the exhausted-chain code here, on a usage error
+        return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     try:
         if args.command == "lattice":
             return cmd_lattice(args)

@@ -20,7 +20,7 @@ nonnegative integer literal.  There is no general division operator:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -257,15 +257,6 @@ class Expression:
         """Total degree; the zero polynomial has degree 0."""
         return max(map(_degree, self._terms), default=0)
 
-    def is_constant(self) -> bool:
-        return self.degree() == 0
-
-    def constant_value(self) -> Fraction:
-        """The value of a degree-0 Expression, as an exact Rational."""
-        if not self.is_constant():
-            raise ValueError("expression is not constant")
-        return next(iter(self._terms.values()), Fraction(0))
-
     def is_linear(self) -> bool:
         return self.degree() <= 1
 
@@ -325,7 +316,7 @@ class Expression:
     def __hash__(self) -> int:
         return hash((self._vars, frozenset(self._terms.items())))
 
-    # -- calculus and evaluation -------------------------------------
+    # -- calculus ----------------------------------------------------
 
     def differentiate(self, name: str) -> "Expression":
         """Exact partial derivative with respect to ``name``."""
@@ -342,54 +333,6 @@ class Expression:
                 else:
                     out[i][mono[:k] + mono[k + 1 :]] = coeff
         return tuple(Expression._trusted(self._vars, d) for d in out)
-
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Exact value at ``point``; every used variable needs an entry."""
-        values: dict[int, Fraction] = {}
-        total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            term = coeff
-            for i, e in mono:
-                if i not in values:
-                    name = self._vars.names[i]
-                    if name not in point:
-                        raise ValueError(f"no value assigned to variable '{name}'")
-                    values[i] = _exact(point[name], "value")
-                term *= values[i] ** e
-            total += term
-        return total
-
-    def substitute(self, target: VarTable, mapping: Mapping[str, "Expression"] | None = None) -> "Expression":
-        """Rebuild this polynomial over ``target``.
-
-        Variables listed in ``mapping`` are replaced by the given
-        Expressions (which must live over ``target``); every other
-        variable in use must exist in ``target`` under the same name
-        (``ValueError`` names it if not), so ``target`` may add or drop names.
-        """
-        mapping = mapping or {}
-        images: dict[int, dict[Monomial, Fraction]] = {}
-        for i, name in enumerate(self._vars.names):
-            if name in mapping:
-                img = mapping[name]
-                if img.vars != target:
-                    raise ValueError(f"substitution for '{name}' uses the wrong VarTable")
-                images[i] = img._terms
-        names = self._vars.names
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            placed = []  # the variables kept by name, with their exponents
-            product = None  # the term map of the mapped variables' images
-            for i, e in mono:
-                image = images.get(i)
-                if image is None:
-                    placed.append((target.index_of(names[i]), e))
-                else:
-                    power = _power(image, e)
-                    product = power if product is None else _mul(product, power)
-            kept = tuple(sorted(placed))
-            _add(out, {kept: coeff} if product is None else _mul({kept: coeff}, product))
-        return Expression._trusted(target, out)
 
     # -- linear-form helpers -----------------------------------------
 
@@ -617,16 +560,6 @@ def parse_expression(text: str, vars: VarTable) -> Expression:
 def _linear_part(e: Expression) -> dict[int, Fraction]:
     """The nonzero coefficient of each variable of the linear ``e``."""
     return {mono[0][0]: x for mono, x in e._terms.items() if mono}
-
-
-def linear_expression(vars: VarTable, coeffs: Sequence[Fraction], const=0) -> Expression:
-    """Build sum_i coeffs[i] * vars[i] + const."""
-    if len(coeffs) != len(vars):
-        raise ValueError("coefficient count does not match the VarTable")
-    terms = {((i, 1),): x for i, x in enumerate(coeffs) if x}
-    if const:
-        terms[()] = const
-    return Expression(vars, terms)
 
 
 class EchelonBasis:

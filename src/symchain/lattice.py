@@ -25,15 +25,17 @@ from .model import FirstOrderModel
 
 FIELD_NAMES = ("A0", "A1", "phi")
 MOMENTUM_NAMES = ("pi0", "pi1", "piphi")
+_BLOCKS = FIELD_NAMES + MOMENTUM_NAMES
 
 CENTRAL = "central"
 FORWARD = "forward"
 
 
 class LatticeSpec(namedtuple("LatticeSpec", "sites spacing scheme", defaults=(Fraction(1), CENTRAL))):
-    """Sites, spacing and difference scheme of a periodic lattice.
+    """Sites, spacing and difference scheme of a periodic lattice, and its site-variable layout.
 
-    ``sites`` (int), ``spacing`` (Fraction), ``scheme`` (str).
+    ``sites`` (int), ``spacing`` (Fraction), ``scheme`` (str).  The
+    layout lists the field blocks first, then the momentum blocks.
     """
 
     __slots__ = ()
@@ -54,28 +56,14 @@ class LatticeSpec(namedtuple("LatticeSpec", "sites spacing scheme", defaults=(Fr
             raise ValueError("the central scheme needs an odd number of sites")
         return self
 
-
-class FieldSet(namedtuple("FieldSet", "spec")):
-    """Site-variable layout of ``spec`` (LatticeSpec): field blocks first, then momentum blocks."""
-
-    __slots__ = ()
-
-    @property
-    def sites(self) -> int:
-        return self.spec.sites
-
     def site_names(self, block: str) -> tuple[str, ...]:
         return tuple(f"{block}_{i}" for i in range(1, self.sites + 1))
 
     def zeta(self) -> VarTable:
-        names: list[str] = []
-        for block in FIELD_NAMES + MOMENTUM_NAMES:
-            names.extend(self.site_names(block))
-        return VarTable(names)
+        return VarTable([name for block in _BLOCKS for name in self.site_names(block)])
 
     def block_slice(self, block: str) -> slice:
-        order = FIELD_NAMES + MOMENTUM_NAMES
-        i = order.index(block)
+        i = _BLOCKS.index(block)
         return slice(i * self.sites, (i + 1) * self.sites)
 
 
@@ -97,10 +85,6 @@ def difference_matrix(spec: LatticeSpec) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
-def _block_vars(zeta: VarTable, fields: FieldSet, block: str) -> list[Expression]:
-    return [Expression.variable(zeta, name) for name in fields.site_names(block)]
-
-
 def build_schwinger(spec: LatticeSpec) -> FirstOrderModel:
     """Finite-dimensional model of the gauge-boson/scalar system.
 
@@ -108,17 +92,13 @@ def build_schwinger(spec: LatticeSpec) -> FirstOrderModel:
     in the field positions (zero elsewhere), the Hamiltonian summed over
     sites with weight a, and the N primaries pi0_i.
     """
-    fields = FieldSet(spec)
-    zeta = fields.zeta()
+    zeta = spec.zeta()
     n = spec.sites
     d = difference_matrix(spec)
 
-    a0 = _block_vars(zeta, fields, "A0")
-    a1 = _block_vars(zeta, fields, "A1")
-    phi = _block_vars(zeta, fields, "phi")
-    pi0 = _block_vars(zeta, fields, "pi0")
-    pi1 = _block_vars(zeta, fields, "pi1")
-    piphi = _block_vars(zeta, fields, "piphi")
+    a0, a1, phi, pi0, pi1, piphi = (
+        [Expression.variable(zeta, name) for name in spec.site_names(block)] for block in _BLOCKS
+    )
 
     dphi = [Expression.linear_combination(zeta, zip(row, phi)) for row in d.to_rows()]
     da0 = [Expression.linear_combination(zeta, zip(row, a0)) for row in d.to_rows()]
@@ -159,7 +139,7 @@ class SiteStencil(namedtuple("SiteStencil", "site terms")):
         return "".join(parts) + f" @ site {self.site}"
 
 
-def map_constraint_to_sites(constraint, fields: FieldSet):
+def map_constraint_to_sites(constraint, spec: LatticeSpec):
     """Resolve a linear lattice constraint as stencils applied at one site.
 
     Tries each site i and solves, per variable block, for coefficients
@@ -173,14 +153,12 @@ def map_constraint_to_sites(constraint, fields: FieldSet):
     coeffs, const = expr.linear_coefficients()
     if const != 0:
         return None
-    d = difference_matrix(fields.spec)
-    n = fields.sites
-    blocks = FIELD_NAMES + MOMENTUM_NAMES
-    for site in range(n):
+    d = difference_matrix(spec)
+    for site in range(spec.sites):
         terms: list[tuple[str, str, Fraction]] = []
         ok = True
-        for block in blocks:
-            sl = fields.block_slice(block)
+        for block in _BLOCKS:
+            sl = spec.block_slice(block)
             target = list(coeffs[sl])
             alpha, beta = _solve_stencil(target, site, d)
             if alpha is None:

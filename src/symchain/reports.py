@@ -3,10 +3,11 @@
 The tree form is a single JSON document per run, holding every field of
 the report (the text table is a projection).  Both renderings are
 byte-deterministic for identical inputs.  The tree is written by
-``_json``, which gives the bytes of ``json.dumps(report_tree(...), indent=2)``
-(``json.dumps`` runs the pure-Python encoder with an indent).  ``_json``
-quotes strings with the C encoder and writes a vector, kept as its int
-tuple, as its decimal strings: it visits only the nonzero entries.
+``_json``, which gives the bytes of ``json.dumps(tree, indent=2)`` for
+the tree with each vector entry as its decimal string (``json.dumps``
+runs the pure-Python encoder with an indent).  ``_json`` quotes strings
+with the C encoder and writes a vector, kept as its int tuple, as its
+decimal strings: it visits only the nonzero entries.
 """
 
 from __future__ import annotations
@@ -20,17 +21,8 @@ from .chain import ChainReport, Constraint
 from .dirac import OracleResult, SpanVerdict
 
 
-def report_tree(
-    report: ChainReport,
-    comparison: SpanVerdict | None = None,
-    oracle: OracleResult | None = None,
-) -> dict:
-    """The report as a JSON tree; each vector is the list of its entries' decimal strings."""
-    return json.loads(render_tree(report, comparison, oracle))
-
-
 def _tree(report: ChainReport, comparison: SpanVerdict | None, oracle: OracleResult | None) -> dict:
-    """``report_tree``, with each null vector and generator left as its int tuple."""
+    """The report as a JSON tree, with each null vector and generator left as its int tuple."""
     tree: dict = {
         "model": report.model_name,
         "zeta": list(report.zeta_names),

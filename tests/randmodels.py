@@ -25,7 +25,6 @@ from symchain import (
     SecondOrderLagrangian,
     VarTable,
     legendre_transform,
-    linear_expression,
     rank,
 )
 
@@ -50,7 +49,7 @@ def random_model(rng: random.Random) -> FirstOrderModel:
     k = rng.randint(1, 2)
     while True:
         rows = [[Fraction(rng.randint(-2, 2)) for _ in range(2 * n)] for _ in range(k)]
-        prims = [linear_expression(zeta, row) for row in rows]
+        prims = [Expression(zeta, {((i, 1),): x for i, x in enumerate(row)}) for row in rows]
         if any(p.is_zero() for p in prims):
             continue
         if len(prims) > 1 and rank(RationalMatrix(rows)) != len(prims):

@@ -37,6 +37,7 @@ from golden import (
     V3,
     is_scalar_multiple,
 )
+from polyref import relabel
 from randmodels import random_model
 from symchain import chain, linalg
 from symchain.linalg import SparseEchelon, _combine, _integral, null_space_and_determinant
@@ -56,9 +57,9 @@ def published(example2, upto):
 def total_hamiltonian(m):
     """H_T = H + sum_mu lam_mu * phi_mu over the working table (zeta, then the multipliers)."""
     table = m.working
-    total = m.hamiltonian.substitute(table)
+    total = relabel(m.hamiltonian, table)
     for name, prim in zip(m.multiplier_names, m.primaries):
-        total = total + Expression.variable(table, name) * prim.substitute(table)
+        total = total + Expression.variable(table, name) * relabel(prim, table)
     return total
 
 
@@ -135,7 +136,8 @@ def test_assembled_matrices_match_published_forms(example2):
 def test_assemble_level_zero_is_base_tensor(example2):
     # f_ab = d_a c_b - d_b c_a, read off the gradients of the c entries
     for m in (example2, build_schwinger(LatticeSpec(sites=3))):
-        d = [[g.constant_value() for g in cb.gradient()] for cb in m.c]  # d[b][a] = d_a c_b
+        assert all(cb.is_linear() for cb in m.c)
+        d = [[g.terms.get((), 0) for g in cb.gradient()] for cb in m.c]  # d[b][a] = d_a c_b
         n = len(m.zeta)
         expected = RationalMatrix([[d[b][a] - d[a][b] for b in range(n)] for a in range(n)])
         assert assemble_extended_matrix(m, []) == expected
@@ -348,7 +350,7 @@ def assert_public_classification_matches(model, report):
         ]
         rhs = total_hamiltonian_rhs(model, cs)
         for c in rec.candidates:
-            assert contract(model, c.vector, rhs) == c.value.substitute(model.working)
+            assert contract(model, c.vector, rhs) == relabel(c.value, model.working)
 
 
 def test_run_chain_unconstrained(free_particle):

@@ -63,6 +63,29 @@ def test_analyze_input_error():
     assert "error:" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--bogus", str(MODELS / "example2.model")], "unrecognized arguments: --bogus"),
+        (["analyze", "--max-level", "x", str(MODELS / "example2.model")], "invalid int value: 'x'"),
+        (["compare"], "the following arguments are required: model"),
+    ],
+    ids=["unknown-flag", "non-int-max-level", "missing-model"],
+)
+def test_usage_errors_exit_1_not_the_exhausted_code(argv, message):
+    result = run_cli(*argv)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("usage: symchain")
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize("flag, start", [("--help", "usage: symchain"), ("--version", "symchain 0.1.0\n")])
+def test_help_and_version_exit_0(flag, start):
+    result = run_cli(flag)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith(start)
+
+
 @pytest.mark.parametrize("command", ["analyze", "compare"])
 def test_unreadable_model_file_messages(tmp_path, command):
     missing = run_cli(command, "missing.model", cwd=tmp_path)

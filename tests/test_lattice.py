@@ -4,7 +4,6 @@ import pytest
 
 from symchain import (
     ChainOptions,
-    FieldSet,
     LatticeSpec,
     RationalMatrix,
     build_schwinger,
@@ -16,6 +15,7 @@ from symchain import (
 )
 from symchain.chain import _span
 from symchain import Expression
+from polyref import to_sympy
 
 
 def test_spec_validation():
@@ -69,8 +69,8 @@ def test_build_counts_and_structure():
 
 def test_hamiltonian_vanishes_at_zero_configuration():
     m = build_schwinger(LatticeSpec(sites=5))
-    zero = {name: Fraction(0) for name in m.zeta.names}
-    assert m.hamiltonian.evaluate(zero) == 0
+    zero = {name: 0 for name in m.zeta.names}
+    assert to_sympy(m.hamiltonian).subs(zero) == 0
 
 
 def expected_stencils(m, spec):
@@ -78,11 +78,6 @@ def expected_stencils(m, spec):
     zeta = m.zeta
     n = spec.sites
     d = difference_matrix(spec)
-    fields = FieldSet(spec)
-
-    def block(offset_name):
-        sl = fields.block_slice(offset_name)
-        return sl.start
 
     def var(name, i):
         return Expression.variable(zeta, f"{name}_{i + 1}")
@@ -136,48 +131,77 @@ def test_forward_scheme_chain():
     report = run_chain(m)
     res = consistency_algorithm(m)
     assert len(report.constraints) == 16
+    assert report.num_levels() == 4
     assert report.truncations == (3,)
     assert report.termination.kind == "nonsingular"
     assert compare_spans(report, res.constraints).equal
 
 
+@pytest.mark.parametrize("sites", [3, 5, 7, 9, 11, 13])
+def test_central_unit_spacing_determinant_is_a_power_of_two(sites):
+    report = run_chain(build_schwinger(LatticeSpec(sites=sites)))
+    assert report.termination.kind == "nonsingular"
+    assert report.termination.determinant == 2 ** (4 * sites - 2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LatticeSpec(sites=6, scheme="forward"),
+        LatticeSpec(sites=8, scheme="forward"),
+        LatticeSpec(sites=5, spacing=Fraction(1, 2)),
+        LatticeSpec(sites=7, spacing=Fraction(3, 7)),
+        LatticeSpec(sites=3, spacing=Fraction(3, 7)),
+    ],
+    ids=lambda spec: f"{spec.scheme}_{spec.sites}_{spec.spacing}",
+)
+def test_one_four_level_chain_per_site(spec):
+    # the continuum's single chain, truncated at level 3, once per site
+    # (forward N=4 is test_forward_scheme_chain)
+    m = build_schwinger(spec)
+    report = run_chain(m)
+    assert len(report.constraints) == 4 * spec.sites
+    assert report.num_levels() == 4
+    assert report.truncations == (3,)
+    assert report.termination.kind == "nonsingular"
+    assert compare_spans(report, consistency_algorithm(m).constraints).equal
+
+
 def test_stencil_mapping():
     spec = LatticeSpec(sites=3)
     m = build_schwinger(spec)
-    fields = FieldSet(spec)
     res = consistency_algorithm(m)
     by_level = {}
     for c in res.constraints:
         by_level.setdefault(c.level, []).append(c)
 
     for c in by_level[2]:
-        st = map_constraint_to_sites(c, fields)
+        st = map_constraint_to_sites(c, spec)
         assert st is not None
         kinds = {(block, kind) for block, kind, _ in st.terms}
         assert kinds == {("A1", "I"), ("phi", "D"), ("pi1", "D"), ("piphi", "I")}
 
     for i, c in enumerate(by_level[3]):
-        st = map_constraint_to_sites(c, fields)
+        st = map_constraint_to_sites(c, spec)
         assert st is not None
         assert st.describe() == f"pi1 @ site {i + 1}"
 
     for c in by_level[4]:
-        st = map_constraint_to_sites(c, fields)
+        st = map_constraint_to_sites(c, spec)
         assert st is not None
         kinds = {(block, kind) for block, kind, _ in st.terms}
         assert kinds == {("A0", "I"), ("A1", "I"), ("phi", "D"), ("piphi", "I")}
 
     # single-variable constraint maps to itself
-    st = map_constraint_to_sites(by_level[1][0], fields)
+    st = map_constraint_to_sites(by_level[1][0], spec)
     assert st.describe() == "pi0 @ site 1"
 
 
 def test_stencil_mapping_falls_back_on_multi_site():
     spec = LatticeSpec(sites=3)
-    fields = FieldSet(spec)
     m = build_schwinger(spec)
     two_sites = Expression.variable(m.zeta, "pi0_1") + Expression.variable(m.zeta, "piphi_2")
-    assert map_constraint_to_sites(two_sites, fields) is None
+    assert map_constraint_to_sites(two_sites, spec) is None
 
 
 def test_model_file_roundtrip(tmp_path):

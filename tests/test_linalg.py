@@ -14,7 +14,7 @@ from symchain import (
     rank,
     rref,
 )
-from symchain.expressions import EchelonBasis, VarTable, linear_expression
+from symchain.expressions import EchelonBasis, Expression, VarTable
 from symchain.linalg import SparseEchelon, _combine, _integral, null_space_and_determinant
 from golden import F1_GOLDEN, F3_TRUNCATED_GOLDEN, V1, V3, is_scalar_multiple
 
@@ -475,7 +475,7 @@ def _mixed_matrices(draw):
 def _form(table, vec):
     """The linear Expression of a sparse vector over the table's columns, then the constant."""
     width = len(table)
-    return linear_expression(table, [vec.get(j, 0) for j in range(width)], vec.get(width, 0))
+    return Expression(table, {((j, 1),) if j < width else (): x for j, x in sorted(vec.items())})
 
 
 @settings(max_examples=150, deadline=None)

@@ -32,6 +32,7 @@ from symchain import (
     span_fingerprint,
 )
 from conftest import MODELS_DIR
+from polyref import relabel
 from randmodels import random_model
 
 
@@ -50,10 +51,10 @@ def source(key):
 def permuted(m, order, primary=0, scale=Fraction(1)):
     """``m`` with zeta listed as ``order`` and one primary multiplied by ``scale``."""
     zeta = VarTable([m.zeta.names[i] for i in order])
-    primaries = [p.substitute(zeta) for p in m.primaries]
+    primaries = [relabel(p, zeta) for p in m.primaries]
     primaries[primary] = scale * primaries[primary]
-    c = [m.c[i].substitute(zeta) for i in order]
-    return FirstOrderModel(m.name, zeta, c, m.hamiltonian.substitute(zeta), primaries)
+    c = [relabel(m.c[i], zeta) for i in order]
+    return FirstOrderModel(m.name, zeta, c, relabel(m.hamiltonian, zeta), primaries)
 
 
 def is_rational_square(x):
@@ -62,7 +63,7 @@ def is_rational_square(x):
 
 def gradient_rows(constraints, zeta):
     """The raw constraints' gradients over ``zeta``, one sympy row each."""
-    rows = [c.raw.substitute(zeta).linear_coefficients()[0] for c in constraints]
+    rows = [relabel(c.raw, zeta).linear_coefficients()[0] for c in constraints]
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
 
 
@@ -96,7 +97,7 @@ def test_a_permuted_copy_keeps_every_verdict(case):
     report = run_chain(copy)
     assert compare_spans(report, consistency_algorithm(copy).constraints).equal
     # the span, moved back onto the original order, is the original span
-    assert span_fingerprint([c.expr.substitute(m.zeta) for c in report.constraints]) == (
+    assert span_fingerprint([relabel(c.expr, m.zeta) for c in report.constraints]) == (
         base.span_fingerprint()
     )
     assert (report.termination.kind, report.termination.level) == (

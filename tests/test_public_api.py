@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import symchain
+from symchain import reports
 from checkout import checkout_env
 
 
@@ -43,6 +44,16 @@ def test_the_gradient_format_is_gone():
     assert not hasattr(symchain.chain, "_Gradient")
     for path in sorted(Path(symchain.__file__).parent.glob("*.py")):
         assert ".substitute(" not in path.read_text(), path.name
+
+
+def test_surface_without_a_program_caller_is_gone():
+    # the CLI, the demos and perfbench need none of these; tests use polyref and sympy
+    for name in ("substitute", "evaluate", "constant_value", "is_constant"):
+        assert not hasattr(symchain.Expression, name), name
+    for name in ("linear_expression", "FieldSet"):
+        assert not hasattr(symchain, name), name
+        assert not hasattr(symchain.expressions, name) and not hasattr(symchain.lattice, name), name
+    assert not hasattr(reports, "report_tree")
 
 
 def test_tuple_elimination_helpers_are_gone():

@@ -16,7 +16,6 @@ from symchain import (
     Constraint,
     ConstraintMatrix,
     Expression,
-    FieldSet,
     LatticeSpec,
     OracleResult,
     SecondOrderLagrangian,
@@ -115,12 +114,6 @@ CASES = [
         (3,),
         dict(sites=3),
         "LatticeSpec(sites=3, spacing=Fraction(1, 1), scheme='central')",
-    ),
-    (
-        FieldSet,
-        (LatticeSpec(5, Fraction(1, 2), "forward"),),
-        dict(spec=LatticeSpec(sites=5, spacing=Fraction(1, 2), scheme="forward")),
-        "FieldSet(spec=LatticeSpec(sites=5, spacing=Fraction(1, 2), scheme='forward'))",
     ),
     (
         SiteStencil,
