@@ -46,9 +46,18 @@ print()
 # special: the full matrix is singular but yields nothing new, and only
 # the column-truncated form exposes the last constraint.
 
+# A generator holds v's nonzero (index, value) pairs; v is as long as the
+# rows of the level it was read off.
+
 print("chain:")
+rows = {rec.level: rec.shape[0] for rec in report.levels}
 for c in report.constraints:
-    gen = "" if c.generator is None else f"  from v = ({', '.join(str(x) for x in c.generator)})"
+    gen = ""
+    if c.generator is not None:
+        v = [0] * rows[c.level - 1]
+        for i, x in c.generator:
+            v[i] = x
+        gen = f"  from v = ({', '.join(str(x) for x in v)})"
     print(f"  level {c.level}: {c.expr}   [{c.origin}]{gen}")
 print("truncation events at levels:", report.truncations)
 print("termination:", report.termination.describe())

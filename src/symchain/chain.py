@@ -56,10 +56,10 @@ class ChainError(RuntimeError):
 class Constraint(namedtuple("Constraint", "level expr raw origin generator", defaults=(None,))):
     """One constraint of the chain.
 
-    ``level`` (int), ``expr`` and ``raw`` (Expression), ``origin`` (str), ``generator`` (int tuple
-    or None).  ``raw`` is the expression exactly as generated (v . grad(H) for derived levels);
-    ``expr`` is its monic normalization under the graded-lex order, never in the linear span of
-    the lower levels.
+    ``level`` (int), ``expr`` and ``raw`` (Expression), ``origin`` (str), ``generator`` (the vector of a
+    level-(``level`` - 1) ``Candidate``, or None).  ``raw`` is the expression exactly as generated (v . grad(H)
+    for derived levels); ``expr`` is its monic normalization under the graded-lex order, never in the
+    linear span of the lower levels.
     """
 
     __slots__ = ()
@@ -69,7 +69,7 @@ class Constraint(namedtuple("Constraint", "level expr raw origin generator", def
         level: int,
         raw: Expression,
         origin: str,
-        generator: tuple[int, ...] | None = None,
+        generator: tuple[tuple[int, int], ...] | None = None,
     ) -> "Constraint":
         if raw.is_zero():
             raise ValueError("constraint expression is identically zero")
@@ -77,7 +77,8 @@ class Constraint(namedtuple("Constraint", "level expr raw origin generator", def
 
 
 class Candidate(namedtuple("Candidate", "vector value classification")):
-    """One canonical null ``vector`` (int tuple), its ``value`` v . grad(H) over zeta and its ``classification``."""
+    """A canonical null ``vector`` v as its nonzero (index, int) pairs, ascending (its record's row count
+    is v's length), its ``value`` v . grad(H) over zeta and its ``classification``."""
 
     __slots__ = ()
 
@@ -238,7 +239,7 @@ def _solve(state: SparseEchelon, kept: list, n_zeta: int, n: int) -> tuple:
 
 
 def _classify(
-    null: Sequence[tuple[int, ...]], grad_h: list[tuple[dict, int]], zeta: VarTable, known: EchelonBasis, level: int
+    null: Sequence[tuple], grad_h: list[tuple[dict, int]], zeta: VarTable, known: EchelonBasis, level: int
 ) -> list[Candidate]:
     """Classify v . grad(H) for each null vector v, in order, against ``known``, which grows by each NEW one.
 
@@ -247,9 +248,10 @@ def _classify(
     ones are independent; it is reduced in ints, as v . grad(H) times its denominator.
     """
     out: list[Candidate] = []
+    n_zeta = len(grad_h)
     for v in null:
-        # zip stops at the coordinates: grad(H) has no entries for the constraint rows
-        acc, den = _combine([(k, vec, scale) for k, (vec, scale) in zip(v, grad_h) if k])
+        # grad(H) has no entries for the constraint rows
+        acc, den = _combine([(k, *grad_h[i]) for i, k in v if i < n_zeta])
         value = Expression._trusted(zeta, {mono: Fraction(s, den) for mono, s in acc.items()})
         if not value.is_linear():
             raise ChainError(
@@ -323,8 +325,8 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
         truncated = not new
         if truncated:
             # certificate consistency: a null vector proves det(F) = 0 (in ints)
-            v = candidates[0].vector
-            if any(sum(v[~key] * x for key, x in vec.items()) for vec, _ in cols):
+            v = {~i: x for i, x in candidates[0].vector}
+            if any(sum(v[key] * x for key, x in vec.items() if key in v) for vec, _ in cols):
                 raise ChainError("certificate mismatch: a null vector does not annihilate F")
             if opts.allow_truncation and k > 1:
                 *_, new = attempt(k, truncated=True)

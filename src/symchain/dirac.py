@@ -79,9 +79,9 @@ class OracleResult(namedtuple("OracleResult", "constraints multiplier_conditions
         return span_fingerprint([c.expr for c in self.constraints])
 
 
-def _candidate(w: Sequence[int], flows: list[tuple[dict, int]], grad_h: list[tuple[dict, int]]) -> tuple[dict, int]:
-    """{sum_i w_i phi_i, H} = grad(H) . sum_i w_i u_i as int monomial sums over their denominator."""
-    flow, mult = _combine([(k, *flows[i]) for i, k in enumerate(w) if k])
+def _candidate(w: Sequence[tuple], flows: list[tuple[dict, int]], grad_h: list[tuple[dict, int]]) -> tuple[dict, int]:
+    """{sum_i w_i phi_i, H} = grad(H) . sum_i w_i u_i, w as its (i, w_i) pairs, in int monomial sums."""
+    flow, mult = _combine([(k, *flows[i]) for i, k in w])
     acc, den = _combine([(x, *grad_h[j]) for j, x in flow.items() if x])
     return acc, den * mult
 
@@ -145,7 +145,7 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
                 )
             if not known._add_sums(acc, den):  # zero, or zero modulo the set
                 continue
-            level = 1 + max(c.level for c, coeff in zip(constraints, w) if coeff)
+            level = 1 + max(constraints[i].level for i, _ in w)
             value = Expression._trusted(zeta, {mono: Fraction(s, den) for mono, s in acc.items()})
             constraints.append(Constraint.from_raw(level, value, ORIGIN_CONSISTENCY))
         if len(constraints) == old:
@@ -203,7 +203,7 @@ def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> Constrain
         _put_brackets(cols, grads, *_flow(c.raw, finv), i)
     null = SparseEchelon().absorb(cols).null_basis(k)
     raw = [c.raw for c in constraints]
-    first_class = tuple(Expression.linear_combination(m.zeta, zip(w, raw)) for w in null)
+    first_class = tuple(Expression.linear_combination(m.zeta, [(k, raw[i]) for i, k in w]) for w in null)
     return ConstraintMatrix(RationalMatrix(_rows(cols, k)), k - len(null), first_class)
 
 

@@ -142,8 +142,10 @@ class SiteStencil(namedtuple("SiteStencil", "site terms")):
 def map_constraint_to_sites(constraint, spec: LatticeSpec):
     """Resolve a linear lattice constraint as stencils applied at one site.
 
-    Tries each site i and solves, per variable block, for coefficients
-    (alpha, beta) with   block-coefficients = alpha*e_i + beta*D[i, :].
+    Tries the sites i in ascending order and solves, per variable block, for
+    coefficients (alpha, beta) with   block-coefficients = alpha*e_i + beta*D[i, :].
+    Such a stencil is zero off the columns i-1, i, i+1 of each block, so only the
+    sites j-1, j, j+1 are tried, j the block column of the first nonzero coefficient.
     Returns a SiteStencil, or None when the constraint is not a
     single-site pattern (callers then fall back to the raw form).
     """
@@ -151,29 +153,23 @@ def map_constraint_to_sites(constraint, spec: LatticeSpec):
     if not expr.is_linear():
         return None
     coeffs, const = expr.linear_coefficients()
-    if const != 0:
+    if const != 0 or not any(coeffs):
         return None
     d = difference_matrix(spec)
-    for site in range(spec.sites):
+    j = next(k for k, x in enumerate(coeffs) if x) % spec.sites
+    for site in sorted({(j + step) % spec.sites for step in (-1, 0, 1)}):
         terms: list[tuple[str, str, Fraction]] = []
-        ok = True
         for block in _BLOCKS:
-            sl = spec.block_slice(block)
-            target = list(coeffs[sl])
-            alpha, beta = _solve_stencil(target, site, d)
+            alpha, beta = _solve_stencil(coeffs[spec.block_slice(block)], site, d)
             if alpha is None:
-                ok = False
                 break
-            if alpha:
-                terms.append((block, "I", alpha))
-            if beta:
-                terms.append((block, "D", beta))
-        if ok and terms:
+            terms += [(block, kind, x) for kind, x in (("I", alpha), ("D", beta)) if x]
+        else:  # the coefficients are not all zero, so neither are the terms
             return SiteStencil(site=site + 1, terms=tuple(terms))
     return None
 
 
-def _solve_stencil(target: list[Fraction], site: int, d: RationalMatrix):
+def _solve_stencil(target: tuple[Fraction, ...], site: int, d: RationalMatrix):
     """Solve target = alpha*e_site + beta*D[site, :] exactly, if possible.
 
     With at least 3 sites every row of D has a nonzero entry off the
@@ -184,9 +180,6 @@ def _solve_stencil(target: list[Fraction], site: int, d: RationalMatrix):
     j = next(j for j, x in enumerate(drow) if j != site and x)
     beta = target[j] / drow[j]
     alpha = target[site] - beta * drow[site]
-    if all(
-        target[i] == alpha * (1 if i == site else 0) + beta * drow[i]
-        for i in range(len(target))
-    ):
+    if all(t == (alpha if i == site else 0) + beta * x for i, (t, x) in enumerate(zip(target, drow))):
         return alpha, beta
     return None, None

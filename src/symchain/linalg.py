@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals: the sparse elimination kernel and dense matrices.
 
-Inputs and outputs are fractions.Fraction, except null-space bases, which
-come out as canonical primitive int vectors.  Under them a rational sparse
-vector is the pair (vec, scale) for vec/scale, vec an int dict, made once
-where a Fraction enters; every row reduction and the determinant run on
-one sparse Gauss-Jordan kernel over primitive integer rows.
+Inputs and outputs are fractions.Fraction, except null-space bases: canonical
+primitive int vectors, each its nonzero (index, int) pairs, dense only in the
+RationalMatrix views.  Under them a rational sparse vector is the pair
+(vec, scale) for vec/scale, vec an int dict, made once where a Fraction
+enters; every row reduction and the determinant run on one sparse
+Gauss-Jordan kernel over primitive integer rows.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class SparseEchelon:
         self.num, self.den = num, den
         return self
 
-    def null_basis(self, n: int, above: int = 0) -> tuple[tuple[int, ...], ...]:
+    def null_basis(self, n: int, above: int = 0) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The canonical left null basis of the n-row M whose columns ``absorb`` took in.
 
         Each free row f, the pivot of no column, gives a null vector: L at f
@@ -140,7 +141,8 @@ class SparseEchelon:
         pivot, L the lcm of those d.  It is nonzero only at f and at pivots
         below f (a reduced column is zero below its pivot), so over its gcd
         it is the primitive row of the null space's reduced row-echelon
-        form, whatever the shape of M.  A vector whose keys all lie above
+        form, whatever the shape of M, given as its nonzero (i, int) pairs
+        for row i, in ascending order.  A vector whose keys all lie above
         ``above`` is left out before it is built; the default keeps all.
         """
         rows = self.rows
@@ -154,10 +156,8 @@ class SparseEchelon:
             if f > above and all(p > above for p, _, _ in entries):
                 continue
             mult = lcm(*(d for _, _, d in entries))
-            out = [0] * n
-            for key, x in _normalized({f: mult, **{p: -x * (mult // d) for p, x, d in entries}}, f).items():
-                out[~key] = x
-            basis.append(tuple(out))
+            vec = _normalized({f: mult, **{p: -x * (mult // d) for p, x, d in entries}}, f)
+            basis.append(tuple(sorted((~key, x) for key, x in vec.items())))
         return tuple(basis)
 
     def reduce(self, vec: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
@@ -244,7 +244,7 @@ def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
 
 
 def rank(m: RationalMatrix) -> int:
-    return m.rows - len(left_null_space(m))
+    return len(SparseEchelon().absorb(_integral({~i: x for i, x in col.items()}) for col in _columns(m)).rows)
 
 
 def determinant(m: RationalMatrix) -> Fraction:
@@ -278,12 +278,14 @@ def null_space_and_determinant(
     (left unchanged); the basis is that of ``left_null_space``.  Each
     column is scaled to ints keyed by ~i (= -1-i) for row i and taken in
     by ``SparseEchelon.absorb``, the elimination the chain carries across its levels.
+    The dense view: each null vector is expanded to its n ints here.
     """
     square = len(cols) == n
     kernel = SparseEchelon()
     kernel.num = int(square)
     kernel.absorb(_integral({~i: x for i, x in col.items()}) for col in cols)
-    return kernel.null_basis(n), Fraction(kernel.num, kernel.den) if square else None
+    det = Fraction(kernel.num, kernel.den) if square else None
+    return tuple(tuple(v.get(i, 0) for i in range(n)) for v in map(dict, kernel.null_basis(n))), det
 
 
 def _rows(cols: Sequence[tuple[dict[int, int], int]], n: int) -> list[list[Fraction]]:

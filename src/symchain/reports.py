@@ -2,27 +2,27 @@
 
 The tree form is a single JSON document per run, holding every field of
 the report (the text table is a projection).  Both renderings are
-byte-deterministic for identical inputs.  The tree is written by
-``_json``, which gives the bytes of ``json.dumps(tree, indent=2)`` for
-the tree with each vector entry as its decimal string (``json.dumps``
-runs the pure-Python encoder with an indent).  ``_json`` quotes strings
-with the C encoder and writes a vector, kept as its int tuple, as its
-decimal strings: it visits only the nonzero entries.
+byte-deterministic for identical inputs, and write each null vector, held
+as its nonzero (index, int) pairs, dense to its record's row count.  The
+tree is written by ``_json``, which gives the bytes of ``json.dumps(tree,
+indent=2)`` for the tree with each vector entry as its decimal string
+(``json.dumps`` runs the pure-Python encoder with an indent).  ``_json``
+quotes strings with the C encoder and writes a vector, kept as its length
+and pairs, as its decimal strings: it visits only the nonzero entries.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
-from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
-from .chain import ChainReport, Constraint
+from .chain import ChainReport
 from .dirac import OracleResult, SpanVerdict
 
 
 def _tree(report: ChainReport, comparison: SpanVerdict | None, oracle: OracleResult | None) -> dict:
-    """The report as a JSON tree, with each null vector and generator left as its int tuple."""
+    """The report as a JSON tree, with each null vector and generator left as its (length, pairs) tuple."""
+    sizes = {rec.level: rec.shape[0] for rec in report.levels}
     tree: dict = {
         "model": report.model_name,
         "zeta": list(report.zeta_names),
@@ -33,7 +33,7 @@ def _tree(report: ChainReport, comparison: SpanVerdict | None, oracle: OracleRes
                 "expr": str(c.expr),
                 "raw": str(c.raw),
                 "origin": c.origin,
-                "generator": c.generator,
+                "generator": (sizes[c.level - 1], c.generator) if c.generator is not None else None,
             }
             for c in report.constraints
         ],
@@ -44,7 +44,7 @@ def _tree(report: ChainReport, comparison: SpanVerdict | None, oracle: OracleRes
                 "shape": list(rec.shape),
                 "candidates": [
                     {
-                        "vector": cand.vector,
+                        "vector": (rec.shape[0], cand.vector),
                         "value": str(cand.value),
                         "classification": cand.classification,
                     }
@@ -96,7 +96,7 @@ def render_tree(
 def _json(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` for str-keyed dicts, lists and JSON scalars.
 
-    A tuple of ints is written as the list of its decimal strings.
+    A tuple (n, pairs) is written as the list of the decimal strings of the n ints nonzero at ``pairs``.
     ``indent`` is the newline and the indentation that precede ``obj``'s closing bracket.
     """
     kind = type(obj)
@@ -109,12 +109,12 @@ def _json(obj, indent: str = "\n") -> str:
     inner = indent + "  "
     if kind is tuple:
         # the nonzero entries one by one, each run of zeros as one repeated string
-        zero, parts, end = '"0",' + inner, [], 0
-        for i in compress(range(len(obj)), obj):
-            parts += (zero * (i - end), '"', int.__repr__(obj[i]), '",', inner)
+        (n, pairs), zero, parts, end = obj, '"0",' + inner, [], 0
+        for i, x in pairs:
+            parts += (zero * (i - end), '"', int.__repr__(x), '",', inner)
             end = i + 1
-        parts.append(zero * (len(obj) - end))
-        return "[" + inner + "".join(parts)[: -len(inner) - 1] + indent + "]"
+        parts.append(zero * (n - end))
+        return "[" + inner + "".join(parts)[: -len(inner) - 1] + indent + "]" if n else "[]"
     sep = "," + inner
     if kind is dict:
         return "{" + inner + sep.join([_quote(k) + ": " + _json(v, inner) for k, v in obj.items()]) + indent + "}"
@@ -123,11 +123,14 @@ def _json(obj, indent: str = "\n") -> str:
     return "[" + inner + sep.join([_json(x, inner) for x in obj]) + indent + "]"
 
 
-def _constraint_rows(constraints: Sequence[Constraint]) -> list[tuple[str, ...]]:
+def _constraint_rows(report: ChainReport) -> list[tuple[str, ...]]:
+    sizes = {rec.level: rec.shape[0] for rec in report.levels}
     rows = [("level", "constraint", "raw", "origin", "eigenvector")]
-    for c in constraints:
-        vec = "(" + ", ".join(map(str, c.generator)) + ")" if c.generator is not None else "-"
-        rows.append((str(c.level), str(c.expr), str(c.raw), c.origin, vec))
+    for c in report.constraints:
+        vec = ["0"] * sizes[c.level - 1] if c.generator is not None else None
+        for i, x in c.generator or ():
+            vec[i] = str(x)
+        rows.append((str(c.level), str(c.expr), str(c.raw), c.origin, "(" + ", ".join(vec) + ")" if vec else "-"))
     return rows
 
 
@@ -151,7 +154,7 @@ def render_text(
     lines.append("phase space: " + " ".join(report.zeta_names))
     if report.constraints:
         lines.append("constraints:")
-        lines.extend("  " + l for l in _format_table(_constraint_rows(report.constraints)))
+        lines.extend("  " + l for l in _format_table(_constraint_rows(report)))
     else:
         lines.append("constraints: none")
     if report.truncations:

@@ -44,7 +44,7 @@ import pytest
 
 from conftest import MODELS_DIR
 from randmodels import random_model, random_second_order
-from test_linalg import two_pass_null_space
+from test_linalg import dense_form, sparse_form, two_pass_null_space
 from symchain import (
     ChainOptions,
     Expression,
@@ -85,8 +85,12 @@ BATCH_OPTIONS = (
 
 
 def reference_tree(report, comparison=None, oracle=None):
-    """The report tree as a dict of plain strings and lists, with every vector entry formatted."""
-    vec = lambda v: list(map(str, v))
+    """The report tree as a dict of plain strings and lists, with every vector entry formatted.
+
+    A vector is as long as its record's row count; a generator's record is the level below its constraint's.
+    """
+    rows = {rec.level: rec.shape[0] for rec in report.levels}
+    vec = lambda v, n: list(map(str, dense_form(v, n)))
     tree = {
         "model": report.model_name,
         "zeta": list(report.zeta_names),
@@ -97,7 +101,7 @@ def reference_tree(report, comparison=None, oracle=None):
                 "expr": str(c.expr),
                 "raw": str(c.raw),
                 "origin": c.origin,
-                "generator": vec(c.generator) if c.generator is not None else None,
+                "generator": vec(c.generator, rows[c.level - 1]) if c.generator is not None else None,
             }
             for c in report.constraints
         ],
@@ -108,7 +112,7 @@ def reference_tree(report, comparison=None, oracle=None):
                 "shape": list(rec.shape),
                 "candidates": [
                     {
-                        "vector": vec(cand.vector),
+                        "vector": vec(cand.vector, rec.shape[0]),
                         "value": str(cand.value),
                         "classification": cand.classification,
                     }
@@ -240,7 +244,8 @@ def test_lattice_attempts_match_two_pass_reference(monkeypatch):
     def checked(state, kept, n_zeta, n):
         result = solve(state, kept, n_zeta, n)
         cols = [{~key: Fraction(x, scale) for key, x in vec.items()} for vec, scale in kept]
-        assert result == two_pass_null_space(cols, n)
+        basis, det = two_pass_null_space(cols, n)
+        assert result == (tuple(map(sparse_form, basis)), det)
         shapes.append((n, len(kept)))
         return result
 

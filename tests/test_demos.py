@@ -24,3 +24,19 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_mechanical_chain_prints_each_generator_dense():
+    """The demo expands each generator's (index, value) pairs to the row count of the level it was read off."""
+    result = subprocess.run(
+        [sys.executable, str(DEMOS / "mechanical_chain.py")],
+        capture_output=True,
+        text=True,
+        env=checkout_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert [line for line in result.stdout.splitlines() if "from v = " in line] == [
+        "  level 2: x + y   [null-vector]  from v = (0, 0, 1, 0, 0, 0, -1)",
+        "  level 3: p_x + p_y   [null-vector]  from v = (0, 0, 0, 1, 1, 0, 0, 1)",
+        "  level 4: z   [truncated-null-vector]  from v = (1, 1, 0, 0, 0, 0, 0, 0, -1)",
+    ]

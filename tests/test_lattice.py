@@ -6,6 +6,7 @@ from symchain import (
     ChainOptions,
     LatticeSpec,
     RationalMatrix,
+    SiteStencil,
     build_schwinger,
     compare_spans,
     consistency_algorithm,
@@ -14,6 +15,7 @@ from symchain import (
     run_chain,
 )
 from symchain.chain import _span
+from symchain.lattice import _solve_stencil
 from symchain import Expression
 from polyref import to_sympy
 
@@ -202,6 +204,75 @@ def test_stencil_mapping_falls_back_on_multi_site():
     m = build_schwinger(spec)
     two_sites = Expression.variable(m.zeta, "pi0_1") + Expression.variable(m.zeta, "piphi_2")
     assert map_constraint_to_sites(two_sites, spec) is None
+
+
+def _full_scan(constraint, spec):
+    """The site mapping by trying every site in turn, each block checked entry by entry."""
+    expr = constraint.expr if hasattr(constraint, "expr") else constraint
+    if not expr.is_linear():
+        return None
+    coeffs, const = expr.linear_coefficients()
+    if const != 0:
+        return None
+    d = difference_matrix(spec)
+    for site in range(spec.sites):
+        drow, terms = d.row(site), []
+        for block in ("A0", "A1", "phi", "pi0", "pi1", "piphi"):
+            target = coeffs[spec.block_slice(block)]
+            j = next(j for j, x in enumerate(drow) if j != site and x)
+            beta = target[j] / drow[j]
+            alpha = target[site] - beta * drow[site]
+            if any(target[i] != alpha * (i == site) + beta * drow[i] for i in range(spec.sites)):
+                break
+            terms += [(block, kind, x) for kind, x in (("I", alpha), ("D", beta)) if x]
+        else:
+            if terms:
+                return SiteStencil(site + 1, tuple(terms))
+    return None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(sites=n) for n in (3, 5, 7)] + [LatticeSpec(sites=n, scheme="forward") for n in (4, 6)],
+    ids=["central_3", "central_5", "central_7", "forward_4", "forward_6"],
+)
+def test_stencil_mapping_tries_only_the_neighbouring_sites(spec):
+    """Trying only the sites next to the first nonzero coefficient gives the full scan's answer.
+
+    A pure D(block) stencil is first nonzero one column below its site, or one above where it wraps
+    around, so every such stencil is checked too.
+    """
+    m = build_schwinger(spec)
+    constraints = consistency_algorithm(m).constraints + run_chain(m).constraints
+    assert len(constraints) > 4 * spec.sites
+    for c in constraints:
+        assert map_constraint_to_sites(c, spec) == _full_scan(c, spec)
+    d = difference_matrix(spec)
+    for block in ("A0", "piphi"):
+        fields = [Expression.variable(m.zeta, name) for name in spec.site_names(block)]
+        for site in range(spec.sites):
+            form = Expression.linear_combination(m.zeta, zip(d.row(site), fields))
+            stencil = map_constraint_to_sites(form, spec)
+            assert stencil == _full_scan(form, spec)
+            assert stencil.describe() == f"D({block}) @ site {site + 1}"
+    # a form that is no stencil at any site, and the zero form
+    a0 = [Expression.variable(m.zeta, f"A0_{i}") for i in (1, 2, 3)]
+    for form in (a0[0] + 2 * a0[1] + 3 * a0[2], Expression.zero(m.zeta)):
+        assert map_constraint_to_sites(form, spec) is None
+        assert _full_scan(form, spec) is None
+
+
+def test_stencil_mapping_names_the_lowest_matching_site():
+    """At N=3, (A0_1 + A0_2 - A0_3)/2 is a stencil at sites 1 and 2; the mapping names site 1."""
+    spec = LatticeSpec(sites=3)
+    a0 = [Expression.variable(spec.zeta(), f"A0_{i}") for i in (1, 2, 3)]
+    form = Fraction(1, 2) * (a0[0] + a0[1] - a0[2])
+    d = difference_matrix(spec)
+    assert [_solve_stencil(form.linear_coefficients()[0][:3], site, d) for site in range(3)] == [
+        (Fraction(1, 2), 1), (Fraction(1, 2), -1), (None, None)
+    ]
+    assert map_constraint_to_sites(form, spec) == _full_scan(form, spec)
+    assert map_constraint_to_sites(form, spec).describe() == "1/2*A0 + D(A0) @ site 1"
 
 
 def test_model_file_roundtrip(tmp_path):

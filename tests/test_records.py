@@ -130,7 +130,30 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("cls, args, kwargs, text", CASES, ids=[case[0].__name__ for case in CASES])
+# a chain null vector as Candidate.vector and Constraint.generator hold it: its nonzero (index, int) pairs
+PAIRS = ((0, 1), (3, -2))
+PAIR_CASES = [
+    (
+        Candidate,
+        (PAIRS, X, "new"),
+        dict(vector=PAIRS, value=X, classification="new"),
+        "Candidate(vector=((0, 1), (3, -2)), value=Expression('x'), classification='new')",
+    ),
+    (
+        Constraint,
+        (2, X, 2 * X, "null-vector", PAIRS),
+        dict(level=2, expr=X, raw=2 * X, origin="null-vector", generator=PAIRS),
+        "Constraint(level=2, expr=Expression('x'), raw=Expression('2*x'), origin='null-vector', "
+        "generator=((0, 1), (3, -2)))",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, text",
+    CASES + PAIR_CASES,
+    ids=[case[0].__name__ for case in CASES] + [f"{case[0].__name__}_pairs" for case in PAIR_CASES],
+)
 def test_record_contract(cls, args, kwargs, text):
     positional, keyword = cls(*args), cls(**kwargs)
     assert repr(positional) == repr(keyword) == text

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from symchain import chain, compare_spans, consistency_algorithm, run_chain
 from symchain.reports import _json, render_tree
+from test_linalg import sparse_form
 
 # quotes, backslashes, control characters, non-ASCII and non-BMP characters
 _awkward = st.sampled_from(['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "é", " ", "\U0001f600"])
@@ -55,10 +56,11 @@ _int_vectors = st.lists(_entries, max_size=30).map(tuple)
 @example((3, 0, 0), 6)
 @example((-(2**300), 0, 2**300 - 1), 1)
 def test_int_vector_is_written_as_its_decimal_strings(vector, depth):
-    """A tuple of ints is the list of its decimal strings, at any depth of the tree."""
+    """A vector, held as its length and nonzero (index, int) pairs, is the list of its decimal strings,
+    at any depth of the tree."""
     indent = "\n" + "  " * depth
     expected = json.dumps(list(map(str, vector)), indent=2).replace("\n", indent)
-    assert _json(vector, indent) == expected
+    assert _json((len(vector), sparse_form(vector)), indent) == expected
 
 
 def test_a_report_builds_its_span_once(example2, monkeypatch):
