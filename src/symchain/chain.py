@@ -12,7 +12,8 @@ constraint (gradient rows A, border blocks +A^T / -A), each step
   2. contracts each canonical left null vector v with the gradient of
      H: every primary borders the matrix, so v is orthogonal to the
      primaries' gradients, the multipliers of the total Hamiltonian
-     cancel, and v . grad(H) is either a new constraint or redundant,
+     cancel, and v . grad(H) is either a new constraint or redundant
+     (once per distinct v in a run: a repeat is redundant, its value kept),
   3. when the full matrix yields nothing new but is still singular,
      retries on a column-truncated matrix that keeps only the
      coordinate columns and the level-1 auxiliary columns,
@@ -239,29 +240,33 @@ def _solve(state: SparseEchelon, kept: list, n_zeta: int, n: int) -> tuple:
 
 
 def _classify(
-    null: Sequence[tuple], grad_h: list[tuple[dict, int]], zeta: VarTable, known: EchelonBasis, level: int
+    null: Sequence[tuple], grad_h: list[tuple[dict, int]], zeta: VarTable, known: EchelonBasis, level: int, seen: dict
 ) -> list[Candidate]:
     """Classify v . grad(H) for each null vector v, in order, against ``known``, which grows by each NEW one.
 
     ``grad_h`` holds each partial derivative of H as a (vec, scale) pair keyed by monomial.
     A candidate is NEW iff it stays nonzero modulo ``known``, so the NEW
     ones are independent; it is reduced in ints, as v . grad(H) times its denominator.
+    ``seen`` maps each vector met earlier in the run to its value, now in the span of ``known``: a repeat is REDUNDANT.
     """
     out: list[Candidate] = []
     n_zeta = len(grad_h)
     for v in null:
-        # grad(H) has no entries for the constraint rows
-        acc, den = _combine([(k, *grad_h[i]) for i, k in v if i < n_zeta])
-        value = Expression._trusted(zeta, {mono: Fraction(s, den) for mono, s in acc.items()})
-        if not value.is_linear():
-            raise ChainError(
-                "nonlinear constraint candidate: reduction against the existing set "
-                f"is supported for linear constraints only (level {level} candidate: {value})"
-            )
-        try:
-            new = known._add_sums(acc, den)
-        except ValueError as err:
-            raise ChainError(f"{err} (level {level} candidate: {value})") from None
+        value, new = seen.get(v), False
+        if value is None:
+            # grad(H) has no entries for the constraint rows
+            acc, den = _combine([(k, *grad_h[i]) for i, k in v if i < n_zeta])
+            value = Expression._trusted(zeta, {mono: Fraction(s, den) for mono, s in acc.items()})
+            if not value.is_linear():
+                raise ChainError(
+                    "nonlinear constraint candidate: reduction against the existing set "
+                    f"is supported for linear constraints only (level {level} candidate: {value})"
+                )
+            try:
+                new = known._add_sums(acc, den)
+            except ValueError as err:
+                raise ChainError(f"{err} (level {level} candidate: {value})") from None
+            seen[v] = value
         out.append(Candidate(vector=v, value=value, classification=NEW if new else REDUNDANT))
     return out
 
@@ -272,11 +277,12 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     What does not change between levels is computed once per run: the
     Hamiltonian gradient, the echelon basis of the constraint span, the
     integer columns of F, which start as the base tensor's and are
-    bordered once, in place, by each accepted constraint, and the
+    bordered once, in place, by each accepted constraint, the
     elimination of the constraint columns +A^T, which never change: it
     takes in each one at its border, in place, and a truncated attempt
-    starts from its state after level 1.  An attempt reduces the coordinate
-    columns, in a copy of the state.
+    starts from its state after level 1, and the value of each distinct
+    null vector, as the levels' null spaces are nested.  An attempt
+    reduces the coordinate columns, in a copy of the state.
     """
     opts = opts or ChainOptions()
     constraints: list[Constraint] = [
@@ -293,6 +299,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     # gradients, so the multipliers cancel from v . grad(H_T)
     grad_h = [_integral(g.terms) for g in m.hamiltonian.gradient()]
     known = EchelonBasis(m.zeta)
+    seen: dict[tuple, Expression] = {}
     full = SparseEchelon()
     full.num = 1  # track the determinant
     level1: SparseEchelon | None = None
@@ -305,7 +312,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
         """Classify the null vectors of one bordered matrix and record the level."""
         kept = _kept(cols, constraints, truncated)
         null, det = _solve(level1 if truncated else full, kept, n_zeta, len(cols))
-        candidates = _classify(null, grad_h, m.zeta, known, k + 1)
+        candidates = _classify(null, grad_h, m.zeta, known, k + 1, seen)
         records.append(LevelRecord(
             level=k, truncated=truncated, shape=(len(cols), len(kept)), candidates=tuple(candidates)
         ))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .expressions import Expression, VarTable
+from .expressions import Expression, VarTable, _linear_part
 from .linalg import RationalMatrix
 from .model import FirstOrderModel
 
@@ -69,20 +69,18 @@ class LatticeSpec(namedtuple("LatticeSpec", "sites spacing scheme", defaults=(Fr
 
 def difference_matrix(spec: LatticeSpec) -> RationalMatrix:
     """Circulant derivative: central (S - S^T)/(2a) or forward (S - I)/a."""
+    rows = [_difference_row(spec, i) for i in range(spec.sites)]
+    return RationalMatrix([[row.get(j, Fraction(0)) for j in range(spec.sites)] for row in rows])
+
+
+def _difference_row(spec: LatticeSpec, i: int) -> dict[int, Fraction]:
+    """The nonzero entries of row i of D: +-1/(2a) at i+1 and i-1 (central), or 1/a at i+1 and -1/a at i."""
     n = spec.sites
-    a = spec.spacing
-    rows = [[Fraction(0)] * n for _ in range(n)]
     if spec.scheme == CENTRAL:
-        half = Fraction(1, 2) / a
-        for i in range(n):
-            rows[i][(i + 1) % n] += half
-            rows[i][(i - 1) % n] -= half
-    else:
-        inv = Fraction(1) / a
-        for i in range(n):
-            rows[i][(i + 1) % n] += inv
-            rows[i][i] -= inv
-    return RationalMatrix(rows)
+        half = Fraction(1, 2) / spec.spacing
+        return {(i + 1) % n: half, (i - 1) % n: -half}
+    inv = Fraction(1) / spec.spacing
+    return {(i + 1) % n: inv, i: -inv}
 
 
 def build_schwinger(spec: LatticeSpec) -> FirstOrderModel:
@@ -145,22 +143,26 @@ def map_constraint_to_sites(constraint, spec: LatticeSpec):
     Tries the sites i in ascending order and solves, per variable block, for
     coefficients (alpha, beta) with   block-coefficients = alpha*e_i + beta*D[i, :].
     Such a stencil is zero off the columns i-1, i, i+1 of each block, so only the
-    sites j-1, j, j+1 are tried, j the block column of the first nonzero coefficient.
+    sites j-1, j, j+1 are tried, j the block column of the first nonzero coefficient;
+    each block is read off the nonzero coefficients, and D's row off the spec.
     Returns a SiteStencil, or None when the constraint is not a
     single-site pattern (callers then fall back to the raw form).
     """
     expr: Expression = constraint.expr if hasattr(constraint, "expr") else constraint
     if not expr.is_linear():
         return None
-    coeffs, const = expr.linear_coefficients()
-    if const != 0 or not any(coeffs):
+    coeffs = _linear_part(expr)
+    if not coeffs or () in expr.terms:  # the zero form, or a constant term
         return None
-    d = difference_matrix(spec)
-    j = next(k for k, x in enumerate(coeffs) if x) % spec.sites
-    for site in sorted({(j + step) % spec.sites for step in (-1, 0, 1)}):
-        terms: list[tuple[str, str, Fraction]] = []
-        for block in _BLOCKS:
-            alpha, beta = _solve_stencil(coeffs[spec.block_slice(block)], site, d)
+    n = spec.sites
+    blocks: list[dict[int, Fraction]] = [{} for _ in _BLOCKS]
+    for i, x in coeffs.items():
+        blocks[i // n][i % n] = x
+    j = min(coeffs) % n
+    for site in sorted({(j + step) % n for step in (-1, 0, 1)}):
+        drow, terms = _difference_row(spec, site), []
+        for block, target in zip(_BLOCKS, blocks):
+            alpha, beta = _solve_stencil(target, site, drow) if target else (0, 0)
             if alpha is None:
                 break
             terms += [(block, kind, x) for kind, x in (("I", alpha), ("D", beta)) if x]
@@ -169,17 +171,18 @@ def map_constraint_to_sites(constraint, spec: LatticeSpec):
     return None
 
 
-def _solve_stencil(target: tuple[Fraction, ...], site: int, d: RationalMatrix):
-    """Solve target = alpha*e_site + beta*D[site, :] exactly, if possible.
+def _solve_stencil(target, site: int, drow):
+    """Solve target = alpha*e_site + beta*drow exactly, if possible.
 
-    With at least 3 sites every row of D has a nonzero entry off the
-    site, which fixes beta; alpha is then read off the site entry, and
-    the unique candidate is verified against every entry.
+    ``target`` and ``drow`` map columns to coefficients (or are a dense block and D itself).
+    With at least 3 sites drow is nonzero off the site, which fixes beta; alpha is then read
+    off the site entry, and the unique candidate is checked on the site and both supports.
     """
-    drow = d.row(site)
-    j = next(j for j, x in enumerate(drow) if j != site and x)
-    beta = target[j] / drow[j]
-    alpha = target[site] - beta * drow[site]
-    if all(t == (alpha if i == site else 0) + beta * x for i, (t, x) in enumerate(zip(target, drow))):
+    if not isinstance(target, dict):
+        target, drow = dict(enumerate(target)), dict(enumerate(drow.row(site)))
+    j = next(j for j, x in drow.items() if j != site and x)
+    beta = target.get(j, 0) / drow[j]
+    alpha = target.get(site, 0) - beta * drow.get(site, 0)
+    if all(target.get(i, 0) == (alpha if i == site else 0) + beta * drow.get(i, 0) for i in {site, *target, *drow}):
         return alpha, beta
     return None, None

@@ -23,6 +23,11 @@ from .dirac import OracleResult, SpanVerdict
 def _tree(report: ChainReport, comparison: SpanVerdict | None, oracle: OracleResult | None) -> dict:
     """The report as a JSON tree, with each null vector and generator left as its (length, pairs) tuple."""
     sizes = {rec.level: rec.shape[0] for rec in report.levels}
+    texts: dict[int, str] = {}  # by id, as all outlive the call: repeated candidates and raws share values
+
+    def text(e) -> str:
+        return texts[id(e)] if id(e) in texts else texts.setdefault(id(e), e.to_text())
+
     tree: dict = {
         "model": report.model_name,
         "zeta": list(report.zeta_names),
@@ -30,8 +35,8 @@ def _tree(report: ChainReport, comparison: SpanVerdict | None, oracle: OracleRes
         "constraints": [
             {
                 "level": c.level,
-                "expr": str(c.expr),
-                "raw": str(c.raw),
+                "expr": text(c.expr),
+                "raw": text(c.raw),
                 "origin": c.origin,
                 "generator": (sizes[c.level - 1], c.generator) if c.generator is not None else None,
             }
@@ -45,7 +50,7 @@ def _tree(report: ChainReport, comparison: SpanVerdict | None, oracle: OracleRes
                 "candidates": [
                     {
                         "vector": (rec.shape[0], cand.vector),
-                        "value": str(cand.value),
+                        "value": text(cand.value),
                         "classification": cand.classification,
                     }
                     for cand in rec.candidates
@@ -70,16 +75,16 @@ def _tree(report: ChainReport, comparison: SpanVerdict | None, oracle: OracleRes
     if comparison is not None:
         tree["comparison"] = {
             "equal": comparison.equal,
-            "chain_only": [str(e) for e in comparison.only_in_first],
-            "oracle_only": [str(e) for e in comparison.only_in_second],
+            "chain_only": [text(e) for e in comparison.only_in_first],
+            "oracle_only": [text(e) for e in comparison.only_in_second],
         }
         if oracle is not None:
             tree["comparison"]["oracle_constraints"] = [
-                {"level": c.level, "expr": str(c.expr), "raw": str(c.raw)}
+                {"level": c.level, "expr": text(c.expr), "raw": text(c.raw)}
                 for c in oracle.constraints
             ]
             tree["comparison"]["multiplier_conditions"] = [
-                {"constraint": str(mc.constraint.expr), "condition": str(mc.condition)}
+                {"constraint": text(mc.constraint.expr), "condition": text(mc.condition)}
                 for mc in oracle.multiplier_conditions
             ]
     return tree

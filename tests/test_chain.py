@@ -38,7 +38,7 @@ from golden import (
     is_scalar_multiple,
 )
 from polyref import relabel
-from randmodels import random_model
+from randmodels import random_model, random_scaled_model, random_second_order
 from symchain import chain, linalg
 from symchain.linalg import SparseEchelon, _combine, _integral, null_space_and_determinant
 from test_byte_identity import _nonzero_rational, _shift_chain
@@ -470,6 +470,85 @@ def test_run_chain_scales_and_eliminates_each_column_once(monkeypatch):
     assert len(scaled) <= n_zeta + 2 * n_constraints == 72
     # each constraint column once, at its border; each attempt its coordinate columns
     assert sorted(absorbed) == [1] * n_constraints + [n_zeta] * len(report.levels)
+
+
+def _classify_without_memo(null, grad_h, zeta, known, level, seen):
+    """``chain._classify`` as it was before the per-run memo: every null vector is contracted and reduced."""
+    out = []
+    n_zeta = len(grad_h)
+    for v in null:
+        acc, den = _combine([(k, *grad_h[i]) for i, k in v if i < n_zeta])
+        value = Expression._trusted(zeta, {mono: Fraction(s, den) for mono, s in acc.items()})
+        if not value.is_linear():
+            raise ChainError(
+                "nonlinear constraint candidate: reduction against the existing set "
+                f"is supported for linear constraints only (level {level} candidate: {value})"
+            )
+        try:
+            new = known._add_sums(acc, den)
+        except ValueError as err:
+            raise ChainError(f"{err} (level {level} candidate: {value})") from None
+        out.append(Candidate(vector=v, value=value, classification=chain.NEW if new else chain.REDUNDANT))
+    return out
+
+
+MEMO_MODELS = {
+    "randmodels": lambda: [
+        (make(random.Random(seed)), None)
+        for make in (random_model, random_scaled_model, random_second_order)
+        for seed in range(200)
+    ],
+    "lattice": lambda: [
+        (build_schwinger(spec), None)
+        for spec in [LatticeSpec(sites=n, spacing=Fraction(a)) for n in (3, 5, 7) for a in (1, "3/7")]
+        + [LatticeSpec(sites=n, scheme="forward") for n in (4, 6)]
+    ],
+    "shift_chain": lambda: [
+        (_deep_shift_chain(), ChainOptions(max_level=64)),
+        (_shift_chain(tuple(_nonzero_rational(random.Random(1)) for _ in range(12))), ChainOptions(max_level=64)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_MODELS))
+def test_classification_memo_matches_a_memo_free_reference(name, monkeypatch):
+    """Each null vector met again in a run takes its first value and REDUNDANT; the reference classifies it afresh.
+
+    Every level record (shape, vectors, values, classifications) and the whole report must agree.
+    """
+    repeats = 0
+    for model, opts in MEMO_MODELS[name]():
+        report = run_chain(model, opts)
+        with monkeypatch.context() as patched:
+            patched.setattr(chain, "_classify", _classify_without_memo)
+            reference = run_chain(model, opts)
+        assert len(report.levels) == len(reference.levels)
+        for rec, ref in zip(report.levels, reference.levels):
+            assert rec == ref
+        assert report == reference
+        vectors = [cand.vector for rec in report.levels for cand in rec.candidates]
+        repeats += len(vectors) - len(set(vectors))
+    assert repeats > 0
+
+
+def test_run_chain_classifies_each_distinct_null_vector_once(monkeypatch):
+    """On the deep shift chain, 342 candidates hold 23 distinct vectors, and each is reduced against the span once.
+
+    A vector met again is REDUNDANT, with the value object of its first sighting.
+    """
+    reduced = []
+    add_sums = EchelonBasis._add_sums
+    monkeypatch.setattr(EchelonBasis, "_add_sums", lambda self, *args: reduced.append(args) or add_sums(self, *args))
+    report = run_chain(_deep_shift_chain(), ChainOptions(max_level=64))
+    candidates = [cand for rec in report.levels for cand in rec.candidates]
+    first: dict = {}
+    for cand in candidates:
+        if cand.vector in first:
+            assert cand.classification == chain.REDUNDANT
+            assert cand.value is first[cand.vector].value
+        else:
+            first[cand.vector] = cand
+    assert (len(candidates), len(first), len(reduced)) == (342, 23, 23)
 
 
 def test_run_chain_rejects_nonlinear_tensor():

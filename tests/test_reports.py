@@ -1,12 +1,15 @@
 """The tree writer against ``json.dumps(obj, indent=2)``, and the work behind a report."""
 
 import json
+from collections import Counter
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symchain import chain, compare_spans, consistency_algorithm, run_chain
+from symchain import ChainOptions, Expression, chain, compare_spans, consistency_algorithm, run_chain
 from symchain.reports import _json, render_tree
+from test_byte_identity import reference_tree
+from test_chain import _deep_shift_chain
 from test_linalg import sparse_form
 
 # quotes, backslashes, control characters, non-ASCII and non-BMP characters
@@ -79,3 +82,25 @@ def test_a_report_builds_its_span_once(example2, monkeypatch):
     assert built == [4]
     assert tree["span_fingerprint"] == report.span_fingerprint()
     assert built == [4]
+
+
+def test_render_tree_writes_each_expression_object_once(monkeypatch):
+    """On the deep shift chain, 342 candidates share 23 value objects with the derived constraints' raws.
+
+    ``render_tree`` forms each object's text once, and writes the bytes of the reference tree,
+    which formats every occurrence.
+    """
+    m = _deep_shift_chain()
+    report = run_chain(m, ChainOptions(max_level=64))
+    oracle = consistency_algorithm(m)
+    verdict = compare_spans(report, oracle.constraints)
+    values = {id(cand.value) for rec in report.levels for cand in rec.candidates}
+    assert len(values) == 23 and values <= {id(c.raw) for c in report.constraints}
+    written = []
+    to_text = Expression.to_text
+    monkeypatch.setattr(Expression, "to_text", lambda self, *args: written.append(id(self)) or to_text(self, *args))
+    tree = render_tree(report, verdict, oracle)
+    monkeypatch.undo()
+    assert max(Counter(written).values()) == 1
+    assert values <= set(written)
+    assert tree == json.dumps(reference_tree(report, verdict, oracle), indent=2) + "\n"
