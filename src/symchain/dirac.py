@@ -120,7 +120,7 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     if not all(p.is_linear() for p in m.primaries):
         raise ValueError("nonlinear primary: the oracle supports linear constraints only")
     finv = _inverse(m)
-    zeta, n = m.zeta, len(m.zeta)
+    zeta, n, working = m.zeta, len(m.zeta), m.working
     grad_h = [_integral(g.terms) for g in m.hamiltonian.gradient()]
     primary_grads = [_integral(_linear_part(p)) for p in m.primaries]
     flows: list[tuple[dict[int, int], int]] = []
@@ -159,7 +159,7 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
             acc, den = _combine([(x, *grad_h[j]) for j, x in u.items() if x])
             terms = {mono: Fraction(s, den * scale) for mono, s in acc.items()}
             terms.update({((n + g, 1),): x for g, x in enumerate(row) if x})
-            conditions.append(MultiplierCondition(phi, Expression._trusted(m.working, terms)))
+            conditions.append(MultiplierCondition(phi, Expression._trusted(working, terms)))
     return OracleResult(tuple(constraints), tuple(conditions))
 
 

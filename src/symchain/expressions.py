@@ -579,9 +579,6 @@ class EchelonBasis:
         self._vars = vars
         self._kernel = SparseEchelon()
 
-    def __len__(self) -> int:
-        return len(self._kernel.rows)
-
     def add(self, e: Expression) -> bool:
         """Extend the span by ``e``; False when ``e`` already lies in it."""
         return self._kernel.add(self._vector(e, "basis expression")[0])

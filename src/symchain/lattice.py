@@ -62,10 +62,6 @@ class LatticeSpec(namedtuple("LatticeSpec", "sites spacing scheme", defaults=(Fr
     def zeta(self) -> VarTable:
         return VarTable([name for block in _BLOCKS for name in self.site_names(block)])
 
-    def block_slice(self, block: str) -> slice:
-        i = _BLOCKS.index(block)
-        return slice(i * self.sites, (i + 1) * self.sites)
-
 
 def difference_matrix(spec: LatticeSpec) -> RationalMatrix:
     """Circulant derivative: central (S - S^T)/(2a) or forward (S - I)/a."""
@@ -88,28 +84,24 @@ def build_schwinger(spec: LatticeSpec) -> FirstOrderModel:
 
     6N coordinates, coefficient entries equal to the momentum variables
     in the field positions (zero elsewhere), the Hamiltonian summed over
-    sites with weight a, and the N primaries pi0_i.
+    sites with weight a, and the N primaries pi0_i.  Each site density
+    reads D's two nonzero entries in its row off the sparse stencil, so
+    the build does work in proportion to N.
     """
     zeta = spec.zeta()
     n = spec.sites
-    d = difference_matrix(spec)
-
     a0, a1, phi, pi0, pi1, piphi = (
         [Expression.variable(zeta, name) for name in spec.site_names(block)] for block in _BLOCKS
     )
-
-    dphi = [Expression.linear_combination(zeta, zip(row, phi)) for row in d.to_rows()]
-    da0 = [Expression.linear_combination(zeta, zip(row, a0)) for row in d.to_rows()]
-
     half = Fraction(1, 2)
-    h = Expression.zero(zeta)
-    for i in range(n):
-        density = half * (pi1[i] * pi1[i] + piphi[i] * piphi[i] + dphi[i] * dphi[i])
-        density = density + pi1[i] * da0[i]
-        density = density + (piphi[i] + a1[i] + dphi[i]) * (a1[i] - a0[i])
-        h = h + density
-    h = spec.spacing * h
 
+    def density(i: int) -> Expression:
+        drow = _difference_row(spec, i)
+        dphi, da0 = (Expression.linear_combination(zeta, ((x, f[j]) for j, x in drow.items())) for f in (phi, a0))
+        return (half * (pi1[i] * pi1[i] + piphi[i] * piphi[i] + dphi * dphi) + pi1[i] * da0
+                + (piphi[i] + a1[i] + dphi) * (a1[i] - a0[i]))
+
+    h = Expression.linear_combination(zeta, ((spec.spacing, density(i)) for i in range(n)))
     c = pi0 + pi1 + piphi  # field positions carry their momenta
     c += [Expression.zero(zeta) for _ in range(3 * n)]  # momentum positions
     primaries = pi0
@@ -171,15 +163,12 @@ def map_constraint_to_sites(constraint, spec: LatticeSpec):
     return None
 
 
-def _solve_stencil(target, site: int, drow):
-    """Solve target = alpha*e_site + beta*drow exactly, if possible.
+def _solve_stencil(target: dict[int, Fraction], site: int, drow: dict[int, Fraction]):
+    """Solve target = alpha*e_site + beta*drow exactly, if possible, over column -> coefficient maps.
 
-    ``target`` and ``drow`` map columns to coefficients (or are a dense block and D itself).
     With at least 3 sites drow is nonzero off the site, which fixes beta; alpha is then read
     off the site entry, and the unique candidate is checked on the site and both supports.
     """
-    if not isinstance(target, dict):
-        target, drow = dict(enumerate(target)), dict(enumerate(drow.row(site)))
     j = next(j for j, x in drow.items() if j != site and x)
     beta = target.get(j, 0) / drow[j]
     alpha = target.get(site, 0) - beta * drow.get(site, 0)

@@ -30,23 +30,19 @@ class ModelFormatError(ValueError):
         self.line = line
 
 
-class FirstOrderModel:
-    """Validated first-order Lagrangian data.
+class FirstOrderModel(namedtuple("FirstOrderModel", "name zeta c hamiltonian primaries", defaults=((),))):
+    """Validated first-order Lagrangian data, immutable.
 
-    Immutable after construction; c and the Hamiltonian live over the
-    zeta table only, and multipliers lam1..lamM (one per primary) are
-    generated automatically.  ``working`` is zeta followed by the
-    multiplier symbols.
+    ``name`` (str); ``zeta`` (VarTable, even length, no reserved names);
+    ``c`` (Expression tuple, one entry per coordinate); ``hamiltonian``
+    (Expression); ``primaries`` (Expression tuple).  c, the Hamiltonian and
+    the primaries live over zeta only.  Two properties: ``multiplier_names``
+    lam1..lamM, one per primary, and ``working``, zeta followed by them.
     """
 
-    def __init__(
-        self,
-        name: str,
-        zeta: VarTable,
-        c: Sequence[Expression],
-        hamiltonian: Expression,
-        primaries: Sequence[Expression] = (),
-    ):
+    __slots__ = ()
+
+    def __new__(cls, name, zeta, c, hamiltonian, primaries=()):
         if len(zeta) % 2 != 0:
             raise ValueError("phase space must have an even number of coordinates")
         _check_reserved(zeta)
@@ -62,23 +58,15 @@ class FirstOrderModel:
         if any(p.vars != zeta for p in primaries):
             raise ValueError("primary constraint uses a foreign VarTable")
         _check_primaries(primaries, zeta)
-        self.name = name
-        self.zeta = zeta
-        self.multiplier_names = tuple(f"lam{i + 1}" for i in range(len(primaries)))
-        self.working = zeta.extended(self.multiplier_names)
-        self.c = c
-        self.hamiltonian = hamiltonian
-        self.primaries = primaries
+        return super().__new__(cls, name, zeta, c, hamiltonian, primaries)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FirstOrderModel)
-            and self.name == other.name
-            and self.zeta == other.zeta
-            and self.c == other.c
-            and self.hamiltonian == other.hamiltonian
-            and self.primaries == other.primaries
-        )
+    @property
+    def multiplier_names(self) -> tuple[str, ...]:
+        return tuple(f"lam{i + 1}" for i in range(len(self.primaries)))
+
+    @property
+    def working(self) -> VarTable:
+        return self.zeta.extended(self.multiplier_names)
 
     def __repr__(self) -> str:
         return f"FirstOrderModel({self.name!r}, {len(self.zeta)} coordinates, {len(self.primaries)} primaries)"

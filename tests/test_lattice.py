@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import symchain.lattice
 from symchain import (
     ChainOptions,
     LatticeSpec,
@@ -15,8 +16,8 @@ from symchain import (
     run_chain,
 )
 from symchain.chain import _span
-from symchain.lattice import _solve_stencil
-from symchain import Expression
+from symchain.lattice import _BLOCKS, _difference_row, _solve_stencil
+from symchain import Expression, FirstOrderModel
 from polyref import to_sympy
 
 
@@ -217,8 +218,8 @@ def _full_scan(constraint, spec):
     d = difference_matrix(spec)
     for site in range(spec.sites):
         drow, terms = d.row(site), []
-        for block in ("A0", "A1", "phi", "pi0", "pi1", "piphi"):
-            target = coeffs[spec.block_slice(block)]
+        for k, block in enumerate(_BLOCKS):
+            target = coeffs[k * spec.sites : (k + 1) * spec.sites]
             j = next(j for j, x in enumerate(drow) if j != site and x)
             beta = target[j] / drow[j]
             alpha = target[site] - beta * drow[site]
@@ -267,12 +268,54 @@ def test_stencil_mapping_names_the_lowest_matching_site():
     spec = LatticeSpec(sites=3)
     a0 = [Expression.variable(spec.zeta(), f"A0_{i}") for i in (1, 2, 3)]
     form = Fraction(1, 2) * (a0[0] + a0[1] - a0[2])
-    d = difference_matrix(spec)
-    assert [_solve_stencil(form.linear_coefficients()[0][:3], site, d) for site in range(3)] == [
+    block = dict(enumerate(form.linear_coefficients()[0][:3]))
+    assert [_solve_stencil(block, site, _difference_row(spec, site)) for site in range(3)] == [
         (Fraction(1, 2), 1), (Fraction(1, 2), -1), (None, None)
     ]
     assert map_constraint_to_sites(form, spec) == _full_scan(form, spec)
     assert map_constraint_to_sites(form, spec).describe() == "1/2*A0 + D(A0) @ site 1"
+
+
+def _dense_build(spec):
+    """The lattice model from the dense difference matrix D, its Hamiltonian summed site by site."""
+    zeta, n = spec.zeta(), spec.sites
+    d = difference_matrix(spec)
+    a0, a1, phi, pi0, pi1, piphi = (
+        [Expression.variable(zeta, name) for name in spec.site_names(block)] for block in _BLOCKS
+    )
+    dphi = [Expression.linear_combination(zeta, zip(row, phi)) for row in d.to_rows()]
+    da0 = [Expression.linear_combination(zeta, zip(row, a0)) for row in d.to_rows()]
+    half = Fraction(1, 2)
+    h = Expression.zero(zeta)
+    for i in range(n):
+        density = half * (pi1[i] * pi1[i] + piphi[i] * piphi[i] + dphi[i] * dphi[i])
+        density = density + pi1[i] * da0[i]
+        density = density + (piphi[i] + a1[i] + dphi[i]) * (a1[i] - a0[i])
+        h = h + density
+    h = spec.spacing * h
+    c = pi0 + pi1 + piphi + [Expression.zero(zeta) for _ in range(3 * n)]
+    return FirstOrderModel(f"schwinger_n{n}", zeta, c, h, pi0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(n, a) for n in (3, 5, 7, 11, 21) for a in (Fraction(1), Fraction(1, 2), Fraction(3, 7))]
+    + [LatticeSpec(n, scheme="forward") for n in (4, 6, 8)],
+    ids=lambda spec: f"{spec.scheme}_{spec.sites}_{spec.spacing}".replace("/", "over"),
+)
+def test_build_equals_the_dense_build(spec):
+    m, dense = build_schwinger(spec), _dense_build(spec)
+    assert m == dense
+    assert str(m.hamiltonian) == str(dense.hamiltonian)
+
+
+def test_build_reads_no_dense_difference_matrix(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("dense difference matrix built")
+
+    monkeypatch.setattr(symchain.lattice, "difference_matrix", refuse)
+    for spec in (LatticeSpec(3), LatticeSpec(5), LatticeSpec(4, scheme="forward")):
+        assert build_schwinger(spec).name == f"schwinger_n{spec.sites}"
 
 
 def test_model_file_roundtrip(tmp_path):

@@ -54,6 +54,8 @@ def test_surface_without_a_program_caller_is_gone():
         assert not hasattr(symchain, name), name
         assert not hasattr(symchain.expressions, name) and not hasattr(symchain.lattice, name), name
     assert not hasattr(reports, "report_tree")
+    assert not hasattr(symchain.LatticeSpec, "block_slice")
+    assert not hasattr(symchain.EchelonBasis, "__len__")
 
 
 def test_tuple_elimination_helpers_are_gone():

@@ -2,7 +2,7 @@
 
 Each record builds from positional and keyword arguments, fills its
 defaults, prints a fixed ``repr``, compares and hashes by value, refuses
-assignment to a field, and validates where it did before.
+assignment to any field, and validates where it did before.
 """
 
 from fractions import Fraction
@@ -16,6 +16,7 @@ from symchain import (
     Constraint,
     ConstraintMatrix,
     Expression,
+    FirstOrderModel,
     LatticeSpec,
     OracleResult,
     SecondOrderLagrangian,
@@ -34,6 +35,7 @@ COORDS = VarTable(["x"])
 XDOT = Expression.variable(SecondOrderLagrangian.full_table(COORDS), "xdot")
 PRIMARY = Constraint(1, P, P, "primary")
 END = Termination("exhausted", 1)
+C = (P, Expression.zero(Z))
 
 # (class, positional args, keyword args, repr)
 CASES = [
@@ -127,6 +129,12 @@ CASES = [
         dict(coordinates=COORDS, lagrangian=XDOT * XDOT),
         "SecondOrderLagrangian(coordinates=VarTable(x), lagrangian=Expression('xdot^2'))",
     ),
+    (
+        FirstOrderModel,
+        ("m", Z, list(C), X * P, [P]),
+        dict(name="m", zeta=Z, c=C, hamiltonian=X * P, primaries=(P,)),
+        "FirstOrderModel('m', 2 coordinates, 1 primaries)",
+    ),
 ]
 
 
@@ -159,9 +167,24 @@ def test_record_contract(cls, args, kwargs, text):
     assert repr(positional) == repr(keyword) == text
     assert positional == keyword
     assert hash(positional) == hash(keyword)
-    first = text[len(cls.__name__) + 1 :].split("=", 1)[0]
-    with pytest.raises(AttributeError):
-        setattr(positional, first, getattr(positional, first))
+    for field in cls._fields:
+        value = getattr(positional, field)
+        with pytest.raises(AttributeError):
+            setattr(positional, field, value)
+
+
+def test_model_record(example2):
+    assert repr(example2) == "FirstOrderModel('example2', 6 coordinates, 1 primaries)"
+    m = FirstOrderModel("m", Z, C, X * P)
+    assert m == ("m", Z, C, X * P, ()) and m.primaries == () and m.multiplier_names == ()
+    name, zeta, c, h, primaries = example2
+    assert example2[0] == name == "example2" and c == example2.c and primaries == example2.primaries
+    assert example2.multiplier_names == ("lam1",)
+    assert example2.working == zeta.extended(["lam1"])
+    assert {example2: 1}[example2] == 1
+    for prop in ("multiplier_names", "working"):
+        with pytest.raises(AttributeError):
+            setattr(example2, prop, ())
 
 
 def test_record_defaults():
@@ -191,6 +214,14 @@ def test_record_defaults():
             lambda: SecondOrderLagrangian(COORDS, X),
             "Lagrangian must live over coordinates + velocities",
         ),
+        # each model check in turn; the input also breaks every check after it
+        (lambda: FirstOrderModel("m", COORDS, (), XDOT, [XDOT]), "phase space must have an even number of coordinates"),
+        (lambda: FirstOrderModel("m", VarTable(["x", "lam1"]), (), XDOT), "variable name 'lam1' is reserved"),
+        (lambda: FirstOrderModel("m", Z, (P,), XDOT, [XDOT]), "expected 2 coefficient entries, got 1"),
+        (lambda: FirstOrderModel("m", Z, (P, XDOT), XDOT, [XDOT]), "coefficient entry uses a foreign VarTable"),
+        (lambda: FirstOrderModel("m", Z, C, XDOT, [XDOT]), "Hamiltonian uses a foreign VarTable"),
+        (lambda: FirstOrderModel("m", Z, C, X, [XDOT]), "primary constraint uses a foreign VarTable"),
+        (lambda: FirstOrderModel("m", Z, C, X, [P, 2 * P]), "primary constraints are linearly dependent"),
     ],
 )
 def test_record_validation_texts(build, message):
