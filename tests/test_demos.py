@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against this checkout's symchain."""
+"""Every demo script runs to completion against this checkout's symchain and prints its pinned bytes."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,17 @@ from checkout import checkout_env
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize(
-    "demo",
-    ["dirac_comparison", "exact_linear_algebra", "lattice_field_theory", "mechanical_chain"],
-)
+# sha256 of each demo's full stdout; the demos are the only program callers of
+# linalg's dense views (rank, determinant, left_null_space), so these pin them
+STDOUT_SHA256 = {
+    "dirac_comparison": "18490ae4d9edd0d7012b2d1c8ac55af520dd9070f512c615eb68647535fedefe",
+    "exact_linear_algebra": "52a7f7bcc6bdeeb8ffa31de1c8774be63c4789dfd12d09f7387b1d54d2f1ee4a",
+    "lattice_field_theory": "81cd5ccf13e3cc3142ecdecde544c2cfea031115b78826854ec57261f7ac2a86",
+    "mechanical_chain": "e7699e167e12eb20307668b5283f919bfe91b7e2e9fc944fa4a8ab4866839b85",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(STDOUT_SHA256))
 def test_demo_runs(demo):
     result = subprocess.run(
         [sys.executable, str(DEMOS / f"{demo}.py")],
@@ -23,7 +31,7 @@ def test_demo_runs(demo):
         env=checkout_env(),
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == STDOUT_SHA256[demo]
 
 
 def test_mechanical_chain_prints_each_generator_dense():
