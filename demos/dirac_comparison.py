@@ -36,7 +36,7 @@ print()
 cm = classify(model, oracle.constraints)
 print("mutual-bracket matrix:")
 print(cm.matrix)
-print(f"rank {cm.rank}: all {cm.second_class_count} constraints are "
+print(f"rank {cm.rank}: all {cm.rank} constraints are "
       f"second-class; det = {determinant(cm.matrix)}")
 print()
 

@@ -42,7 +42,7 @@ oracle = consistency_algorithm(model)
 print("consistency-algorithm constraints, as per-site stencils:")
 seen = set()
 for c in oracle.constraints:
-    stencil = map_constraint_to_sites(c, spec)
+    stencil = map_constraint_to_sites(c.expr, spec)
     text = stencil.describe() if stencil else str(c.expr)
     pattern = text.split(" @ ")[0]
     if pattern not in seen:

@@ -45,7 +45,6 @@ from .linalg import (
     determinant,
     left_null_space,
     rank,
-    rref,
 )
 from .model import (
     FirstOrderModel,
@@ -92,7 +91,6 @@ __all__ = [
     "map_constraint_to_sites",
     "parse_expression",
     "rank",
-    "rref",
     "run_chain",
     "save_model",
     "span_fingerprint",

@@ -110,6 +110,8 @@ class ChainOptions(namedtuple("ChainOptions", "max_level allow_truncation", defa
     """Chain settings: ``max_level`` (int, at least 1), ``allow_truncation`` (bool)."""
 
     __slots__ = ()
+    # namedtuple's _replace builds through _make: route both through __new__'s checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -228,7 +230,7 @@ def _kept(cols: list, constraints: Sequence[Constraint], truncated: bool) -> lis
 
 
 def _solve(state: SparseEchelon, kept: list, n_zeta: int, n: int) -> tuple:
-    """``null_space_and_determinant`` of one attempt's n-row matrix with integer columns ``kept``.
+    """The left null basis and, if square, the determinant of one attempt's n-row matrix with integer columns ``kept``.
 
     ``state`` has taken in the constraint columns kept[n_zeta:], so only
     the coordinate columns are reduced, in a copy.  Taking those last moves n_zeta

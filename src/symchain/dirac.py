@@ -173,10 +173,6 @@ class ConstraintMatrix(namedtuple("ConstraintMatrix", "matrix rank first_class")
 
     __slots__ = ()
 
-    @property
-    def second_class_count(self) -> int:
-        return self.rank
-
 
 def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> ConstraintMatrix:
     """Bracket matrix, rank, and first-class combinations of a closed linear set of ``m``.

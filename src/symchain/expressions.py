@@ -222,10 +222,6 @@ class Expression:
         return Expression(vars, {})
 
     @staticmethod
-    def constant(vars: VarTable, value) -> "Expression":
-        return Expression(vars, {(): value})
-
-    @staticmethod
     def variable(vars: VarTable, name: str) -> "Expression":
         return Expression(vars, {((vars.index_of(name), 1),): _ONE})
 
@@ -268,7 +264,7 @@ class Expression:
                 raise ValueError("expressions use different VarTables")
             return other
         if isinstance(other, (int, Fraction)):
-            return Expression.constant(self._vars, other)
+            return Expression(self._vars, {(): other})
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> "Expression":
@@ -335,15 +331,6 @@ class Expression:
         return tuple(Expression._trusted(self._vars, d) for d in out)
 
     # -- linear-form helpers -----------------------------------------
-
-    def linear_coefficients(self) -> tuple[tuple[Fraction, ...], Fraction]:
-        """Coefficient vector and constant term of a linear Expression."""
-        if not self.is_linear():
-            raise ValueError("expression is not linear")
-        coeffs = [Fraction(0)] * len(self._vars)
-        for i, x in _linear_part(self).items():
-            coeffs[i] = x
-        return tuple(coeffs), self._terms.get((), Fraction(0))
 
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the graded-lex leading monomial (0 for the zero poly)."""

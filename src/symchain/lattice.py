@@ -39,6 +39,8 @@ class LatticeSpec(namedtuple("LatticeSpec", "sites spacing scheme", defaults=(Fr
     """
 
     __slots__ = ()
+    # namedtuple's _replace builds through _make: route both through __new__'s checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -129,8 +131,8 @@ class SiteStencil(namedtuple("SiteStencil", "site terms")):
         return "".join(parts) + f" @ site {self.site}"
 
 
-def map_constraint_to_sites(constraint, spec: LatticeSpec):
-    """Resolve a linear lattice constraint as stencils applied at one site.
+def map_constraint_to_sites(expr: Expression, spec: LatticeSpec):
+    """Resolve the linear lattice constraint form ``expr`` as stencils applied at one site.
 
     Tries the sites i in ascending order and solves, per variable block, for
     coefficients (alpha, beta) with   block-coefficients = alpha*e_i + beta*D[i, :].
@@ -140,7 +142,6 @@ def map_constraint_to_sites(constraint, spec: LatticeSpec):
     Returns a SiteStencil, or None when the constraint is not a
     single-site pattern (callers then fall back to the raw form).
     """
-    expr: Expression = constraint.expr if hasattr(constraint, "expr") else constraint
     if not expr.is_linear():
         return None
     coeffs = _linear_part(expr)

@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals: the sparse elimination kernel and dense matrices.
 
 Inputs and outputs are fractions.Fraction, except null-space bases: canonical
-primitive int vectors, each its nonzero (index, int) pairs, dense only in the
-RationalMatrix views.  Under them a rational sparse vector is the pair
+primitive int vectors, each its nonzero (index, int) pairs, dense only in
+``left_null_space``.  Under them a rational sparse vector is the pair
 (vec, scale) for vec/scale, vec an int dict, made once where a Fraction
 enters; every row reduction and the determinant run on one sparse
-Gauss-Jordan kernel over primitive integer rows.
+Gauss-Jordan kernel over primitive integer rows.  The dense views of a
+RationalMatrix, ``rank``, ``determinant`` and ``left_null_space``, each
+read one fresh elimination of its columns.
 """
 
 from __future__ import annotations
@@ -48,9 +50,6 @@ class RationalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
-
     def to_rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
 
@@ -84,7 +83,7 @@ class SparseEchelon:
     the entries at the pivot over their gcd.  Every elimination of the
     package runs on it.  ``absorb`` takes in the columns of a matrix M and
     keeps their determinant num/den with its sorted ``pivots`` (num 0, the
-    default, tracks none).
+    default, tracks none; set it to 1 before the first column to track).
     """
 
     __slots__ = ("rows", "num", "den", "pivots")
@@ -229,33 +228,16 @@ def _put(cols: list[tuple[dict[int, int], int]], j: int, key: int, num: int, den
     vec[key] = num * (scale // den)
 
 
-def _sparse(entries: Iterable[Fraction]) -> dict[int, Fraction]:
-    return {j: x for j, x in enumerate(entries) if x}
-
-
-def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    """Reduced row-echelon form and the pivot-column indices."""
-    kernel = SparseEchelon()
-    for row in m.to_rows():
-        kernel.add(_integral(_sparse(row))[0])
-    rows = [[Fraction(row.get(j, 0), row[p]) for j in range(m.cols)] for p, row in sorted(kernel.rows.items())]
-    rows += [[0] * m.cols for _ in range(m.rows - len(rows))]
-    return RationalMatrix(rows), tuple(sorted(kernel.rows))
-
-
 def rank(m: RationalMatrix) -> int:
-    return len(SparseEchelon().absorb(_integral({~i: x for i, x in col.items()}) for col in _columns(m)).rows)
+    return len(_eliminated(m).rows)
 
 
 def determinant(m: RationalMatrix) -> Fraction:
     """Exact determinant on the sparse elimination kernel."""
     if not m.is_square:
         raise ValueError("determinant needs a square matrix")
-    return null_space_and_determinant(_columns(m), m.rows)[1]
-
-
-def _columns(m: RationalMatrix) -> list[dict[int, Fraction]]:
-    return [_sparse(col) for col in zip(*m.to_rows())]
+    kernel = _eliminated(m)
+    return Fraction(kernel.num, kernel.den)
 
 
 def left_null_space(m: RationalMatrix) -> tuple[tuple[int, ...], ...]:
@@ -266,26 +248,15 @@ def left_null_space(m: RationalMatrix) -> tuple[tuple[int, ...], ...]:
     leading entry, so the same matrix always gives the identical basis.
     Rectangular input is fine; vectors have length m.rows.
     """
-    return null_space_and_determinant(_columns(m), m.rows)[0]
+    n = m.rows
+    return tuple(tuple(v.get(i, 0) for i in range(n)) for v in map(dict, _eliminated(m).null_basis(n)))
 
 
-def null_space_and_determinant(
-    cols: Sequence[dict[int, Fraction]], n: int
-) -> tuple[tuple[tuple[int, ...], ...], Fraction | None]:
-    """The canonical left null basis and the determinant of one matrix.
-
-    ``cols`` are the sparse rational columns of an ``n``-row matrix M
-    (left unchanged); the basis is that of ``left_null_space``.  Each
-    column is scaled to ints keyed by ~i (= -1-i) for row i and taken in
-    by ``SparseEchelon.absorb``, the elimination the chain carries across its levels.
-    The dense view: each null vector is expanded to its n ints here.
-    """
-    square = len(cols) == n
+def _eliminated(m: RationalMatrix) -> SparseEchelon:
+    """A fresh ``SparseEchelon`` that has absorbed the columns of ``m``, tracking their determinant."""
     kernel = SparseEchelon()
-    kernel.num = int(square)
-    kernel.absorb(_integral({~i: x for i, x in col.items()}) for col in cols)
-    det = Fraction(kernel.num, kernel.den) if square else None
-    return tuple(tuple(v.get(i, 0) for i in range(n)) for v in map(dict, kernel.null_basis(n))), det
+    kernel.num = 1
+    return kernel.absorb(_integral({~i: x for i, x in enumerate(col) if x}) for col in zip(*m.to_rows()))
 
 
 def _rows(cols: Sequence[tuple[dict[int, int], int]], n: int) -> list[list[Fraction]]:

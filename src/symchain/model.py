@@ -41,6 +41,8 @@ class FirstOrderModel(namedtuple("FirstOrderModel", "name zeta c hamiltonian pri
     """
 
     __slots__ = ()
+    # namedtuple's _replace builds through _make: route both through __new__'s checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, name, zeta, c, hamiltonian, primaries=()):
         if len(zeta) % 2 != 0:
@@ -109,6 +111,8 @@ class SecondOrderLagrangian(namedtuple("SecondOrderLagrangian", "coordinates lag
     """
 
     __slots__ = ()
+    # namedtuple's _replace builds through _make: route both through __new__'s checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

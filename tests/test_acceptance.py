@@ -49,6 +49,7 @@ from golden import (
     V3,
     is_scalar_multiple,
 )
+from polyref import linear_coefficients
 from randmodels import random_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -79,8 +80,8 @@ def test_criterion_1_golden_run(example2):
     assert [c.level for c in report.constraints] == [1, 2, 3, 4]
     for c, text in zip(report.constraints, PUBLISHED_CONSTRAINTS):
         expected = parse_expression(text, example2.zeta)
-        got_vec = list(c.raw.linear_coefficients()[0])
-        want_vec = list(expected.linear_coefficients()[0])
+        got_vec = list(linear_coefficients(c.raw)[0])
+        want_vec = list(linear_coefficients(expected)[0])
         assert is_scalar_multiple(got_vec, want_vec), (str(c.raw), text)
     assert report.truncations == (3,)
     assert report.termination.kind == "nonsingular"
@@ -256,7 +257,7 @@ def test_criterion_6_bracket_algebra(example2):
         e = Expression.zero(vt)
         for _ in range(rng.randint(1, 4)):
             coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            mono = Expression.constant(vt, coeff)
+            mono = Expression(vt, {(): coeff})
             for _ in range(rng.randint(0, 2)):
                 mono = mono * Expression.variable(vt, rng.choice(vt.names))
             e = e + mono

@@ -34,7 +34,7 @@ from symchain.dirac import MultiplierCondition, _flow, _inverse
 from symchain.expressions import _linear_part
 from brackets import canonical_pairs, poisson_bracket
 from golden import C_GOLDEN, PUBLISHED_CONSTRAINTS, is_scalar_multiple
-from polyref import relabel
+from polyref import linear_coefficients, relabel
 from randmodels import random_model, random_scaled_model
 from test_byte_identity import _nonzero_rational, _shift_chain
 from test_expressions import dense_key, sparse_key
@@ -121,7 +121,7 @@ def test_bracket_algebra_properties(example2):
         e = Expression.zero(vt)
         for _ in range(rng.randint(1, 4)):
             coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            mono = Expression.constant(vt, coeff)
+            mono = Expression(vt, {(): coeff})
             for _ in range(rng.randint(0, 2)):  # degree <= 2
                 mono = mono * Expression.variable(vt, rng.choice(vt.names))
             e = e + mono
@@ -159,7 +159,7 @@ def _rand(rng, vt):
     e = Expression.zero(vt)
     for _ in range(rng.randint(1, 4)):
         coeff = Fraction(rng.randint(-5, 5))
-        mono = Expression.constant(vt, coeff)
+        mono = Expression(vt, {(): coeff})
         for _ in range(rng.randint(0, 3)):
             mono = mono * Expression.variable(vt, rng.choice(vt.names))
         e = e + mono
@@ -172,7 +172,7 @@ def test_consistency_algorithm_mechanical(example2):
     for c, text in zip(res.constraints, PUBLISHED_CONSTRAINTS):
         expected = parse_expression(text, example2.zeta)
         assert is_scalar_multiple(
-            c.raw.linear_coefficients()[0], expected.linear_coefficients()[0]
+            linear_coefficients(c.raw)[0], linear_coefficients(expected)[0]
         )
     # the final consistency fixes the multiplier
     assert len(res.multiplier_conditions) == 1
@@ -243,7 +243,7 @@ def test_classify_lists_first_class_combinations():
     ]
     cm = classify(m, constraints)
     assert all(any(row) for row in cm.matrix.to_rows())
-    assert cm.rank == cm.second_class_count == 2
+    assert cm.rank == 2
     assert len(cm.first_class) == 1
     assert cm.first_class[0].monic() == parse_expression("q2", zeta)
 
@@ -258,13 +258,12 @@ def test_classify_rank_is_even(example2):
         cm = classify(m, res.constraints)
         pairs = canonical_pairs(len(m.zeta))
         assert cm.rank % 2 == 0
-        assert cm.second_class_count == cm.rank
-        assert len(cm.first_class) + cm.second_class_count == len(res.constraints)
+        assert len(cm.first_class) + cm.rank == len(res.constraints)
         # each linear-form entry is the constant general-polynomial bracket
         for a, row in zip(res.constraints, cm.matrix.to_rows()):
             for b, entry in zip(res.constraints, row):
                 bracket = poisson_bracket(a.raw, b.raw, pairs)
-                assert bracket == Expression.constant(m.zeta, entry)
+                assert bracket == Expression(m.zeta, {(): entry})
 
 
 def _sympy_form(e, symbols):
@@ -292,7 +291,7 @@ def test_classify_matches_sympy_where_det_f_is_not_one():
         # the raw forms' coefficient rows (gradient, then constant) combined by each null vector
         rows = a.row_join(sympy.Matrix([r.subs({s: 0 for s in symbols}) for r in raw]))
         expected = [w.T * rows for w in want.T.nullspace()]
-        got = [sympy.Matrix([[*coeffs, const]]) for coeffs, const in (e.linear_coefficients() for e in cm.first_class)]
+        got = [sympy.Matrix([[*coeffs, const]]) for coeffs, const in (linear_coefficients(e) for e in cm.first_class)]
         assert len(got) == len(expected)
         if got:
             assert sympy.Matrix.vstack(*got, *expected).rank() == sympy.Matrix.vstack(*expected).rank() == len(got)

@@ -12,10 +12,9 @@ from symchain import (
     determinant,
     left_null_space,
     rank,
-    rref,
 )
 from symchain.expressions import EchelonBasis, Expression, VarTable
-from symchain.linalg import SparseEchelon, _combine, _integral, null_space_and_determinant
+from symchain.linalg import SparseEchelon, _combine, _integral
 from golden import F1_GOLDEN, F3_TRUNCATED_GOLDEN, V1, V3, is_scalar_multiple
 
 
@@ -127,7 +126,7 @@ def dense_form(pairs, n):
 
 
 def two_pass_null_space(cols, n):
-    """Reference for ``null_space_and_determinant``: two eliminations.
+    """Reference for ``left_null_space`` and ``determinant`` on sparse columns: two eliminations.
 
     The columns are eliminated on ``FractionEchelon`` with
     smallest-index pivots, tracking the determinant as the signed
@@ -287,12 +286,20 @@ def test_zero_matrix_null_space_is_identity_basis():
     assert [list(v) for v in basis] == [[1, 0], [0, 1]]
 
 
+def kernel_rref(rows):
+    """The reduced row-echelon form of ``rows`` that ``SparseEchelon`` holds, each row over its pivot entry, and the pivots."""
+    kernel = SparseEchelon()
+    for row in rows:
+        kernel.add(_integral({j: x for j, x in enumerate(row) if x})[0])
+    width = len(rows[0])
+    reduced = [[Fraction(row.get(j, 0), row[p]) for j in range(width)] for p, row in sorted(kernel.rows.items())]
+    return reduced + [[Fraction(0)] * width] * (len(rows) - len(reduced)), tuple(sorted(kernel.rows))
+
+
 def test_rref_pivots():
-    m = RationalMatrix([[0, 2, 4], [1, 1, 1]])
-    reduced, pivots = rref(m)
+    reduced, pivots = kernel_rref([[0, 2, 4], [1, 1, 1]])
     assert pivots == (0, 1)
-    assert reduced.row(0) == (1, 0, -1)
-    assert reduced.row(1) == (0, 1, 2)
+    assert reduced == [[1, 0, -1], [0, 1, 2]]
 
 
 def test_rank_of_f1_golden():
@@ -344,10 +351,10 @@ def _primitive_with_positive_lead(row):
 @settings(max_examples=100, deadline=None)
 @given(_matrices())
 def test_rref_and_rank_match_sympy(rows):
-    reduced, pivots = rref(RationalMatrix(rows))
+    reduced, pivots = kernel_rref(rows)
     expected, expected_pivots = _sympy(rows).rref()
     assert pivots == expected_pivots
-    assert [list(r) for r in reduced.to_rows()] == [
+    assert reduced == [
         [_fraction(x) for x in expected.row(i)] for i in range(len(rows))
     ]
     assert rank(RationalMatrix(rows)) == _sympy(rows).rank()
@@ -444,15 +451,12 @@ def _pivoting_columns(draw):
 @given(_pivoting_columns())
 def test_null_space_and_determinant_match_two_pass_reference(case):
     cols, n = case
-    before = [dict(col) for col in cols]
     expected = two_pass_null_space(cols, n)
-    assert null_space_and_determinant(cols, n) == expected
-    assert cols == before
     rows = [[col.get(i, Fraction(0)) for col in cols] for i in range(n)]
     assert left_null_space(RationalMatrix(rows)) == expected[0]
     assert [list(v) for v in expected[0]] == _sympy_left_null_basis(rows)
     if len(cols) == n:
-        assert expected[1] == _fraction(_sympy(rows).det())
+        assert determinant(RationalMatrix(rows)) == expected[1] == _fraction(_sympy(rows).det())
 
 
 # -- the integer-row kernel against the Fraction reference ---------------
@@ -495,16 +499,21 @@ def _form(table, vec):
 @given(_mixed_matrices())
 def test_integer_kernel_matches_fraction_reference(case):
     cols, n = case
-    assert null_space_and_determinant(cols, n) == two_pass_null_space(cols, n)
+    kernel = SparseEchelon()
+    kernel.num = int(len(cols) == n)
+    kernel.absorb([_integral({~i: x for i, x in col.items()}) for col in cols])
+    basis, det = two_pass_null_space(cols, n)
+    assert kernel.null_basis(n) == tuple(map(sparse_form, basis))
+    assert (Fraction(kernel.num, kernel.den) if len(cols) == n else None) == det
 
     rows = [{j: col[i] for j, col in enumerate(cols) if i in col} for i in range(n)]
     reference = FractionEchelon(rows)
     dense_rows = [[row.get(j, Fraction(0)) for j in range(len(cols))] for row in rows]
-    reduced, pivots = rref(RationalMatrix(dense_rows))
+    reduced, pivots = kernel_rref(dense_rows)
     expected = [[row.get(j, Fraction(0)) for j in range(len(cols))] for row in reference.sorted_rows()]
     expected += [[Fraction(0)] * len(cols)] * (n - len(expected))
     assert pivots == tuple(sorted(reference.rows))
-    assert [list(r) for r in reduced.to_rows()] == expected
+    assert reduced == expected
     assert rank(RationalMatrix(dense_rows)) == len(reference.rows)
 
     # the rows as linear forms: the last column is the constant term
@@ -526,18 +535,21 @@ def test_integer_kernel_matches_fraction_reference(case):
 def test_absorb_in_two_batches_on_a_copy_equals_one_batch(case, data):
     cols, n = case
     ints = [_integral({~i: x for i, x in col.items()}) for col in cols]
+    before = [(dict(vec), scale) for vec, scale in ints]
     split = data.draw(st.integers(0, len(cols)))
     first = SparseEchelon()
     first.num = int(len(cols) == n)
     first.absorb(ints[:split])
     state = ({k: dict(row) for k, row in first.rows.items()}, first.num, first.den, list(first.pivots))
     second = first.copy().absorb(ints[split:])
-    # the copy shares no state that absorb changes
+    # the copy shares no state that absorb changes, and absorb leaves its columns unchanged
     assert (first.rows, first.num, first.den, first.pivots) == state
-    basis, det = null_space_and_determinant(cols, n)
-    # the kernel's sparse vectors are the dense view's nonzero entries
-    assert second.null_basis(n) == tuple(map(sparse_form, basis))
-    assert (Fraction(second.num, second.den) if len(cols) == n else None) == det
+    assert ints == before
+    whole = SparseEchelon()
+    whole.num = int(len(cols) == n)
+    whole.absorb(ints)
+    assert (second.rows, second.num, second.den) == (whole.rows, whole.num, whole.den)
+    assert second.null_basis(n) == whole.null_basis(n)
 
 
 # -- the (vec, scale) contract --------------------------------------------
@@ -583,4 +595,4 @@ def test_rational_matrix_rejects_float_entries():
     with pytest.raises(ValueError) as info:
         RationalMatrix([[0.1, 1]])
     assert str(info.value) == "element 0.1 is a float; elements must be exact"
-    assert RationalMatrix([[Fraction(1, 10), 1]]).row(0) == (Fraction(1, 10), Fraction(1))
+    assert RationalMatrix([[Fraction(1, 10), 1]]).to_rows() == ((Fraction(1, 10), Fraction(1)),)

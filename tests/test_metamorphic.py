@@ -32,7 +32,7 @@ from symchain import (
     span_fingerprint,
 )
 from conftest import MODELS_DIR
-from polyref import relabel
+from polyref import linear_coefficients, relabel
 from randmodels import random_model
 
 
@@ -63,7 +63,7 @@ def is_rational_square(x):
 
 def gradient_rows(constraints, zeta):
     """The raw constraints' gradients over ``zeta``, one sympy row each."""
-    rows = [relabel(c.raw, zeta).linear_coefficients()[0] for c in constraints]
+    rows = [linear_coefficients(relabel(c.raw, zeta))[0] for c in constraints]
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
 
 

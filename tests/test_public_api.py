@@ -48,7 +48,7 @@ def test_the_gradient_format_is_gone():
 
 def test_surface_without_a_program_caller_is_gone():
     # the CLI, the demos and perfbench need none of these; tests use polyref and sympy
-    for name in ("substitute", "evaluate", "constant_value", "is_constant"):
+    for name in ("substitute", "evaluate", "constant_value", "is_constant", "constant", "linear_coefficients"):
         assert not hasattr(symchain.Expression, name), name
     for name in ("linear_expression", "FieldSet"):
         assert not hasattr(symchain, name), name
@@ -56,6 +56,16 @@ def test_surface_without_a_program_caller_is_gone():
     assert not hasattr(reports, "report_tree")
     assert not hasattr(symchain.LatticeSpec, "block_slice")
     assert not hasattr(symchain.EchelonBasis, "__len__")
+    assert not hasattr(symchain.RationalMatrix, "row")
+    assert not hasattr(symchain.ConstraintMatrix, "second_class_count")
+    # EchelonBasis.rref is the one reduced row-echelon form; sympy's is the tests' reference
+    assert not hasattr(symchain, "rref") and not hasattr(symchain.linalg, "rref")
+
+
+def test_dense_views_share_one_kernel_call():
+    # rank, determinant and left_null_space each read one fresh SparseEchelon built by linalg._eliminated
+    for name in ("null_space_and_determinant", "_columns", "_sparse"):
+        assert not hasattr(symchain.linalg, name), name
 
 
 def test_tuple_elimination_helpers_are_gone():

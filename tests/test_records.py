@@ -228,3 +228,36 @@ def test_record_validation_texts(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "record, valid, invalid, message",
+    [
+        (ChainOptions(), dict(max_level=3), dict(max_level=0), "max_level must be >= 1"),
+        (LatticeSpec(3), dict(sites=5), dict(sites=2), "need at least 3 lattice sites"),
+        (
+            SecondOrderLagrangian(COORDS, XDOT * XDOT),
+            dict(lagrangian=2 * XDOT),
+            dict(lagrangian=X),
+            "Lagrangian must live over coordinates + velocities",
+        ),
+        (
+            FirstOrderModel("m", Z, C, X * P),
+            dict(name="n"),
+            dict(zeta=COORDS),
+            "phase space must have an even number of coordinates",
+        ),
+    ],
+    ids=["ChainOptions", "LatticeSpec", "SecondOrderLagrangian", "FirstOrderModel"],
+)
+def test_replace_and_make_validate(record, valid, invalid, message):
+    """namedtuple's _replace and _make build through the record's own checks."""
+    cls = type(record)
+    fields = record._asdict()
+    for build in (lambda: record._replace(**invalid), lambda: cls._make({**fields, **invalid}.values())):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+    replaced = record._replace(**valid)
+    assert type(replaced) is cls
+    assert replaced == cls(**{**fields, **valid}) == cls._make({**fields, **valid}.values())
