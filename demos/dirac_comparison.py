@@ -36,8 +36,12 @@ print()
 cm = classify(model, oracle.constraints)
 print("mutual-bracket matrix:")
 print(cm.matrix)
-print(f"rank {cm.rank}: all {cm.rank} constraints are "
-      f"second-class; det = {determinant(cm.matrix)}")
+if not cm.first_class and cm.rank == len(oracle.constraints):
+    print(f"rank {cm.rank}: all {cm.rank} constraints are "
+          f"second-class; det = {determinant(cm.matrix)}")
+else:
+    print(f"rank {cm.rank} of {len(oracle.constraints)} constraints: "
+          f"{len(cm.first_class)} first-class")
 print()
 
 # -- and the cross-check against the chain --------------------------------

@@ -229,16 +229,17 @@ def _kept(cols: list, constraints: Sequence[Constraint], truncated: bool) -> lis
     return cols[: len(cols) - len(constraints) + sum(c.level == 1 for c in constraints)]
 
 
-def _solve(state: SparseEchelon, kept: list, n_zeta: int, n: int) -> tuple:
+def _solve(state: SparseEchelon, kept: list, n_zeta: int, n: int, built: dict) -> tuple:
     """The left null basis and, if square, the determinant of one attempt's n-row matrix with integer columns ``kept``.
 
     ``state`` has taken in the constraint columns kept[n_zeta:], so only
     the coordinate columns are reduced, in a copy.  Taking those last moves n_zeta
     columns past n_aux, a sign (-1)^(n_zeta * n_aux) on the determinant:
     +1, since a ``FirstOrderModel`` has an even number of coordinates.
+    ``built`` holds the run's null vectors for ``null_basis`` to reuse.
     """
     kernel = state.copy().absorb(kept[:n_zeta])
-    return kernel.null_basis(n), Fraction(kernel.num, kernel.den) if len(kept) == n else None
+    return kernel.null_basis(n, built=built), Fraction(kernel.num, kernel.den) if len(kept) == n else None
 
 
 def _classify(
@@ -282,9 +283,11 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     bordered once, in place, by each accepted constraint, the
     elimination of the constraint columns +A^T, which never change: it
     takes in each one at its border, in place, and a truncated attempt
-    starts from its state after level 1, and the value of each distinct
-    null vector, as the levels' null spaces are nested.  An attempt
-    reduces the coordinate columns, in a copy of the state.
+    starts from its state after level 1, and each distinct null vector
+    and its value, as the levels' null spaces are nested: ``null_basis``
+    builds a vector only for a free row and hits it has not met in the
+    run.  An attempt reduces the coordinate columns, in a copy of the
+    state, in one ``absorb`` call: echelon rows, then one back-substitution.
     """
     opts = opts or ChainOptions()
     constraints: list[Constraint] = [
@@ -302,6 +305,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     grad_h = [_integral(g.terms) for g in m.hamiltonian.gradient()]
     known = EchelonBasis(m.zeta)
     seen: dict[tuple, Expression] = {}
+    built: dict[tuple, tuple] = {}
     full = SparseEchelon()
     full.num = 1  # track the determinant
     level1: SparseEchelon | None = None
@@ -313,7 +317,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     def attempt(k: int, truncated: bool):
         """Classify the null vectors of one bordered matrix and record the level."""
         kept = _kept(cols, constraints, truncated)
-        null, det = _solve(level1 if truncated else full, kept, n_zeta, len(cols))
+        null, det = _solve(level1 if truncated else full, kept, n_zeta, len(cols), built)
         candidates = _classify(null, grad_h, m.zeta, known, k + 1, seen)
         records.append(LevelRecord(
             level=k, truncated=truncated, shape=(len(cols), len(kept)), candidates=tuple(candidates)

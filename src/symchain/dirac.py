@@ -6,8 +6,12 @@ with a primary survives.  The bracket is the one the first-order form
 fixes, {a, b} = grad(a) . f^-1 . grad(b) (Faddeev & Jackiw 1988), so it
 holds for any order of the coordinates.  Each pass forms a candidate
 only for the null directions the previous pass added, in integers.
-The module shares only the base tensor f and the span basis with the
-chain driver, so agreement between the two is a real cross-check.
+The module shares with the chain driver the base tensor f
+(``_integer_columns``), the span basis (``_span``) and the exact kernel:
+the same ``SparseEchelon`` and linalg's ``_combine``, ``_integral``,
+``_put`` and ``_rows``.  Agreement between the two checks the derivation,
+the consistency iteration against the bordered-matrix chain, but not
+that kernel; the tests' sympy references are what guard it.
 """
 
 from __future__ import annotations

@@ -5,14 +5,17 @@ primitive int vectors, each its nonzero (index, int) pairs, dense only in
 ``left_null_space``.  Under them a rational sparse vector is the pair
 (vec, scale) for vec/scale, vec an int dict, made once where a Fraction
 enters; every row reduction and the determinant run on one sparse
-Gauss-Jordan kernel over primitive integer rows.  The dense views of a
-RationalMatrix, ``rank``, ``determinant`` and ``left_null_space``, each
-read one fresh elimination of its columns.
+elimination kernel over primitive integer rows.  It takes a batch of
+columns in echelon form and back-substitutes once at the end of the
+batch, so every public call leaves the rows in reduced row-echelon
+form.  The dense views of a RationalMatrix, ``rank``, ``determinant``
+and ``left_null_space``, each read one fresh elimination of its columns.
 """
 
 from __future__ import annotations
 
 from bisect import bisect, insort
+from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from math import gcd, lcm
 from collections.abc import Iterable, Sequence
@@ -73,7 +76,7 @@ def _exact(x, kind: str) -> Fraction:
 
 
 class SparseEchelon:
-    """Incremental exact Gauss-Jordan elimination on sparse primitive integer rows.
+    """Incremental exact elimination on sparse primitive integer rows.
 
     A vector is a dict from column index to a nonzero int.  ``rows`` maps
     each pivot column, a row's first nonzero one, to its row: ints with gcd
@@ -84,6 +87,9 @@ class SparseEchelon:
     package runs on it.  ``absorb`` takes in the columns of a matrix M and
     keeps their determinant num/den with its sorted ``pivots`` (num 0, the
     default, tracks none; set it to 1 before the first column to track).
+    Inside one ``absorb`` call the new rows are only echelon rows; the
+    call ends with one back-substitution, so the rows are canonical again
+    whenever a method returns.
     """
 
     __slots__ = ("rows", "num", "den", "pivots")
@@ -113,26 +119,56 @@ class SparseEchelon:
         in ints, to s_j > 0 times a column of the same determinant with a
         new pivot, so det M^T = det M is the product of the pivot entries
         over that of the s_j, negated for each earlier pivot below a new
-        one: 0 at a dependent column.
+        one: 0 at a dependent column.  num/den is kept in lowest terms, den > 0.
+
+        Within the call a column is reduced in ascending pivot order and
+        kept as an echelon row, zero at every pivot taken before it and
+        nonzero only at or past its own, so no stored row is rewritten;
+        one back-substitution at the end, from the last new pivot down,
+        brings every row holding a new pivot back to its canonical form.
         """
-        num, den, pivots = self.num, self.den, self.pivots
+        rows, num, den, pivots = self.rows, self.num, self.den, self.pivots
+        fresh: dict[int, dict[int, int]] = {}  # this call's echelon rows
         for vec, scale in cols:
-            vec, scale = self.reduce(dict(vec), scale)
+            vec = dict(vec)
+            # a canonical row holds no other pivot of an earlier call: one pass
+            for col in rows.keys() & vec.keys():
+                vec, p = _eliminate(vec, rows[col], col)
+                scale *= p
+            # an echelon row holds only pivots past its own, taken after it
+            heap = fresh.keys() & vec.keys() if fresh else None
+            if heap:
+                heap = list(heap)
+                heapify(heap)
+                while heap:
+                    col = heappop(heap)
+                    if col in vec:
+                        row = fresh[col]
+                        for c in row:
+                            if c in fresh and c != col:
+                                heappush(heap, c)
+                        vec, p = _eliminate(vec, row, col)
+                        scale *= p
             if not vec:
                 num = 0
                 continue
+            pivot = min(vec)
             if num:
-                pivot = min(vec)
                 if bisect(pivots, pivot) % 2:
                     num = -num
                 insort(pivots, pivot)
                 num *= vec[pivot]
                 den *= scale
-            self.insert(vec)
-        self.num, self.den = num, den
+            fresh[pivot] = _normalized(vec, pivot) if len(vec) > 1 else {pivot: 1}
+        if len(fresh) == 1:
+            self.insert(*fresh.values())
+        elif fresh:
+            _back_substitute(rows, fresh)
+        g = gcd(num, den)
+        self.num, self.den = num // g, den // g
         return self
 
-    def null_basis(self, n: int, above: int = 0) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def null_basis(self, n: int, above: int = 0, built: dict | None = None) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The canonical left null basis of the n-row M whose columns ``absorb`` took in.
 
         Each free row f, the pivot of no column, gives a null vector: L at f
@@ -143,8 +179,11 @@ class SparseEchelon:
         form, whatever the shape of M, given as its nonzero (i, int) pairs
         for row i, in ascending order.  A vector whose keys all lie above
         ``above`` is left out before it is built; the default keeps all.
+        ``built`` maps f and its (pivot, x, d) hits, which fix the vector,
+        to a vector built earlier: each one missing is built and added, so
+        a dict passed to several calls builds each vector once.
         """
-        rows = self.rows
+        rows, built = self.rows, {} if built is None else built
         hits: dict[int, list[tuple[int, int, int]]] = {~i: [] for i in range(n) if ~i not in rows}
         for pivot, row in rows.items():
             for f, x in row.items():
@@ -154,9 +193,11 @@ class SparseEchelon:
         for f, entries in hits.items():
             if f > above and all(p > above for p, _, _ in entries):
                 continue
-            mult = lcm(*(d for _, _, d in entries))
-            vec = _normalized({f: mult, **{p: -x * (mult // d) for p, x, d in entries}}, f)
-            basis.append(tuple(sorted((~key, x) for key, x in vec.items())))
+            key = (f, *entries)
+            vec = built.get(key)
+            if vec is None:
+                vec = built[key] = _null_vector(f, entries)
+            basis.append(vec)
         return tuple(basis)
 
     def reduce(self, vec: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
@@ -176,6 +217,37 @@ class SparseEchelon:
         for key in [key for key, row in rows.items() if pivot in row]:
             rows[key] = _normalized(_eliminate(dict(rows[key]), vec, pivot)[0], key)
         rows[pivot] = vec
+
+
+def _null_vector(f: int, entries: list[tuple[int, int, int]]) -> tuple[tuple[int, int], ...]:
+    """The null vector of free row f from its (pivot, x, d) hits, as ``SparseEchelon.null_basis`` gives it."""
+    mult = lcm(*(d for _, _, d in entries))
+    vec = _normalized({f: mult, **{p: -x * (mult // d) for p, x, d in entries}}, f)
+    return tuple(sorted((~key, x) for key, x in vec.items()))
+
+
+def _back_substitute(rows: dict[int, dict[int, int]], fresh: dict[int, dict[int, int]]) -> None:
+    """Join the echelon rows ``fresh`` of one ``absorb`` call to the canonical ``rows``, all made canonical.
+
+    A fresh row holds, past its pivot, only fresh pivots taken after it:
+    from the last pivot down, each is cleared by rows already canonical.
+    The canonical rows that hold a new pivot, found in one scan, are
+    replaced, never changed.
+    """
+    for pivot in sorted(fresh, reverse=True):
+        row = fresh[pivot]
+        held = [c for c in row if c in fresh and c != pivot]
+        if held:
+            for col in held:
+                row = _eliminate(row, fresh[col], col)[0]
+            fresh[pivot] = _normalized(row, pivot)
+    new = fresh.keys()
+    for key in [key for key, row in rows.items() if not new.isdisjoint(row.keys())]:
+        row = dict(rows[key])
+        for col in [c for c in row if c in fresh]:
+            row = _eliminate(row, fresh[col], col)[0]
+        rows[key] = _normalized(row, key)
+    rows.update(fresh)
 
 
 def _eliminate(vec: dict[int, int], row: dict[int, int], col: int) -> tuple[dict[int, int], int]:

@@ -241,8 +241,8 @@ def test_lattice_attempts_match_two_pass_reference(monkeypatch):
     shapes = []
     solve = chain._solve
 
-    def checked(state, kept, n_zeta, n):
-        result = solve(state, kept, n_zeta, n)
+    def checked(state, kept, n_zeta, n, built):
+        result = solve(state, kept, n_zeta, n, built)
         cols = [{~key: Fraction(x, scale) for key, x in vec.items()} for vec, scale in kept]
         basis, det = two_pass_null_space(cols, n)
         assert result == (tuple(map(sparse_form, basis)), det)

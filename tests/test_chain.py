@@ -394,9 +394,9 @@ def test_run_chain_rejects_a_null_vector_that_does_not_annihilate(example2, scal
 
     solve = chain._solve
 
-    def wrong_basis(state, kept, n_zeta, n):
+    def wrong_basis(state, kept, n_zeta, n, built):
         # the primary's row: v . grad(H) ignores it, but its column entry is -scale
-        return (((n - 1, 1),),), solve(state, kept, n_zeta, n)[1]
+        return (((n - 1, 1),),), solve(state, kept, n_zeta, n, built)[1]
 
     monkeypatch.setattr(chain, "_solve", wrong_basis)
     with pytest.raises(ChainError, match="^certificate mismatch: a null vector does not annihilate F$"):
@@ -468,6 +468,21 @@ def test_run_chain_scales_and_eliminates_each_column_once(monkeypatch):
     assert len(scaled) <= n_zeta + 2 * n_constraints == 72
     # each constraint column once, at its border; each attempt its coordinate columns
     assert sorted(absorbed) == [1] * n_constraints + [n_zeta] * len(report.levels)
+
+
+def test_run_chain_builds_each_distinct_null_vector_once(monkeypatch):
+    """On the deep shift chain: 342 candidates over its attempts, 23 distinct vectors, 23 built."""
+    built = []
+    null_vector = linalg._null_vector
+
+    def counted(f, entries):
+        built.append(f)
+        return null_vector(f, entries)
+
+    monkeypatch.setattr(linalg, "_null_vector", counted)
+    report = run_chain(_deep_shift_chain(), ChainOptions(max_level=64))
+    vectors = [c.vector for rec in report.levels for c in rec.candidates]
+    assert (len(built), len(set(vectors)), len(vectors)) == (23, 23, 342)
 
 
 def _classify_without_memo(null, grad_h, zeta, known, level, seen):

@@ -1,12 +1,14 @@
 """Every demo script runs to completion against this checkout's symchain and prints its pinned bytes."""
 
 import hashlib
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import symchain
 from checkout import checkout_env
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -48,3 +50,13 @@ def test_mechanical_chain_prints_each_generator_dense():
         "  level 3: p_x + p_y   [null-vector]  from v = (0, 0, 0, 1, 1, 0, 0, 1)",
         "  level 4: z   [truncated-null-vector]  from v = (1, 1, 0, 0, 0, 0, 0, 0, -1)",
     ]
+
+
+def test_dirac_demo_claims_all_second_class_only_when_it_holds(monkeypatch, capsys):
+    """With first-class constraints, as in gauge_pair, the demo prints their count instead."""
+    load = symchain.load_model
+    monkeypatch.setattr(symchain, "load_model", lambda path: load(Path(path).with_name("gauge_pair.model")))
+    runpy.run_path(str(DEMOS / "dirac_comparison.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "rank 0 of 2 constraints: 2 first-class" in out.splitlines()
+    assert "second-class" not in out

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symchain import (
@@ -348,8 +348,61 @@ def _primitive_with_positive_lead(row):
     return [Fraction(x // g) for x in ints]
 
 
+def _matrix(text):
+    """Rows from text: rows split by ';', entries by spaces."""
+    return [[Fraction(x) for x in row.split()] for row in text.split(";")]
+
+
+# Matrices in whose one-call elimination a column meets the echelon row of
+# an earlier column that holds the pivot of a column between the two, so its
+# reduction is only right in ascending pivot order, and the back-substitution
+# at the end has rows to clear.  Square, tall and wide; singular or not.
+SAME_CALL_FILL = [
+    _matrix("1 1 0; 1 0 1; 0 0 1"),
+    _matrix("0 0 -1/2 0; 0 2 1 1; 1 -1/2 -1 -3/2; -1 1 0 -1"),
+    _matrix("0 0 0 1/2 0; 0 2 1 1 -3/2; 0 2 -3 -3 0; 0 -3 -1 0 -1; 0 0 -1 -3 2"),
+    _matrix("0 0 0 0; 2 2 -3 0; 1 0 -3 -1; 0 -3 0 1"),
+    _matrix("1 -1 -3 -1; -1 -3 1 -1/2; 1/2 -1 0 1"),
+    _matrix("0 1/2 1 -3; 1 1 -1 -1/2; -1/2 1 2 1; 1 -3/2 -3 1; 1/2 1/2 1 -1/2"),
+    _matrix("0 -3 -3 -1/2 -1 0; 0 1/2 2 -1 -1 0; 1/2 1 -1/2 0 -3/2 -1/2; 0 1/2 2 1 0 0; -1 2 2 -3 0 1"),
+]
+
+
+def _same_call_fill_hits(rows):
+    """How often a column meets an earlier column's echelon row holding a pivot taken between the two.
+
+    A column's echelon row is the column reduced by the columns before it,
+    keyed by ~i for row i: zero at their pivots, unique up to scale, so the
+    count does not depend on the kernel.
+    """
+    reference, echelon, hits = FractionEchelon(), {}, 0
+    for j in range(len(rows[0])):
+        col = {~i: row[j] for i, row in enumerate(rows) if row[j]}
+        hits += sum(any(q in echelon and q != p for q in echelon[p]) for p in col if p in echelon)
+        vec = reference.reduce(col)
+        if vec:
+            echelon[min(vec)] = dict(vec)
+            reference.add(vec)
+    return hits
+
+
+def test_same_call_fill_inputs_take_that_path():
+    assert all(_same_call_fill_hits(rows) for rows in SAME_CALL_FILL)
+    assert not _same_call_fill_hits(_matrix("1 0; 0 1"))
+
+
+def _examples(cases):
+    """Hypothesis ``example`` decorators, one per case."""
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=100, deadline=None)
 @given(_matrices())
+@_examples(SAME_CALL_FILL)
 def test_rref_and_rank_match_sympy(rows):
     reduced, pivots = kernel_rref(rows)
     expected, expected_pivots = _sympy(rows).rref()
@@ -371,6 +424,7 @@ def _sympy_left_null_basis(rows):
 
 @settings(max_examples=100, deadline=None)
 @given(_matrices())
+@_examples(SAME_CALL_FILL)
 def test_left_null_space_matches_sympy(rows):
     expected = _sympy_left_null_basis(rows)
     assert [list(v) for v in left_null_space(RationalMatrix(rows))] == expected
@@ -378,6 +432,7 @@ def test_left_null_space_matches_sympy(rows):
 
 @settings(max_examples=100, deadline=None)
 @given(_matrices(square=True))
+@_examples([rows for rows in SAME_CALL_FILL if len(rows) == len(rows[0])])
 def test_determinant_matches_sympy(rows):
     assert determinant(RationalMatrix(rows)) == _fraction(_sympy(rows).det())
 
@@ -550,6 +605,17 @@ def test_absorb_in_two_batches_on_a_copy_equals_one_batch(case, data):
     whole.absorb(ints)
     assert (second.rows, second.num, second.den) == (whole.rows, whole.num, whole.den)
     assert second.null_basis(n) == whole.null_basis(n)
+
+
+def test_absorb_keeps_the_determinant_pair_in_lowest_terms():
+    """Split after two columns, the echelon rows scale this determinant as 8/2 unless each call reduces it."""
+    rows = _matrix("1 -1 1; -2 0 2; 1 -2 1")
+    ints = [_integral({~i: row[j] for i, row in enumerate(rows) if row[j]}) for j in range(3)]
+    whole, split = SparseEchelon(), SparseEchelon()
+    whole.num = split.num = 1
+    whole.absorb(ints)
+    split.absorb(ints[:2]).absorb(ints[2:])
+    assert (whole.num, whole.den) == (split.num, split.den) == (4, 1) == (_fraction(_sympy(rows).det()), 1)
 
 
 # -- the (vec, scale) contract --------------------------------------------
