@@ -31,13 +31,15 @@ ORIGIN_CONSISTENCY = "consistency"
 def _inverse(m: FirstOrderModel) -> list[tuple[dict[int, int], int]]:
     """The sparse rows of f^-1, f the chain's base tensor, as (vec, scale) pairs from one elimination.
 
-    The rows of [f | I] reduce to [I | f^-1], row a over its pivot entry; a
-    pivot in the I half means f is degenerate, and the oracle then raises ``ValueError``.
+    The rows of [f | I], taken in by one ``absorb``, reduce to [I | f^-1],
+    row a over its pivot entry; a pivot in the I half means f is
+    degenerate, and the oracle then raises ``ValueError``.
     """
     n = len(m.c)
-    kernel = SparseEchelon()
-    for a, (col, scale) in enumerate(_integer_columns(m)):  # f is antisymmetric: its row a is minus its column a
-        kernel.add({**{~key: -x for key, x in col.items()}, n + a: scale})
+    # f is antisymmetric: its row a is minus its column a
+    kernel = SparseEchelon().absorb(
+        ({**{~key: -x for key, x in col.items()}, n + a: scale}, 1) for a, (col, scale) in enumerate(_integer_columns(m))
+    )
     rank = sum(pivot < n for pivot in kernel.rows)
     if rank < n:
         raise ValueError(

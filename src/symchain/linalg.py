@@ -106,7 +106,7 @@ class SparseEchelon:
         return bool(vec)
 
     def copy(self) -> SparseEchelon:
-        """An independent copy; it shares the rows, which ``insert`` replaces and never changes."""
+        """An independent copy; it shares the rows, which every method replaces and never changes."""
         new = SparseEchelon()
         new.rows, new.num, new.den, new.pivots = dict(self.rows), self.num, self.den, list(self.pivots)
         return new
@@ -160,9 +160,7 @@ class SparseEchelon:
                 num *= vec[pivot]
                 den *= scale
             fresh[pivot] = _normalized(vec, pivot) if len(vec) > 1 else {pivot: 1}
-        if len(fresh) == 1:
-            self.insert(*fresh.values())
-        elif fresh:
+        if fresh:
             _back_substitute(rows, fresh)
         g = gcd(num, den)
         self.num, self.den = num // g, den // g
@@ -212,11 +210,7 @@ class SparseEchelon:
     def insert(self, vec: dict[int, int]) -> None:
         """Make the reduced, nonzero int ``vec`` a row; rows holding its pivot are replaced, never changed."""
         pivot = min(vec)
-        vec = _normalized(vec, pivot)
-        rows = self.rows
-        for key in [key for key, row in rows.items() if pivot in row]:
-            rows[key] = _normalized(_eliminate(dict(rows[key]), vec, pivot)[0], key)
-        rows[pivot] = vec
+        _back_substitute(self.rows, {pivot: _normalized(vec, pivot)})
 
 
 def _null_vector(f: int, entries: list[tuple[int, int, int]]) -> tuple[tuple[int, int], ...]:
@@ -227,24 +221,31 @@ def _null_vector(f: int, entries: list[tuple[int, int, int]]) -> tuple[tuple[int
 
 
 def _back_substitute(rows: dict[int, dict[int, int]], fresh: dict[int, dict[int, int]]) -> None:
-    """Join the echelon rows ``fresh`` of one ``absorb`` call to the canonical ``rows``, all made canonical.
+    """Join ``fresh``, the echelon rows one ``absorb`` or ``insert`` call adds, to the canonical ``rows``, all made canonical.
 
     A fresh row holds, past its pivot, only fresh pivots taken after it:
     from the last pivot down, each is cleared by rows already canonical.
     The canonical rows that hold a new pivot, found in one scan, are
     replaced, never changed.
     """
-    for pivot in sorted(fresh, reverse=True):
-        row = fresh[pivot]
-        held = [c for c in row if c in fresh and c != pivot]
-        if held:
-            for col in held:
-                row = _eliminate(row, fresh[col], col)[0]
-            fresh[pivot] = _normalized(row, pivot)
     new = fresh.keys()
-    for key in [key for key, row in rows.items() if not new.isdisjoint(row.keys())]:
+    if len(new) == 1:  # one new row, from ``insert`` or a one-column call: canonical already
+        (pivot,) = new
+        hit = [key for key, row in rows.items() if pivot in row]
+    else:
+        # the last pivot's row holds no other fresh pivot
+        for pivot in sorted(fresh, reverse=True)[1:]:
+            row = fresh[pivot]
+            held = [c for c in row if c in fresh and c != pivot]
+            if held:
+                for col in held:
+                    row = _eliminate(row, fresh[col], col)[0]
+                fresh[pivot] = _normalized(row, pivot)
+        hit = [key for key, row in rows.items() if not new.isdisjoint(row.keys())]
+    for key in hit:
         row = dict(rows[key])
-        for col in [c for c in row if c in fresh]:
+        # the fresh rows are canonical, so the pivots a row holds can be cleared in any order
+        for col in new & row.keys():
             row = _eliminate(row, fresh[col], col)[0]
         rows[key] = _normalized(row, key)
     rows.update(fresh)
