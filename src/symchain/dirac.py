@@ -20,7 +20,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .chain import ChainReport, Constraint, span_fingerprint, _integer_columns, _span
+from .chain import ORIGIN_PRIMARY, ChainReport, Constraint, span_fingerprint, _integer_columns, _span
 from .expressions import EchelonBasis, Expression, _linear_part
 from .linalg import RationalMatrix, SparseEchelon, _combine, _integral, _put, _rows
 from .model import FirstOrderModel
@@ -120,7 +120,7 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     is nonzero and not constant, so it takes a new pivot among the
     len(zeta) coordinate columns of the span.
     """
-    constraints = [Constraint.from_raw(1, p, "primary") for p in m.primaries]
+    constraints = [Constraint.from_raw(1, p, ORIGIN_PRIMARY) for p in m.primaries]
     if not constraints:
         return OracleResult((), ())
     if not all(p.is_linear() for p in m.primaries):

@@ -281,12 +281,6 @@ class Expression:
             return NotImplemented
         return Expression._trusted(self._vars, _add(dict(self._terms), other._terms, -1))
 
-    def __rsub__(self, other) -> "Expression":
-        return (-self) + other
-
-    def __neg__(self) -> "Expression":
-        return Expression._trusted(self._vars, {m: -c for m, c in self._terms.items()})
-
     def __mul__(self, other) -> "Expression":
         if isinstance(other, (int, Fraction)):
             return Expression._trusted(self._vars, _add({}, self._terms, other))
@@ -296,11 +290,6 @@ class Expression:
         return Expression._trusted(self._vars, _mul(self._terms, other._terms))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Expression":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return Expression._trusted(self._vars, _power(self._terms, n))
 
     def __eq__(self, other) -> bool:
         return (
@@ -568,7 +557,8 @@ class EchelonBasis:
 
     def add(self, e: Expression) -> bool:
         """Extend the span by ``e``; False when ``e`` already lies in it."""
-        return self._kernel.add(self._vector(e, "basis expression")[0])
+        rank = len(self._kernel.rows)
+        return len(self._kernel.absorb([self._vector(e, "basis expression")]).rows) > rank
 
     def _add_sums(self, sums: dict, den: int) -> bool:
         """``add`` for the linear form given as int monomial sums (zeros allowed) over an int ``den`` > 0.
@@ -583,7 +573,7 @@ class EchelonBasis:
                 f"constant {Fraction(vec[n], scale)}"
             )
         if vec:
-            self._kernel.insert(vec)
+            self._kernel.absorb([(vec, scale)])
         return bool(vec)
 
     def holds_constant(self) -> bool:

@@ -5,11 +5,11 @@ primitive int vectors, each its nonzero (index, int) pairs, dense only in
 ``left_null_space``.  Under them a rational sparse vector is the pair
 (vec, scale) for vec/scale, vec an int dict, made once where a Fraction
 enters; every row reduction and the determinant run on one sparse
-elimination kernel over primitive integer rows.  It takes a batch of
-columns in echelon form and back-substitutes once at the end of the
-batch, so every public call leaves the rows in reduced row-echelon
-form.  The dense views of a RationalMatrix, ``rank``, ``determinant``
-and ``left_null_space``, each read one fresh elimination of its columns.
+elimination kernel over primitive integer rows.  Only ``absorb`` adds
+rows, one or a batch in echelon form, back-substituted once at its end,
+so every public call leaves the rows in reduced row-echelon form.  The
+dense views of a RationalMatrix, ``rank``, ``determinant`` and
+``left_null_space``, each read one fresh elimination of its columns.
 """
 
 from __future__ import annotations
@@ -78,18 +78,19 @@ def _exact(x, kind: str) -> Fraction:
 class SparseEchelon:
     """Incremental exact elimination on sparse primitive integer rows.
 
-    A vector is a dict from column index to a nonzero int.  ``rows`` maps
-    each pivot column, a row's first nonzero one, to its row: ints with gcd
-    1, positive at the pivot and zero at every other pivot, the one such
-    multiple of its reduced row-echelon row (row, row[pivot]), so the rows
-    depend only on the span.  A reduction is vec = p*vec - a*row, p and a
-    the entries at the pivot over their gcd.  Every elimination of the
-    package runs on it.  ``absorb`` takes in the columns of a matrix M and
-    keeps their determinant num/den with its sorted ``pivots`` (num 0, the
-    default, tracks none; set it to 1 before the first column to track).
-    Inside one ``absorb`` call the new rows are only echelon rows; the
-    call ends with one back-substitution, so the rows are canonical again
-    whenever a method returns.
+    A vector is a dict from column index to a nonzero int: keyed ~i for
+    row i in a matrix's column, by any ints in a span's row.  ``rows``
+    maps each pivot column, a row's first nonzero one, to its row: ints
+    with gcd 1, positive at the pivot and zero at every other pivot, the
+    one such multiple of its reduced row-echelon row (row, row[pivot]), so
+    the rows depend only on the span.  A reduction is vec = p*vec - a*row,
+    p and a the entries at the pivot over their gcd.  Every elimination of
+    the package runs on it.  Only ``absorb`` makes rows: it takes in the
+    columns of a matrix M and keeps their determinant num/den with its
+    sorted ``pivots`` (num 0, the default, tracks none; set it to 1 before
+    the first column to track).  Inside one ``absorb`` call the new rows
+    are only echelon rows; the call ends with one back-substitution, so
+    the rows are canonical again whenever a method returns.
     """
 
     __slots__ = ("rows", "num", "den", "pivots")
@@ -97,13 +98,6 @@ class SparseEchelon:
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
         self.num, self.den, self.pivots = 0, 1, []
-
-    def add(self, vec: dict[int, int]) -> bool:
-        """Extend the span by the int ``vec`` (consumed); False when it already lies in it."""
-        vec = self.reduce(vec, 1)[0]
-        if vec:
-            self.insert(vec)
-        return bool(vec)
 
     def copy(self) -> SparseEchelon:
         """An independent copy; it shares the rows, which every method replaces and never changes."""
@@ -115,13 +109,15 @@ class SparseEchelon:
         """Take in the columns ``cols`` (left unchanged) of a matrix M, in place, and return self.
 
         A column is a pair (vec, scale) for vec/scale, vec ints keyed by ~i
-        for row i, so each column pivots at its largest row.  It reduces,
-        in ints, to s_j > 0 times a column of the same determinant with a
-        new pivot, so det M^T = det M is the product of the pivot entries
-        over that of the s_j, negated for each earlier pivot below a new
-        one: 0 at a dependent column.  num/den is kept in lowest terms, den > 0.
+        for row i, so each column pivots at its largest row; a span's rows
+        enter the same way, keyed by any ints.  It reduces, in ints, to
+        s_j > 0 times a column of the same determinant with a new pivot, so
+        det M^T = det M is the product of the pivot entries over that of
+        the s_j, negated for each earlier pivot below a new one: 0 at a
+        dependent column.  num/den is kept in lowest terms, den > 0.
 
-        Within the call a column is reduced in ascending pivot order and
+        Within the call a column is reduced by the earlier calls' rows
+        (``reduce``), then in ascending pivot order by this call's, and
         kept as an echelon row, zero at every pivot taken before it and
         nonzero only at or past its own, so no stored row is rewritten;
         one back-substitution at the end, from the last new pivot down,
@@ -130,11 +126,7 @@ class SparseEchelon:
         rows, num, den, pivots = self.rows, self.num, self.den, self.pivots
         fresh: dict[int, dict[int, int]] = {}  # this call's echelon rows
         for vec, scale in cols:
-            vec = dict(vec)
-            # a canonical row holds no other pivot of an earlier call: one pass
-            for col in rows.keys() & vec.keys():
-                vec, p = _eliminate(vec, rows[col], col)
-                scale *= p
+            vec, scale = self.reduce(dict(vec), scale)
             # an echelon row holds only pivots past its own, taken after it
             heap = fresh.keys() & vec.keys() if fresh else None
             if heap:
@@ -201,16 +193,11 @@ class SparseEchelon:
     def reduce(self, vec: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
         """The member of vec/scale + span zero at every pivot, as a (vec, scale) pair (``vec`` consumed)."""
         rows = self.rows
-        # each row is zero at the other pivots, so one pass suffices
-        for col in [c for c in vec if c in rows]:
+        # a canonical row is zero at the other pivots: one pass over the pivots vec holds
+        for col in rows.keys() & vec.keys():
             vec, p = _eliminate(vec, rows[col], col)
             scale *= p
         return vec, scale
-
-    def insert(self, vec: dict[int, int]) -> None:
-        """Make the reduced, nonzero int ``vec`` a row; rows holding its pivot are replaced, never changed."""
-        pivot = min(vec)
-        _back_substitute(self.rows, {pivot: _normalized(vec, pivot)})
 
 
 def _null_vector(f: int, entries: list[tuple[int, int, int]]) -> tuple[tuple[int, int], ...]:
@@ -221,7 +208,7 @@ def _null_vector(f: int, entries: list[tuple[int, int, int]]) -> tuple[tuple[int
 
 
 def _back_substitute(rows: dict[int, dict[int, int]], fresh: dict[int, dict[int, int]]) -> None:
-    """Join ``fresh``, the echelon rows one ``absorb`` or ``insert`` call adds, to the canonical ``rows``, all made canonical.
+    """Join ``fresh``, the echelon rows one ``absorb`` call adds, to the canonical ``rows``, all made canonical.
 
     A fresh row holds, past its pivot, only fresh pivots taken after it:
     from the last pivot down, each is cleared by rows already canonical.
@@ -229,7 +216,7 @@ def _back_substitute(rows: dict[int, dict[int, int]], fresh: dict[int, dict[int,
     replaced, never changed.
     """
     new = fresh.keys()
-    if len(new) == 1:  # one new row, from ``insert`` or a one-column call: canonical already
+    if len(new) == 1:  # one new row, as from a one-column call: canonical already
         (pivot,) = new
         hit = [key for key, row in rows.items() if pivot in row]
     else:

@@ -179,7 +179,7 @@ def legendre_transform(l: SecondOrderLagrangian, name: str = "model") -> FirstOr
             vec = kernel.reduce(dict(ints[order[s]][0]), 1)[0]
             if col in vec:
                 order[r], order[s] = order[s], order[r]
-                kernel.insert(vec)
+                kernel.absorb([(vec, 1)])
                 break
 
     def rhs(row: dict, scale: int) -> dict:

@@ -177,7 +177,7 @@ def test_criterion_3_lattice():
             ],
             3: [var("pi1", i) for i in range(sites)],
             4: [
-                -var("piphi", i) - dvar("phi", i) - 2 * var("A1", i) + var("A0", i)
+                var("A0", i) - var("piphi", i) - dvar("phi", i) - 2 * var("A1", i)
                 for i in range(sites)
             ],
         }
@@ -265,7 +265,7 @@ def test_criterion_6_bracket_algebra(example2):
 
     for _ in range(100):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
-        assert poisson_bracket(a, b, pairs) == -poisson_bracket(b, a, pairs)
+        assert poisson_bracket(a, b, pairs) == -1 * poisson_bracket(b, a, pairs)
         assert poisson_bracket(a, b * c, pairs) == (
             poisson_bracket(a, b, pairs) * c + b * poisson_bracket(a, c, pairs)
         )

@@ -130,7 +130,7 @@ def test_bracket_algebra_properties(example2):
     for _ in range(100):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
         ab = poisson_bracket(a, b, pairs)
-        assert ab == -poisson_bracket(b, a, pairs)
+        assert ab == -1 * poisson_bracket(b, a, pairs)
         assert poisson_bracket(a, a, pairs).is_zero()
         # Leibniz: {a, b*c} = {a,b}*c + b*{a,c}
         assert poisson_bracket(a, b * c, pairs) == ab * c + b * poisson_bracket(a, c, pairs)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 import sympy
@@ -125,7 +125,7 @@ def test_parse_deep_input():
 
 
 def _random_text(rng):
-    """A random expression text over VT and the Expression it denotes, built with + - * **.
+    """A random expression text over VT and the Expression it denotes, built with +, binary - and *.
 
     It follows the grammar level by level (sum, product, signed, power, atom)
     and draws literal zeros, terms that cancel, runs of unary signs, nested
@@ -152,13 +152,13 @@ def _random_text(rng):
         text, expr = atom(depth)
         if rng.random() < 0.25:
             k = rng.randint(0, 3)
-            return f"{text}^{k}", expr**k
+            return f"{text}^{k}", prod([expr] * k, start=Expression(VT, {(): 1}))
         return text, expr
 
     def signed(depth):
         signs = "".join(rng.choice("+-") for _ in range(rng.choice([0, 0, 0, 1, 2, 3])))
         text, expr = power(depth)
-        return signs + text, -expr if signs.count("-") % 2 else expr
+        return signs + text, -1 * expr if signs.count("-") % 2 else expr
 
     def product(depth):
         text, expr = signed(depth)
@@ -281,7 +281,7 @@ def test_differentiator_against_rule_based_oracle():
         ]
         e = Expression.zero(vt)
         for (eu, ev), coeff in terms:
-            e = e + coeff * Expression.variable(vt, "u") ** eu * Expression.variable(vt, "v") ** ev
+            e = e + Expression(vt, {sparse_key((eu, ev)): coeff})
         # rule-based derivative with respect to u on the raw list
         def oracle_du(pt):
             total = Fraction(0)
@@ -517,7 +517,7 @@ def test_linear_combination_and_arithmetic_results_are_canonical(pairs):
         running = running + k * e
     assert combined == running
     # results built without the constructor's checks hold what it would build
-    for result in (combined, -combined, combined * combined, combined - combined,
+    for result in (combined, -1 * combined, combined * combined, combined - combined,
                    combined.differentiate("x")):
         assert all(result.terms.values())
         assert result == Expression(result.vars, dict(result.terms))

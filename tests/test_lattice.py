@@ -97,9 +97,7 @@ def expected_stencils(m, spec):
         levels[1].append(var("pi0", i))
         levels[2].append(dvar("pi1", i) + var("piphi", i) + dvar("phi", i) + var("A1", i))
         levels[3].append(var("pi1", i))
-        levels[4].append(
-            -var("piphi", i) - dvar("phi", i) - 2 * var("A1", i) + var("A0", i)
-        )
+        levels[4].append(var("A0", i) - var("piphi", i) - dvar("phi", i) - 2 * var("A1", i))
     return levels
 
 

@@ -286,20 +286,29 @@ def test_zero_matrix_null_space_is_identity_basis():
     assert [list(v) for v in basis] == [[1, 0], [0, 1]]
 
 
+def _grows(kernel, col):
+    """Whether one ``absorb`` of the (vec, scale) pair ``col`` raises the kernel's rank."""
+    rank = len(kernel.rows)
+    return len(kernel.absorb([col]).rows) > rank
+
+
 def kernel_rref(rows):
-    """The reduced row-echelon form of ``rows`` that ``SparseEchelon`` holds, each row over its pivot entry, and the pivots."""
+    """The reduced row-echelon form of ``rows`` that ``SparseEchelon`` holds, each row over its pivot entry, and the pivots.
+
+    Each row enters by its own ``absorb``; the third value says whether each one raised the rank.
+    """
     kernel = SparseEchelon()
-    for row in rows:
-        kernel.add(_integral({j: x for j, x in enumerate(row) if x})[0])
+    grew = [_grows(kernel, _integral({j: x for j, x in enumerate(row) if x})) for row in rows]
     width = len(rows[0])
     reduced = [[Fraction(row.get(j, 0), row[p]) for j in range(width)] for p, row in sorted(kernel.rows.items())]
-    return reduced + [[Fraction(0)] * width] * (len(rows) - len(reduced)), tuple(sorted(kernel.rows))
+    return reduced + [[Fraction(0)] * width] * (len(rows) - len(reduced)), tuple(sorted(kernel.rows)), grew
 
 
 def test_rref_pivots():
-    reduced, pivots = kernel_rref([[0, 2, 4], [1, 1, 1]])
+    reduced, pivots, grew = kernel_rref([[0, 2, 4], [1, 1, 1], [1, 2, 3]])
     assert pivots == (0, 1)
-    assert reduced == [[1, 0, -1], [0, 1, 2]]
+    assert reduced == [[1, 0, -1], [0, 1, 2], [0, 0, 0]]
+    assert grew == [True, True, False]
 
 
 def test_rank_of_f1_golden():
@@ -404,9 +413,11 @@ def _examples(cases):
 @given(_matrices())
 @_examples(SAME_CALL_FILL)
 def test_rref_and_rank_match_sympy(rows):
-    reduced, pivots = kernel_rref(rows)
+    reduced, pivots, grew = kernel_rref(rows)
     expected, expected_pivots = _sympy(rows).rref()
     assert pivots == expected_pivots
+    ranks = [0] + [_sympy(rows[:k]).rank() for k in range(1, len(rows) + 1)]
+    assert grew == [after > before for before, after in zip(ranks, ranks[1:])]
     assert reduced == [
         [_fraction(x) for x in expected.row(i)] for i in range(len(rows))
     ]
@@ -562,9 +573,10 @@ def test_integer_kernel_matches_fraction_reference(case):
     assert (Fraction(kernel.num, kernel.den) if len(cols) == n else None) == det
 
     rows = [{j: col[i] for j, col in enumerate(cols) if i in col} for i in range(n)]
-    reference = FractionEchelon(rows)
+    reference = FractionEchelon()
     dense_rows = [[row.get(j, Fraction(0)) for j in range(len(cols))] for row in rows]
-    reduced, pivots = kernel_rref(dense_rows)
+    reduced, pivots, grew = kernel_rref(dense_rows)
+    assert grew == [reference.add(row) for row in rows]
     expected = [[row.get(j, Fraction(0)) for j in range(len(cols))] for row in reference.sorted_rows()]
     expected += [[Fraction(0)] * len(cols)] * (n - len(expected))
     assert pivots == tuple(sorted(reference.rows))
@@ -605,6 +617,14 @@ def test_absorb_in_two_batches_on_a_copy_equals_one_batch(case, data):
     whole.absorb(ints)
     assert (second.rows, second.num, second.den) == (whole.rows, whole.num, whole.den)
     assert second.null_basis(n) == whole.null_basis(n)
+    # every column in its own call, as one-row traffic enters the kernel
+    single = SparseEchelon()
+    single.num = int(len(cols) == n)
+    for col in ints:
+        single.absorb([col])
+    assert ints == before
+    assert (single.rows, single.num, single.den) == (whole.rows, whole.num, whole.den)
+    assert single.null_basis(n) == whole.null_basis(n)
 
 
 def test_absorb_keeps_the_determinant_pair_in_lowest_terms():
@@ -629,7 +649,7 @@ def test_reduce_equals_the_fraction_remainder(case, extra):
     rows = [{j: col[i] for j, col in enumerate(cols) if i in col} for i in range(n)]
     kernel, reference = SparseEchelon(), FractionEchelon()
     for row in rows[: n // 2]:
-        assert kernel.add(_integral(row)[0]) == reference.add(row)
+        assert _grows(kernel, _integral(row)) == reference.add(row)
     for row in rows:
         vec, scale = _integral(row)
         vec, scale = kernel.reduce({j: x * extra for j, x in vec.items()}, scale * extra)

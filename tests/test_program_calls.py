@@ -4,6 +4,11 @@ The programs are the CLI, the demos and perfbench.  The test runs them in
 one process under ``sys.setprofile`` and records every code object entered;
 a public function, method, property or constructor of the package whose
 code never runs has no program caller, and ``src/`` keeps only what one calls.
+Operator methods such as ``__add__`` count as public methods too.  The
+exempt dunders are the constructors (``__init__``, ``__new__``), which
+count under the class's own name, and the protocol methods ``__eq__``,
+``__hash__`` and ``__repr__``, which keep the type's equality, hashing and
+debug view consistent whether or not a program reads them.
 """
 
 import importlib
@@ -23,6 +28,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # kept without a program caller by decision: the derivative is the
 # reference the tests' brackets and the Legendre-transform checks read
 NOT_CALLED_ON_PURPOSE = {"Expression.differentiate"}
+
+# not checked; the module docstring says why
+EXEMPT_DUNDERS = {"__init__", "__new__", "__eq__", "__hash__", "__repr__"}
 
 MODEL_ERRORS = {
     "parse": "model bad\nzeta q p\nc p 0\nH p^^2\n",
@@ -48,7 +56,7 @@ def _public_code():
 
 
 def _class_code(cls):
-    """The constructor, public methods and properties of ``cls``, by qualified name."""
+    """The constructor, public and operator methods and properties of ``cls``, by qualified name."""
     found = {}
     for base in cls.__mro__:
         # a record's constructor is its own __new__ or that of the namedtuple it extends
@@ -59,7 +67,8 @@ def _class_code(cls):
                 found[cls.__name__] = func.__code__
             break
     for name, attr in vars(cls).items():
-        if name.startswith("_"):
+        dunder = name.startswith("__") and name.endswith("__")
+        if name in EXEMPT_DUNDERS or (name.startswith("_") and not dunder):
             continue
         func = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
         if inspect.isfunction(func):

@@ -58,6 +58,11 @@ def test_surface_without_a_program_caller_is_gone():
     assert not hasattr(symchain.EchelonBasis, "__len__")
     assert not hasattr(symchain.RationalMatrix, "row")
     assert not hasattr(symchain.ConstraintMatrix, "second_class_count")
+    # absorb is the one way rows enter the kernel; nothing builds with unary minus, ** or int - Expression
+    for name in ("add", "insert"):
+        assert not hasattr(symchain.linalg.SparseEchelon, name), name
+    for name in ("__neg__", "__pow__", "__rsub__"):
+        assert not hasattr(symchain.Expression, name), name
     # EchelonBasis.rref is the one reduced row-echelon form; sympy's is the tests' reference
     assert not hasattr(symchain, "rref") and not hasattr(symchain.linalg, "rref")
 
