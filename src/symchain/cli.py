@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from .chain import (
 from .dirac import compare_spans, consistency_algorithm
 from .lattice import LatticeSpec, build_schwinger
 from .model import FirstOrderModel, ModelFormatError, load_model, save_model
-from .reports import render_text, render_tree
+from .reports import write_text, write_tree
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -127,8 +128,18 @@ def cmd_compare(model: FirstOrderModel, args) -> int:
 
 
 def _write(args, *parts) -> None:
-    """Print the report in the format ``args`` asks for."""
-    sys.stdout.write((render_tree if args.format == "tree" else render_text)(*parts))
+    """Write the report to stdout, in the format ``args`` asks for, while it is rendered.
+
+    A reader that closes the pipe early (``symchain ... | head``) ends the report, not the run.
+    """
+    try:
+        (write_tree if args.format == "tree" else write_text)(sys.stdout.write, *parts)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered, and the flush at exit, go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _spacing(text: str) -> Fraction:

@@ -28,14 +28,18 @@ two to four primaries, whose oracle passes take several null
 directions at once.  It was recorded before the oracle skipped the
 null directions an earlier pass had checked.
 
-Each batch, deep-chain and second-order tree must also be
+Every tree of these sets must also be
 ``json.dumps(reference_tree(...), indent=2)``, and must load back as
 that reference tree: ``reference_tree`` builds the tree as a dict of
 plain strings and lists, so the writer's fast paths are checked against
-the standard encoder.
+the standard encoder.  The pieces ``write_tree`` and ``write_text``
+pass to a stream's ``write`` must join to ``render_tree`` and to
+``reference_text``, the text report built as one table of dense cells,
+so the CLI's streamed output is checked on every set.
 """
 
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction
@@ -58,7 +62,7 @@ from symchain import (
     run_chain,
 )
 from symchain import chain
-from symchain.reports import render_text, render_tree
+from symchain.reports import render_tree, write_text, write_tree
 
 DIGESTS = {
     "example2": "16472c9e457e8cdc3de3d2773ccf86c1ae6295eeff19f9ee59d3ce3b164d3238",
@@ -153,12 +157,69 @@ def reference_tree(report, comparison=None, oracle=None):
     return tree
 
 
+def reference_text(report, comparison=None, oracle=None):
+    """The text report, each table formed whole from dense cells before any line is joined."""
+    rows = {rec.level: rec.shape[0] for rec in report.levels}
+
+    def table(cells):
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        lines = ["  " + " | ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
+        lines.insert(1, "  " + "-+-".join("-" * w for w in widths))
+        return lines
+
+    def vec(c):
+        n = rows[c.level - 1] if c.generator is not None else 0
+        return "(" + ", ".join(map(str, dense_form(c.generator, n))) + ")" if n else "-"
+
+    lines = [f"model: {report.model_name}", "phase space: " + " ".join(report.zeta_names)]
+    if report.constraints:
+        lines.append("constraints:")
+        lines += table(
+            [("level", "constraint", "raw", "origin", "eigenvector")]
+            + [(str(c.level), str(c.expr), str(c.raw), c.origin, vec(c)) for c in report.constraints]
+        )
+    else:
+        lines.append("constraints: none")
+    if report.truncations:
+        lines.append("truncations: " + ", ".join(f"level {k}" for k in report.truncations))
+    lines.append("termination: " + report.termination.describe())
+    lines += ["warning: " + w for w in report.warnings]
+    if oracle is not None:
+        if oracle.constraints:
+            lines.append("oracle constraints:")
+            lines += table(
+                [("level", "constraint", "raw", "origin")]
+                + [(str(c.level), str(c.expr), str(c.raw), c.origin) for c in oracle.constraints]
+            )
+        else:
+            lines.append("oracle constraints: none")
+        lines += [
+            f"oracle multiplier condition: consistency of {mc.constraint.expr} requires {mc.condition} = 0"
+            for mc in oracle.multiplier_conditions
+        ]
+    if comparison is not None:
+        lines.append("span comparison: " + comparison.describe())
+    return "\n".join(lines) + "\n"
+
+
+def streamed(writer, *parts):
+    """What ``writer`` passes to a text stream's ``write``, as the stream holds it."""
+    out = io.StringIO()
+    writer(out.write, *parts)
+    return out.getvalue()
+
+
 def _checked_tree(report, verdict, oracle):
-    """``render_tree``, checked against the reference tree and ``json.dumps``."""
+    """``render_tree``, checked against the reference tree, ``json.dumps`` and the streamed tree.
+
+    The streamed text report is checked against ``reference_text`` too.
+    """
     tree = render_tree(report, verdict, oracle)
     reference = reference_tree(report, verdict, oracle)
     assert tree == json.dumps(reference, indent=2) + "\n"
     assert json.loads(tree) == reference
+    assert streamed(write_tree, report, verdict, oracle) == tree
+    assert streamed(write_text, report, verdict, oracle) == reference_text(report, verdict, oracle)
     return tree
 
 
@@ -176,7 +237,7 @@ def test_tree_report_digest(name):
     m = _model(name)
     report = run_chain(m)
     oracle = consistency_algorithm(m)
-    tree = render_tree(report, compare_spans(report, oracle.constraints), oracle)
+    tree = _checked_tree(report, compare_spans(report, oracle.constraints), oracle)
     assert hashlib.sha256(tree.encode()).hexdigest() == DIGESTS[name]
 
 
@@ -191,7 +252,7 @@ def test_batch_report_digest():
             verdict = compare_spans(report, oracle.constraints)
             tree = _checked_tree(report, verdict, oracle)
             digest.update(tree.encode())
-            digest.update(render_text(report, verdict, oracle).encode())
+            digest.update(streamed(write_text, report, verdict, oracle).encode())
     assert digest.hexdigest() == BATCH_DIGEST
 
 

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from checkout import checkout_env
+from symchain import ChainOptions, LatticeSpec, build_schwinger, compare_spans, consistency_algorithm, run_chain
 from symchain.cli import main
+from symchain.reports import render_tree
+from test_byte_identity import reference_text
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -343,3 +346,48 @@ def test_main_called_twice_in_one_process():
     for argv in calls:
         fresh = run_cli(*argv)
         assert _in_process(argv) == (fresh.returncode, fresh.stdout)
+
+
+class _WriteSizes(io.StringIO):
+    """A text stream that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["tree", "text"])
+def test_lattice_report_is_streamed_while_it_renders(monkeypatch, fmt):
+    """At N=51 the tree is about 3.6 MB and the text report about 0.45 MB; no write holds more than 64 KiB."""
+    stdout = _WriteSizes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["lattice", "schwinger", "--sites", "51", "--analyze", "--format", fmt]) == 0
+    monkeypatch.undo()
+    model = build_schwinger(LatticeSpec(sites=51))
+    report = run_chain(model, ChainOptions(max_level=12))
+    oracle = consistency_algorithm(model)
+    parts = (report, compare_spans(report, oracle.constraints), oracle)
+    expected = render_tree(*parts) if fmt == "tree" else reference_text(*parts)
+    assert stdout.getvalue() == expected
+    assert len(expected) > 300_000
+    assert max(stdout.sizes) <= 64 * 1024
+
+
+def test_a_reader_that_stops_early_ends_the_report_not_the_run():
+    """The N=21 tree is larger than a pipe holds, so the writes after the reader has gone fail."""
+    argv = ["lattice", "schwinger", "--sites", "21", "--analyze", "--format", "tree"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symchain", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=checkout_env(),
+    )
+    assert proc.stdout.read(100).startswith(b'{\n  "model": ')
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

@@ -1,4 +1,4 @@
-"""The tree writer against ``json.dumps(obj, indent=2)``, and the work behind a report."""
+"""The tree emitter against ``json.dumps(obj, indent=2)``, the text table's widths, and the work behind a report."""
 
 import json
 from collections import Counter
@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symchain import ChainOptions, Expression, chain, compare_spans, consistency_algorithm, run_chain
-from symchain.reports import _json, render_tree
+from symchain.reports import _cell_width, _emit, render_tree
 from test_byte_identity import reference_tree
 from test_chain import _deep_shift_chain
 from test_linalg import sparse_form
@@ -21,6 +21,13 @@ _trees = st.recursive(
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_strings, inner, max_size=5),
     max_leaves=40,
 )
+
+
+def _written(obj, indent="\n"):
+    """The pieces ``_emit`` passes to its sink for ``obj``, joined, and the text it returns after them."""
+    parts = []
+    tail = _emit(parts.append, obj, indent)
+    return "".join(parts) + tail
 
 
 def _nested(depth):
@@ -42,7 +49,7 @@ def _nested(depth):
 @example(_nested(60))
 @example({'"\\': ["\x00\x1f\x7f", "é \U0001f600"]})
 def test_writer_matches_json_dumps(tree):
-    assert _json(tree) == json.dumps(tree, indent=2)
+    assert _written(tree) == json.dumps(tree, indent=2)
 
 
 # runs of zeros at either end or between nonzero entries, signed and 300-bit entries
@@ -63,7 +70,16 @@ def test_int_vector_is_written_as_its_decimal_strings(vector, depth):
     at any depth of the tree."""
     indent = "\n" + "  " * depth
     expected = json.dumps(list(map(str, vector)), indent=2).replace("\n", indent)
-    assert _json((len(vector), sparse_form(vector)), indent) == expected
+    assert _written((len(vector), sparse_form(vector)), indent) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_vectors.filter(len))
+@example((0,))
+@example((-(2**300), 0, 0, 10))
+def test_vector_cell_width_is_counted_from_its_nonzero_entries(vector):
+    """The text table's last column is as wide as the longest dense vector cell, counted without forming it."""
+    assert _cell_width((len(vector), sparse_form(vector))) == len("(" + ", ".join(map(str, vector)) + ")")
 
 
 def test_a_report_builds_its_span_once(example2, monkeypatch):
