@@ -33,8 +33,9 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
-from .expressions import EchelonBasis, Expression, VarTable, _linear_part
+from .expressions import EchelonBasis, Expression, VarTable, _affine_form, _form_expression, _sums_expression, _sums_form
 from .linalg import RationalMatrix, SparseEchelon, _combine, _integral, _put, _rows
 from .model import FirstOrderModel
 
@@ -165,14 +166,18 @@ def _integer_columns(m: FirstOrderModel) -> list[tuple[dict[int, int], int]]:
 
     c is affine-linear, so d_a c_b is the coefficient C_b[a] of zeta_a in c_b.
     """
-    if not all(e.is_linear() for e in m.c):
+    forms = [_affine_form(e) for e in m.c]
+    if None in forms:
         raise ChainError("the symplectic tensor has non-constant entries (c is nonlinear)")
-    cols: list[dict[int, Fraction]] = [{} for _ in m.c]
-    for b, cb in enumerate(m.c):
-        for a, x in _linear_part(cb).items():
-            cols[b][~a] = cols[b].get(~a, 0) + x
-            cols[a][~b] = cols[a].get(~b, 0) - x
-    return [_integral({i: x for i, x in col.items() if x}) for col in cols]
+    n, mult = len(forms), lcm(*(scale for _, scale in forms))
+    cols: list[dict[int, int]] = [{} for _ in forms]
+    for b, (vec, scale) in enumerate(forms):
+        for a, x in vec.items():
+            if a < n:  # the constant term has no derivative
+                x *= mult // scale
+                cols[b][~a] = cols[b].get(~a, 0) + x
+                cols[a][~b] = cols[a].get(~b, 0) - x
+    return [({i: x for i, x in col.items() if x}, mult) for col in cols]
 
 
 def assemble_extended_matrix(
@@ -198,28 +203,33 @@ def assemble_extended_matrix(
         raise ValueError("constraint levels must be consecutive starting at 1")
     cols = _integer_columns(m)
     for c in sorted(constraints, key=lambda c: c.level):
-        _border(cols, c)
+        _border(cols, _raw_form(c), len(m.zeta))
     return RationalMatrix(_rows(_kept(cols, constraints, truncated), len(cols)))
 
 
-def _border(cols: list[tuple[dict[int, int], int]], c: Constraint) -> None:
-    """Border the square integer columns ``cols`` by ``c``, in place.
-
-    The coordinate columns gain the -A entries of ``c`` at the new last
-    row, and its gradient +A^T becomes the new last column, so an
-    antisymmetric matrix stays antisymmetric (``_put`` writes each entry).
-    """
-    # every partial derivative is constant exactly when the degree is <= 1
-    if not c.raw.is_linear():
+def _raw_form(c: Constraint) -> tuple[dict[int, int], int]:
+    """The integer affine form of ``c.raw``; a nonlinear one raises ``ChainError``."""
+    form = _affine_form(c.raw)
+    if form is None:
         raise ChainError(
             "constraint gradient is not constant; the exact chain supports "
             f"linear constraints only (level {c.level} constraint: {c.raw})"
         )
-    grad = _linear_part(c.raw)
-    row = ~len(cols)
-    for j, x in grad.items():
-        _put(cols, j, row, -x.numerator, x.denominator)
-    cols.append(_integral({~j: x for j, x in grad.items()}))
+    return form
+
+
+def _border(cols: list[tuple[dict[int, int], int]], form: tuple[dict[int, int], int], n_zeta: int) -> None:
+    """Border the square integer columns ``cols`` by the constraint whose integer affine form is ``form``, in place.
+
+    The coordinate columns gain its -A entries at the new last row, and its
+    gradient +A^T, the form's entries below n_zeta, becomes the new last
+    column, so an antisymmetric matrix stays antisymmetric (``_put`` writes each entry).
+    """
+    vec, scale = form
+    row, grad = ~len(cols), {~j: x for j, x in vec.items() if j < n_zeta}
+    for key, x in grad.items():
+        _put(cols, ~key, row, -x, scale)
+    cols.append((grad, scale))
 
 
 def _kept(cols: list, constraints: Sequence[Constraint], truncated: bool) -> list:
@@ -249,28 +259,29 @@ def _classify(
 
     ``grad_h`` holds each partial derivative of H as a (vec, scale) pair keyed by monomial.
     A candidate is NEW iff it stays nonzero modulo ``known``, so the NEW
-    ones are independent; it is reduced in ints, as v . grad(H) times its denominator.
-    ``seen`` maps each vector met earlier in the run to its value, now in the span of ``known``: a repeat is REDUNDANT.
+    ones are independent; it is reduced in ints, as its integer affine form.
+    ``seen`` maps each vector met earlier in the run to its value, now in the span of ``known``, and that
+    form: a repeat is REDUNDANT.
     """
     out: list[Candidate] = []
     n_zeta = len(grad_h)
     for v in null:
-        value, new = seen.get(v), False
-        if value is None:
+        new = False
+        if v not in seen:
             # grad(H) has no entries for the constraint rows
             acc, den = _combine([(k, *grad_h[i]) for i, k in v if i < n_zeta])
-            value = Expression._trusted(zeta, {mono: Fraction(s, den) for mono, s in acc.items()})
-            if not value.is_linear():
+            form = _sums_form(acc, den, n_zeta)
+            if form is None:
                 raise ChainError(
-                    "nonlinear constraint candidate: reduction against the existing set "
-                    f"is supported for linear constraints only (level {level} candidate: {value})"
+                    "nonlinear constraint candidate: reduction against the existing set is supported for "
+                    f"linear constraints only (level {level} candidate: {_sums_expression(zeta, acc, den)})"
                 )
+            seen[v] = _form_expression(zeta, *form), form
             try:
-                new = known._add_sums(acc, den)
+                new = known._add_form(*form)
             except ValueError as err:
-                raise ChainError(f"{err} (level {level} candidate: {value})") from None
-            seen[v] = value
-        out.append(Candidate(vector=v, value=value, classification=NEW if new else REDUNDANT))
+                raise ChainError(f"{err} (level {level} candidate: {seen[v][0]})") from None
+        out.append(Candidate(vector=v, value=seen[v][0], classification=NEW if new else REDUNDANT))
     return out
 
 
@@ -284,7 +295,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     elimination of the constraint columns +A^T, which never change: it
     takes in each one at its border, in place, and a truncated attempt
     starts from its state after level 1, and each distinct null vector
-    and its value, as the levels' null spaces are nested: ``null_basis``
+    and its value and form, as the levels' null spaces are nested: ``null_basis``
     builds a vector only for a free row and hits it has not met in the
     run.  An attempt reduces the coordinate columns, in a copy of the
     state, in one ``absorb`` call: echelon rows, then one back-substitution.
@@ -304,13 +315,13 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     # gradients, so the multipliers cancel from v . grad(H_T)
     grad_h = [_integral(g.terms) for g in m.hamiltonian.gradient()]
     known = EchelonBasis(m.zeta)
-    seen: dict[tuple, Expression] = {}
+    seen: dict[tuple, tuple[Expression, tuple[dict[int, int], int]]] = {}
     built: dict[tuple, tuple] = {}
     full = SparseEchelon()
     full.num = 1  # track the determinant
     level1: SparseEchelon | None = None
     for c in constraints:
-        _border(cols, c)
+        _border(cols, _raw_form(c), n_zeta)
         full.absorb(cols[-1:])
         known.add(c.expr)
 
@@ -360,7 +371,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
         # NEW candidates already joined ``known`` during classification
         for c in new:
             constraints.append(Constraint.from_raw(k + 1, c.value, origin, c.vector))
-            _border(cols, constraints[-1])
+            _border(cols, seen[c.vector][1], n_zeta)
             full.absorb(cols[-1:])
 
     return ChainReport(

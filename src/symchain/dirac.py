@@ -7,21 +7,22 @@ fixes, {a, b} = grad(a) . f^-1 . grad(b) (Faddeev & Jackiw 1988), so it
 holds for any order of the coordinates.  Each pass forms a candidate
 only for the null directions the previous pass added, in integers.
 The module shares with the chain driver the base tensor f
-(``_integer_columns``), the span basis (``_span``) and the exact kernel:
-the same ``SparseEchelon`` and linalg's ``_combine``, ``_integral``,
-``_put`` and ``_rows``.  Agreement between the two checks the derivation,
-the consistency iteration against the bordered-matrix chain, but not
-that kernel; the tests' sympy references are what guard it.
+(``_integer_columns``), the span basis (``_span``), the conversions of
+``expressions`` between an Expression, int monomial sums and the integer
+affine form, and the exact kernel: the same ``SparseEchelon`` and
+linalg's ``_combine``, ``_integral``, ``_put`` and ``_rows``.  Agreement
+between the two checks the derivation, the consistency iteration
+against the bordered-matrix chain, but not that kernel; the tests'
+sympy references are what guard it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .chain import ORIGIN_PRIMARY, ChainReport, Constraint, span_fingerprint, _integer_columns, _span
-from .expressions import EchelonBasis, Expression, _linear_part
+from .expressions import EchelonBasis, Expression, _affine_form, _form_expression, _sums_expression, _sums_form
 from .linalg import RationalMatrix, SparseEchelon, _combine, _integral, _put, _rows
 from .model import FirstOrderModel
 
@@ -48,13 +49,13 @@ def _inverse(m: FirstOrderModel) -> list[tuple[dict[int, int], int]]:
     return [({j - n: x for j, x in row.items() if j >= n}, row[a]) for a, row in sorted(kernel.rows.items())]
 
 
-def _flow(a: Expression, finv: Sequence[tuple[dict[int, int], int]]) -> tuple[dict[int, int], int]:
-    """u = -f^-1 grad(a) for a linear ``a`` as a (vec, scale) pair, so that {a, b} = sum_j u_j d_j b.
+def _flow(form: tuple[dict[int, int], int], finv: Sequence[tuple[dict[int, int], int]]) -> tuple[dict[int, int], int]:
+    """u = -f^-1 grad(a) for ``a`` of integer affine form ``form``, as a (vec, scale) pair: {a, b} = sum_j u_j d_j b.
 
     f^-1 is antisymmetric, so u = sum_j d_j a * (row j of f^-1).
     """
-    grad, den = _integral(_linear_part(a))
-    u, scale = _combine([(x, *finv[j]) for j, x in grad.items()])
+    vec, den = form
+    u, scale = _combine([(x, *finv[j]) for j, x in vec.items() if j < len(finv)])  # the constant has no gradient
     return u, scale * den
 
 
@@ -63,8 +64,7 @@ def _put_brackets(cols: list, grads: Sequence[tuple[dict[int, int], int]], u: di
     for g, (grad, den) in enumerate(grads):
         x = sum(u[j] * y for j, y in grad.items() if j in u)
         if x:
-            x = Fraction(x, scale * den)
-            _put(cols, g, ~i, x.numerator, x.denominator)
+            _put(cols, g, ~i, x, scale * den)
 
 
 class MultiplierCondition(namedtuple("MultiplierCondition", "constraint condition")):
@@ -123,49 +123,41 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     constraints = [Constraint.from_raw(1, p, ORIGIN_PRIMARY) for p in m.primaries]
     if not constraints:
         return OracleResult((), ())
-    if not all(p.is_linear() for p in m.primaries):
+    primary_grads = [_affine_form(p) for p in m.primaries]
+    if None in primary_grads:
         raise ValueError("nonlinear primary: the oracle supports linear constraints only")
     finv = _inverse(m)
     zeta, n, working = m.zeta, len(m.zeta), m.working
     grad_h = [_integral(g.terms) for g in m.hamiltonian.gradient()]
-    primary_grads = [_integral(_linear_part(p)) for p in m.primaries]
     flows: list[tuple[dict[int, int], int]] = []
     mixed: list[tuple[dict[int, int], int]] = [({}, 1) for _ in primary_grads]  # {phi_i, mu} at key ~i
     known = EchelonBasis(zeta)
-
-    def join(c: Constraint) -> None:
-        flows.append(_flow(c.expr, finv))
-        _put_brackets(mixed, primary_grads, *flows[-1], len(flows) - 1)
-
     for c in constraints:
-        join(c)
         known.add(c.expr)
-    seen = 0
-    while True:
-        old = len(constraints)
+    seen = old = 0
+    while len(constraints) > old:
+        for c in constraints[old:]:  # join what the previous pass added: first the primaries
+            flows.append(_flow(_affine_form(c.expr), finv))
+            _put_brackets(mixed, primary_grads, *flows[-1], len(flows) - 1)
+        seen, old = old, len(constraints)
         for w in SparseEchelon().absorb(mixed).null_basis(old, ~seen):  # nonzero past seen
-            acc, den = _candidate(w, flows, grad_h)
-            if any(s and (len(mono) > 1 or mono[0][1] > 1) for mono, s in acc.items() if mono):
+            form = _sums_form(*_candidate(w, flows, grad_h), n)
+            if form is None:
                 raise ValueError(
                     "nonlinear consistency candidate: reduction is supported for linear constraints only"
                 )
-            if not known._add_sums(acc, den):  # zero, or zero modulo the set
+            if not known._add_form(*form):  # zero, or zero modulo the set
                 continue
             level = 1 + max(constraints[i].level for i, _ in w)
-            value = Expression._trusted(zeta, {mono: Fraction(s, den) for mono, s in acc.items()})
-            constraints.append(Constraint.from_raw(level, value, ORIGIN_CONSISTENCY))
-        if len(constraints) == old:
-            break
-        seen = old
-        for c in constraints[old:]:
-            join(c)
+            constraints.append(Constraint.from_raw(level, _form_expression(zeta, *form), ORIGIN_CONSISTENCY))
     conditions: list[MultiplierCondition] = []
-    for phi, (u, scale), row in zip(constraints, flows, _rows(mixed, len(constraints))):
-        if any(row):  # working is zeta followed by the multipliers, so {phi, H} keeps its monomials
+    for i, (phi, (u, scale)) in enumerate(zip(constraints, flows)):
+        # {phi_i, mu_g} lam_g, row i of the bracket columns: a key is written only for a nonzero entry
+        lam = [(col[~i], {((n + g, 1),): 1}, s) for g, (col, s) in enumerate(mixed) if ~i in col]
+        if lam:  # working is zeta followed by the multipliers, so {phi, H} keeps its monomials
             acc, den = _combine([(x, *grad_h[j]) for j, x in u.items() if x])
-            terms = {mono: Fraction(s, den * scale) for mono, s in acc.items()}
-            terms.update({((n + g, 1),): x for g, x in enumerate(row) if x})
-            conditions.append(MultiplierCondition(phi, Expression._trusted(working, terms)))
+            sums, den = _combine([(1, acc, den * scale), *lam])
+            conditions.append(MultiplierCondition(phi, _sums_expression(working, sums, den)))
     return OracleResult(tuple(constraints), tuple(conditions))
 
 
@@ -199,13 +191,12 @@ def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> Constrain
         raise ValueError("constraint set is not linearly independent")
     finv = _inverse(m)
     k = len(constraints)
-    grads = [_integral(_linear_part(c.raw)) for c in constraints]
+    grads = [_affine_form(c.raw) for c in constraints]
     cols: list[tuple[dict[int, int], int]] = [({}, 1) for _ in constraints]  # {phi_i, phi_g} at key ~i
-    for i, c in enumerate(constraints):
-        _put_brackets(cols, grads, *_flow(c.raw, finv), i)
+    for i, grad in enumerate(grads):
+        _put_brackets(cols, grads, *_flow(grad, finv), i)
     null = SparseEchelon().absorb(cols).null_basis(k)
-    raw = [c.raw for c in constraints]
-    first_class = tuple(Expression.linear_combination(m.zeta, [(k, raw[i]) for i, k in w]) for w in null)
+    first_class = tuple(_form_expression(m.zeta, *_combine([(k, *grads[i]) for i, k in w])) for w in null)
     return ConstraintMatrix(RationalMatrix(_rows(cols, k)), k - len(null), first_class)
 
 

@@ -532,10 +532,32 @@ def parse_expression(text: str, vars: VarTable) -> Expression:
 
 
 # -- linear reduction ------------------------------------------------
+#
+# Below the model a linear form is its integer affine form (vec, scale), vec/scale with vec ints keyed
+# i for variable i and n = len(vars) for the constant; no other module knows that layout: the chain,
+# the oracle and the lattice convert through the four functions here.
 
-def _linear_part(e: Expression) -> dict[int, Fraction]:
-    """The nonzero coefficient of each variable of the linear ``e``."""
-    return {mono[0][0]: x for mono, x in e._terms.items() if mono}
+def _sums_form(sums: Mapping[Monomial, int], den: int, n: int) -> tuple[dict[int, int], int] | None:
+    """The form of int monomial sums (zeros allowed) over ``den`` > 0 and n variables; None if nonlinear."""
+    if any(s and (len(mono) > 1 or mono[0][1] > 1) for mono, s in sums.items() if mono):
+        return None
+    return {mono[0][0] if mono else n: s for mono, s in sums.items() if s}, den
+
+
+def _affine_form(e: Expression) -> tuple[dict[int, int], int] | None:
+    """The form of ``e`` over the lcm of its denominators; None if ``e`` is not linear."""
+    return _sums_form(*_integral(e._terms), len(e._vars))
+
+
+def _sums_expression(vars: VarTable, sums: Mapping[Monomial, int], den: int) -> Expression:
+    """The Expression of the int monomial sums ``sums`` (zeros allowed) over ``den`` > 0."""
+    return Expression._trusted(vars, {mono: Fraction(s, den) for mono, s in sums.items()})
+
+
+def _form_expression(vars: VarTable, vec: dict[int, int], scale: int) -> Expression:
+    """The Expression of the form vec/scale."""
+    n = len(vars)
+    return _sums_expression(vars, {((col, 1),) if col < n else (): x for col, x in vec.items()}, scale)
 
 
 class EchelonBasis:
@@ -560,13 +582,13 @@ class EchelonBasis:
         rank = len(self._kernel.rows)
         return len(self._kernel.absorb([self._vector(e, "basis expression")]).rows) > rank
 
-    def _add_sums(self, sums: dict, den: int) -> bool:
-        """``add`` for the linear form given as int monomial sums (zeros allowed) over an int ``den`` > 0.
+    def _add_form(self, vec: dict[int, int], scale: int) -> bool:
+        """``add`` for the integer affine form vec/scale (left unchanged).
 
         A form that reduces to a nonzero constant modulo the span raises ``ValueError``.
         """
         n = len(self._vars)  # the constant term is column n
-        vec, scale = self._kernel.reduce({mono[0][0] if mono else n: s for mono, s in sums.items() if s}, den)
+        vec, scale = self._kernel.reduce(dict(vec), scale)
         if len(vec) == 1 and n in vec:
             raise ValueError(
                 "inconsistent dynamics: a consistency condition reduces to the nonzero "
@@ -582,21 +604,16 @@ class EchelonBasis:
 
     def remainder(self, e: Expression) -> Expression:
         """The member of ``e`` + span that is zero at every pivot column."""
-        return self._expression(*self._kernel.reduce(*self._vector(e, "expression")))
+        return _form_expression(self._vars, *self._kernel.reduce(*self._vector(e, "expression")))
 
     def rref(self) -> list[Expression]:
         """The reduced row-echelon rows, in pivot order."""
-        return [self._expression(row, row[pivot]) for pivot, row in sorted(self._kernel.rows.items())]
+        return [_form_expression(self._vars, row, row[pivot]) for pivot, row in sorted(self._kernel.rows.items())]
 
     def _vector(self, e: Expression, kind: str) -> tuple[dict[int, int], int]:
         if e.vars != self._vars:
             raise ValueError("basis expression uses a different VarTable")
-        if not e.is_linear():
+        form = _affine_form(e)
+        if form is None:
             raise ValueError(f"nonlinear {kind}: only linear reduction is supported")
-        constant = len(self._vars)
-        return _integral({(mono[0][0] if mono else constant): coeff for mono, coeff in e._terms.items()})
-
-    def _expression(self, vec: dict[int, int], scale: int) -> Expression:
-        n = len(self._vars)
-        terms = {((col, 1),) if col < n else (): Fraction(x, scale) for col, x in vec.items()}
-        return Expression._trusted(self._vars, terms)
+        return form

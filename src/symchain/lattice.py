@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .expressions import Expression, VarTable, _linear_part
+from .expressions import Expression, VarTable, _affine_form
 from .linalg import RationalMatrix
 from .model import FirstOrderModel
 
@@ -138,17 +138,16 @@ def map_constraint_to_sites(expr: Expression, spec: LatticeSpec):
     coefficients (alpha, beta) with   block-coefficients = alpha*e_i + beta*D[i, :].
     Such a stencil is zero off the columns i-1, i, i+1 of each block, so only the
     sites j-1, j, j+1 are tried, j the block column of the first nonzero coefficient;
-    each block is read off the nonzero coefficients, and D's row off the spec.
+    each block is read off the nonzero entries of the integer affine form, and D's row off the spec.
     Returns a SiteStencil, or None when the constraint is not a
     single-site pattern (callers then fall back to the raw form).
     """
-    if not expr.is_linear():
+    form = _affine_form(expr)
+    if form is None or not form[0] or len(expr.vars) in form[0]:  # nonlinear, zero, or with a constant term
         return None
-    coeffs = _linear_part(expr)
-    if not coeffs or () in expr.terms:  # the zero form, or a constant term
-        return None
+    coeffs, scale = form
     n = spec.sites
-    blocks: list[dict[int, Fraction]] = [{} for _ in _BLOCKS]
+    blocks: list[dict[int, int]] = [{} for _ in _BLOCKS]
     for i, x in coeffs.items():
         blocks[i // n][i % n] = x
     j = min(coeffs) % n
@@ -158,13 +157,13 @@ def map_constraint_to_sites(expr: Expression, spec: LatticeSpec):
             alpha, beta = _solve_stencil(target, site, drow) if target else (0, 0)
             if alpha is None:
                 break
-            terms += [(block, kind, x) for kind, x in (("I", alpha), ("D", beta)) if x]
+            terms += [(block, kind, x / scale) for kind, x in (("I", alpha), ("D", beta)) if x]
         else:  # the coefficients are not all zero, so neither are the terms
             return SiteStencil(site=site + 1, terms=tuple(terms))
     return None
 
 
-def _solve_stencil(target: dict[int, Fraction], site: int, drow: dict[int, Fraction]):
+def _solve_stencil(target: dict[int, int], site: int, drow: dict[int, Fraction]):
     """Solve target = alpha*e_site + beta*drow exactly, if possible, over column -> coefficient maps.
 
     With at least 3 sites drow is nonzero off the site, which fixes beta; alpha is then read

@@ -280,7 +280,7 @@ def _combine(terms: Sequence[tuple[int, dict, int]]) -> tuple[dict, int]:
 
 
 def _put(cols: list[tuple[dict[int, int], int]], j: int, key: int, num: int, den: int) -> None:
-    """Set entry ``key`` of column cols[j] to num/den in lowest terms; rescale it if den does not divide its scale."""
+    """Set entry ``key`` of column cols[j] to num/den, any den > 0; rescale it to lcm(its scale, den) if needed."""
     vec, scale = cols[j]
     if scale % den:
         mult = den // gcd(scale, den)

@@ -1,10 +1,12 @@
-"""Test-side references for polynomials: moving one onto another table by name, its linear coefficients, and sympy's view of it.
+"""Test-side references for polynomials: moving one onto another table by name, its linear coefficients and
+integer form, and sympy's view of it.
 
-Neither shares code with ``symchain.expressions`` beyond reading an
+None of them shares code with ``symchain.expressions`` beyond reading an
 Expression's terms and building one through the checked constructor.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import sympy
 
@@ -28,6 +30,14 @@ def linear_coefficients(e: Expression) -> tuple[tuple[Fraction, ...], Fraction]:
             assert k == 1, f"{e} is not linear"
             coeffs[i] = c
     return tuple(coeffs), e.terms.get((), Fraction(0))
+
+
+def integer_form(e: Expression) -> tuple[dict[int, int], int]:
+    """The linear ``e`` as ints over the lcm of its denominators: variable i at key i, the constant at key len(table)."""
+    coeffs, const = linear_coefficients(e)
+    values = {i: x for i, x in enumerate(coeffs + (const,)) if x}
+    scale = lcm(*(x.denominator for x in values.values()))
+    return {i: int(x * scale) for i, x in values.items()}, scale
 
 
 def to_sympy(e: Expression) -> sympy.Expr:

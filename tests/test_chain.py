@@ -39,7 +39,8 @@ from golden import (
 )
 from polyref import linear_coefficients, relabel
 from randmodels import random_model, random_scaled_model, random_second_order
-from symchain import chain, linalg
+from symchain import chain, expressions, linalg
+from symchain.expressions import _form_expression, _sums_expression, _sums_form
 from symchain.linalg import SparseEchelon, _combine, _integral
 from test_byte_identity import _nonzero_rational, _shift_chain
 from test_expressions import sparse_key
@@ -462,14 +463,31 @@ def test_run_chain_scales_and_eliminates_each_column_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "_integral", counted)
     monkeypatch.setattr(chain, "_integral", counted)
+    monkeypatch.setattr(expressions, "_integral", counted)
     monkeypatch.setattr(SparseEchelon, "absorb", recorded)
     report = run_chain(_deep_shift_chain(), ChainOptions(max_level=64))
     n_zeta, n_constraints = 24, len(report.constraints)
     assert report.levels[-1].shape == (n_zeta + n_constraints,) * 2
-    # once per column as it is created, once per constraint as it joins the span
+    # at most once per column as it is created and once per constraint as it joins the span
+    # (each entry of c and of grad(H) once, the primary's raw and monic forms once each)
     assert len(scaled) <= n_zeta + 2 * n_constraints == 72
     # each constraint column once, at its border; each attempt its coordinate columns
     assert sorted(absorbed) == [1] * n_constraints + [n_zeta] * len(report.levels)
+
+
+def test_run_chain_checks_linearity_once_per_model_input(monkeypatch):
+    """On the deep shift chain no derived constraint or candidate calls ``Expression.is_linear``.
+
+    Its integer affine form already says whether it is linear; at most the 24 entries
+    of c and the one primary may call it (72 calls when each level checked again).
+    """
+    model = _deep_shift_chain()
+    calls = []
+    is_linear = Expression.is_linear
+    monkeypatch.setattr(Expression, "is_linear", lambda self: calls.append(self) or is_linear(self))
+    report = run_chain(model, ChainOptions(max_level=64))
+    assert len(report.constraints) == 24
+    assert len(calls) <= 26
 
 
 def test_run_chain_builds_each_distinct_null_vector_once(monkeypatch):
@@ -488,19 +506,24 @@ def test_run_chain_builds_each_distinct_null_vector_once(monkeypatch):
 
 
 def _classify_without_memo(null, grad_h, zeta, known, level, seen):
-    """``chain._classify`` as it was before the per-run memo: every null vector is contracted and reduced."""
+    """``chain._classify`` as it was before the per-run memo: every null vector is contracted and reduced.
+
+    Each value and form is still stored in ``seen``, which ``run_chain`` borders each NEW constraint from.
+    """
     out = []
     n_zeta = len(grad_h)
     for v in null:
         acc, den = _combine([(k, *grad_h[i]) for i, k in v if i < n_zeta])
-        value = Expression._trusted(zeta, {mono: Fraction(s, den) for mono, s in acc.items()})
-        if not value.is_linear():
+        form = _sums_form(acc, den, n_zeta)
+        if form is None:
             raise ChainError(
-                "nonlinear constraint candidate: reduction against the existing set "
-                f"is supported for linear constraints only (level {level} candidate: {value})"
+                "nonlinear constraint candidate: reduction against the existing set is supported for "
+                f"linear constraints only (level {level} candidate: {_sums_expression(zeta, acc, den)})"
             )
+        value = _form_expression(zeta, *form)
+        seen[v] = value, form
         try:
-            new = known._add_sums(acc, den)
+            new = known._add_form(*form)
         except ValueError as err:
             raise ChainError(f"{err} (level {level} candidate: {value})") from None
         out.append(Candidate(vector=v, value=value, classification=chain.NEW if new else chain.REDUNDANT))
@@ -552,8 +575,8 @@ def test_run_chain_classifies_each_distinct_null_vector_once(monkeypatch):
     A vector met again is REDUNDANT, with the value object of its first sighting.
     """
     reduced = []
-    add_sums = EchelonBasis._add_sums
-    monkeypatch.setattr(EchelonBasis, "_add_sums", lambda self, *args: reduced.append(args) or add_sums(self, *args))
+    add_form = EchelonBasis._add_form
+    monkeypatch.setattr(EchelonBasis, "_add_form", lambda self, *args: reduced.append(args) or add_form(self, *args))
     report = run_chain(_deep_shift_chain(), ChainOptions(max_level=64))
     candidates = [cand for rec in report.levels for cand in rec.candidates]
     first: dict = {}

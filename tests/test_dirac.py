@@ -31,10 +31,9 @@ from symchain import (
 )
 from symchain import dirac
 from symchain.dirac import MultiplierCondition, _flow, _inverse
-from symchain.expressions import _linear_part
 from brackets import canonical_pairs, poisson_bracket
 from golden import C_GOLDEN, PUBLISHED_CONSTRAINTS, is_scalar_multiple
-from polyref import linear_coefficients, relabel
+from polyref import integer_form, linear_coefficients, relabel
 from randmodels import random_model, random_scaled_model
 from test_byte_identity import _nonzero_rational, _shift_chain
 from test_expressions import dense_key, sparse_key
@@ -88,8 +87,8 @@ def test_canonical_pairs(example2):
     finv = _inverse(example2)
     names = example2.zeta.names
     for q, p in pairs:
-        assert _flow(parse_expression(names[q], example2.zeta), finv) == ({p: 1}, 1)
-        assert _flow(parse_expression(names[p], example2.zeta), finv) == ({q: -1}, 1)
+        assert _flow(integer_form(parse_expression(names[q], example2.zeta)), finv) == ({p: 1}, 1)
+        assert _flow(integer_form(parse_expression(names[p], example2.zeta)), finv) == ({q: -1}, 1)
     x = parse_expression("x", example2.zeta)
     p_x = parse_expression("p_x", example2.zeta)
     assert str(poisson_bracket(x, p_x, pairs)) == "1"
@@ -457,7 +456,7 @@ def _bracket_inputs(draw):
 def test_linear_form_bracket_matches_poisson_bracket(inputs):
     m, pairs, a, b = inputs
     gradient = [b.differentiate(name) for name in m.zeta.names]
-    flow, scale = _flow(a, _inverse(m))
+    flow, scale = _flow(integer_form(a), _inverse(m))
     bracket = Expression.linear_combination(m.zeta, ((Fraction(x, scale), gradient[j]) for j, x in flow.items()))
     assert bracket == poisson_bracket(a, b, pairs)
 
@@ -477,12 +476,12 @@ def reference_consistency_algorithm(m):
     finv = _inverse(m)
     zeta = m.zeta
     grad_h = m.hamiltonian.gradient()
-    primary_grads = [_linear_part(p) for p in m.primaries]
+    primary_grads = [dict(enumerate(linear_coefficients(p)[0])) for p in m.primaries]
     brackets_h, mixed = [], []
     known = EchelonBasis(zeta)
 
     def add_brackets(c):
-        u, scale = _flow(c.expr, finv)
+        u, scale = _flow(integer_form(c.expr), finv)
         brackets_h.append(Expression.linear_combination(zeta, ((Fraction(x, scale), grad_h[j]) for j, x in u.items())))
         mixed.append([sum(u[j] * x for j, x in beta.items() if j in u) / Fraction(scale) for beta in primary_grads])
 

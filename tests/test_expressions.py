@@ -7,7 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symchain.expressions import _descending, _grlex_key
+from symchain.expressions import _affine_form, _descending, _form_expression, _grlex_key, _sums_expression, _sums_form
 from symchain import (
     EchelonBasis,
     Expression,
@@ -16,7 +16,7 @@ from symchain import (
     VarTable,
     parse_expression,
 )
-from polyref import linear_coefficients, relabel, to_sympy
+from polyref import integer_form, linear_coefficients, relabel, to_sympy
 
 VT = VarTable(["x", "y", "z", "p_x", "p_y", "p_z"])
 
@@ -455,20 +455,21 @@ def test_basis_rref_matches_sympy(forms):
 @settings(max_examples=150, deadline=None)
 @given(_form_sets, st.integers(1, 3))
 @example([[1, 0, 0, 0, 0], [2, 0, 0, 0, Fraction(3, 2)], [0, 0, 0, 0, 0]], 2)
-def test_add_sums_matches_add(forms, k):
-    # each form as its int monomial sums, zeros kept, over k times the lcm of its denominators
+def test_add_form_matches_add(forms, k):
+    # each form from its int monomial sums, zeros kept, over k times the lcm of its denominators
     ints, public = EchelonBasis(SMALL), EchelonBasis(SMALL)
     for vec in forms:
         e = _form(vec)
         den = lcm(*(x.denominator for x in vec)) * k
         sums = {((i, 1),) if i < 4 else (): x.numerator * (den // x.denominator) for i, x in enumerate(vec)}
+        form = _sums_form(sums, den, 4)
         r = public.remainder(e)
         if r.degree() == 0 and not r.is_zero():
             message = "inconsistent dynamics: a consistency condition reduces to the nonzero constant"
             with pytest.raises(ValueError, match=f"^{message} {r.terms[()]}$"):
-                ints._add_sums(sums, den)
+                ints._add_form(*form)
         else:
-            assert ints._add_sums(sums, den) == public.add(e)
+            assert ints._add_form(*form) == public.add(e)
         assert ints.rref() == public.rref()
 
 
@@ -604,6 +605,30 @@ def test_monic_scales_by_the_leading_coefficient(e):
     assert e.monic() == (e * (1 / lc) if lc else e)
     if lc in (0, 1):
         assert e.monic() is e
+
+
+@settings(max_examples=300, deadline=None)
+@given(_linears)
+@example(Expression(VT, {(): Fraction(-7, 3)}))
+@example(Expression.zero(VT))
+def test_affine_form_round_trips_every_linear_expression(e):
+    form = _affine_form(e)
+    assert form == integer_form(e)
+    assert _form_expression(VT, *form) == e
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_linear_monomials | _cubic_monomials, st.integers(-3, 3)), st.integers(1, 6))
+@example({(): 0, ((0, 1),): 2, ((1, 1),): 0}, 4)  # zeros kept
+@example({(): 5}, 2)  # a constant-only form
+@example({((0, 3),): 1, ((1, 1),): 4}, 1)  # a cubic monomial
+@example({((0, 3),): 0, ((1, 1),): 4}, 1)  # a cubic monomial whose sum is zero
+def test_sums_form_is_linear_exactly_where_is_linear(sums, den):
+    e = _sums_expression(VT, sums, den)
+    form = _sums_form(sums, den, len(VT))
+    assert (form is not None) == e.is_linear()
+    if form is not None:
+        assert _form_expression(VT, *form) == e
 
 
 def test_to_text_reference_cases():

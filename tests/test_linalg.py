@@ -14,7 +14,7 @@ from symchain import (
     rank,
 )
 from symchain.expressions import EchelonBasis, Expression, VarTable
-from symchain.linalg import SparseEchelon, _combine, _integral
+from symchain.linalg import SparseEchelon, _combine, _integral, _put
 from golden import F1_GOLDEN, F3_TRUNCATED_GOLDEN, V1, V3, is_scalar_multiple
 
 
@@ -675,6 +675,20 @@ def test_combine_matches_a_fraction_sum(terms):
 
 def test_combine_of_no_terms_is_the_empty_vector():
     assert _combine([]) == ({}, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_vectors, st.integers(1, 12), st.integers(-9, 9).filter(bool), st.integers(1, 12), st.integers(1, 4))
+@example({0: 1}, 2, 2, 4, 1)  # 2/4 into a column over 2: rescaled to 4, though 1/2 would fit over 2
+def test_put_takes_any_positive_denominator(vec, scale, num, den, k):
+    """_put(num*k, den*k) sets the entry to num/den whether or not the pair is in lowest terms, and
+    rescales the column, keeping its other values, to the lcm of its scale and den*k when that does not divide it."""
+    cols = [({j: x for j, x in vec.items() if x}, scale)]
+    before = {j: Fraction(x, scale) for j, x in cols[0][0].items()}
+    _put(cols, 0, 7, num * k, den * k)
+    got, new_scale = cols[0]
+    assert new_scale == (scale if scale % (den * k) == 0 else math.lcm(scale, den * k))
+    assert {j: Fraction(x, new_scale) for j, x in got.items()} == {**before, 7: Fraction(num, den)}
 
 
 def test_rational_matrix_rejects_float_entries():

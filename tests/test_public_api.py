@@ -99,6 +99,18 @@ def test_elimination_speaks_only_ints_below_the_expression_boundary():
             assert "._kernel" not in text, path.name
 
 
+def test_the_affine_form_layout_lives_in_expressions():
+    # expressions alone converts between an Expression, int monomial sums and the integer affine form;
+    # the chain, the oracle and the lattice call its conversions and index no monomial themselves
+    assert not hasattr(symchain.expressions, "_linear_part")
+    assert not hasattr(symchain.EchelonBasis, "_add_sums")
+    package = Path(symchain.__file__).parent
+    for name in ("chain.py", "dirac.py", "lattice.py"):
+        text = (package / name).read_text()
+        for needle in ("_linear_part", "mono[0]", "Fraction(s, den"):
+            assert needle not in text, (name, needle)
+
+
 def test_import_loads_no_unused_stdlib_machinery():
     # records are namedtuples, annotations stay strings, files open with open()
     code = (
