@@ -156,8 +156,7 @@ def _span(exprs: Sequence[Expression]) -> tuple[EchelonBasis | None, list[Expres
     if not exprs:
         return None, []
     basis = EchelonBasis(exprs[0].vars)
-    for e in exprs:
-        basis.add(e)
+    basis.add(*exprs)
     return basis, basis.rref()
 
 
@@ -293,12 +292,12 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     integer columns of F, which start as the base tensor's and are
     bordered once, in place, by each accepted constraint, the
     elimination of the constraint columns +A^T, which never change: it
-    takes in each one at its border, in place, and a truncated attempt
-    starts from its state after level 1, and each distinct null vector
-    and its value and form, as the levels' null spaces are nested: ``null_basis``
-    builds a vector only for a free row and hits it has not met in the
-    run.  An attempt reduces the coordinate columns, in a copy of the
-    state, in one ``absorb`` call: echelon rows, then one back-substitution.
+    takes in each level's, once bordered, in one ``absorb`` call, in
+    place, and a truncated attempt starts from its state after level 1,
+    and each distinct null vector and its value and form, as the levels'
+    null spaces are nested: ``null_basis`` builds a vector only for a
+    free row and hits it has not met in the run.  An attempt reduces the
+    coordinate columns, in a copy of the state, in one ``absorb`` call.
     """
     opts = opts or ChainOptions()
     constraints: list[Constraint] = [
@@ -322,8 +321,8 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     level1: SparseEchelon | None = None
     for c in constraints:
         _border(cols, _raw_form(c), n_zeta)
-        full.absorb(cols[-1:])
-        known.add(c.expr)
+    full.absorb(cols[n_zeta:])
+    known.add(*(c.expr for c in constraints))
 
     def attempt(k: int, truncated: bool):
         """Classify the null vectors of one bordered matrix and record the level."""
@@ -372,7 +371,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
         for c in new:
             constraints.append(Constraint.from_raw(k + 1, c.value, origin, c.vector))
             _border(cols, seen[c.vector][1], n_zeta)
-            full.absorb(cols[-1:])
+        full.absorb(cols[-len(new):])
 
     return ChainReport(
         model_name=m.name,

@@ -132,8 +132,7 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     flows: list[tuple[dict[int, int], int]] = []
     mixed: list[tuple[dict[int, int], int]] = [({}, 1) for _ in primary_grads]  # {phi_i, mu} at key ~i
     known = EchelonBasis(zeta)
-    for c in constraints:
-        known.add(c.expr)
+    known.add(*(c.expr for c in constraints))
     seen = old = 0
     while len(constraints) > old:
         for c in constraints[old:]:  # join what the previous pass added: first the primaries
@@ -186,8 +185,7 @@ def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> Constrain
         return ConstraintMatrix(None, 0, ())
     if any(c.raw.vars != m.zeta for c in constraints):
         raise ValueError("constraints must live over the phase-space table only")
-    basis = EchelonBasis(m.zeta)
-    if sum(basis.add(c.expr) for c in constraints) != len(constraints):
+    if not EchelonBasis(m.zeta).add(*(c.expr for c in constraints)):
         raise ValueError("constraint set is not linearly independent")
     finv = _inverse(m)
     k = len(constraints)

@@ -577,10 +577,11 @@ class EchelonBasis:
         self._vars = vars
         self._kernel = SparseEchelon()
 
-    def add(self, e: Expression) -> bool:
-        """Extend the span by ``e``; False when ``e`` already lies in it."""
+    def add(self, *exprs: Expression) -> bool:
+        """Extend the span by ``exprs`` in one elimination; False when they are dependent modulo it."""
         rank = len(self._kernel.rows)
-        return len(self._kernel.absorb([self._vector(e, "basis expression")]).rows) > rank
+        vectors = [self._vector(e, "basis expression") for e in exprs]
+        return len(self._kernel.absorb(vectors).rows) == rank + len(vectors)
 
     def _add_form(self, vec: dict[int, int], scale: int) -> bool:
         """``add`` for the integer affine form vec/scale (left unchanged).

@@ -141,12 +141,16 @@ def map_constraint_to_sites(expr: Expression, spec: LatticeSpec):
     each block is read off the nonzero entries of the integer affine form, and D's row off the spec.
     Returns a SiteStencil, or None when the constraint is not a
     single-site pattern (callers then fall back to the raw form).
+    An ``expr`` over another table than the spec's zeta raises ``ValueError``.
     """
+    n, names = spec.sites, expr.vars.names
     form = _affine_form(expr)
-    if form is None or not form[0] or len(expr.vars) in form[0]:  # nonlinear, zero, or with a constant term
+    keys = form[0].keys() - {len(names)} if form else ()  # the variables, not the constant term
+    if len(names) != len(_BLOCKS) * n or any(names[i] != f"{_BLOCKS[i // n]}_{i % n + 1}" for i in keys):
+        raise ValueError("constraint must live over the lattice's zeta table")
+    if form is None or not form[0] or len(names) in form[0]:  # nonlinear, zero, or with a constant term
         return None
     coeffs, scale = form
-    n = spec.sites
     blocks: list[dict[int, int]] = [{} for _ in _BLOCKS]
     for i, x in coeffs.items():
         blocks[i // n][i % n] = x

@@ -229,8 +229,8 @@ _SINGLE_KEYWORDS = ("model", "vars", "zeta", "L", "c", "H")  # at most one line 
 
 
 def load_model(path: str | os.PathLike) -> FirstOrderModel:
-    """Load and validate a model file; second-order form is transformed on load."""
-    with open(path, encoding="utf-8") as file:
+    """Load and validate a UTF-8 model file (a byte-order mark is skipped); second-order form is transformed on load."""
+    with open(path, encoding="utf-8-sig") as file:
         text = file.read()
     found: dict[str, tuple[int, str]] = {}  # keyword -> (line number, rest)
     primary_lines: list[tuple[int, str]] = []

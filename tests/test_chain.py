@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from symchain import (
     VarTable,
     assemble_extended_matrix,
     build_schwinger,
+    compare_spans,
+    consistency_algorithm,
     determinant,
     left_null_space,
     parse_expression,
@@ -488,6 +491,52 @@ def test_run_chain_checks_linearity_once_per_model_input(monkeypatch):
     report = run_chain(model, ChainOptions(max_level=64))
     assert len(report.constraints) == 24
     assert len(calls) <= 26
+
+
+def _counted_absorb(monkeypatch) -> list:
+    """Wrap ``SparseEchelon.absorb``: each call appends (kernel, whether it tracks a determinant, column count)."""
+    calls = []
+    absorb = SparseEchelon.absorb
+
+    def counted(self, cols):
+        cols = list(cols)
+        calls.append((self, self.num != 0, len(cols)))
+        return absorb(self, cols)
+
+    monkeypatch.setattr(SparseEchelon, "absorb", counted)
+    return calls
+
+
+def test_one_lattice_verdict_makes_at_most_100_absorb_calls(monkeypatch):
+    """Lattice N=11: ``run_chain``, the oracle and ``compare_spans`` (241 calls with one call per constraint)."""
+    model = build_schwinger(LatticeSpec(sites=11))
+    calls = _counted_absorb(monkeypatch)
+    report = run_chain(model)
+    assert compare_spans(report, consistency_algorithm(model).constraints).equal
+    assert len(calls) <= 100
+
+
+def test_span_takes_its_expressions_in_one_absorb_call(monkeypatch):
+    zeta = VarTable(["x", "y", "z"])
+    exprs = [parse_expression(text, zeta) for text in ("x + y", "2*x - z", "3*y + z + 1", "x + y")]
+    calls = _counted_absorb(monkeypatch)
+    basis, rows = chain._span(exprs)
+    assert [k for _, _, k in calls] == [len(exprs)]
+    assert len(rows) == 3
+
+
+@pytest.mark.parametrize("name", ["shift_chain", "lattice_5_3/7", "lattice_4_forward"])
+def test_run_chain_borders_the_primaries_and_each_level_in_one_absorb_call(monkeypatch, name):
+    """The kernel that tracks F's determinant takes in the primaries, then each level's new constraints.
+
+    Its first call is the first made on a kernel that tracks a determinant; every attempt reduces a copy.
+    """
+    ((model, opts),) = CARRY_MODELS[name]()
+    calls = _counted_absorb(monkeypatch)
+    report = run_chain(model, opts)
+    full = next(kernel for kernel, tracked, _ in calls if tracked)
+    sizes = Counter(c.level for c in report.constraints)
+    assert [k for kernel, _, k in calls if kernel is full] == [sizes[level] for level in sorted(sizes)]
 
 
 def test_run_chain_builds_each_distinct_null_vector_once(monkeypatch):

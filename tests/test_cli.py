@@ -100,6 +100,19 @@ def test_unreadable_model_file_messages(tmp_path, command):
     assert folder.stderr == "error: [Errno 21] Is a directory: 'folder.model'\n"
 
 
+def test_a_byte_order_mark_is_skipped_and_bad_utf8_is_an_input_error(tmp_path):
+    plain = run_cli("analyze", str(MODELS / "example2.model"))
+    marked = tmp_path / "bom.model"
+    marked.write_bytes(b"\xef\xbb\xbf" + (MODELS / "example2.model").read_bytes())
+    result = run_cli("analyze", str(marked))
+    assert (result.returncode, result.stdout, result.stderr) == (0, plain.stdout, "")
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(b"model bad\nzeta q p\nc p 0\nH \xff\n")
+    result = run_cli("analyze", str(bad))
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_analyze_rejects_bad_model(tmp_path):
     bad = tmp_path / "bad.model"
     bad.write_text("model bad\nzeta x x\nc 0 0\nH 0\n")

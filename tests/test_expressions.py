@@ -439,7 +439,14 @@ def test_basis_remainder_ignores_order_and_scale_and_is_idempotent(forms, vec, r
 @settings(max_examples=150, deadline=None)
 @given(_form_sets)
 def test_basis_rref_matches_sympy(forms):
+    """One ``add`` per form and one ``add(*forms)`` give sympy's rref; the batch is True iff sympy's rank is full."""
     rows = [_vector(e) for e in _basis(forms).rref()]
+    batch = EchelonBasis(SMALL)
+    assert batch.add(*map(_form, forms)) == (_sympy_rank(forms) == len(forms))
+    assert [_vector(e) for e in batch.rref()] == rows
+    # an empty call adds nothing and is True
+    assert batch.add() is True
+    assert [_vector(e) for e in batch.rref()] == rows
     if not forms:
         assert rows == []
         return

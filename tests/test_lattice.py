@@ -17,7 +17,7 @@ from symchain import (
 )
 from symchain.chain import _span
 from symchain.lattice import _BLOCKS, _difference_row, _solve_stencil
-from symchain import Expression, FirstOrderModel
+from symchain import Expression, FirstOrderModel, VarTable, parse_expression
 from polyref import linear_coefficients, to_sympy
 
 
@@ -203,6 +203,20 @@ def test_stencil_mapping_falls_back_on_multi_site():
     m = build_schwinger(spec)
     two_sites = Expression.variable(m.zeta, "pi0_1") + Expression.variable(m.zeta, "piphi_2")
     assert map_constraint_to_sites(two_sites, spec) is None
+
+
+def test_stencil_mapping_rejects_a_foreign_table():
+    """A form over a longer table, or over 6N other names, is refused, not mapped."""
+    spec = LatticeSpec(sites=3)
+    over_working = parse_expression("pi0_1 + lam1", build_schwinger(spec).working)
+    foreign = parse_expression("v6 + v0", VarTable([f"v{i}" for i in range(18)]))
+    for expr in (over_working, foreign):
+        with pytest.raises(ValueError, match="^constraint must live over the lattice's zeta table$"):
+            map_constraint_to_sites(expr, spec)
+    # the same names over the spec's own table: A0 + phi at site 1 is two blocks, each at one site
+    assert map_constraint_to_sites(parse_expression("phi_1 + A0_1", spec.zeta()), spec).describe() == (
+        "A0 + phi @ site 1"
+    )
 
 
 def _full_scan(expr, spec):
