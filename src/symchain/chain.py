@@ -5,10 +5,10 @@ f_ab = d_a c_b - d_b c_a and one auxiliary column/row pair per known
 constraint (gradient rows A, border blocks +A^T / -A), each step
 
   1. eliminates the sparse integer columns of the extended matrix F:
-     the base tensor's, made once per run and bordered in place, once,
-     by each constraint as it is accepted; the elimination of the
-     constraint columns, which never change, carries from level to
-     level, so each attempt reduces only the coordinate columns,
+     the base tensor's, made once per model and copied, then bordered in
+     place, once, by each constraint as it is accepted; the elimination
+     of the constraint columns, which never change, carries from level
+     to level, so each attempt reduces only the coordinate columns,
   2. contracts each canonical left null vector v with the gradient of
      H: every primary borders the matrix, so v is orthogonal to the
      primaries' gradients, the multipliers of the total Hamiltonian
@@ -21,9 +21,9 @@ constraint (gradient rows A, border blocks +A^T / -A), each step
      read off the same elimination that finds its null space empty),
      an exhausted null space, or the level cap.
 
-Border blocks are built from the *raw* constraint expressions (v . grad(H)
-as extracted, unnormalized); the monic-normalized forms are used for
-span bookkeeping and reporting.  The raw scale is what makes the final
+Border blocks and the span basis, which the report keeps, take the *raw*
+constraint forms (v . grad(H) as extracted, unnormalized); the monic ones,
+read off them, are for reporting.  The raw scale is what makes the final
 determinant reproducible.
 """
 
@@ -33,10 +33,10 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
-from .expressions import EchelonBasis, Expression, VarTable, _affine_form, _form_expression, _sums_expression, _sums_form
-from .linalg import RationalMatrix, SparseEchelon, _combine, _integral, _put, _rows
+from .expressions import EchelonBasis, Expression, VarTable, _affine_form, _form_expression, _monic_form
+from .expressions import _sums_expression, _sums_form
+from .linalg import RationalMatrix, SparseEchelon, _combine, _put, _rows
 from .model import FirstOrderModel
 
 NEW = "new"
@@ -61,7 +61,7 @@ class Constraint(namedtuple("Constraint", "level expr raw origin generator", def
     ``level`` (int), ``expr`` and ``raw`` (Expression), ``origin`` (str), ``generator`` (the vector of a
     level-(``level`` - 1) ``Candidate``, or None).  ``raw`` is the expression exactly as generated (v . grad(H)
     for derived levels); ``expr`` is its monic normalization under the graded-lex order, never in the
-    linear span of the lower levels.
+    linear span of the lower levels: ``from_raw`` reads it off raw's integer affine ``form``, given or converted.
     """
 
     __slots__ = ()
@@ -72,10 +72,14 @@ class Constraint(namedtuple("Constraint", "level expr raw origin generator", def
         raw: Expression,
         origin: str,
         generator: tuple[tuple[int, int], ...] | None = None,
+        form: tuple[dict[int, int], int] | None = None,
     ) -> "Constraint":
         if raw.is_zero():
             raise ValueError("constraint expression is identically zero")
-        return Constraint(level=level, expr=raw.monic(), raw=raw, origin=origin, generator=generator)
+        form = form or _affine_form(raw)
+        monic = _monic_form(*form) if form else None  # None for a nonlinear raw
+        expr = raw.monic() if monic is None else raw if monic == form else _form_expression(raw.vars, *monic)
+        return Constraint(level=level, expr=expr, raw=raw, origin=origin, generator=generator)
 
 
 class Candidate(namedtuple("Candidate", "vector value classification")):
@@ -128,7 +132,7 @@ class ChainReport(namedtuple("ChainReport", "model_name zeta_names multiplier_na
     ``model_name`` (str), ``zeta_names`` and ``multiplier_names`` (str tuples), ``constraints``
     (Constraint tuple), ``levels`` (LevelRecord tuple), ``truncations`` (int tuple),
     ``termination`` (Termination), ``warnings`` (str tuple).  No ``__slots__``: the
-    instance ``__dict__`` holds the cached ``_span``.
+    instance ``__dict__`` holds the cached ``_span``, which ``run_chain`` puts there.
     """
 
     def num_levels(self) -> int:
@@ -136,47 +140,36 @@ class ChainReport(namedtuple("ChainReport", "model_name zeta_names multiplier_na
 
     def span_fingerprint(self) -> str:
         """Canonical text form of the constraint span (RREF row expressions)."""
-        return "; ".join(str(e) for e in self._span[1]) if self.constraints else "<empty>"
+        return "; ".join(map(str, self._span.rref())) if self.constraints else "<empty>"
 
     @cached_property
-    def _span(self) -> tuple[EchelonBasis | None, list[Expression]]:
-        """The echelon basis of the constraint span and its RREF rows, built once per report."""
+    def _span(self) -> EchelonBasis | None:
+        """The echelon basis of the constraint span, built once per report that ``run_chain`` did not make."""
         return _span([c.expr for c in self.constraints])
 
 
 def span_fingerprint(exprs: Sequence[Expression]) -> str:
-    return "; ".join(str(e) for e in _span(exprs)[1]) if exprs else "<empty>"
+    return "; ".join(map(str, _span(exprs).rref())) if exprs else "<empty>"
 
 
-def _span(exprs: Sequence[Expression]) -> tuple[EchelonBasis | None, list[Expression]]:
-    """The echelon basis of the affine-linear span of ``exprs`` and its canonical RREF rows; (None, []) if empty.
+def _span(exprs: Sequence[Expression]) -> EchelonBasis | None:
+    """The echelon basis of the affine-linear span of ``exprs``; None if empty.
 
     ``EchelonBasis.add`` raises ``ValueError`` for a nonlinear expression or one over a different table.
     """
     if not exprs:
-        return None, []
+        return None
     basis = EchelonBasis(exprs[0].vars)
     basis.add(*exprs)
-    return basis, basis.rref()
+    return basis
 
 
 def _integer_columns(m: FirstOrderModel) -> list[tuple[dict[int, int], int]]:
-    """The columns of the base tensor f_ab = d_a c_b - d_b c_a as (vec, scale) pairs: ints keyed by ~i for row i.
-
-    c is affine-linear, so d_a c_b is the coefficient C_b[a] of zeta_a in c_b.
-    """
-    forms = [_affine_form(e) for e in m.c]
-    if None in forms:
+    """A copy, to border in place, of the columns of m's base tensor f, keyed by ~i for row i, over one scale."""
+    cols = m._ints[0]
+    if cols is None:
         raise ChainError("the symplectic tensor has non-constant entries (c is nonlinear)")
-    n, mult = len(forms), lcm(*(scale for _, scale in forms))
-    cols: list[dict[int, int]] = [{} for _ in forms]
-    for b, (vec, scale) in enumerate(forms):
-        for a, x in vec.items():
-            if a < n:  # the constant term has no derivative
-                x *= mult // scale
-                cols[b][~a] = cols[b].get(~a, 0) + x
-                cols[a][~b] = cols[a].get(~b, 0) - x
-    return [({i: x for i, x in col.items() if x}, mult) for col in cols]
+    return [(dict(vec), scale) for vec, scale in cols]
 
 
 def assemble_extended_matrix(
@@ -202,13 +195,12 @@ def assemble_extended_matrix(
         raise ValueError("constraint levels must be consecutive starting at 1")
     cols = _integer_columns(m)
     for c in sorted(constraints, key=lambda c: c.level):
-        _border(cols, _raw_form(c), len(m.zeta))
+        _border(cols, _raw_form(c, _affine_form(c.raw)), len(m.zeta))
     return RationalMatrix(_rows(_kept(cols, constraints, truncated), len(cols)))
 
 
-def _raw_form(c: Constraint) -> tuple[dict[int, int], int]:
-    """The integer affine form of ``c.raw``; a nonlinear one raises ``ChainError``."""
-    form = _affine_form(c.raw)
+def _raw_form(c: Constraint, form: tuple[dict[int, int], int] | None) -> tuple[dict[int, int], int]:
+    """``form``, the integer affine form of ``c.raw``; None, for a nonlinear one, raises ``ChainError``."""
     if form is None:
         raise ChainError(
             "constraint gradient is not constant; the exact chain supports "
@@ -287,8 +279,10 @@ def _classify(
 def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainReport:
     """Run the level loop until a termination certificate is reached.
 
-    What does not change between levels is computed once per run: the
-    Hamiltonian gradient, the echelon basis of the constraint span, the
+    The model's integer view, shared with the oracle, gives the Hamiltonian
+    gradient, the primaries' forms and the base tensor's columns.  What
+    does not change between levels is computed once per run: the echelon
+    basis of the constraint span, kept by the report as its ``_span``, the
     integer columns of F, which start as the base tensor's and are
     bordered once, in place, by each accepted constraint, the
     elimination of the constraint columns +A^T, which never change: it
@@ -300,29 +294,29 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     coordinate columns, in a copy of the state, in one ``absorb`` call.
     """
     opts = opts or ChainOptions()
+    cols = _integer_columns(m)
+    n_zeta = len(cols)
+    _, grad_h, forms = m._ints
     constraints: list[Constraint] = [
-        Constraint.from_raw(1, p, ORIGIN_PRIMARY) for p in m.primaries
+        Constraint.from_raw(1, p, ORIGIN_PRIMARY, form=form) for p, form in zip(m.primaries, forms)
     ]
     records: list[LevelRecord] = []
     truncations: list[int] = []
     warnings: list[str] = []
 
-    cols = _integer_columns(m)
-    n_zeta = len(cols)
     # every primary is a level-1 constraint, whose +A^T column every
     # attempt keeps: each null vector is orthogonal to the primaries'
     # gradients, so the multipliers cancel from v . grad(H_T)
-    grad_h = [_integral(g.terms) for g in m.hamiltonian.gradient()]
     known = EchelonBasis(m.zeta)
     seen: dict[tuple, tuple[Expression, tuple[dict[int, int], int]]] = {}
     built: dict[tuple, tuple] = {}
     full = SparseEchelon()
     full.num = 1  # track the determinant
     level1: SparseEchelon | None = None
-    for c in constraints:
-        _border(cols, _raw_form(c), n_zeta)
+    for c, form in zip(constraints, forms):
+        _border(cols, _raw_form(c, form), n_zeta)
     full.absorb(cols[n_zeta:])
-    known.add(*(c.expr for c in constraints))
+    known._add_forms(forms)  # a span does not depend on its members' scale
 
     def attempt(k: int, truncated: bool):
         """Classify the null vectors of one bordered matrix and record the level."""
@@ -369,11 +363,12 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
             level1.num = 0
         # NEW candidates already joined ``known`` during classification
         for c in new:
-            constraints.append(Constraint.from_raw(k + 1, c.value, origin, c.vector))
-            _border(cols, seen[c.vector][1], n_zeta)
+            form = seen[c.vector][1]
+            constraints.append(Constraint.from_raw(k + 1, c.value, origin, c.vector, form))
+            _border(cols, form, n_zeta)
         full.absorb(cols[-len(new):])
 
-    return ChainReport(
+    report = ChainReport(
         model_name=m.name,
         zeta_names=m.zeta.names,
         multiplier_names=m.multiplier_names,
@@ -383,3 +378,5 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
         termination=termination,
         warnings=tuple(warnings),
     )
+    vars(report)["_span"] = known  # the report's span, as ``ChainReport._span`` caches it
+    return report

@@ -6,11 +6,12 @@ with a primary survives.  The bracket is the one the first-order form
 fixes, {a, b} = grad(a) . f^-1 . grad(b) (Faddeev & Jackiw 1988), so it
 holds for any order of the coordinates.  Each pass forms a candidate
 only for the null directions the previous pass added, in integers.
-The module shares with the chain driver the base tensor f
-(``_integer_columns``), the span basis (``_span``), the conversions of
-``expressions`` between an Expression, int monomial sums and the integer
-affine form, and the exact kernel: the same ``SparseEchelon`` and
-linalg's ``_combine``, ``_integral``, ``_put`` and ``_rows``.  Agreement
+The module shares with ``run_chain`` the model's integer view (the
+base tensor f, grad(H) and the primaries' forms), the span basis
+(``_span``), the conversions of ``expressions`` between an Expression,
+int monomial sums and the integer affine form, and the exact kernel:
+the same ``SparseEchelon`` and linalg's ``_combine``, ``_put`` and
+``_rows``.  Agreement
 between the two checks the derivation, the consistency iteration
 against the bordered-matrix chain, but not that kernel; the tests'
 sympy references are what guard it.
@@ -22,8 +23,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .chain import ORIGIN_PRIMARY, ChainReport, Constraint, span_fingerprint, _integer_columns, _span
-from .expressions import EchelonBasis, Expression, _affine_form, _form_expression, _sums_expression, _sums_form
-from .linalg import RationalMatrix, SparseEchelon, _combine, _integral, _put, _rows
+from .expressions import EchelonBasis, Expression, _affine_form, _form_expression, _monic_form, _sums_expression, _sums_form
+from .linalg import RationalMatrix, SparseEchelon, _combine, _put, _rows
 from .model import FirstOrderModel
 
 ORIGIN_CONSISTENCY = "consistency"
@@ -120,23 +121,24 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     is nonzero and not constant, so it takes a new pivot among the
     len(zeta) coordinate columns of the span.
     """
-    constraints = [Constraint.from_raw(1, p, ORIGIN_PRIMARY) for p in m.primaries]
-    if not constraints:
+    if not m.primaries:
         return OracleResult((), ())
-    primary_grads = [_affine_form(p) for p in m.primaries]
+    _, grad_h, primary_grads = m._ints
     if None in primary_grads:
         raise ValueError("nonlinear primary: the oracle supports linear constraints only")
+    constraints = [Constraint.from_raw(1, p, ORIGIN_PRIMARY, form=g) for p, g in zip(m.primaries, primary_grads)]
+    forms = list(primary_grads)  # each constraint's raw form
     finv = _inverse(m)
     zeta, n, working = m.zeta, len(m.zeta), m.working
-    grad_h = [_integral(g.terms) for g in m.hamiltonian.gradient()]
     flows: list[tuple[dict[int, int], int]] = []
     mixed: list[tuple[dict[int, int], int]] = [({}, 1) for _ in primary_grads]  # {phi_i, mu} at key ~i
     known = EchelonBasis(zeta)
-    known.add(*(c.expr for c in constraints))
+    known._add_forms(primary_grads)
     seen = old = 0
     while len(constraints) > old:
-        for c in constraints[old:]:  # join what the previous pass added: first the primaries
-            flows.append(_flow(_affine_form(c.expr), finv))
+        for form in forms[old:]:  # join what the previous pass added: first the primaries
+            # the flow of the monic form: each bracket row's scale fixes the null vectors, so the candidates
+            flows.append(_flow(_monic_form(*form), finv))
             _put_brackets(mixed, primary_grads, *flows[-1], len(flows) - 1)
         seen, old = old, len(constraints)
         for w in SparseEchelon().absorb(mixed).null_basis(old, ~seen):  # nonzero past seen
@@ -148,7 +150,8 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
             if not known._add_form(*form):  # zero, or zero modulo the set
                 continue
             level = 1 + max(constraints[i].level for i, _ in w)
-            constraints.append(Constraint.from_raw(level, _form_expression(zeta, *form), ORIGIN_CONSISTENCY))
+            constraints.append(Constraint.from_raw(level, _form_expression(zeta, *form), ORIGIN_CONSISTENCY, form=form))
+            forms.append(form)
     conditions: list[MultiplierCondition] = []
     for i, (phi, (u, scale)) in enumerate(zip(constraints, flows)):
         # {phi_i, mu_g} lam_g, row i of the bracket columns: a key is written only for a nonzero entry
@@ -215,18 +218,19 @@ class SpanVerdict(namedtuple("SpanVerdict", "equal only_in_first only_in_second"
 
 
 def compare_spans(chain: ChainReport | Sequence[Constraint], oracle: Sequence[Constraint]) -> SpanVerdict:
-    """Spans are equal iff the row-reduced coefficient matrices coincide.
+    """Spans are equal iff their canonical echelon rows coincide.
 
-    The verdict carries a mismatch basis: constraints of one side that
+    The verdict carries a mismatch basis: the RREF rows of one side that
     stay nonzero after reduction against the other side's span.
     """
-    span_first, basis_first = chain._span if isinstance(chain, ChainReport) else _span([c.expr for c in chain])
-    span_second, basis_second = _span([c.expr for c in oracle])
-    if basis_first == basis_second:
+    first = chain._span if isinstance(chain, ChainReport) else _span([c.expr for c in chain])
+    second = _span([c.expr for c in oracle])  # None, never an empty basis, for an empty span
+    if first.same_span(second) if first is not None else second is None:
         return SpanVerdict(True, (), ())
-    return SpanVerdict(False, _mismatch(basis_first, span_second), _mismatch(basis_second, span_first))
+    return SpanVerdict(False, _mismatch(first, second), _mismatch(second, first))
 
 
-def _mismatch(candidates: Sequence[Expression], other: EchelonBasis | None) -> tuple[Expression, ...]:
-    remainders = (other.remainder(e) if other is not None else e for e in candidates)
+def _mismatch(basis: EchelonBasis | None, other: EchelonBasis | None) -> tuple[Expression, ...]:
+    """The monic remainders, modulo ``other``, of the RREF rows of ``basis`` that it leaves nonzero; None is empty."""
+    remainders = (other.remainder(e) if other is not None else e for e in (basis.rref() if basis else ()))
     return tuple(r.monic() for r in remainders if not r.is_zero())

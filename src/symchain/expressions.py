@@ -560,6 +560,12 @@ def _form_expression(vars: VarTable, vec: dict[int, int], scale: int) -> Express
     return _sums_expression(vars, {((col, 1),) if col < n else (): x for col, x in vec.items()}, scale)
 
 
+def _monic_form(vec: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
+    """The form of vec/scale's ``monic()``: vec over its lead entry, at its smallest key, made positive."""
+    lead = vec[min(vec)]
+    return (vec, lead) if lead > 0 else ({col: -x for col, x in vec.items()}, -lead)
+
+
 class EchelonBasis:
     """Incremental exact basis of an affine-linear span over one VarTable.
 
@@ -579,9 +585,12 @@ class EchelonBasis:
 
     def add(self, *exprs: Expression) -> bool:
         """Extend the span by ``exprs`` in one elimination; False when they are dependent modulo it."""
+        return self._add_forms([self._vector(e, "basis expression") for e in exprs])
+
+    def _add_forms(self, forms: list[tuple[dict[int, int], int]]) -> bool:
+        """``add`` for integer affine forms (left unchanged)."""
         rank = len(self._kernel.rows)
-        vectors = [self._vector(e, "basis expression") for e in exprs]
-        return len(self._kernel.absorb(vectors).rows) == rank + len(vectors)
+        return len(self._kernel.absorb(forms).rows) == rank + len(forms)
 
     def _add_form(self, vec: dict[int, int], scale: int) -> bool:
         """``add`` for the integer affine form vec/scale (left unchanged).
@@ -606,6 +615,10 @@ class EchelonBasis:
     def remainder(self, e: Expression) -> Expression:
         """The member of ``e`` + span that is zero at every pivot column."""
         return _form_expression(self._vars, *self._kernel.reduce(*self._vector(e, "expression")))
+
+    def same_span(self, other: EchelonBasis | None) -> bool:
+        """True when ``other``, None for the empty span, has the same canonical rows over the same table."""
+        return self._kernel.rows == other._kernel.rows and self._vars == other._vars if other else not self._kernel.rows
 
     def rref(self) -> list[Expression]:
         """The reduced row-echelon rows, in pivot order."""

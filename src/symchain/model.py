@@ -13,8 +13,10 @@ import re
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
-from .expressions import EchelonBasis, Expression, ParseError, VarTable, _ONE, _add, _mul, parse_expression
+from .expressions import EchelonBasis, Expression, ParseError, VarTable, _ONE, _add, _affine_form, _mul, parse_expression
 from .linalg import SparseEchelon, _integral
 
 # multiplier symbols (lam<k>) and auxiliary directions (xi<k>) are
@@ -38,9 +40,9 @@ class FirstOrderModel(namedtuple("FirstOrderModel", "name zeta c hamiltonian pri
     (Expression); ``primaries`` (Expression tuple).  c, the Hamiltonian and
     the primaries live over zeta only.  Two properties: ``multiplier_names``
     lam1..lamM, one per primary, and ``working``, zeta followed by them.
+    No ``__slots__``: the instance ``__dict__`` holds the cached ``_ints``.
     """
 
-    __slots__ = ()
     # namedtuple's _replace builds through _make: route both through __new__'s checks
     _make = classmethod(lambda cls, fields: cls(*fields))
 
@@ -61,6 +63,25 @@ class FirstOrderModel(namedtuple("FirstOrderModel", "name zeta c hamiltonian pri
             raise ValueError("primary constraint uses a foreign VarTable")
         _check_primaries(primaries, zeta)
         return super().__new__(cls, name, zeta, c, hamiltonian, primaries)
+
+    @cached_property
+    def _ints(self) -> tuple[list | None, list[tuple[dict, int]], list]:
+        """The model in ints, made once for the chain and the oracle, which only read it: f_ab = d_a c_b - d_b c_a
+        as columns over one scale, keyed ~a for row a (None if c is nonlinear), each of H's derivatives as int
+        monomial sums over a denominator, and each primary's integer affine form (None if nonlinear)."""
+        forms, n, cols = [_affine_form(e) for e in self.c], len(self.c), None
+        if None not in forms:
+            mult = lcm(*(scale for _, scale in forms))
+            cols = [{} for _ in forms]
+            for b, (vec, scale) in enumerate(forms):
+                for a, x in vec.items():
+                    if a < n:  # the constant term has no derivative
+                        x *= mult // scale
+                        cols[b][~a] = cols[b].get(~a, 0) + x
+                        cols[a][~b] = cols[a].get(~b, 0) - x
+            cols = [({i: x for i, x in col.items() if x}, mult) for col in cols]
+        grad_h = [_integral(g.terms) for g in self.hamiltonian.gradient()]
+        return cols, grad_h, [_affine_form(p) for p in self.primaries]
 
     @property
     def multiplier_names(self) -> tuple[str, ...]:
@@ -230,8 +251,13 @@ _SINGLE_KEYWORDS = ("model", "vars", "zeta", "L", "c", "H")  # at most one line 
 
 def load_model(path: str | os.PathLike) -> FirstOrderModel:
     """Load and validate a UTF-8 model file (a byte-order mark is skipped); second-order form is transformed on load."""
-    with open(path, encoding="utf-8-sig") as file:
-        text = file.read()
+    with open(path, "rb") as file:
+        data = file.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # the valid text before the bad byte ends on the byte's line
+        line = len((exc.object[: exc.start].decode() + ".").splitlines())
+        raise ModelFormatError(f"invalid UTF-8 byte {exc.object[exc.start]:#04x} ({exc.reason})", line) from None
     found: dict[str, tuple[int, str]] = {}  # keyword -> (line number, rest)
     primary_lines: list[tuple[int, str]] = []
 

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,7 +43,8 @@ from golden import (
 )
 from polyref import linear_coefficients, relabel
 from randmodels import random_model, random_scaled_model, random_second_order
-from symchain import chain, expressions, linalg
+from symchain import chain, dirac, expressions, linalg, load_model, model as model_module
+from symchain.reports import render_tree
 from symchain.expressions import _form_expression, _sums_expression, _sums_form
 from symchain.linalg import SparseEchelon, _combine, _integral
 from test_byte_identity import _nonzero_rational, _shift_chain
@@ -265,6 +267,21 @@ def test_chain_errors_name_their_level_and_expression(h, primary, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("oracle_first", [True, False])
+def test_nonlinear_primary_errors_keep_their_texts_in_either_call_order(oracle_first):
+    """The chain and the oracle read one cached view of the model; each still raises its own pinned text."""
+    m = _chain_error_model("p_x^2", "x^2")
+    calls = [
+        (consistency_algorithm, ValueError, "nonlinear primary: the oracle supports linear constraints only"),
+        (run_chain, ChainError, "constraint gradient is not constant; the exact chain supports "
+         "linear constraints only (level 1 constraint: x^2)"),
+    ]
+    for run, error, message in (calls if oracle_first else calls[::-1]) * 2:
+        with pytest.raises(error) as err:
+            run(m)
+        assert str(err.value) == message
+
+
 def test_run_chain_mechanical_fixture(example2):
     report = run_chain(example2)
     assert report.termination.kind == "nonsingular"
@@ -465,15 +482,15 @@ def test_run_chain_scales_and_eliminates_each_column_once(monkeypatch):
         return absorb(self, cols)
 
     monkeypatch.setattr(linalg, "_integral", counted)
-    monkeypatch.setattr(chain, "_integral", counted)
+    monkeypatch.setattr(model_module, "_integral", counted)
     monkeypatch.setattr(expressions, "_integral", counted)
     monkeypatch.setattr(SparseEchelon, "absorb", recorded)
     report = run_chain(_deep_shift_chain(), ChainOptions(max_level=64))
     n_zeta, n_constraints = 24, len(report.constraints)
     assert report.levels[-1].shape == (n_zeta + n_constraints,) * 2
-    # at most once per column as it is created and once per constraint as it joins the span
-    # (each entry of c and of grad(H) once, the primary's raw and monic forms once each)
-    assert len(scaled) <= n_zeta + 2 * n_constraints == 72
+    # once per entry of c and of grad(H), in the model's integer view, and for the one primary
+    # once there and once as the model checks it
+    assert len(scaled) == 2 * n_zeta + 2 == 50
     # each constraint column once, at its border; each attempt its coordinate columns
     assert sorted(absorbed) == [1] * n_constraints + [n_zeta] * len(report.levels)
 
@@ -491,6 +508,41 @@ def test_run_chain_checks_linearity_once_per_model_input(monkeypatch):
     report = run_chain(model, ChainOptions(max_level=64))
     assert len(report.constraints) == 24
     assert len(calls) <= 26
+
+
+MODELS_DIR = Path(__file__).resolve().parents[1] / "models"
+CONVERSION_MODELS = {
+    "example2": lambda: (load_model(MODELS_DIR / "example2.model"), None),
+    "shift_chain": lambda: (_deep_shift_chain(), ChainOptions(max_level=64)),
+    "lattice_5": lambda: (build_schwinger(LatticeSpec(sites=5)), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVERSION_MODELS))
+def test_chain_and_oracle_convert_the_model_once(name, monkeypatch):
+    """One ``run_chain`` and one ``consistency_algorithm`` on one model take grad(H) once, convert each entry
+    of c once, for f's columns, and each primary once, in neither its raw nor its monic form again.
+
+    A second chain run after the oracle reuses that view: its report is byte-identical to the first,
+    and the view's columns equal a fresh model's, so bordering never writes into them.
+    """
+    m, opts = CONVERSION_MODELS[name]()
+    converted, gradients = [], []
+    affine_form, gradient = expressions._affine_form, Expression.gradient
+    for module in (expressions, chain, dirac, model_module):
+        if hasattr(module, "_affine_form"):
+            monkeypatch.setattr(module, "_affine_form", lambda e: converted.append(e) or affine_form(e))
+    monkeypatch.setattr(Expression, "gradient", lambda self: gradients.append(self) or gradient(self))
+    first = render_tree(run_chain(m, opts))
+    consistency_algorithm(m)
+    inputs = (*m.c, *m.primaries)
+    assert Counter(id(e) for e in converted if any(e is x for x in inputs)) == Counter(map(id, inputs))
+    monic = [p.monic() for p in m.primaries]
+    assert not [e for e in converted if all(e is not x for x in inputs) and e in monic]
+    assert [g for g in gradients if g is m.hamiltonian] == [m.hamiltonian]
+    assert render_tree(run_chain(m, opts)) == first
+    monkeypatch.undo()
+    assert m._ints == CONVERSION_MODELS[name]()[0]._ints
 
 
 def _counted_absorb(monkeypatch) -> list:
@@ -520,9 +572,9 @@ def test_span_takes_its_expressions_in_one_absorb_call(monkeypatch):
     zeta = VarTable(["x", "y", "z"])
     exprs = [parse_expression(text, zeta) for text in ("x + y", "2*x - z", "3*y + z + 1", "x + y")]
     calls = _counted_absorb(monkeypatch)
-    basis, rows = chain._span(exprs)
+    basis = chain._span(exprs)
     assert [k for _, _, k in calls] == [len(exprs)]
-    assert len(rows) == 3
+    assert len(basis.rref()) == 3
 
 
 @pytest.mark.parametrize("name", ["shift_chain", "lattice_5_3/7", "lattice_4_forward"])

@@ -2,7 +2,7 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -110,7 +110,23 @@ def test_a_byte_order_mark_is_skipped_and_bad_utf8_is_an_input_error(tmp_path):
     bad.write_bytes(b"model bad\nzeta q p\nc p 0\nH \xff\n")
     result = run_cli("analyze", str(bad))
     assert (result.returncode, result.stdout) == (1, "")
-    assert result.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert result.stderr == "error: line 4: invalid UTF-8 byte 0xff (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    # after a byte-order mark and CRLF line ends; each line break counts once
+    (b"\xef\xbb\xbfmodel bad\r\nzeta q p\r\nc p \xc3(\r\nH p\n", "line 3: invalid UTF-8 byte 0xc3 (invalid continuation byte)"),
+    (b"\xff" + b" " * 9000, "line 1: invalid UTF-8 byte 0xff (invalid start byte)"),
+    # past the first 8 KiB, where a text-mode read would count from a later chunk
+    (b"model bad\n" + b"# x\n" * 3000 + b"zeta q p\nc p 0\nH p # \xe2\x82", "line 3004: invalid UTF-8 byte 0xe2 (unexpected end of data)"),
+])
+def test_bad_utf8_names_the_line_of_its_first_bad_byte(tmp_path, data, message):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["analyze", str(bad)])
+    assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {message}\n")
 
 
 def test_analyze_rejects_bad_model(tmp_path):

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import symchain
 from symchain import reports
 from checkout import checkout_env
@@ -122,3 +124,12 @@ def test_import_loads_no_unused_stdlib_machinery():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_a_model_refuses_assignment_to_its_fields_and_properties(example2):
+    # FirstOrderModel has an instance __dict__ for its cached integer view, and stays immutable
+    for name in (*symchain.FirstOrderModel._fields, "multiplier_names", "working"):
+        value = getattr(example2, name)
+        with pytest.raises(AttributeError):
+            setattr(example2, name, value)
+        assert getattr(example2, name) == value
