@@ -13,7 +13,6 @@ from symchain import (
     classify,
     compare_spans,
     consistency_algorithm,
-    determinant,
     load_model,
     run_chain,
 )
@@ -35,10 +34,11 @@ print()
 
 cm = classify(model, oracle.constraints)
 print("mutual-bracket matrix:")
-print(cm.matrix)
+for row in cm.matrix:
+    print(" ".join(str(x) for x in row))
 if not cm.first_class and cm.rank == len(oracle.constraints):
     print(f"rank {cm.rank}: all {cm.rank} constraints are "
-          f"second-class; det = {determinant(cm.matrix)}")
+          f"second-class; det = {cm.determinant}")
 else:
     print(f"rank {cm.rank} of {len(oracle.constraints)} constraints: "
           f"{len(cm.first_class)} first-class")

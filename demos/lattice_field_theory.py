@@ -14,7 +14,6 @@ from symchain import (
     build_schwinger,
     compare_spans,
     consistency_algorithm,
-    difference_matrix,
     map_constraint_to_sites,
     run_chain,
 )
@@ -22,7 +21,11 @@ from symchain import (
 spec = LatticeSpec(sites=5, spacing=Fraction(1), scheme="central")
 
 print("difference matrix D (central, exactly antisymmetric):")
-print(difference_matrix(spec))
+# the circulant stencil (S - S^T)/(2a): +1/(2a) right of the diagonal, -1/(2a) left of it, wrapping around
+half = Fraction(1, 2) / spec.spacing
+n = spec.sites
+for i in range(n):
+    print(" ".join(str(half * ((j - i) % n == 1) - half * ((i - j) % n == 1)) for j in range(n)))
 print()
 
 model = build_schwinger(spec)

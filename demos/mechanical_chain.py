@@ -10,7 +10,6 @@ from symchain import (
     ChainOptions,
     SecondOrderLagrangian,
     VarTable,
-    assemble_extended_matrix,
     legendre_transform,
     parse_expression,
     run_chain,
@@ -34,12 +33,18 @@ print()
 
 # -- the extended matrix at level 1 ------------------------------------
 
-report = run_chain(model)
-level1 = [c for c in report.constraints if c.level == 1]
-f1 = assemble_extended_matrix(model, level1)
+# f_ab = d_a c_b - d_b c_a, bordered by the primary's gradient A: +A^T as
+# the last column and -A as the last row; each gradient entry is a constant
+dc = [[g.terms.get((), 0) for g in cb.gradient()] for cb in model.c]  # dc[b][a] = d_a c_b
+a = [g.terms.get((), 0) for g in model.primaries[0].gradient()]
+n = len(model.zeta)
+f1 = [[dc[b][i] - dc[i][b] for b in range(n)] + [a[i]] for i in range(n)] + [[-x for x in a] + [0]]
 print("extended matrix at level 1 (coordinates + one auxiliary column):")
-print(f1)
+for row in f1:
+    print(" ".join(str(x) for x in row))
 print()
+
+report = run_chain(model)
 
 # Its single left null vector contracts with grad H (the auxiliary row
 # adds nothing) to give the next constraint, and so on.  Level 3 is

@@ -13,7 +13,6 @@ from .chain import (
     ChainReport,
     Constraint,
     Termination,
-    assemble_extended_matrix,
     run_chain,
     span_fingerprint,
 )
@@ -37,14 +36,7 @@ from .lattice import (
     LatticeSpec,
     SiteStencil,
     build_schwinger,
-    difference_matrix,
     map_constraint_to_sites,
-)
-from .linalg import (
-    RationalMatrix,
-    determinant,
-    left_null_space,
-    rank,
 )
 from .model import (
     FirstOrderModel,
@@ -71,26 +63,20 @@ __all__ = [
     "ModelFormatError",
     "OracleResult",
     "ParseError",
-    "RationalMatrix",
     "SecondOrderLagrangian",
     "SiteStencil",
     "SpanVerdict",
     "Termination",
     "UnknownVariableError",
     "VarTable",
-    "assemble_extended_matrix",
     "build_schwinger",
     "classify",
     "compare_spans",
     "consistency_algorithm",
-    "determinant",
-    "difference_matrix",
-    "left_null_space",
     "legendre_transform",
     "load_model",
     "map_constraint_to_sites",
     "parse_expression",
-    "rank",
     "run_chain",
     "save_model",
     "span_fingerprint",

@@ -36,7 +36,7 @@ from functools import cached_property
 
 from .expressions import EchelonBasis, Expression, VarTable, _affine_form, _form_expression, _monic_form
 from .expressions import _sums_expression, _sums_form
-from .linalg import RationalMatrix, SparseEchelon, _combine, _put, _rows
+from .linalg import SparseEchelon, _combine, _put
 from .model import FirstOrderModel
 
 NEW = "new"
@@ -172,43 +172,6 @@ def _integer_columns(m: FirstOrderModel) -> list[tuple[dict[int, int], int]]:
     return [(dict(vec), scale) for vec, scale in cols]
 
 
-def assemble_extended_matrix(
-    m: FirstOrderModel,
-    constraints: Sequence[Constraint],
-    truncated: bool = False,
-) -> RationalMatrix:
-    """Assemble the bordered matrix for every constraint level present.
-
-    ``constraints`` must live over ``m.zeta`` and hold consecutive
-    levels starting at 1 (or be empty, which returns the base tensor
-    itself).  Untruncated, the result is square and antisymmetric:
-    row/column blocks are the coordinates followed by one auxiliary
-    block per constraint level, with block(zeta, xi_g) = +A_g^T and
-    block(xi_g, zeta) = -A_g for A_g the gradient rows of the level-g
-    constraints.  With ``truncated`` the auxiliary columns of levels
-    above 1 are dropped, all rows retained.
-    """
-    if any(c.raw.vars != m.zeta for c in constraints):
-        raise ValueError("constraints must live over the model's zeta table")
-    levels = sorted({c.level for c in constraints})
-    if levels != list(range(1, len(levels) + 1)):
-        raise ValueError("constraint levels must be consecutive starting at 1")
-    cols = _integer_columns(m)
-    for c in sorted(constraints, key=lambda c: c.level):
-        _border(cols, _raw_form(c, _affine_form(c.raw)), len(m.zeta))
-    return RationalMatrix(_rows(_kept(cols, constraints, truncated), len(cols)))
-
-
-def _raw_form(c: Constraint, form: tuple[dict[int, int], int] | None) -> tuple[dict[int, int], int]:
-    """``form``, the integer affine form of ``c.raw``; None, for a nonlinear one, raises ``ChainError``."""
-    if form is None:
-        raise ChainError(
-            "constraint gradient is not constant; the exact chain supports "
-            f"linear constraints only (level {c.level} constraint: {c.raw})"
-        )
-    return form
-
-
 def _border(cols: list[tuple[dict[int, int], int]], form: tuple[dict[int, int], int], n_zeta: int) -> None:
     """Border the square integer columns ``cols`` by the constraint whose integer affine form is ``form``, in place.
 
@@ -221,13 +184,6 @@ def _border(cols: list[tuple[dict[int, int], int]], form: tuple[dict[int, int], 
     for key, x in grad.items():
         _put(cols, ~key, row, -x, scale)
     cols.append((grad, scale))
-
-
-def _kept(cols: list, constraints: Sequence[Constraint], truncated: bool) -> list:
-    """The columns of one attempt: all, or the coordinate and level-1 ones."""
-    if not truncated:
-        return cols
-    return cols[: len(cols) - len(constraints) + sum(c.level == 1 for c in constraints)]
 
 
 def _solve(state: SparseEchelon, kept: list, n_zeta: int, n: int, built: dict) -> tuple:
@@ -314,13 +270,19 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     full.num = 1  # track the determinant
     level1: SparseEchelon | None = None
     for c, form in zip(constraints, forms):
-        _border(cols, _raw_form(c, form), n_zeta)
+        if form is None:  # a nonlinear primary
+            raise ChainError(
+                "constraint gradient is not constant; the exact chain supports "
+                f"linear constraints only (level {c.level} constraint: {c.raw})"
+            )
+        _border(cols, form, n_zeta)
     full.absorb(cols[n_zeta:])
     known._add_forms(forms)  # a span does not depend on its members' scale
 
     def attempt(k: int, truncated: bool):
         """Classify the null vectors of one bordered matrix and record the level."""
-        kept = _kept(cols, constraints, truncated)
+        # all the columns, or the coordinate and level-1 ones
+        kept = cols[: n_zeta + sum(c.level == 1 for c in constraints)] if truncated else cols
         null, det = _solve(level1 if truncated else full, kept, n_zeta, len(cols), built)
         candidates = _classify(null, grad_h, m.zeta, known, k + 1, seen)
         records.append(LevelRecord(

@@ -10,21 +10,23 @@ The module shares with ``run_chain`` the model's integer view (the
 base tensor f, grad(H) and the primaries' forms), the span basis
 (``_span``), the conversions of ``expressions`` between an Expression,
 int monomial sums and the integer affine form, and the exact kernel:
-the same ``SparseEchelon`` and linalg's ``_combine``, ``_put`` and
-``_rows``.  Agreement
-between the two checks the derivation, the consistency iteration
-against the bordered-matrix chain, but not that kernel; the tests'
-sympy references are what guard it.
+the same ``SparseEchelon`` and linalg's ``_combine`` and ``_put``.
+Agreement between the two checks the derivation, the consistency
+iteration against the bordered-matrix chain, but not that kernel; the
+tests' sympy references are what guard it.  ``classify`` reads the
+bracket matrix C of a closed set, its rank, its first-class
+combinations and det C off one more elimination on that kernel.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
+from fractions import Fraction
 
 from .chain import ORIGIN_PRIMARY, ChainReport, Constraint, span_fingerprint, _integer_columns, _span
 from .expressions import EchelonBasis, Expression, _affine_form, _form_expression, _monic_form, _sums_expression, _sums_form
-from .linalg import RationalMatrix, SparseEchelon, _combine, _put, _rows
+from .linalg import SparseEchelon, _combine, _put
 from .model import FirstOrderModel
 
 ORIGIN_CONSISTENCY = "consistency"
@@ -163,29 +165,31 @@ def consistency_algorithm(m: FirstOrderModel) -> OracleResult:
     return OracleResult(tuple(constraints), tuple(conditions))
 
 
-class ConstraintMatrix(namedtuple("ConstraintMatrix", "matrix rank first_class")):
+class ConstraintMatrix(namedtuple("ConstraintMatrix", "matrix rank first_class determinant")):
     """Mutual-bracket matrix C_ab = {phi_a, phi_b} with its classification.
 
-    ``matrix`` (RationalMatrix or None), ``rank`` (int), ``first_class``
+    ``matrix`` (C's rows as Fraction tuples, or None), ``rank`` (int), ``first_class``
     (Expression tuple): sum_a w_a phi_a (raw forms) for each w of the canonical
-    left null basis of C, so its length plus the rank is the constraint count.
+    left null basis of C, so its length plus the rank is the constraint count;
+    ``determinant`` (Fraction det C, or None).  None stands for an empty set.
     """
 
     __slots__ = ()
 
 
 def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> ConstraintMatrix:
-    """Bracket matrix, rank, and first-class combinations of a closed linear set of ``m``.
+    """Bracket matrix, rank, first-class combinations and determinant of a closed linear set of ``m``.
 
     Brackets are taken between the ``raw`` constraint forms, so the
-    matrix (and its determinant) reflects the constraints exactly as
-    generated; the rank and the span of the first-class combinations are
-    scale-invariant either way.  With the oracle's flows u_a = -f^-1 grad(phi_a),
-    C_ab = u_a . grad(phi_b), in the oracle's integer bracket columns, of which
-    ``matrix`` is the dense view; a degenerate f raises ``ValueError``.
+    matrix and det C reflect the constraints exactly as generated; the
+    rank and the span of the first-class combinations are scale-invariant
+    either way.  With the oracle's flows u_a = -f^-1 grad(phi_a),
+    C_ab = u_a . grad(phi_b), in the oracle's integer bracket columns,
+    which one ``absorb`` takes in, tracking det C; ``matrix`` holds their
+    rows.  A degenerate f raises ``ValueError``.
     """
     if not constraints:
-        return ConstraintMatrix(None, 0, ())
+        return ConstraintMatrix(None, 0, (), None)
     if any(c.raw.vars != m.zeta for c in constraints):
         raise ValueError("constraints must live over the phase-space table only")
     if not EchelonBasis(m.zeta).add(*(c.expr for c in constraints)):
@@ -196,9 +200,12 @@ def classify(m: FirstOrderModel, constraints: Sequence[Constraint]) -> Constrain
     cols: list[tuple[dict[int, int], int]] = [({}, 1) for _ in constraints]  # {phi_i, phi_g} at key ~i
     for i, grad in enumerate(grads):
         _put_brackets(cols, grads, *_flow(grad, finv), i)
-    null = SparseEchelon().absorb(cols).null_basis(k)
+    kernel = SparseEchelon()
+    kernel.num = 1  # track det C
+    null = kernel.absorb(cols).null_basis(k)
     first_class = tuple(_form_expression(m.zeta, *_combine([(k, *grads[i]) for i, k in w])) for w in null)
-    return ConstraintMatrix(RationalMatrix(_rows(cols, k)), k - len(null), first_class)
+    matrix = tuple(tuple(Fraction(vec.get(~i, 0), scale) for vec, scale in cols) for i in range(k))
+    return ConstraintMatrix(matrix, k - len(null), first_class, Fraction(kernel.num, kernel.den))
 
 
 class SpanVerdict(namedtuple("SpanVerdict", "equal only_in_first only_in_second")):

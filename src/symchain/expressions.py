@@ -408,6 +408,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _literal(digits: str, at: int) -> int:
+    """The int of the literal ``digits`` at offset ``at``; one past Python's digit limit raises ``ParseError``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", at) from None
+
+
 class _Parser:
     """Recursive descent over the tokens; every method returns a fresh term map (monomial -> Fraction)."""
 
@@ -483,13 +491,13 @@ class _Parser:
             kind2, value2, at2 = self.peek()
             if kind2 == _TOK_OP and value2 == "/":
                 raise ParseError("exponent must be an integer (fractions not allowed)", at2)
-            return _power(base, int(value))
+            return _power(base, _literal(value, at))
         return base
 
     def atom(self) -> dict[Monomial, Fraction]:
         kind, value, at = self.take()
         if kind == _TOK_NUM:
-            numerator = int(value)
+            numerator = _literal(value, at)
             kind2, value2, _ = self.peek()
             if kind2 == _TOK_OP and value2 == "/":
                 self.take()
@@ -497,9 +505,10 @@ class _Parser:
                 if kind3 != _TOK_NUM:
                     raise ParseError("expected an integer denominator", at3)
                 self.take()
-                if int(value3) == 0:
+                denominator = _literal(value3, at3)
+                if denominator == 0:
                     raise ParseError("zero denominator in rational literal", at3)
-                return {(): Fraction(numerator, int(value3))} if numerator else {}
+                return {(): Fraction(numerator, denominator)} if numerator else {}
             return {(): Fraction(numerator)} if numerator else {}
         if kind == _TOK_NAME:
             if value not in self.vars:

@@ -20,7 +20,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .expressions import Expression, VarTable, _affine_form
-from .linalg import RationalMatrix
 from .model import FirstOrderModel
 
 FIELD_NAMES = ("A0", "A1", "phi")
@@ -65,14 +64,8 @@ class LatticeSpec(namedtuple("LatticeSpec", "sites spacing scheme", defaults=(Fr
         return VarTable([name for block in _BLOCKS for name in self.site_names(block)])
 
 
-def difference_matrix(spec: LatticeSpec) -> RationalMatrix:
-    """Circulant derivative: central (S - S^T)/(2a) or forward (S - I)/a."""
-    rows = [_difference_row(spec, i) for i in range(spec.sites)]
-    return RationalMatrix([[row.get(j, Fraction(0)) for j in range(spec.sites)] for row in rows])
-
-
 def _difference_row(spec: LatticeSpec, i: int) -> dict[int, Fraction]:
-    """The nonzero entries of row i of D: +-1/(2a) at i+1 and i-1 (central), or 1/a at i+1 and -1/a at i."""
+    """The nonzero entries of row i of the circulant D: +-1/(2a) at i+1 and i-1 (central), or 1/a at i+1 and -1/a at i."""
     n = spec.sites
     if spec.scheme == CENTRAL:
         half = Fraction(1, 2) / spec.spacing

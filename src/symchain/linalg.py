@@ -1,15 +1,13 @@
-"""Exact linear algebra over the rationals: the sparse elimination kernel and dense matrices.
+"""Exact linear algebra over the rationals: the one sparse elimination kernel.
 
 Inputs and outputs are fractions.Fraction, except null-space bases: canonical
-primitive int vectors, each its nonzero (index, int) pairs, dense only in
-``left_null_space``.  Under them a rational sparse vector is the pair
-(vec, scale) for vec/scale, vec an int dict, made once where a Fraction
-enters; every row reduction and the determinant run on one sparse
+primitive int vectors, each its nonzero (index, int) pairs.  Under them a
+rational sparse vector is the pair (vec, scale) for vec/scale, vec an int
+dict, made once where a Fraction enters; every row reduction and every
+determinant (the chain's det F, ``classify``'s det C) run on one sparse
 elimination kernel over primitive integer rows.  Only ``absorb`` adds
 rows, one or a batch in echelon form, back-substituted once at its end,
-so every public call leaves the rows in reduced row-echelon form.  The
-dense views of a RationalMatrix, ``rank``, ``determinant`` and
-``left_null_space``, each read one fresh elimination of its columns.
+so every public call leaves the rows in reduced row-echelon form.
 """
 
 from __future__ import annotations
@@ -19,54 +17,6 @@ from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from math import gcd, lcm
 from collections.abc import Iterable, Sequence
-
-
-class RationalMatrix:
-    """Immutable dense matrix of exact rationals."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: Iterable[Iterable[Fraction]]):
-        # Fractions are immutable, so entries that already are one are shared
-        data = tuple(
-            tuple(x if type(x) is Fraction else _exact(x, "element") for x in row) for row in rows
-        )
-        if not data or not data[0]:
-            raise ValueError("matrix dimensions must be positive")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("ragged rows")
-        self._rows = data
-
-    @property
-    def rows(self) -> int:
-        return len(self._rows)
-
-    @property
-    def cols(self) -> int:
-        return len(self._rows[0])
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
-
-    def to_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self._rows)
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols})"
 
 
 def _exact(x, kind: str) -> Fraction:
@@ -286,40 +236,3 @@ def _put(cols: list[tuple[dict[int, int], int]], j: int, key: int, num: int, den
         mult = den // gcd(scale, den)
         cols[j] = vec, scale = {k: y * mult for k, y in vec.items()}, scale * mult
     vec[key] = num * (scale // den)
-
-
-def rank(m: RationalMatrix) -> int:
-    return len(_eliminated(m).rows)
-
-
-def determinant(m: RationalMatrix) -> Fraction:
-    """Exact determinant on the sparse elimination kernel."""
-    if not m.is_square:
-        raise ValueError("determinant needs a square matrix")
-    kernel = _eliminated(m)
-    return Fraction(kernel.num, kernel.den)
-
-
-def left_null_space(m: RationalMatrix) -> tuple[tuple[int, ...], ...]:
-    """Canonical basis of {v : v.M = 0}; empty iff the rows are independent.
-
-    The vectors are the reduced row-echelon basis of the null space in
-    pivot order, each scaled to a primitive vector of ints with positive
-    leading entry, so the same matrix always gives the identical basis.
-    Rectangular input is fine; vectors have length m.rows.
-    """
-    n = m.rows
-    return tuple(tuple(v.get(i, 0) for i in range(n)) for v in map(dict, _eliminated(m).null_basis(n)))
-
-
-def _eliminated(m: RationalMatrix) -> SparseEchelon:
-    """A fresh ``SparseEchelon`` that has absorbed the columns of ``m``, tracking their determinant."""
-    kernel = SparseEchelon()
-    kernel.num = 1
-    return kernel.absorb(_integral({~i: x for i, x in enumerate(col) if x}) for col in zip(*m.to_rows()))
-
-
-def _rows(cols: Sequence[tuple[dict[int, int], int]], n: int) -> list[list[Fraction]]:
-    """The ``n`` rows of the matrix whose columns are the integer (vec, scale) pairs ``cols``."""
-    zero = Fraction(0)
-    return [[Fraction(vec[~i], scale) if ~i in vec else zero for vec, scale in cols] for i in range(n)]

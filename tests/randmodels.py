@@ -18,14 +18,14 @@ model-batch workload.
 import random
 from fractions import Fraction
 
+import sympy
+
 from symchain import (
     Expression,
     FirstOrderModel,
-    RationalMatrix,
     SecondOrderLagrangian,
     VarTable,
     legendre_transform,
-    rank,
 )
 
 
@@ -52,7 +52,7 @@ def random_model(rng: random.Random) -> FirstOrderModel:
         prims = [Expression(zeta, {((i, 1),): x for i, x in enumerate(row)}) for row in rows]
         if any(p.is_zero() for p in prims):
             continue
-        if len(prims) > 1 and rank(RationalMatrix(rows)) != len(prims):
+        if len(prims) > 1 and sympy.Matrix(rows).rank() != len(prims):  # exact, so a seed draws one model
             continue
         break
 

@@ -19,21 +19,16 @@ from symchain import (
     Constraint,
     Expression,
     LatticeSpec,
-    RationalMatrix,
     build_schwinger,
     classify,
     compare_spans,
     consistency_algorithm,
-    determinant,
-    difference_matrix,
-    left_null_space,
     load_model,
     parse_expression,
-    rank,
     run_chain,
-    assemble_extended_matrix,
 )
 from symchain.chain import _span
+from symchain.lattice import _difference_row
 from brackets import canonical_pairs, poisson_bracket
 from checkout import checkout_env
 from golden import (
@@ -49,8 +44,10 @@ from golden import (
     V3,
     is_scalar_multiple,
 )
-from polyref import linear_coefficients
+from polyref import bordered, linear_coefficients, sympy_left_null_basis
 from randmodels import random_model
+from test_chain import captured_attempts
+from test_linalg import bareiss_determinant, dense_form, eliminated
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -101,29 +98,36 @@ def test_criterion_1_golden_run(example2):
 
 
 @verdict(2, "matrix fidelity against the printed forms")
-def test_criterion_2_matrix_fidelity(example2):
+def test_criterion_2_matrix_fidelity(example2, monkeypatch):
     zeta = example2.zeta
     published = [
         Constraint.from_raw(i + 1, parse_expression(t, zeta), "primary" if i == 0 else "null-vector")
         for i, t in enumerate(PUBLISHED_CONSTRAINTS[:3])
     ]
-    f1 = assemble_extended_matrix(example2, published[:1])
-    f2 = assemble_extended_matrix(example2, published[:2])
-    f3 = assemble_extended_matrix(example2, published[:3])
-    f3t = assemble_extended_matrix(example2, published[:3], truncated=True)
-    assert f1 == RationalMatrix(F1_GOLDEN)
-    assert f2 == RationalMatrix(F2_GOLDEN)
-    assert f3 == RationalMatrix(F3_GOLDEN)
-    assert f3t == RationalMatrix(F3_TRUNCATED_GOLDEN)
+    f1 = bordered(example2, published[:1])
+    f2 = bordered(example2, published[:2])
+    f3 = bordered(example2, published[:3])
+    f3t = bordered(example2, published[:3], truncated=True)
+    assert f1 == F1_GOLDEN
+    assert f2 == F2_GOLDEN
+    assert f3 == F3_GOLDEN
+    assert f3t == F3_TRUNCATED_GOLDEN
+    # the chain's own matrices, bordered by its raw forms (x + y where the paper prints -x-y)
+    attempts = captured_attempts(monkeypatch)
+    report = run_chain(example2)
+    assert len(attempts) == len(report.levels) == 5
+    for rec, (rows, _) in zip(report.levels, attempts):
+        so_far = [c for c in report.constraints if c.level <= rec.level]
+        assert rows == bordered(example2, so_far, truncated=rec.truncated)
 
-    b1 = left_null_space(f1)
+    b1 = sympy_left_null_basis(f1)
     assert len(b1) == 1
     assert is_scalar_multiple(b1[0], [Fraction(v) for v in V1])
 
-    b2 = left_null_space(f2)
+    b2 = sympy_left_null_basis(f2)
     assert any(is_scalar_multiple(v, [Fraction(x) for x in V2]) for v in b2)
 
-    b3t = left_null_space(f3t)
+    b3t = sympy_left_null_basis(f3t)
     # the published truncated-level vector lies in the basis span
     residual = list(map(Fraction, V3))
     for row in b3t:
@@ -157,16 +161,14 @@ def test_criterion_3_lattice():
 
         # per-site stencil forms, compared span-by-span per level
         zeta = m.zeta
-        d = difference_matrix(spec)
 
         def var(name, i):
             return Expression.variable(zeta, f"{name}_{i + 1}")
 
         def dvar(name, i):
             acc = Expression.zero(zeta)
-            for j in range(sites):
-                if d.entry(i, j):
-                    acc = acc + d.entry(i, j) * var(name, j)
+            for j, x in sorted(_difference_row(spec, i).items()):
+                acc = acc + x * var(name, j)
             return acc
 
         expected = {
@@ -235,15 +237,16 @@ def test_criterion_5_exact_linalg():
             [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
             for _ in range(n)
         ]
-        mat = RationalMatrix(rows)
-        assert determinant(mat) == cofactor(rows)
+        kernel = eliminated(rows)  # a fresh SparseEchelon that tracks the determinant
+        assert Fraction(kernel.num, kernel.den) == cofactor(rows) == bareiss_determinant(rows)
         checked += 1
 
-        basis = left_null_space(mat)
+        basis = [dense_form(v, n) for v in kernel.null_basis(n)]
+        assert [list(v) for v in basis] == sympy_left_null_basis(rows)
         for v in basis:
             for j in range(n):
-                assert sum(v[i] * mat.entry(i, j) for i in range(n)) == 0
-        assert rank(mat) + len(basis) == n
+                assert sum(v[i] * rows[i][j] for i in range(n)) == 0
+        assert len(kernel.rows) + len(basis) == n
     assert checked == 200
 
 
@@ -284,7 +287,7 @@ def test_criterion_6_bracket_algebra(example2):
         for i, t in enumerate(PUBLISHED_CONSTRAINTS)
     ]
     cm = classify(example2, published)
-    assert [[int(x) for x in row] for row in cm.matrix.to_rows()] == C_GOLDEN
+    assert [[int(x) for x in row] for row in cm.matrix] == C_GOLDEN
     assert cm.rank == 4
     assert cm.first_class == ()
-    assert determinant(cm.matrix) == 16
+    assert cm.determinant == 16 == bareiss_determinant(cm.matrix)

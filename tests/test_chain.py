@@ -16,16 +16,11 @@ from symchain import (
     Expression,
     FirstOrderModel,
     LatticeSpec,
-    RationalMatrix,
     VarTable,
-    assemble_extended_matrix,
     build_schwinger,
     compare_spans,
     consistency_algorithm,
-    determinant,
-    left_null_space,
     parse_expression,
-    rank,
     run_chain,
 )
 from golden import (
@@ -41,7 +36,7 @@ from golden import (
     V3,
     is_scalar_multiple,
 )
-from polyref import linear_coefficients, relabel
+from polyref import bordered, linear_coefficients, relabel, sympy_left_null_basis, sympy_matrix
 from randmodels import random_model, random_scaled_model, random_second_order
 from symchain import chain, dirac, expressions, linalg, load_model, model as model_module
 from symchain.reports import render_tree
@@ -49,7 +44,7 @@ from symchain.expressions import _form_expression, _sums_expression, _sums_form
 from symchain.linalg import SparseEchelon, _combine, _integral
 from test_byte_identity import _nonzero_rational, _shift_chain
 from test_expressions import sparse_key
-from test_linalg import bareiss_determinant, dense_form, sparse_form
+from test_linalg import bareiss_determinant, dense_form, eliminated, gauss_rank, sparse_form
 
 
 def published(example2, upto):
@@ -84,10 +79,42 @@ def contract(m, v, rhs):
     return Expression.linear_combination(m.working, zip(v, rhs))
 
 
-def reference_candidates(m, f, cs):
-    """The candidates of the bordered matrix ``f`` of ``cs``, from public pieces only.
+def dense_rows(cols, n):
+    """The n rows, as Fractions, of the matrix whose columns are the integer (vec, scale) pairs ``cols``, keyed ~i."""
+    return [[Fraction(vec.get(~i, 0), scale) for vec, scale in cols] for i in range(n)]
 
-    Each canonical left null vector v of ``f`` gives v . grad(H) over
+
+def chain_base_tensor(m):
+    """The chain's own base tensor f, as Fraction rows: the integer columns it borders."""
+    cols = chain._integer_columns(m)
+    return dense_rows(cols, len(cols))
+
+
+def captured_attempts(monkeypatch):
+    """Wrap ``chain._solve``: each attempt appends its matrix, as Fraction rows, and what ``_solve`` returned.
+
+    The rows are read off the kept columns as they are captured, since
+    ``_border`` later writes into those columns in place.
+    """
+    attempts = []
+    solve = chain._solve
+
+    def capture(state, kept, n_zeta, n, built):
+        attempts.append((dense_rows(kept, n), solve(state, kept, n_zeta, n, built)))
+        return attempts[-1][1]
+
+    monkeypatch.setattr(chain, "_solve", capture)
+    return attempts
+
+
+def is_antisymmetric(rows):
+    return [list(col) for col in zip(*rows)] == [[-x for x in row] for row in rows]
+
+
+def reference_candidates(m, f, cs):
+    """The candidates of the bordered matrix ``f`` of ``cs``, from test-side references only.
+
+    Each canonical left null vector v of ``f``, from sympy, gives v . grad(H) over
     zeta (grad(H) has no entries for the constraint rows); in basis
     order, a candidate is NEW iff the span of ``cs`` and the NEW ones
     before it does not hold it.
@@ -97,46 +124,47 @@ def reference_candidates(m, f, cs):
     for c in cs:
         known.add(c.expr)
     out = []
-    for v in left_null_space(f):
+    for v in sympy_left_null_basis(f):
         value = Expression.linear_combination(m.zeta, zip(v, grad_h))
         out.append(Candidate(v, value, "new" if known.add(value) else "redundant"))
     return out
 
 
 def test_base_tensor_is_canonical_block(example2):
-    f = assemble_extended_matrix(example2, [])
     expected = [[Fraction(0)] * 6 for _ in range(6)]
     for i in range(3):
         expected[i][3 + i] = Fraction(-1)
         expected[3 + i][i] = Fraction(1)
-    assert f == RationalMatrix(expected)
+    assert chain_base_tensor(example2) == expected == bordered(example2, [])
 
 
 def test_base_tensor_antisymmetric_and_zero_c():
     zeta = VarTable(["q", "p"])
     zero = Expression.zero(zeta)
     m = FirstOrderModel("null", zeta, [zero, zero], zero)
-    f = assemble_extended_matrix(m, [])
-    assert f == RationalMatrix([[0, 0], [0, 0]])
+    assert chain_base_tensor(m) == [[0, 0], [0, 0]]
 
     # nonlinear c has a non-constant tensor, which the exact chain rejects
     q = Expression.variable(zeta, "q")
     p = Expression.variable(zeta, "p")
     m2 = FirstOrderModel("nl", zeta, [q * p, zero], zero)
     with pytest.raises(ChainError):
-        assemble_extended_matrix(m2, [])
+        chain._integer_columns(m2)
 
 
-def test_assembled_matrices_match_published_forms(example2):
-    f1 = assemble_extended_matrix(example2, published(example2, 1))
-    f2 = assemble_extended_matrix(example2, published(example2, 2))
-    f3 = assemble_extended_matrix(example2, published(example2, 3))
-    f3t = assemble_extended_matrix(example2, published(example2, 3), truncated=True)
-    assert f1 == RationalMatrix(F1_GOLDEN)
-    assert f2 == RationalMatrix(F2_GOLDEN)
-    assert f3 == RationalMatrix(F3_GOLDEN)
-    assert f3t == RationalMatrix(F3_TRUNCATED_GOLDEN)
-    assert (f3t.rows, f3t.cols) == (9, 7)
+def test_assembled_matrices_match_published_forms(example2, monkeypatch):
+    f1, f2, f3 = (bordered(example2, published(example2, upto)) for upto in (1, 2, 3))
+    f3t = bordered(example2, published(example2, 3), truncated=True)
+    assert (f1, f2, f3, f3t) == (F1_GOLDEN, F2_GOLDEN, F3_GOLDEN, F3_TRUNCATED_GOLDEN)
+    assert (len(f3t), len(f3t[0])) == (9, 7)
+    # the chain borders by its own raw forms, which differ in sign from the published ones (x + y against -x-y)
+    attempts = captured_attempts(monkeypatch)
+    report = run_chain(example2)
+    levels = [(rec.level, rec.truncated) for rec in report.levels]
+    assert levels == [(1, False), (2, False), (3, False), (3, True), (4, False)]
+    for rec, (rows, _) in zip(report.levels, attempts, strict=True):
+        so_far = [c for c in report.constraints if c.level <= rec.level]
+        assert rows == bordered(example2, so_far, truncated=rec.truncated)
 
 
 def test_assemble_level_zero_is_base_tensor(example2):
@@ -145,32 +173,17 @@ def test_assemble_level_zero_is_base_tensor(example2):
         assert all(cb.is_linear() for cb in m.c)
         d = [[g.terms.get((), 0) for g in cb.gradient()] for cb in m.c]  # d[b][a] = d_a c_b
         n = len(m.zeta)
-        expected = RationalMatrix([[d[b][a] - d[a][b] for b in range(n)] for a in range(n)])
-        assert assemble_extended_matrix(m, []) == expected
+        expected = [[d[b][a] - d[a][b] for b in range(n)] for a in range(n)]
+        assert chain_base_tensor(m) == expected == bordered(m, [])
 
 
-def test_assemble_requires_consecutive_levels(example2):
-    lonely = [Constraint.from_raw(2, parse_expression("p_z", example2.zeta), "null-vector")]
-    with pytest.raises(ValueError):
-        assemble_extended_matrix(example2, lonely)
-
-
-def test_assemble_rejects_constraints_over_a_foreign_table(example2):
-    # over the working table the gradient reaches past the coordinate
-    # columns; over another six-name table it would be placed by position
-    working = parse_expression("p_z + lam1", example2.working)
-    other = parse_expression("d", VarTable(["a", "b", "c", "d", "e", "f"]))
-    for raw in (working, other):
-        with pytest.raises(ValueError, match="^constraints must live over the model's zeta table$"):
-            assemble_extended_matrix(example2, [Constraint.from_raw(1, raw, "primary")])
-
-
-def test_assembled_untruncated_is_antisymmetric(example2):
+def test_assembled_untruncated_is_antisymmetric(example2, monkeypatch):
     for upto in (1, 2, 3):
-        m = assemble_extended_matrix(example2, published(example2, upto))
-        assert RationalMatrix(zip(*m.to_rows())) == RationalMatrix(
-            [[-x for x in row] for row in m.to_rows()]
-        )
+        assert is_antisymmetric(bordered(example2, published(example2, upto)))
+    attempts = captured_attempts(monkeypatch)
+    report = run_chain(example2)
+    untruncated = [rows for rec, (rows, _) in zip(report.levels, attempts) if not rec.truncated]
+    assert len(untruncated) == 4 and all(map(is_antisymmetric, untruncated))
 
 
 def test_rhs_level1(example2):
@@ -190,17 +203,17 @@ def test_rhs_no_constraints_zero_hamiltonian():
 
 
 def test_null_bases_of_published_matrices(example2):
-    b1 = left_null_space(RationalMatrix(F1_GOLDEN))
+    b1 = sympy_left_null_basis(F1_GOLDEN)
     assert len(b1) == 1 and is_scalar_multiple(b1[0], [Fraction(v) for v in V1])
 
-    b2 = left_null_space(RationalMatrix(F2_GOLDEN))
+    b2 = sympy_left_null_basis(F2_GOLDEN)
     assert len(b2) == 2
     assert any(is_scalar_multiple(v, [Fraction(x) for x in V2]) for v in b2)
 
 
 def test_find_new_constraints_classification(example2):
     known1 = published(example2, 1)
-    f1 = assemble_extended_matrix(example2, known1)
+    f1 = bordered(example2, known1)
     cands = reference_candidates(example2, f1, known1)
     assert len(cands) == 1
     assert cands[0].classification == "new"
@@ -215,14 +228,14 @@ def test_find_new_constraints_classification(example2):
     # untruncated level 3: a null vector exists (rows 3 and 7 coincide)
     # but its candidate lies in the level-2 span
     known3 = published(example2, 3)
-    f3 = assemble_extended_matrix(example2, known3)
+    f3 = bordered(example2, known3)
     cands3 = reference_candidates(example2, f3, known3)
     assert [list(c.vector) for c in cands3] == [[0, 0, 1, 0, 0, 0, -1, 0, 0]]
     assert all(c.classification == "redundant" for c in cands3)
     assert str(cands3[0].value) == "x + y"
 
     # truncated level 3 recovers the final constraint
-    f3t = assemble_extended_matrix(example2, known3, truncated=True)
+    f3t = bordered(example2, known3, truncated=True)
     cands3t = reference_candidates(example2, f3t, known3)
     news = [c for c in cands3t if c.classification == "new"]
     assert len(news) == 1
@@ -241,10 +254,10 @@ def test_unbordered_primaries_keep_their_multiplier():
     zero = Expression.zero(zeta)
     q = Expression.variable(zeta, "q")
     m = FirstOrderModel("fix", zeta, [zero, zero], zero, [q])
-    f0 = assemble_extended_matrix(m, [])
+    f0 = bordered(m, [])
     rhs = total_hamiltonian_rhs(m, [])
     assert [str(e) for e in rhs] == ["lam1", "0"]
-    assert [str(contract(m, v, rhs)) for v in left_null_space(f0)] == ["lam1", "0"]
+    assert [str(contract(m, v, rhs)) for v in sympy_left_null_basis(f0)] == ["lam1", "0"]
 
 
 def _chain_error_model(h, primary):
@@ -334,26 +347,27 @@ def test_run_chain_eigenvectors_annihilate(name, example2):
         ]
         assert report.termination.kind == "exhausted"
     if report.termination.kind == "nonsingular":
-        final = assemble_extended_matrix(model, report.constraints)
-        assert report.termination.determinant == bareiss_determinant(final.to_rows())
+        final = bordered(model, report.constraints)
+        assert report.termination.determinant == bareiss_determinant(final)
     singular = [rec for rec in report.levels if not rec.truncated and rec.candidates]
     assert singular
     assert_public_classification_matches(model, report)
     for rec in report.levels:
         cs = [c for c in report.constraints if c.level <= rec.level]
-        f = assemble_extended_matrix(model, cs, truncated=rec.truncated)
-        assert (f.rows, f.cols) == rec.shape
-        assert len(rec.candidates) == f.rows - rank(f)
+        f = bordered(model, cs, truncated=rec.truncated)
+        n = len(f)
+        assert (n, len(f[0])) == rec.shape
+        assert len(rec.candidates) == n - gauss_rank(f)
         for cand in rec.candidates:
-            # nonzero int pairs in ascending order, each index one of the f.rows rows
-            v = dense_form(cand.vector, f.rows)
+            # nonzero int pairs in ascending order, each index one of the n rows
+            v = dense_form(cand.vector, n)
             assert sparse_form(v) == cand.vector
-            for j in range(f.cols):
-                assert sum(v[i] * f.entry(i, j) for i in range(f.rows)) == 0
+            for j in range(len(f[0])):
+                assert sum(v[i] * f[i][j] for i in range(n)) == 0
 
 
 def assert_public_classification_matches(model, report):
-    """``reference_candidates``, on a fresh dense elimination, gives every record's candidates.
+    """``reference_candidates``, on ``bordered``'s matrix and sympy's null basis, gives every record's candidates.
 
     Every untruncated record's matrix is antisymmetric, and every
     candidate vector contracted with the multiplier-bearing grad(H_T)
@@ -361,16 +375,16 @@ def assert_public_classification_matches(model, report):
     """
     for rec in report.levels:
         cs = [c for c in report.constraints if c.level <= rec.level]
-        f = assemble_extended_matrix(model, cs, truncated=rec.truncated)
+        f = bordered(model, cs, truncated=rec.truncated)
         if not rec.truncated:
-            assert RationalMatrix(zip(*f.to_rows())) == RationalMatrix([[-x for x in row] for row in f.to_rows()])
+            assert is_antisymmetric(f)
         cands = reference_candidates(model, f, cs)
         assert [(sparse_form(c.vector), str(c.value), c.classification) for c in cands] == [
             (c.vector, str(c.value), c.classification) for c in rec.candidates
         ]
         rhs = total_hamiltonian_rhs(model, cs)
         for c in rec.candidates:
-            assert contract(model, dense_form(c.vector, f.rows), rhs) == relabel(c.value, model.working)
+            assert contract(model, dense_form(c.vector, len(f)), rhs) == relabel(c.value, model.working)
 
 
 def test_run_chain_unconstrained(free_particle):
@@ -440,24 +454,24 @@ CARRY_MODELS = {
 
 @pytest.mark.parametrize("name", sorted(CARRY_MODELS))
 def test_carried_elimination_equals_a_fresh_one(name, monkeypatch):
-    """Every attempt's (null basis, determinant) is that of its freshly assembled matrix.
+    """Every attempt's matrix is ``bordered``'s, and its (null basis, determinant) that of a fresh elimination.
 
     The chain carries the constraint columns' elimination across the
     levels and borders its integer columns in place, rescaling one when
-    a fractional gradient entry needs it.
+    a fractional gradient entry needs it.  The fresh result comes from a
+    new ``SparseEchelon`` that takes in all the columns of the matrix.
     """
-    results = []
-    solve = chain._solve
-    monkeypatch.setattr(chain, "_solve", lambda *args: results.append(solve(*args)) or results[-1])
+    results = captured_attempts(monkeypatch)
     attempts = truncated = 0
     for model, opts in CARRY_MODELS[name]():
         results.clear()
         report = run_chain(model, opts)
         assert len(results) == len(report.levels)
-        for rec, got in zip(report.levels, results):
+        for rec, (rows, got) in zip(report.levels, results):
             so_far = [c for c in report.constraints if c.level <= rec.level]
-            f = assemble_extended_matrix(model, so_far, truncated=rec.truncated)
-            assert got == (tuple(map(sparse_form, left_null_space(f))), determinant(f) if f.is_square else None)
+            assert rows == bordered(model, so_far, truncated=rec.truncated)
+            n, fresh = len(rows), eliminated(rows)
+            assert got == (fresh.null_basis(n), Fraction(fresh.num, fresh.den) if len(rows[0]) == n else None)
         attempts += len(report.levels)
         truncated += sum(rec.truncated for rec in report.levels)
     if name == "shift_chain":
@@ -710,9 +724,7 @@ def test_constraints_independent_at_acceptance():
             coeffs, const = linear_coefficients(c.expr)
             rows.append(list(coeffs) + [const])
         if rows:
-            from symchain import rank
-
-            assert rank(RationalMatrix(rows)) == len(rows)
+            assert sympy_matrix(rows).rank() == len(rows)
 
 
 def test_span_fingerprint_is_scale_invariant(example2):

@@ -137,6 +137,20 @@ def test_analyze_rejects_bad_model(tmp_path):
     assert "line 2" in result.stderr
 
 
+@pytest.mark.parametrize("h, offset", [
+    ("1" * 5000 + "*p^2", 0),
+    ("1/" + "7" * 5000 + "*p^2", 2),
+    ("p^" + "2" * 5000, 2),
+], ids=["coefficient", "denominator", "exponent"])
+def test_an_integer_literal_past_the_digit_limit_is_an_input_error(tmp_path, h, offset):
+    """Python refuses to convert a string of more than 4,300 digits; the model file's line is named instead."""
+    path = tmp_path / "long.model"
+    path.write_text(f"model long\nzeta q p\nc p 0\nH {h}\n")
+    result = run_cli("analyze", str(path))
+    assert result.returncode == 1
+    assert result.stderr == f"error: line 4: integer literal of 5000 digits is too long (at offset {offset})\n"
+
+
 def test_analyze_deeply_nested_expressions(tmp_path):
     deep = tmp_path / "deep.model"
     deep.write_text("model deep\nzeta q p\nc p 0\nH " + "(" * 400 + "1/2*p^2" + ")" * 400 + "\n")

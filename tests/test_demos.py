@@ -14,14 +14,16 @@ from checkout import checkout_env
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-# sha256 of each demo's full stdout; the demos are the only program callers of
-# linalg's dense views (rank, determinant, left_null_space), so these pin them
+# sha256 of each demo's full stdout
 STDOUT_SHA256 = {
     "dirac_comparison": "18490ae4d9edd0d7012b2d1c8ac55af520dd9070f512c615eb68647535fedefe",
-    "exact_linear_algebra": "52a7f7bcc6bdeeb8ffa31de1c8774be63c4789dfd12d09f7387b1d54d2f1ee4a",
     "lattice_field_theory": "81cd5ccf13e3cc3142ecdecde544c2cfea031115b78826854ec57261f7ac2a86",
     "mechanical_chain": "e7699e167e12eb20307668b5283f919bfe91b7e2e9fc944fa4a8ab4866839b85",
 }
+
+
+def test_every_demo_is_pinned():
+    assert sorted(STDOUT_SHA256) == sorted(path.stem for path in DEMOS.glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", sorted(STDOUT_SHA256))

@@ -14,15 +14,12 @@ from symchain import (
     FirstOrderModel,
     LatticeSpec,
     OracleResult,
-    RationalMatrix,
     SecondOrderLagrangian,
     VarTable,
     build_schwinger,
     classify,
     compare_spans,
     consistency_algorithm,
-    determinant,
-    left_null_space,
     legendre_transform,
     load_model,
     parse_expression,
@@ -33,7 +30,7 @@ from symchain import dirac
 from symchain.dirac import MultiplierCondition, _flow, _inverse
 from brackets import canonical_pairs, poisson_bracket
 from golden import C_GOLDEN, PUBLISHED_CONSTRAINTS, is_scalar_multiple
-from polyref import integer_form, linear_coefficients, relabel
+from polyref import integer_form, linear_coefficients, relabel, sympy_left_null_basis
 from randmodels import random_model, random_scaled_model
 from test_byte_identity import _nonzero_rational, _shift_chain
 from test_expressions import dense_key, sparse_key
@@ -204,16 +201,16 @@ def test_classify_published_set(example2):
         for i, t in enumerate(PUBLISHED_CONSTRAINTS)
     ]
     cm = classify(example2, constraints)
-    assert [[int(x) for x in row] for row in cm.matrix.to_rows()] == C_GOLDEN
+    assert [[int(x) for x in row] for row in cm.matrix] == C_GOLDEN
     assert cm.rank == 4
     assert cm.first_class == ()
-    assert determinant(cm.matrix) == 16
+    assert cm.determinant == 16
 
     # independent verification of every entry by the brute-force bracket
     for i, a in enumerate(constraints):
         for j, b in enumerate(constraints):
             want = brute_force_bracket(a.raw, b.raw, example2.zeta, canonical_pairs(len(example2.zeta)))
-            entry = cm.matrix.entry(i, j)
+            entry = cm.matrix[i][j]
             if entry == 0:
                 assert want == {}
             else:
@@ -222,7 +219,7 @@ def test_classify_published_set(example2):
 
 def test_classify_empty_and_duplicates(example2):
     cm = classify(example2, [])
-    assert cm.rank == 0 and cm.first_class == ()
+    assert cm == (None, 0, (), None)
     p_z = parse_expression("p_z", example2.zeta)
     dup = [
         Constraint.from_raw(1, p_z, "primary"),
@@ -241,8 +238,9 @@ def test_classify_lists_first_class_combinations():
         Constraint.from_raw(1, parse_expression(t, zeta), "primary") for t in ("q1", "p1", "p1 + q2")
     ]
     cm = classify(m, constraints)
-    assert all(any(row) for row in cm.matrix.to_rows())
+    assert all(any(row) for row in cm.matrix)
     assert cm.rank == 2
+    assert cm.determinant == 0
     assert len(cm.first_class) == 1
     assert cm.first_class[0].monic() == parse_expression("q2", zeta)
 
@@ -259,7 +257,7 @@ def test_classify_rank_is_even(example2):
         assert cm.rank % 2 == 0
         assert len(cm.first_class) + cm.rank == len(res.constraints)
         # each linear-form entry is the constant general-polynomial bracket
-        for a, row in zip(res.constraints, cm.matrix.to_rows()):
+        for a, row in zip(res.constraints, cm.matrix):
             for b, entry in zip(res.constraints, row):
                 bracket = poisson_bracket(a.raw, b.raw, pairs)
                 assert bracket == Expression(m.zeta, {(): entry})
@@ -283,10 +281,12 @@ def test_classify_matches_sympy_where_det_f_is_not_one():
         raw = [_sympy_form(k.raw, symbols) for k in constraints]
         a = sympy.Matrix([[sympy.diff(r, s) for s in symbols] for r in raw])
         want = a * f.inv() * a.T
-        assert cm.matrix.to_rows() == tuple(
+        assert cm.matrix == tuple(
             tuple(Fraction(int(x.p), int(x.q)) for x in want.row(i)) for i in range(want.rows)
         )
         assert cm.rank == want.rank()
+        det = want.det()
+        assert cm.determinant == Fraction(int(det.p), int(det.q))
         # the raw forms' coefficient rows (gradient, then constant) combined by each null vector
         rows = a.row_join(sympy.Matrix([r.subs({s: 0 for s in symbols}) for r in raw]))
         expected = [w.T * rows for w in want.T.nullspace()]
@@ -295,7 +295,7 @@ def test_classify_matches_sympy_where_det_f_is_not_one():
         if got:
             assert sympy.Matrix.vstack(*got, *expected).rank() == sympy.Matrix.vstack(*expected).rank() == len(got)
         unit_det += abs(f.det()) == 1
-        fractional += any(x.denominator != 1 for row in cm.matrix.to_rows() for x in row)
+        fractional += any(x.denominator != 1 for row in cm.matrix for x in row)
     # most seeds have a non-integral f^-1, and some a non-integral bracket
     assert unit_det < 20 and fractional >= 20
 
@@ -325,8 +325,8 @@ def test_classify_gauge_pair_is_all_first_class(models_dir):
     # L = 1/2 (xdot - y)^2: the oracle closes on {p_y, p_x}, both first class
     m = load_model(models_dir / "gauge_pair.model")
     cm = classify(m, consistency_algorithm(m).constraints)
-    assert cm.matrix == RationalMatrix([[0, 0], [0, 0]])
-    assert cm.rank == 0
+    assert cm.matrix == ((0, 0), (0, 0))
+    assert cm.rank == 0 and cm.determinant == 0
     momenta = [parse_expression(t, m.zeta) for t in ("p_x", "p_y")]
     assert span_fingerprint(cm.first_class) == span_fingerprint(momenta)
 
@@ -490,7 +490,7 @@ def reference_consistency_algorithm(m):
         known.add(c.expr)
     while True:
         old = len(constraints)
-        for w in left_null_space(RationalMatrix(mixed)):
+        for w in sympy_left_null_basis(mixed):
             candidate = Expression.linear_combination(zeta, zip(w, brackets_h))
             if candidate.is_zero():
                 continue

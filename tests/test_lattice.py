@@ -2,16 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-import symchain.lattice
 from symchain import (
     ChainOptions,
     LatticeSpec,
-    RationalMatrix,
     SiteStencil,
     build_schwinger,
     compare_spans,
     consistency_algorithm,
-    difference_matrix,
     map_constraint_to_sites,
     run_chain,
 )
@@ -33,26 +30,29 @@ def test_spec_validation():
     LatticeSpec(sites=4, scheme="forward")  # even sites fine off-center
 
 
+def difference_rows(spec):
+    """D as dense Fraction rows, read off ``_difference_row``."""
+    return [[_difference_row(spec, i).get(j, Fraction(0)) for j in range(spec.sites)] for i in range(spec.sites)]
+
+
 def test_central_difference_matrix():
-    d = difference_matrix(LatticeSpec(sites=3, spacing=Fraction(1)))
-    assert d == RationalMatrix(
-        [
-            [0, Fraction(1, 2), Fraction(-1, 2)],
-            [Fraction(-1, 2), 0, Fraction(1, 2)],
-            [Fraction(1, 2), Fraction(-1, 2), 0],
-        ]
-    )
+    d = difference_rows(LatticeSpec(sites=3, spacing=Fraction(1)))
+    assert d == [
+        [0, Fraction(1, 2), Fraction(-1, 2)],
+        [Fraction(-1, 2), 0, Fraction(1, 2)],
+        [Fraction(1, 2), Fraction(-1, 2), 0],
+    ]
     # antisymmetry and annihilation of constants
-    assert RationalMatrix(zip(*d.to_rows())) == RationalMatrix([[-x for x in row] for row in d.to_rows()])
+    assert [list(col) for col in zip(*d)] == [[-x for x in row] for row in d]
     for i in range(3):
-        assert sum(d.to_rows()[i]) == 0
+        assert sum(d[i]) == 0
 
 
 def test_forward_difference_matrix():
-    d = difference_matrix(LatticeSpec(sites=3, spacing=Fraction(1, 2), scheme="forward"))
-    assert d.to_rows()[0] == (Fraction(-2), Fraction(2), Fraction(0))
+    d = difference_rows(LatticeSpec(sites=3, spacing=Fraction(1, 2), scheme="forward"))
+    assert d[0] == [Fraction(-2), Fraction(2), Fraction(0)]
     for i in range(3):
-        assert sum(d.to_rows()[i]) == 0
+        assert sum(d[i]) == 0
 
 
 def test_build_counts_and_structure():
@@ -80,7 +80,7 @@ def expected_stencils(m, spec):
     """The published per-site constraint forms with the derivative as D."""
     zeta = m.zeta
     n = spec.sites
-    d = difference_matrix(spec)
+    d = difference_rows(spec)
 
     def var(name, i):
         return Expression.variable(zeta, f"{name}_{i + 1}")
@@ -88,8 +88,8 @@ def expected_stencils(m, spec):
     def dvar(name, i):
         acc = Expression.zero(zeta)
         for j in range(n):
-            if d.entry(i, j):
-                acc = acc + d.entry(i, j) * var(name, j)
+            if d[i][j]:
+                acc = acc + d[i][j] * var(name, j)
         return acc
 
     levels = {1: [], 2: [], 3: [], 4: []}
@@ -226,9 +226,9 @@ def _full_scan(expr, spec):
     coeffs, const = linear_coefficients(expr)
     if const != 0:
         return None
-    d = difference_matrix(spec)
+    d = difference_rows(spec)
     for site in range(spec.sites):
-        drow, terms = d.to_rows()[site], []
+        drow, terms = d[site], []
         for k, block in enumerate(_BLOCKS):
             target = coeffs[k * spec.sites : (k + 1) * spec.sites]
             j = next(j for j, x in enumerate(drow) if j != site and x)
@@ -259,11 +259,11 @@ def test_stencil_mapping_tries_only_the_neighbouring_sites(spec):
     assert len(constraints) > 4 * spec.sites
     for c in constraints:
         assert map_constraint_to_sites(c.expr, spec) == _full_scan(c.expr, spec)
-    d = difference_matrix(spec)
+    d = difference_rows(spec)
     for block in ("A0", "piphi"):
         fields = [Expression.variable(m.zeta, name) for name in spec.site_names(block)]
         for site in range(spec.sites):
-            form = Expression.linear_combination(m.zeta, zip(d.to_rows()[site], fields))
+            form = Expression.linear_combination(m.zeta, zip(d[site], fields))
             stencil = map_constraint_to_sites(form, spec)
             assert stencil == _full_scan(form, spec)
             assert stencil.describe() == f"D({block}) @ site {site + 1}"
@@ -290,12 +290,12 @@ def test_stencil_mapping_names_the_lowest_matching_site():
 def _dense_build(spec):
     """The lattice model from the dense difference matrix D, its Hamiltonian summed site by site."""
     zeta, n = spec.zeta(), spec.sites
-    d = difference_matrix(spec)
+    d = difference_rows(spec)
     a0, a1, phi, pi0, pi1, piphi = (
         [Expression.variable(zeta, name) for name in spec.site_names(block)] for block in _BLOCKS
     )
-    dphi = [Expression.linear_combination(zeta, zip(row, phi)) for row in d.to_rows()]
-    da0 = [Expression.linear_combination(zeta, zip(row, a0)) for row in d.to_rows()]
+    dphi = [Expression.linear_combination(zeta, zip(row, phi)) for row in d]
+    da0 = [Expression.linear_combination(zeta, zip(row, a0)) for row in d]
     half = Fraction(1, 2)
     h = Expression.zero(zeta)
     for i in range(n):
@@ -318,15 +318,6 @@ def test_build_equals_the_dense_build(spec):
     m, dense = build_schwinger(spec), _dense_build(spec)
     assert m == dense
     assert str(m.hamiltonian) == str(dense.hamiltonian)
-
-
-def test_build_reads_no_dense_difference_matrix(monkeypatch):
-    def refuse(spec):
-        raise AssertionError("dense difference matrix built")
-
-    monkeypatch.setattr(symchain.lattice, "difference_matrix", refuse)
-    for spec in (LatticeSpec(3), LatticeSpec(5), LatticeSpec(4, scheme="forward")):
-        assert build_schwinger(spec).name == f"schwinger_n{spec.sites}"
 
 
 def test_model_file_roundtrip(tmp_path):

@@ -2,20 +2,13 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symchain import (
-    RationalMatrix,
-    determinant,
-    left_null_space,
-    rank,
-)
 from symchain.expressions import EchelonBasis, Expression, VarTable
 from symchain.linalg import SparseEchelon, _combine, _integral, _put
 from golden import F1_GOLDEN, F3_TRUNCATED_GOLDEN, V1, V3, is_scalar_multiple
+from polyref import from_sympy, sympy_left_null_basis, sympy_matrix
 
 
 def cofactor_determinant(rows):
@@ -126,7 +119,7 @@ def dense_form(pairs, n):
 
 
 def two_pass_null_space(cols, n):
-    """Reference for ``left_null_space`` and ``determinant`` on sparse columns: two eliminations.
+    """Reference for the kernel's left null basis and determinant of sparse columns: two eliminations.
 
     The columns are eliminated on ``FractionEchelon`` with
     smallest-index pivots, tracking the determinant as the signed
@@ -186,22 +179,44 @@ def random_matrix(rng, n, m=None):
     ]
 
 
+def eliminated(rows):
+    """A fresh ``SparseEchelon`` that has absorbed the columns of the rational ``rows``, tracking their determinant."""
+    kernel = SparseEchelon()
+    kernel.num = 1
+    return kernel.absorb(_integral({~i: x for i, x in enumerate(col) if x}) for col in zip(*rows))
+
+
+def kernel_determinant(rows):
+    """The determinant of the square ``rows``, as the kernel tracks it."""
+    kernel = eliminated(rows)
+    return Fraction(kernel.num, kernel.den)
+
+
+def kernel_null_space(rows):
+    """The kernel's canonical left null basis of ``rows``, each vector as its dense tuple of ints."""
+    return tuple(dense_form(v, len(rows)) for v in eliminated(rows).null_basis(len(rows)))
+
+
+def kernel_rank(rows):
+    return len(eliminated(rows).rows)
+
+
 def _identity(n):
-    return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_determinant_identity_and_errors():
+    # the kernel has no argument checks of its own; a zero row is a zero determinant
     for n in (1, 2, 5):
-        assert determinant(_identity(n)) == 1
-    with pytest.raises(ValueError):
-        determinant(RationalMatrix([[0, 0, 0], [0, 0, 0]]))
+        assert kernel_determinant(_identity(n)) == 1
+        assert kernel_determinant([[0] * n] + _identity(n)[1:]) == 0
 
 
 def test_determinant_against_cofactor_oracle():
     rng = random.Random(101)
     for _ in range(200):
         rows = random_matrix(rng, 4)
-        assert determinant(RationalMatrix(rows)) == cofactor_determinant(rows)
+        assert kernel_determinant(rows) == cofactor_determinant(rows)
 
 
 def test_determinant_matches_cofactor_up_to_5x5():
@@ -209,17 +224,17 @@ def test_determinant_matches_cofactor_up_to_5x5():
     for n in range(1, 6):
         for _ in range(40):
             rows = random_matrix(rng, n)
-            assert determinant(RationalMatrix(rows)) == cofactor_determinant(rows)
+            assert kernel_determinant(rows) == cofactor_determinant(rows)
 
 
 def test_left_null_space_goldens():
-    basis = left_null_space(RationalMatrix(F1_GOLDEN))
+    basis = kernel_null_space(F1_GOLDEN)
     assert len(basis) == 1
     assert is_scalar_multiple(basis[0], [Fraction(v) for v in V1])
 
-    assert len(left_null_space(_identity(3))) == 0
+    assert len(kernel_null_space(_identity(3))) == 0
 
-    tbasis = left_null_space(RationalMatrix(F3_TRUNCATED_GOLDEN))
+    tbasis = kernel_null_space(F3_TRUNCATED_GOLDEN)
     assert len(tbasis) == 3
     # the published vector appears up to scale and lower-direction mixing:
     # reducing it against the basis must give zero
@@ -243,10 +258,10 @@ def test_null_vectors_annihilate_exactly():
     for _ in range(100):
         n = rng.randint(1, 6)
         m = rng.randint(1, 6)
-        mat = RationalMatrix(random_matrix(rng, n, m))
-        for v in left_null_space(mat):
+        rows = random_matrix(rng, n, m)
+        for v in kernel_null_space(rows):
             for j in range(m):
-                assert sum(v[i] * mat.entry(i, j) for i in range(n)) == 0
+                assert sum(v[i] * rows[i][j] for i in range(n)) == 0
 
 
 def test_rank_nullity():
@@ -255,25 +270,24 @@ def test_rank_nullity():
         n = rng.randint(1, 6)
         m = rng.randint(1, 6)
         rows = random_matrix(rng, n, m)
-        mat = RationalMatrix(rows)
-        assert rank(mat) + len(left_null_space(mat)) == n
-        assert rank(mat) == gauss_rank(rows)
+        assert kernel_rank(rows) + len(kernel_null_space(rows)) == n
+        assert kernel_rank(rows) == gauss_rank(rows)
 
 
 def test_determinant_nonzero_iff_empty_left_null_space():
     rng = random.Random(113)
     for _ in range(100):
         n = rng.randint(1, 5)
-        mat = RationalMatrix(random_matrix(rng, n))
-        assert (determinant(mat) != 0) == (len(left_null_space(mat)) == 0)
+        rows = random_matrix(rng, n)
+        assert (kernel_determinant(rows) != 0) == (len(kernel_null_space(rows)) == 0)
 
 
 def test_null_basis_is_deterministic_and_canonical():
     rng = random.Random(127)
     for _ in range(50):
         rows = random_matrix(rng, 4, 3)
-        a = left_null_space(RationalMatrix(rows))
-        b = left_null_space(RationalMatrix(rows))
+        a = kernel_null_space(rows)
+        b = kernel_null_space(rows)
         assert a == b
         for v in a:
             lead = next(x for x in v if x != 0)
@@ -282,7 +296,7 @@ def test_null_basis_is_deterministic_and_canonical():
 
 
 def test_zero_matrix_null_space_is_identity_basis():
-    basis = left_null_space(RationalMatrix([[0, 0], [0, 0]]))
+    basis = kernel_null_space([[0, 0], [0, 0]])
     assert [list(v) for v in basis] == [[1, 0], [0, 1]]
 
 
@@ -314,7 +328,7 @@ def test_rref_pivots():
 def test_rank_of_f1_golden():
     # rank of the printed matrix by independent row reduction
     assert gauss_rank([[Fraction(v) for v in row] for row in F1_GOLDEN]) == 6
-    assert rank(RationalMatrix(F1_GOLDEN)) == 6
+    assert kernel_rank(F1_GOLDEN) == 6
 
 
 # -- the elimination kernel against sympy --------------------------------
@@ -337,24 +351,6 @@ def _matrices(draw, square=False):
         else:
             rows.append(draw(st.lists(_entries, min_size=ncols, max_size=ncols)))
     return rows
-
-
-def _sympy(rows):
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
-
-
-def _fraction(x):
-    return Fraction(int(x.p), int(x.q))
-
-
-def _primitive_with_positive_lead(row):
-    row = [_fraction(x) for x in row]
-    mult = math.lcm(*(x.denominator for x in row))
-    ints = [int(x * mult) for x in row]
-    g = math.gcd(*ints)
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return [Fraction(x // g) for x in ints]
 
 
 def _matrix(text):
@@ -414,38 +410,29 @@ def _examples(cases):
 @_examples(SAME_CALL_FILL)
 def test_rref_and_rank_match_sympy(rows):
     reduced, pivots, grew = kernel_rref(rows)
-    expected, expected_pivots = _sympy(rows).rref()
+    expected, expected_pivots = sympy_matrix(rows).rref()
     assert pivots == expected_pivots
-    ranks = [0] + [_sympy(rows[:k]).rank() for k in range(1, len(rows) + 1)]
+    ranks = [0] + [sympy_matrix(rows[:k]).rank() for k in range(1, len(rows) + 1)]
     assert grew == [after > before for before, after in zip(ranks, ranks[1:])]
     assert reduced == [
-        [_fraction(x) for x in expected.row(i)] for i in range(len(rows))
+        [from_sympy(x) for x in expected.row(i)] for i in range(len(rows))
     ]
-    assert rank(RationalMatrix(rows)) == _sympy(rows).rank()
-
-
-def _sympy_left_null_basis(rows):
-    """sympy's left null space, brought to primitive reduced row-echelon rows."""
-    null = _sympy(rows).T.nullspace()
-    if not null:
-        return []
-    reduced, pivots = sympy.Matrix.hstack(*null).T.rref()
-    return [_primitive_with_positive_lead(reduced.row(i)) for i in range(len(pivots))]
+    assert kernel_rank(rows) == sympy_matrix(rows).rank()
 
 
 @settings(max_examples=100, deadline=None)
 @given(_matrices())
 @_examples(SAME_CALL_FILL)
 def test_left_null_space_matches_sympy(rows):
-    expected = _sympy_left_null_basis(rows)
-    assert [list(v) for v in left_null_space(RationalMatrix(rows))] == expected
+    expected = sympy_left_null_basis(rows)
+    assert [list(v) for v in kernel_null_space(rows)] == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(_matrices(square=True))
 @_examples([rows for rows in SAME_CALL_FILL if len(rows) == len(rows[0])])
 def test_determinant_matches_sympy(rows):
-    assert determinant(RationalMatrix(rows)) == _fraction(_sympy(rows).det())
+    assert kernel_determinant(rows) == from_sympy(sympy_matrix(rows).det())
 
 
 @st.composite
@@ -477,8 +464,8 @@ def _permuted_sparse(draw):
 @given(st.one_of(_permuted_sparse(), _matrices(square=True)))
 def test_determinant_matches_bareiss_reference(rows):
     expected = bareiss_determinant(rows)
-    assert determinant(RationalMatrix(rows)) == expected
-    assert expected == _fraction(_sympy(rows).det())
+    assert kernel_determinant(rows) == expected
+    assert expected == from_sympy(sympy_matrix(rows).det())
 
 
 @st.composite
@@ -519,10 +506,10 @@ def test_null_space_and_determinant_match_two_pass_reference(case):
     cols, n = case
     expected = two_pass_null_space(cols, n)
     rows = [[col.get(i, Fraction(0)) for col in cols] for i in range(n)]
-    assert left_null_space(RationalMatrix(rows)) == expected[0]
-    assert [list(v) for v in expected[0]] == _sympy_left_null_basis(rows)
+    assert kernel_null_space(rows) == expected[0]
+    assert [list(v) for v in expected[0]] == sympy_left_null_basis(rows)
     if len(cols) == n:
-        assert determinant(RationalMatrix(rows)) == expected[1] == _fraction(_sympy(rows).det())
+        assert kernel_determinant(rows) == expected[1] == from_sympy(sympy_matrix(rows).det())
 
 
 # -- the integer-row kernel against the Fraction reference ---------------
@@ -581,7 +568,7 @@ def test_integer_kernel_matches_fraction_reference(case):
     expected += [[Fraction(0)] * len(cols)] * (n - len(expected))
     assert pivots == tuple(sorted(reference.rows))
     assert reduced == expected
-    assert rank(RationalMatrix(dense_rows)) == len(reference.rows)
+    assert kernel_rank(dense_rows) == len(reference.rows)
 
     # the rows as linear forms: the last column is the constant term
     table = VarTable([f"x{j}" for j in range(max(len(cols) - 1, 1))])
@@ -635,7 +622,7 @@ def test_absorb_keeps_the_determinant_pair_in_lowest_terms():
     whole.num = split.num = 1
     whole.absorb(ints)
     split.absorb(ints[:2]).absorb(ints[2:])
-    assert (whole.num, whole.den) == (split.num, split.den) == (4, 1) == (_fraction(_sympy(rows).det()), 1)
+    assert (whole.num, whole.den) == (split.num, split.den) == (4, 1) == (from_sympy(sympy_matrix(rows).det()), 1)
 
 
 # -- the (vec, scale) contract --------------------------------------------
@@ -689,10 +676,3 @@ def test_put_takes_any_positive_denominator(vec, scale, num, den, k):
     got, new_scale = cols[0]
     assert new_scale == (scale if scale % (den * k) == 0 else math.lcm(scale, den * k))
     assert {j: Fraction(x, new_scale) for j, x in got.items()} == {**before, 7: Fraction(num, den)}
-
-
-def test_rational_matrix_rejects_float_entries():
-    with pytest.raises(ValueError) as info:
-        RationalMatrix([[0.1, 1]])
-    assert str(info.value) == "element 0.1 is a float; elements must be exact"
-    assert RationalMatrix([[Fraction(1, 10), 1]]).to_rows() == ((Fraction(1, 10), Fraction(1)),)

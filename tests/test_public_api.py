@@ -35,7 +35,7 @@ def test_the_pairing_convention_is_gone():
 
 def test_find_new_constraints_is_gone():
     # run_chain classifies its candidates in one private path; tests
-    # build the reference from left_null_space and EchelonBasis
+    # build the reference from polyref's bordered F, sympy's null basis and EchelonBasis
     assert not hasattr(symchain, "find_new_constraints")
     assert not hasattr(symchain.chain, "find_new_constraints")
 
@@ -60,7 +60,6 @@ def test_surface_without_a_program_caller_is_gone():
     assert not hasattr(reports, "render_text")
     assert not hasattr(symchain.LatticeSpec, "block_slice")
     assert not hasattr(symchain.EchelonBasis, "__len__")
-    assert not hasattr(symchain.RationalMatrix, "row")
     assert not hasattr(symchain.ConstraintMatrix, "second_class_count")
     # absorb is the one way rows enter the kernel; nothing builds with unary minus, ** or int - Expression
     for name in ("add", "insert"):
@@ -72,9 +71,22 @@ def test_surface_without_a_program_caller_is_gone():
 
 
 def test_dense_views_share_one_kernel_call():
-    # rank, determinant and left_null_space each read one fresh SparseEchelon built by linalg._eliminated
+    # the dense-matrix layer is gone: every elimination is a SparseEchelon that its caller fills by absorb
     for name in ("null_space_and_determinant", "_columns", "_sparse"):
         assert not hasattr(symchain.linalg, name), name
+
+
+def test_the_dense_matrix_layer_is_gone():
+    # the tests' references are polyref's bordered F, sympy, and SparseEchelon driven directly;
+    # classify returns C's rows and det C, and the lattice builds from D's sparse rows
+    deleted = (
+        "RationalMatrix", "rank", "determinant", "left_null_space", "_eliminated", "_rows",
+        "assemble_extended_matrix", "difference_matrix",
+    )
+    for name in deleted:
+        assert name not in symchain.__all__ and not hasattr(symchain, name), name
+        for module in (symchain.linalg, symchain.chain, symchain.lattice):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_tuple_elimination_helpers_are_gone():

@@ -101,9 +101,9 @@ CASES = [
     ),
     (
         ConstraintMatrix,
-        (None, 0, ()),
-        dict(matrix=None, rank=0, first_class=()),
-        "ConstraintMatrix(matrix=None, rank=0, first_class=())",
+        (None, 0, (), None),
+        dict(matrix=None, rank=0, first_class=(), determinant=None),
+        "ConstraintMatrix(matrix=None, rank=0, first_class=(), determinant=None)",
     ),
     (
         SpanVerdict,
