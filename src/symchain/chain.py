@@ -235,8 +235,9 @@ def _classify(
 def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainReport:
     """Run the level loop until a termination certificate is reached.
 
-    The model's integer view, shared with the oracle, gives the Hamiltonian
-    gradient, the primaries' forms and the base tensor's columns.  What
+    The model's integer view, made with it and shared with the oracle,
+    gives the Hamiltonian gradient, the base tensor's columns and the
+    primaries' forms, a None one (nonlinear) raising ``ChainError``.  What
     does not change between levels is computed once per run: the echelon
     basis of the constraint span, kept by the report as its ``_span``, the
     integer columns of F, which start as the base tensor's and are
@@ -253,9 +254,12 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     cols = _integer_columns(m)
     n_zeta = len(cols)
     _, grad_h, forms = m._ints
-    constraints: list[Constraint] = [
-        Constraint.from_raw(1, p, ORIGIN_PRIMARY, form=form) for p, form in zip(m.primaries, forms)
-    ]
+    if None in forms:  # a nonlinear primary, rejected before it is recorded
+        raise ChainError(
+            "constraint gradient is not constant; the exact chain supports "
+            f"linear constraints only (level 1 constraint: {m.primaries[forms.index(None)]})"
+        )
+    constraints = [Constraint.from_raw(1, p, ORIGIN_PRIMARY, form=form) for p, form in zip(m.primaries, forms)]
     records: list[LevelRecord] = []
     truncations: list[int] = []
     warnings: list[str] = []
@@ -269,12 +273,7 @@ def run_chain(m: FirstOrderModel, opts: ChainOptions | None = None) -> ChainRepo
     full = SparseEchelon()
     full.num = 1  # track the determinant
     level1: SparseEchelon | None = None
-    for c, form in zip(constraints, forms):
-        if form is None:  # a nonlinear primary
-            raise ChainError(
-                "constraint gradient is not constant; the exact chain supports "
-                f"linear constraints only (level {c.level} constraint: {c.raw})"
-            )
+    for form in forms:
         _border(cols, form, n_zeta)
     full.absorb(cols[n_zeta:])
     known._add_forms(forms)  # a span does not depend on its members' scale

@@ -41,10 +41,7 @@ _TERMINATION_EXIT = {
 
 
 def _chain_options(args) -> ChainOptions:
-    return ChainOptions(
-        max_level=args.max_level,
-        allow_truncation=not args.no_truncation,
-    )
+    return ChainOptions(max_level=args.max_level, allow_truncation=not args.no_truncation)
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
@@ -172,7 +169,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 after --help or --version, and 2, the exhausted-chain code here, on a usage error
         return EXIT_INPUT_ERROR if exc.code else EXIT_OK
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where the interpreter sets no limit or has none
     try:
+        if limit:  # a report prints ints of any length; the parser bounds the literals it reads
+            sys.set_int_max_str_digits(0)
         if args.command == "lattice":
             return cmd_lattice(args)
         model = load_model(args.model)
@@ -182,6 +182,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ModelFormatError, ChainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -249,13 +249,6 @@ class Expression:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def degree(self) -> int:
-        """Total degree; the zero polynomial has degree 0."""
-        return max(map(_degree, self._terms), default=0)
-
-    def is_linear(self) -> bool:
-        return self.degree() <= 1
-
     # -- arithmetic --------------------------------------------------
 
     def _coerce(self, other) -> "Expression":
@@ -409,11 +402,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def _literal(digits: str, at: int) -> int:
-    """The int of the literal ``digits`` at offset ``at``; one past Python's digit limit raises ``ParseError``."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ParseError(f"integer literal of {len(digits)} digits is too long", at) from None
+    """The int of the literal ``digits`` at offset ``at``; one of more than 4,300 digits raises ``ParseError``."""
+    if len(digits) > 4300:  # Python's default conversion limit, whatever the interpreter's setting
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", at)
+    return int(digits)
 
 
 class _Parser:

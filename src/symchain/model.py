@@ -40,7 +40,7 @@ class FirstOrderModel(namedtuple("FirstOrderModel", "name zeta c hamiltonian pri
     (Expression); ``primaries`` (Expression tuple).  c, the Hamiltonian and
     the primaries live over zeta only.  Two properties: ``multiplier_names``
     lam1..lamM, one per primary, and ``working``, zeta followed by them.
-    No ``__slots__``: the instance ``__dict__`` holds the cached ``_ints``.
+    No ``__slots__``: the instance ``__dict__`` holds ``_ints``, made and checked with the model.
     """
 
     # namedtuple's _replace builds through _make: route both through __new__'s checks
@@ -61,12 +61,13 @@ class FirstOrderModel(namedtuple("FirstOrderModel", "name zeta c hamiltonian pri
         primaries = tuple(primaries)
         if any(p.vars != zeta for p in primaries):
             raise ValueError("primary constraint uses a foreign VarTable")
-        _check_primaries(primaries, zeta)
-        return super().__new__(cls, name, zeta, c, hamiltonian, primaries)
+        self = super().__new__(cls, name, zeta, c, hamiltonian, primaries)
+        _check_primaries(self._ints[2], zeta)
+        return self
 
     @cached_property
     def _ints(self) -> tuple[list | None, list[tuple[dict, int]], list]:
-        """The model in ints, made once for the chain and the oracle, which only read it: f_ab = d_a c_b - d_b c_a
+        """The model in ints, made with it; its check, the chain and the oracle only read it: f_ab = d_a c_b - d_b c_a
         as columns over one scale, keyed ~a for row a (None if c is nonlinear), each of H's derivatives as int
         monomial sums over a denominator, and each primary's integer affine form (None if nonlinear)."""
         forms, n, cols = [_affine_form(e) for e in self.c], len(self.c), None
@@ -109,14 +110,14 @@ class PrimaryError(ValueError):
         self.index = index
 
 
-def _check_primaries(primaries: Sequence[Expression], zeta: VarTable) -> None:
-    """Primaries must be nonzero; linear ones must be independent and hold at some point."""
-    linear = all(p.is_linear() for p in primaries)
+def _check_primaries(forms: Sequence[tuple[dict[int, int], int] | None], zeta: VarTable) -> None:
+    """The primaries' forms (None if nonlinear) must be nonzero; if all are linear, independent and consistent."""
+    linear = None not in forms
     basis = EchelonBasis(zeta)
-    for i, p in enumerate(primaries):
-        if p.is_zero():
+    for i, form in enumerate(forms):
+        if form and not form[0]:
             raise PrimaryError("primary constraint is identically zero", i)
-        if linear and not basis.add(p):
+        if linear and not basis._add_forms([form]):
             raise PrimaryError("primary constraints are linearly dependent", i)
         # an affine span has no common zero iff it holds 1
         if linear and basis.holds_constant():
@@ -341,15 +342,18 @@ def load_model(path: str | os.PathLike) -> FirstOrderModel:
 
 
 def save_model(m: FirstOrderModel, path: str | os.PathLike) -> None:
-    """Write the first-order form; load_model(save_model(m)) == m."""
+    """Write the first-order form; load_model(save_model(m)) == m, or ``ValueError`` before the file is opened."""
+    if [m.name] != [line.split("#", 1)[0].strip() for line in m.name.splitlines()]:  # as load_model reads it
+        raise ValueError(f"model name {m.name!r} would not load back: use one nonempty line, no '#', no outer spaces")
     lines = [f"model {m.name}"]
     lines.append("zeta " + " ".join(m.zeta.names))
     lines.append("c " + " ".join(e.to_text(compact=True) for e in m.c))
     lines.append("H " + str(m.hamiltonian))
     for p in m.primaries:
         lines.append("primary " + str(p))
-    with open(path, "w", encoding="utf-8") as file:
-        file.write("\n".join(lines) + "\n")
+    data = ("\n".join(lines) + "\n").encode()  # a name UTF-8 cannot hold fails here, before the file is opened
+    with open(path, "wb") as file:
+        file.write(data)
 
 
 def _table(lineno: int, rest: str) -> VarTable:

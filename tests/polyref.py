@@ -1,6 +1,6 @@
-"""Test-side references for polynomials and matrices: moving a polynomial onto another table by name, its linear
-coefficients and integer form, and sympy's view of it; the chain's bordered matrix F read off linear
-coefficients, and sympy's canonical left null basis of a matrix.
+"""Test-side references for polynomials and matrices: moving a polynomial onto another table by name, its total
+degree, its linear coefficients and integer form, and sympy's view of it; the chain's bordered matrix F read off
+linear coefficients, and sympy's canonical left null basis of a matrix.
 
 None of them shares code with ``symchain.expressions`` beyond reading an
 Expression's terms and building one through the checked constructor, and
@@ -21,6 +21,11 @@ def relabel(e: Expression, table) -> Expression:
     return Expression(table, {
         tuple(sorted((table.index_of(names[i]), k) for i, k in mono)): c for mono, c in e.terms.items()
     })
+
+
+def degree(e: Expression) -> int:
+    """The total degree of ``e``, read off its terms; the zero polynomial has degree 0."""
+    return max((sum(k for _, k in mono) for mono in e.terms), default=0)
 
 
 def linear_coefficients(e: Expression) -> tuple[tuple[Fraction, ...], Fraction]:

@@ -36,9 +36,9 @@ from golden import (
     V3,
     is_scalar_multiple,
 )
-from polyref import bordered, linear_coefficients, relabel, sympy_left_null_basis, sympy_matrix
+from polyref import bordered, degree, linear_coefficients, relabel, sympy_left_null_basis, sympy_matrix
 from randmodels import random_model, random_scaled_model, random_second_order
-from symchain import chain, dirac, expressions, linalg, load_model, model as model_module
+from symchain import chain, dirac, expressions, lattice, linalg, load_model, model as model_module
 from symchain.reports import render_tree
 from symchain.expressions import _form_expression, _sums_expression, _sums_form
 from symchain.linalg import SparseEchelon, _combine, _integral
@@ -170,7 +170,7 @@ def test_assembled_matrices_match_published_forms(example2, monkeypatch):
 def test_assemble_level_zero_is_base_tensor(example2):
     # f_ab = d_a c_b - d_b c_a, read off the gradients of the c entries
     for m in (example2, build_schwinger(LatticeSpec(sites=3))):
-        assert all(cb.is_linear() for cb in m.c)
+        assert all(degree(cb) <= 1 for cb in m.c)
         d = [[g.terms.get((), 0) for g in cb.gradient()] for cb in m.c]  # d[b][a] = d_a c_b
         n = len(m.zeta)
         expected = [[d[b][a] - d[a][b] for b in range(n)] for a in range(n)]
@@ -502,26 +502,11 @@ def test_run_chain_scales_and_eliminates_each_column_once(monkeypatch):
     report = run_chain(_deep_shift_chain(), ChainOptions(max_level=64))
     n_zeta, n_constraints = 24, len(report.constraints)
     assert report.levels[-1].shape == (n_zeta + n_constraints,) * 2
-    # once per entry of c and of grad(H), in the model's integer view, and for the one primary
-    # once there and once as the model checks it
-    assert len(scaled) == 2 * n_zeta + 2 == 50
+    # once per entry of c and of grad(H), and once for the one primary, all in the integer view the model
+    # is built with, whose primary form the model's own check reads: no attempt converts anything again
+    assert len(scaled) == 2 * n_zeta + 1 == 49
     # each constraint column once, at its border; each attempt its coordinate columns
     assert sorted(absorbed) == [1] * n_constraints + [n_zeta] * len(report.levels)
-
-
-def test_run_chain_checks_linearity_once_per_model_input(monkeypatch):
-    """On the deep shift chain no derived constraint or candidate calls ``Expression.is_linear``.
-
-    Its integer affine form already says whether it is linear; at most the 24 entries
-    of c and the one primary may call it (72 calls when each level checked again).
-    """
-    model = _deep_shift_chain()
-    calls = []
-    is_linear = Expression.is_linear
-    monkeypatch.setattr(Expression, "is_linear", lambda self: calls.append(self) or is_linear(self))
-    report = run_chain(model, ChainOptions(max_level=64))
-    assert len(report.constraints) == 24
-    assert len(calls) <= 26
 
 
 MODELS_DIR = Path(__file__).resolve().parents[1] / "models"
@@ -537,16 +522,17 @@ def test_chain_and_oracle_convert_the_model_once(name, monkeypatch):
     """One ``run_chain`` and one ``consistency_algorithm`` on one model take grad(H) once, convert each entry
     of c once, for f's columns, and each primary once, in neither its raw nor its monic form again.
 
-    A second chain run after the oracle reuses that view: its report is byte-identical to the first,
+    The model is built under the counters, since its integer view is made with it.  A second chain run
+    after the oracle reuses that view: its report is byte-identical to the first,
     and the view's columns equal a fresh model's, so bordering never writes into them.
     """
-    m, opts = CONVERSION_MODELS[name]()
     converted, gradients = [], []
     affine_form, gradient = expressions._affine_form, Expression.gradient
     for module in (expressions, chain, dirac, model_module):
         if hasattr(module, "_affine_form"):
             monkeypatch.setattr(module, "_affine_form", lambda e: converted.append(e) or affine_form(e))
     monkeypatch.setattr(Expression, "gradient", lambda self: gradients.append(self) or gradient(self))
+    m, opts = CONVERSION_MODELS[name]()
     first = render_tree(run_chain(m, opts))
     consistency_algorithm(m)
     inputs = (*m.c, *m.primaries)
@@ -557,6 +543,30 @@ def test_chain_and_oracle_convert_the_model_once(name, monkeypatch):
     assert render_tree(run_chain(m, opts)) == first
     monkeypatch.undo()
     assert m._ints == CONVERSION_MODELS[name]()[0]._ints
+
+
+TWO_PRIMARIES = "model two\nzeta q1 q2 p1 p2\nc p1 p2 0 0\nH 1/2*p1^2 + q1*q2\nprimary p2\nprimary 2*q2 - q1 + 1\n"
+
+
+@pytest.mark.parametrize("source", ["example2.model", "gauge_pair.model", "two primaries"])
+def test_a_loaded_model_converts_each_primary_once_from_file_to_verdict(source, tmp_path, monkeypatch):
+    """``load_model``, ``run_chain`` and ``consistency_algorithm`` turn each primary into its integer form once:
+    in the view the model is built with, which the model's own check, the chain and the oracle all read."""
+    path = MODELS_DIR / source
+    if source == "two primaries":
+        path = tmp_path / "two.model"
+        path.write_text(TWO_PRIMARIES)
+    converted = []
+    affine_form = expressions._affine_form
+    for module in (chain, dirac, expressions, lattice, model_module):
+        monkeypatch.setattr(module, "_affine_form", lambda e: converted.append(e) or affine_form(e))
+    m = load_model(path)
+    run_chain(m)
+    consistency_algorithm(m)
+    assert len(m.primaries) == (2 if source == "two primaries" else 1)
+    assert [sum(e is p for e in converted) for p in m.primaries] == [1] * len(m.primaries)
+    # nothing else is converted: each entry of c once, for f's columns, and no copy of a primary
+    assert len(converted) == len(m.c) + len(m.primaries)
 
 
 def _counted_absorb(monkeypatch) -> list:

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -143,12 +144,32 @@ def test_analyze_rejects_bad_model(tmp_path):
     ("p^" + "2" * 5000, 2),
 ], ids=["coefficient", "denominator", "exponent"])
 def test_an_integer_literal_past_the_digit_limit_is_an_input_error(tmp_path, h, offset):
-    """Python refuses to convert a string of more than 4,300 digits; the model file's line is named instead."""
+    """The parser refuses a literal of more than 4,300 digits, Python's default conversion limit, which ``main``
+    lifts for its run; the model file's line is named."""
     path = tmp_path / "long.model"
     path.write_text(f"model long\nzeta q p\nc p 0\nH {h}\n")
     result = run_cli("analyze", str(path))
     assert result.returncode == 1
     assert result.stderr == f"error: line 4: integer literal of 5000 digits is too long (at offset {offset})\n"
+
+
+@pytest.mark.parametrize("fmt", ["tree", "text"])
+def test_a_report_prints_integers_past_the_digit_limit(fmt):
+    """At spacing 1e400 det F has 14,404 digits, more than Python converts to text by default; main lifts that
+    limit for its own run, and puts it back when it returns."""
+    before = sys.get_int_max_str_digits()
+    argv = ["lattice", "schwinger", "--sites", "3", "--spacing", "1e400", "--analyze", "--format", fmt]
+    code, out = _in_process(argv)
+    assert sys.get_int_max_str_digits() == before
+    assert code == 0
+    if fmt == "tree":
+        tree = json.loads(out)
+        assert tree["comparison"]["equal"]
+        determinant = tree["termination"]["determinant"]
+    else:
+        assert "span comparison: equal\n" in out
+        determinant = re.search(r"det\(F\^\(4\)\) = (\d+)\n", out).group(1)
+    assert len(determinant) == 14_404
 
 
 def test_analyze_deeply_nested_expressions(tmp_path):

@@ -30,7 +30,7 @@ from symchain import dirac
 from symchain.dirac import MultiplierCondition, _flow, _inverse
 from brackets import canonical_pairs, poisson_bracket
 from golden import C_GOLDEN, PUBLISHED_CONSTRAINTS, is_scalar_multiple
-from polyref import integer_form, linear_coefficients, relabel, sympy_left_null_basis
+from polyref import degree, integer_form, linear_coefficients, relabel, sympy_left_null_basis
 from randmodels import random_model, random_scaled_model
 from test_byte_identity import _nonzero_rational, _shift_chain
 from test_expressions import dense_key, sparse_key
@@ -471,7 +471,7 @@ def reference_consistency_algorithm(m):
     constraints = [Constraint.from_raw(1, p, "primary") for p in m.primaries]
     if not constraints:
         return OracleResult((), ())
-    if not all(p.is_linear() for p in m.primaries):
+    if not all(degree(p) <= 1 for p in m.primaries):
         raise ValueError("nonlinear primary: the oracle supports linear constraints only")
     finv = _inverse(m)
     zeta = m.zeta
@@ -494,7 +494,7 @@ def reference_consistency_algorithm(m):
             candidate = Expression.linear_combination(zeta, zip(w, brackets_h))
             if candidate.is_zero():
                 continue
-            if not candidate.is_linear():
+            if degree(candidate) > 1:
                 raise ValueError(
                     "nonlinear consistency candidate: reduction is supported "
                     "for linear constraints only"
@@ -502,7 +502,7 @@ def reference_consistency_algorithm(m):
             remainder = known.remainder(candidate)
             if remainder.is_zero():
                 continue
-            if remainder.degree() == 0:
+            if degree(remainder) == 0:
                 raise ValueError(
                     "inconsistent dynamics: a consistency condition reduces to "
                     f"the nonzero constant {remainder.terms[()]}"

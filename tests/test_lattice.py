@@ -15,7 +15,7 @@ from symchain import (
 from symchain.chain import _span
 from symchain.lattice import _BLOCKS, _difference_row, _solve_stencil
 from symchain import Expression, FirstOrderModel, VarTable, parse_expression
-from polyref import linear_coefficients, to_sympy
+from polyref import degree, linear_coefficients, to_sympy
 
 
 def test_spec_validation():
@@ -221,7 +221,7 @@ def test_stencil_mapping_rejects_a_foreign_table():
 
 def _full_scan(expr, spec):
     """The site mapping by trying every site in turn, each block checked entry by entry."""
-    if not expr.is_linear():
+    if degree(expr) > 1:
         return None
     coeffs, const = linear_coefficients(expr)
     if const != 0:

@@ -253,6 +253,25 @@ def test_save_load_roundtrip_takes_str_and_path(tmp_path, example2):
     assert load_model(str(as_path)) == load_model(as_str) == example2
 
 
+@pytest.mark.parametrize("name", ["a#b", " lead", "trail ", "two\nlines", "", "cr\r", "lone\udc80surrogate"])
+def test_save_model_refuses_a_name_that_would_not_load_back(tmp_path, example2, name):
+    """Each name would come back as another (a, lead, trail, cr), or not at all, or cannot be written in UTF-8;
+    the existing file is left as it was."""
+    path = tmp_path / "kept.model"
+    save_model(example2, path)
+    before = path.read_bytes()
+    message = "surrogates not allowed" if "\udc80" in name else "^model name .* would not load back"
+    with pytest.raises(ValueError, match=message):
+        save_model(example2._replace(name=name), path)
+    assert path.read_bytes() == before
+
+
+def test_save_model_keeps_a_name_with_inner_spaces(tmp_path, example2):
+    m = example2._replace(name="two  inner\tspaces")
+    save_model(m, tmp_path / "spaces.model")
+    assert load_model(tmp_path / "spaces.model") == m
+
+
 def test_load_rejects_duplicate_variables(tmp_path):
     p = tmp_path / "bad.model"
     p.write_text("model bad\nzeta x x\nc 0 0\nH 0\n")
@@ -410,6 +429,7 @@ def test_inconsistent_primaries_are_rejected(tmp_path, primaries):
         (["p", "x", "0"], "line 7: primary constraint is identically zero"),
         (["p", "2*p"], "line 6: primary constraints are linearly dependent"),
         (["p", "x - 1", "p + 3*x - 3"], "line 7: primary constraints are linearly dependent"),
+        (["x*p", "0"], "line 6: primary constraint is identically zero"),
     ],
 )
 def test_bad_primaries_are_reported_at_their_line(tmp_path, primaries, message):
@@ -427,6 +447,13 @@ def test_inconsistent_primary_is_reported_at_its_index():
     with pytest.raises(PrimaryError, match=message) as err:
         FirstOrderModel("m", zeta, [p, Expression.zero(zeta)], p * p, [x, x + 1])
     assert err.value.index == 1
+
+
+def test_a_nonlinear_primary_set_is_checked_for_zeros_only(tmp_path):
+    # the linear checks need every primary's integer form; a nonlinear one has none, and the chain rejects it
+    path = tmp_path / "nonlinear.model"
+    path.write_text("model m\n" + FIRST + "primary x*p\nprimary p\nprimary 2*p\n")
+    assert len(load_model(path).primaries) == 3
 
 
 def test_affine_primaries_with_a_common_zero_load(tmp_path):

@@ -52,6 +52,9 @@ def test_surface_without_a_program_caller_is_gone():
     # the CLI, the demos and perfbench need none of these; tests use polyref and sympy
     for name in ("substitute", "evaluate", "constant_value", "is_constant", "constant", "linear_coefficients"):
         assert not hasattr(symchain.Expression, name), name
+    # the integer affine form alone decides linearity: polyref.degree is the tests' degree
+    for name in ("is_linear", "degree"):
+        assert not hasattr(symchain.Expression, name), name
     for name in ("linear_expression", "FieldSet"):
         assert not hasattr(symchain, name), name
         assert not hasattr(symchain.expressions, name) and not hasattr(symchain.lattice, name), name
